@@ -1,23 +1,18 @@
-"""X13 — the warm-worker execution core vs fork-per-job dispatch.
+"""X13 — the warm-worker execution core.
 
 Three benchmarks for the execution service, gated by
 ``run_bench.py --check`` since the warm-worker refactor:
 
 * a repeated locking-sweep campaign — the same sweep submitted twice
   through one persistent :class:`~repro.service.WorkerPool` over one
-  artifact store, timed against PR 4's fork-per-job scheduler on the
-  same workload.  The cold pooled submission must already beat the
-  per-job baseline (no new process per job, event-driven completion
-  instead of poll-quantized joins); the warm resubmission — warm
-  workers, warm engine caches, results addressable by spec hash —
-  must clear 3x.  Serial, inline, per-job, cold-pooled and
-  warm-pooled results are asserted bit-identical on the deterministic
-  fields first;
-* a run-database query microbenchmark at 10k records — the indexed
-  SQLite backend's ``query(spec_hash=...)`` against the legacy JSONL
-  backend's cold full-file scan, plus a 1k-record point showing the
-  indexed lookup scales sub-linearly while the scan grows with the
-  log;
+  artifact store.  The warm resubmission — warm workers, warm engine
+  caches, results addressable by spec hash — must beat the cold
+  pooled submission on the same store by 3x.  Serial, inline,
+  cold-pooled and warm-pooled results are asserted bit-identical on
+  the deterministic fields first;
+* a run-database query microbenchmark — the indexed SQLite run
+  database's ``query(spec_hash=...)`` at 1k and 10k records, showing
+  the lookup scales sub-linearly with the log;
 * the original PR 4 cache-hit characterisation: a resubmitted
   campaign is served ≥90% from the content-addressed store, with the
   run database recording the hits.
@@ -33,10 +28,8 @@ from repro.core.dse import sweep_locking
 from repro.netlist import c17, ripple_carry_adder
 from repro.service import (
     ArtifactStore,
-    JsonlRunDatabase,
     RunDatabase,
     RunRecord,
-    SqliteRunDatabase,
     WorkerPool,
     locking_sweep_campaign,
 )
@@ -57,13 +50,12 @@ def _strip(points):
             for p in points]
 
 
-def _sweeps(workers, store=None, pool=None, persistent=True):
+def _sweeps(workers, store=None, pool=None):
     """The benchmark workload: one locking-sweep campaign per seed.
 
     Without ``store``, every campaign gets a throwaway store (the
-    fork-per-job baseline and the inline reference run cold); with
-    one, campaigns share it — exactly how a long-lived service run
-    accumulates reusable results.
+    inline reference runs cold); with one, campaigns share it —
+    exactly how a long-lived service run accumulates reusable results.
     """
     base = c17()
     results = []
@@ -73,7 +65,7 @@ def _sweeps(workers, store=None, pool=None, persistent=True):
             workers=workers,
             store=store if store is not None
             else ArtifactStore(tempfile.mkdtemp(prefix="bench-service-")),
-            pool=pool, persistent=persistent)))
+            pool=pool)))
     return results
 
 
@@ -82,10 +74,6 @@ def run_repeated_campaign():
                                    max_iterations=MAX_ITERATIONS))
               for seed in SEEDS]
     inline = _sweeps(workers=0)
-
-    start = time.perf_counter()
-    per_job = _sweeps(WORKERS, persistent=False)
-    per_job_s = time.perf_counter() - start
 
     store = ArtifactStore(tempfile.mkdtemp(prefix="bench-service-warm-"))
     with WorkerPool(WORKERS) as pool:
@@ -96,15 +84,13 @@ def run_repeated_campaign():
         warm = _sweeps(WORKERS, store=store, pool=pool)
         warm_s = time.perf_counter() - start
 
-    assert serial == inline == per_job == cold == warm
+    assert serial == inline == cold == warm
     return {
         "campaigns": len(SEEDS),
         "jobs": len(SEEDS) * len(KEY_WIDTHS),
-        "per_job_s": per_job_s,
         "pool_cold_s": pool_cold_s,
         "warm_resubmit_s": warm_s,
-        "cold_speedup": per_job_s / pool_cold_s,
-        "warm_speedup": per_job_s / warm_s,
+        "warm_speedup": pool_cold_s / warm_s,
     }
 
 
@@ -132,22 +118,18 @@ def _db_records(n):
     ]
 
 
-def _time_queries(db, spec_hash, repeats, batches=5, fresh=None):
+def _time_queries(db, spec_hash, repeats, batches):
     """Best-batch mean seconds per ``query(spec_hash=...)``.
 
     The minimum over ``batches`` timed batches — load spikes only ever
     push a batch up, never down, so the min is the noise-robust
-    statistic (same convention as ``run_bench.py --check``).  With
-    ``fresh``, every call opens a new handle via the factory — the
-    legacy CLI pattern the tail-offset cache cannot help, i.e. a
-    full-file parse per query.
+    statistic (same convention as ``run_bench.py --check``).
     """
     best = float("inf")
     for _ in range(batches):
         start = time.perf_counter()
         for _ in range(repeats):
-            handle = fresh() if fresh is not None else db
-            handle.query(spec_hash=spec_hash)
+            db.query(spec_hash=spec_hash)
         best = min(best, (time.perf_counter() - start) / repeats)
     return best
 
@@ -157,32 +139,18 @@ def run_rundb_queries():
     timings = {}
     for label, n in (("small", DB_SMALL), ("large", DB_RECORDS)):
         records = _db_records(n)
-        jsonl_path = f"{root}/runs-{n}.jsonl"
-        JsonlRunDatabase(jsonl_path).record_many(records)
-        sqlite = SqliteRunDatabase(f"{root}/runs-{n}.db")
-        sqlite.record_many(records)
-        target = HOT_HASH
-        # Both backends agree before either is timed.
-        hits = sqlite.query(spec_hash=target)
-        assert hits == JsonlRunDatabase(jsonl_path).query(spec_hash=target)
+        db = RunDatabase(f"{root}/runs-{n}.sqlite")
+        db.record_many(records)
+        hits = db.query(spec_hash=HOT_HASH)
+        assert hits == [r for r in records if r.spec_hash == HOT_HASH]
         assert len(hits) == HOT_COUNT
-        timings[label] = {
-            "records": n,
-            "jsonl_scan_s": _time_queries(
-                None, target, repeats=1, batches=5,
-                fresh=lambda path=jsonl_path: JsonlRunDatabase(path)),
-            "sqlite_s": _time_queries(sqlite, target, DB_QUERY_REPEATS,
-                                      batches=8),
-        }
-        sqlite.close()
-    small, large = timings["small"], timings["large"]
+        timings[label] = _time_queries(db, HOT_HASH, DB_QUERY_REPEATS,
+                                       batches=8)
+        db.close()
     return {
         "records": DB_RECORDS,
-        "jsonl_scan_s": large["jsonl_scan_s"],
-        "sqlite_s": large["sqlite_s"],
-        "scan_over_sqlite": large["jsonl_scan_s"] / large["sqlite_s"],
-        "scan_growth": large["jsonl_scan_s"] / small["jsonl_scan_s"],
-        "sqlite_growth": large["sqlite_s"] / small["sqlite_s"],
+        "sqlite_s": timings["large"],
+        "sqlite_growth": timings["large"] / timings["small"],
     }
 
 
@@ -192,32 +160,25 @@ def test_warm_pool_repeated_campaign(benchmark):
     print(f"\n=== repeated locking-sweep campaign "
           f"({result['campaigns']} campaigns x {len(KEY_WIDTHS)} widths, "
           f"{WORKERS} workers) ===")
-    print(f"fork-per-job : {result['per_job_s']:.3f}s")
-    print(f"pool, cold   : {result['pool_cold_s']:.3f}s "
-          f"({result['cold_speedup']:.1f}x)")
+    print(f"pool, cold   : {result['pool_cold_s']:.3f}s")
     print(f"pool, warm   : {result['warm_resubmit_s']:.3f}s "
           f"({result['warm_speedup']:.1f}x, bit-identical points)")
-    # The acceptance gate: resubmitting through the warm pool beats
-    # PR 4's dispatch >= 3x; even the cold pool must already win.
+    # The acceptance gate: resubmitting through the warm pool and
+    # store beats the cold submission >= 3x.
     assert result["warm_speedup"] >= 3.0
-    assert result["cold_speedup"] >= 1.2
 
 
 def test_rundb_indexed_queries(benchmark):
     result = benchmark.pedantic(run_rundb_queries, rounds=1, iterations=1)
     print(f"\n=== run-database spec-hash query "
           f"({result['records']} records) ===")
-    print(f"jsonl scan : {result['jsonl_scan_s'] * 1e3:.2f}ms/query "
-          f"(grew {result['scan_growth']:.1f}x from "
-          f"{DB_SMALL} to {DB_RECORDS} records)")
     print(f"sqlite     : {result['sqlite_s'] * 1e3:.3f}ms/query "
-          f"({result['scan_over_sqlite']:.0f}x faster, grew "
-          f"{result['sqlite_growth']:.1f}x)")
-    assert result["scan_over_sqlite"] >= 10.0
+          f"(grew {result['sqlite_growth']:.1f}x from "
+          f"{DB_SMALL} to {DB_RECORDS} records)")
     # Sub-linear: over a 10x record-count step the indexed lookup
-    # must grow far less than proportionally (the scan, by contrast,
-    # grows with the log — reported above).  The result set is pinned
-    # to HOT_COUNT rows at both sizes, so growth here is lookup cost.
+    # must grow far less than proportionally.  The result set is
+    # pinned to HOT_COUNT rows at both sizes, so growth here is
+    # lookup cost.
     assert result["sqlite_growth"] <= 3.0
 
 
@@ -234,7 +195,7 @@ def service_dirs():
 
 def test_sweep_cold_vs_warm_cache(benchmark, service_dirs):
     store = ArtifactStore(service_dirs + "/store")
-    rundb = RunDatabase(service_dirs + "/runs.jsonl")
+    rundb = RunDatabase(service_dirs + "/runs.sqlite")
     netlist = ripple_carry_adder(8)
 
     # Cold: populate the store (not benchmarked).

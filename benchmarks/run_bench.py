@@ -270,7 +270,7 @@ def main(argv: Optional[list] = None) -> int:
                              "many worker processes (0 = plain pytest)")
     parser.add_argument("--rundb", default=None,
                         help="with --jobs: record job outcomes in this "
-                             "run-database JSONL")
+                             "SQLite run database")
     args, pytest_args = parser.parse_known_args(argv)
 
     runs = existing_runs()

@@ -21,8 +21,9 @@ ROUTES`), so its contracts are checkable without binding a socket:
   :class:`~repro.service.jobs.JobSpec` — the transport-parity
   property (an HTTP submission can never hash differently from the
   same CLI submission),
-* every campaign expander is registered under a non-empty name and
-  is callable.
+* every campaign plan served by ``POST /v1/campaigns``
+  (:data:`repro.service.campaigns.CAMPAIGN_PLANS`) is registered
+  under a non-empty name and is callable.
 
 Run directly (exit 1 on problems) or import :func:`audit` from a test.
 
@@ -71,11 +72,8 @@ def _docstring_errors(doc: str) -> List[str]:
 
 def audit() -> List[str]:
     """Return one problem string per API violation (empty = clean)."""
-    from repro.service.gateway import (
-        CAMPAIGN_EXPANDERS,
-        ROUTES,
-        spec_from_body,
-    )
+    from repro.service.campaigns import CAMPAIGN_PLANS
+    from repro.service.gateway import ROUTES, spec_from_body
     from repro.service.jobs import JobSpec, registered_job_types
 
     problems: List[str] = []
@@ -144,11 +142,11 @@ def audit() -> List[str]:
                 "cache address")
 
     # -- campaign registry --------------------------------------------
-    for name, expander in sorted(CAMPAIGN_EXPANDERS.items()):
+    for name, plan in sorted(CAMPAIGN_PLANS.items()):
         if not name or not isinstance(name, str):
             problems.append(f"campaign {name!r}: invalid name")
-        if not callable(expander):
-            problems.append(f"campaign {name}: expander not callable")
+        if not callable(plan):
+            problems.append(f"campaign {name}: plan not callable")
 
     return problems
 

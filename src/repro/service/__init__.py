@@ -10,14 +10,15 @@ into a job-serving layer:
   invocations;
 * :mod:`~repro.service.jobs` — declarative, picklable job specs
   resolved through a registry, hash-stable for cache addressing;
-* :mod:`~repro.service.scheduler` — multiprocess DAG execution with
-  per-job timeouts, bounded retry-with-backoff, crash isolation,
-  cancellation, and in-process degradation at ``workers=0``;
-* :mod:`~repro.service.rundb` — append-only JSONL log of every job
+* :mod:`~repro.service.scheduler` — DAG execution on a warm worker
+  pool with per-job timeouts, bounded retry-with-backoff, crash
+  isolation, cancellation, and in-process degradation at
+  ``workers=0``;
+* :mod:`~repro.service.rundb` — indexed SQLite log of every job
   outcome with a query API;
 * :mod:`~repro.service.campaigns` — existing workloads (locking
-  sweep, composition matrix, security closure) routed through the
-  service with serial result parity;
+  sweep, composition matrix, security closure) planned once and
+  routed through the service with serial result parity;
 * :mod:`~repro.service.events` — the job event bus behind both CLI
   ``--watch`` output and gateway SSE streams;
 * :mod:`~repro.service.tenants` — tenant identity, rate limits, and
@@ -31,7 +32,6 @@ into a job-serving layer:
 
 from .store import ArtifactStore, GcReport, result_key, validate_digest
 from .rundb import (
-    JsonlRunDatabase,
     RunDatabase,
     RunRecord,
     SqliteRunDatabase,
@@ -83,7 +83,7 @@ from .tenants import (
 
 __all__ = [
     "ArtifactStore", "GcReport", "result_key", "validate_digest",
-    "RunDatabase", "JsonlRunDatabase", "SqliteRunDatabase",
+    "RunDatabase", "SqliteRunDatabase",
     "RunRecord", "render_records", "migrate_jsonl",
     "JobContext", "JobSpec", "JobType", "evaluate_variants",
     "job_function", "register_job_type", "registered_job_types", "run_job",

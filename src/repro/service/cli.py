@@ -9,7 +9,7 @@ Subcommands::
     jobs     query the run database (filter by run / type / status)
     runs     list run ids with per-run summaries
     summary  aggregate run-database statistics
-    migrate  copy a JSONL run database into an indexed SQLite one
+    migrate  copy a legacy JSON-lines run log into a SQLite run database
     store    artifact-store statistics
     gc       collect unpinned, unreferenced artifacts (--dry-run)
     pin      pin an artifact digest under a named ref
@@ -17,27 +17,36 @@ Subcommands::
 
 Campaign commands accept ``--workers N`` (0 = in-process), a
 ``--store`` directory for the persistent artifact cache, and a
-``--db`` path for the run database (``.jsonl`` keeps the legacy
-line-oriented log; anything else is SQLite); ``--watch`` streams job
+``--db`` path for the SQLite run database; ``--watch`` streams job
 state transitions as the scheduler makes them — over the same
-:mod:`~repro.service.events` bus the gateway's SSE streams use.
+:mod:`~repro.service.events` bus the gateway's SSE streams use.  Their
+flag defaults are the defaults of the campaign's plan
+(:mod:`~repro.service.campaigns`), the same ones an HTTP submission
+gets.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import inspect
 import json
+import signal
 import sys
 import threading
-from typing import Iterator, Optional
+from typing import Callable, Dict, Iterator, Optional
 
 from .campaigns import (
     BENCH_CIRCUITS,
     DEFAULT_STACKS,
+    bench_netlists,
     composition_matrix_campaign,
     locking_sweep_campaign,
+    plan_closure,
+    plan_compose,
+    plan_sweep,
     security_closure_campaign,
+    stack_table,
 )
 from .events import EventBus, format_event
 from .rundb import RunDatabase, migrate_jsonl, render_records
@@ -82,15 +91,14 @@ def _open_store(args) -> Optional[ArtifactStore]:
 
 def cmd_sweep(args) -> int:
     try:
-        make = BENCH_CIRCUITS[args.bench]
-    except KeyError:
-        print(f"unknown bench {args.bench!r}; choose from "
-              f"{sorted(BENCH_CIRCUITS)}")
+        (netlist,) = bench_netlists([args.bench])
+    except ValueError as exc:
+        print(exc)
         return 2
     widths = [int(w) for w in args.widths.split(",") if w != ""]
     with _watching(args.watch) as bus:
         points = locking_sweep_campaign(
-            make(), widths, seed=args.seed,
+            netlist, widths, seed=args.seed,
             max_iterations=args.max_iterations, workers=args.workers,
             store=_open_store(args), rundb=_open_db(args),
             timeout=args.timeout, bus=bus)
@@ -106,15 +114,12 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_compose(args) -> int:
-    stacks = None
-    if args.stacks:
-        labels = [s for s in args.stacks.split(",") if s != ""]
-        unknown = [s for s in labels if s not in DEFAULT_STACKS]
-        if unknown:
-            print(f"unknown stack(s) {unknown}; choose from "
-                  f"{sorted(DEFAULT_STACKS)}")
-            return 2
-        stacks = {label: DEFAULT_STACKS[label] for label in labels}
+    try:
+        stacks = stack_table([s for s in args.stacks.split(",") if s]
+                             if args.stacks else None)
+    except ValueError as exc:
+        print(exc)
+        return 2
     with _watching(args.watch) as bus:
         matrix = composition_matrix_campaign(
             design=args.design, stacks=stacks,
@@ -140,15 +145,15 @@ def cmd_compose(args) -> int:
 
 
 def cmd_closure(args) -> int:
-    labels = [b for b in args.benches.split(",") if b != ""]
-    unknown = [b for b in labels if b not in BENCH_CIRCUITS]
-    if unknown:
-        print(f"unknown bench(es) {unknown}; choose from "
-              f"{sorted(BENCH_CIRCUITS)}")
+    try:
+        netlists = bench_netlists(
+            [b for b in args.benches.split(",") if b != ""])
+    except ValueError as exc:
+        print(exc)
         return 2
     with _watching(args.watch) as bus:
         results = security_closure_campaign(
-            [BENCH_CIRCUITS[label]() for label in labels],
+            netlists,
             thresholds={"probing": args.probing, "fia": args.fia,
                         "trojan": args.trojan},
             num_layers=args.layers, max_iterations=args.max_iterations,
@@ -229,7 +234,7 @@ def cmd_store(args) -> int:
 
 def cmd_migrate(args) -> int:
     if not args.db:
-        print("migrate requires --db (the JSONL source)")
+        print("migrate requires --db (the JSON-lines source)")
         return 2
     try:
         count = migrate_jsonl(args.db, args.dest)
@@ -293,7 +298,7 @@ def cmd_unpin(args) -> int:
 
 
 def cmd_serve(args) -> int:
-    """Run the multi-tenant HTTP gateway until interrupted."""
+    """Run the multi-tenant HTTP gateway until SIGINT or SIGTERM."""
     from .gateway import Gateway     # lazy: asyncio only when serving
     from .tenants import Tenant, TenantRegistry
 
@@ -325,6 +330,9 @@ def cmd_serve(args) -> int:
     gateway = Gateway(store, TenantRegistry(tenants), rundb=rundb,
                       workers=args.workers, host=args.host,
                       port=args.port)
+    # A service manager stops the server with SIGTERM: drain exactly
+    # as on Ctrl-C, or the pool workers outlive the server.
+    signal.signal(signal.SIGTERM, signal.default_int_handler)
     host, port = gateway.start()
     print(f"gateway listening on http://{host}:{port} "
           f"({len(tenants)} tenant(s), {gateway.workers} workers)",
@@ -339,58 +347,76 @@ def cmd_serve(args) -> int:
     return 0
 
 
+def _plan_defaults(plan: Callable) -> Dict[str, object]:
+    """A campaign plan's keyword defaults, read from its signature."""
+    return {name: param.default
+            for name, param in inspect.signature(plan).parameters.items()
+            if param.default is not inspect.Parameter.empty}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.service",
         description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, campaign: bool = False):
+    def common(p, plan: Optional[Dict[str, object]] = None):
         p.add_argument("--db", default=None,
-                       help="run-database path (.jsonl = legacy "
-                            "JSON-lines, else SQLite)")
+                       help="SQLite run-database path")
         p.add_argument("--store", default=None,
                        help="artifact-store root directory")
-        if campaign:
+        if plan is not None:
             p.add_argument("--workers", type=int, default=0,
                            help="worker processes (0 = in-process)")
-            p.add_argument("--seed", type=int, default=0)
-            p.add_argument("--timeout", type=float, default=None,
+            p.add_argument("--seed", type=int, default=plan["seed"])
+            p.add_argument("--timeout", type=float,
+                           default=plan["timeout"],
                            help="per-job timeout in seconds")
             p.add_argument("--watch", action="store_true",
                            help="stream job state transitions")
 
+    sweep = _plan_defaults(plan_sweep)
     p = sub.add_parser("sweep", help="locking-sweep campaign")
-    p.add_argument("--bench", default="c17",
+    p.add_argument("--bench", default=sweep["bench"],
                    help=f"circuit: {sorted(BENCH_CIRCUITS)}")
-    p.add_argument("--widths", default="0,2,4,8",
+    p.add_argument("--widths",
+                   default=",".join(map(str, sweep["widths"])),
                    help="comma-separated key widths")
-    p.add_argument("--max-iterations", type=int, default=400)
-    common(p, campaign=True)
+    p.add_argument("--max-iterations", type=int,
+                   default=sweep["max_iterations"])
+    common(p, sweep)
     p.set_defaults(fn=cmd_sweep)
 
+    compose = _plan_defaults(plan_compose)
     p = sub.add_parser("compose", help="composition cross-effect matrix")
-    p.add_argument("--design", default="masked-and")
+    p.add_argument("--design", default=compose["design"])
     p.add_argument("--stacks", default=None,
                    help=f"comma-separated from {sorted(DEFAULT_STACKS)}")
-    p.add_argument("--traces", type=int, default=4000)
-    p.add_argument("--noise", type=float, default=0.25)
-    common(p, campaign=True)
+    p.add_argument("--traces", type=int,
+                   default=compose["engine"]["n_traces"])
+    p.add_argument("--noise", type=float,
+                   default=compose["engine"]["noise_sigma"])
+    common(p, compose)
     p.set_defaults(fn=cmd_compose)
 
+    closure = _plan_defaults(plan_closure)
     p = sub.add_parser("closure", help="security-closure campaign")
-    p.add_argument("--benches", default="c17,rca8",
+    p.add_argument("--benches", default=",".join(closure["benches"]),
                    help=f"comma-separated from {sorted(BENCH_CIRCUITS)}")
-    p.add_argument("--probing", type=float, default=0.05,
+    p.add_argument("--probing", type=float,
+                   default=closure["thresholds"]["probing"],
                    help="probing-exposure threshold")
-    p.add_argument("--fia", type=float, default=0.30,
+    p.add_argument("--fia", type=float,
+                   default=closure["thresholds"]["fia"],
                    help="FIA-exposure threshold")
-    p.add_argument("--trojan", type=float, default=0.05,
+    p.add_argument("--trojan", type=float,
+                   default=closure["thresholds"]["trojan"],
                    help="Trojan-insertability threshold")
-    p.add_argument("--layers", type=int, default=None,
+    p.add_argument("--layers", type=int, default=closure["num_layers"],
                    help="metal layers in the routing stack")
-    p.add_argument("--max-iterations", type=int, default=4)
-    common(p, campaign=True)
+    p.add_argument("--max-iterations", type=int,
+                   default=closure["max_iterations"])
+    common(p, closure)
     p.set_defaults(fn=cmd_closure)
 
     p = sub.add_parser("serve", help="run the HTTP evaluation gateway")
@@ -433,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_store)
 
     p = sub.add_parser("migrate",
-                       help="copy a JSONL run database into SQLite")
+                       help="copy a JSON-lines run log into SQLite")
     p.add_argument("dest", help="destination SQLite database path")
     common(p)
     p.set_defaults(fn=cmd_migrate)

@@ -38,9 +38,9 @@ namespaces, and artifact pins are tenant-namespaced refs — one
 tenant's ``gc`` can never sweep another's inputs.
 
 Gateway-submitted jobs are *bit-identical* to CLI submissions: the
-same :class:`~repro.service.jobs.JobSpec` construction yields the
-same ``spec_hash``, so a job computed over one transport is a cache
-hit over the other.
+same :class:`~repro.service.jobs.JobSpec` construction — for
+campaigns, the same plan function — yields the same ``spec_hash``,
+so a job computed over one transport is a cache hit over the other.
 
 Dispatcher-level errors (any route):
 
@@ -67,10 +67,10 @@ import time
 import traceback
 import urllib.parse
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from ..netlist import netlist_from_dict
-from .campaigns import BENCH_CIRCUITS, DEFAULT_STACKS
+from .campaigns import CAMPAIGN_PLANS
 from .events import EventBus, JobEvent
 from .jobs import JobSpec, registered_job_types
 from .rundb import RunDatabase
@@ -256,120 +256,6 @@ def spec_from_body(body: Dict[str, object]) -> JobSpec:
                            f"invalid job spec: {exc}") from None
 
 
-# -- campaign expansion ------------------------------------------------
-#
-# Each expander mirrors its campaigns.py twin field for field, so a
-# campaign submitted over HTTP hashes (and caches) identically to the
-# same campaign run through the CLI.
-
-
-def _bench_netlists(store: ArtifactStore,
-                    labels: Sequence[str]) -> List[str]:
-    digests = []
-    for label in labels:
-        make = BENCH_CIRCUITS.get(str(label))
-        if make is None:
-            raise GatewayError(
-                400, "bad_request",
-                f"unknown bench {label!r}; choose from "
-                f"{sorted(BENCH_CIRCUITS)}")
-        digests.append(store.put_netlist(make()))
-    return digests
-
-
-def _expand_sweep(body: Dict[str, object], store: ArtifactStore
-                  ) -> Tuple[List[JobSpec], List[str]]:
-    """Mirror of :func:`~repro.service.campaigns.locking_sweep_campaign`."""
-    widths = body.get("widths", [0, 2, 4, 8])
-    if not isinstance(widths, list) or not widths:
-        raise GatewayError(400, "bad_request",
-                           "'widths' must be a non-empty list")
-    (input_hash,) = _bench_netlists(store, [body.get("bench", "c17")])
-    seed = int(body.get("seed", 0))
-    timeout = body.get("timeout")
-    specs = [JobSpec(
-        "locking-point",
-        params={"netlist": input_hash, "key_bits": int(bits),
-                "max_iterations": int(body.get("max_iterations", 400))},
-        seed=seed,
-        timeout=None if timeout is None else float(timeout),
-        retries=int(body.get("retries", 1)))
-        for bits in widths]
-    return specs, [input_hash]
-
-
-def _expand_closure(body: Dict[str, object], store: ArtifactStore
-                    ) -> Tuple[List[JobSpec], List[str]]:
-    """Mirror of :func:`~repro.service.campaigns.security_closure_campaign`."""
-    benches = body.get("benches", ["c17", "rca8"])
-    if not isinstance(benches, list) or not benches:
-        raise GatewayError(400, "bad_request",
-                           "'benches' must be a non-empty list")
-    input_hashes = _bench_netlists(store, benches)
-    thresholds = dict(body.get("thresholds")
-                      or {"probing": 0.05, "fia": 0.30, "trojan": 0.05})
-    num_layers = body.get("num_layers")
-    seed = int(body.get("seed", 0))
-    timeout = body.get("timeout")
-    specs = [JobSpec(
-        "closure",
-        params={"netlist": input_hash,
-                "thresholds": thresholds,
-                "num_layers": (None if num_layers is None
-                               else int(num_layers)),
-                "max_iterations": int(body.get("max_iterations", 4)),
-                "placement_iterations": int(
-                    body.get("placement_iterations", 2000))},
-        seed=seed,
-        timeout=None if timeout is None else float(timeout),
-        retries=int(body.get("retries", 1)))
-        for input_hash in input_hashes]
-    return specs, input_hashes
-
-
-def _expand_compose(body: Dict[str, object], store: ArtifactStore
-                    ) -> Tuple[List[JobSpec], List[str]]:
-    """Mirror of :func:`~repro.service.campaigns.
-    composition_matrix_campaign`."""
-    del store   # composition designs travel by registry name
-    labels = body.get("stacks")
-    if labels is None:
-        stacks = dict(DEFAULT_STACKS)
-    else:
-        if not isinstance(labels, list) or not labels:
-            raise GatewayError(400, "bad_request",
-                               "'stacks' must be a non-empty list")
-        unknown = [s for s in labels if s not in DEFAULT_STACKS]
-        if unknown:
-            raise GatewayError(
-                400, "bad_request",
-                f"unknown stack(s) {unknown}; choose from "
-                f"{sorted(DEFAULT_STACKS)}")
-        stacks = {label: DEFAULT_STACKS[label] for label in labels}
-    engine = dict(body.get("engine")
-                  or {"n_traces": 4000, "noise_sigma": 0.25})
-    seed = int(body.get("seed", 1))
-    timeout = body.get("timeout")
-    specs = [JobSpec(
-        "composition-stack",
-        params={"design": str(body.get("design", "masked-and")),
-                "stack": list(stack), "engine": engine},
-        seed=seed,
-        timeout=None if timeout is None else float(timeout),
-        retries=int(body.get("retries", 1)))
-        for stack in stacks.values()]
-    return specs, []
-
-
-#: Campaign name -> expander.  Every entry is reachable through
-#: ``POST /v1/campaigns`` and audited by ``scripts/check_api.py``.
-CAMPAIGN_EXPANDERS: Dict[str, Callable] = {
-    "sweep": _expand_sweep,
-    "closure": _expand_closure,
-    "compose": _expand_compose,
-}
-
-
 # -- route handlers ----------------------------------------------------
 #
 # Module-level async functions taking (gw, tenant, params, body,
@@ -403,13 +289,15 @@ async def handle_submit_campaign(gw: "Gateway", tenant: Tenant,
                                  params: Dict[str, str],
                                  body: Dict[str, object],
                                  query: Dict[str, str]):
-    """Submit a named campaign, expanded server-side into jobs.
+    """Submit a named campaign, planned server-side into jobs.
 
-    Body: ``{"campaign": "sweep"|"closure"|"compose", ...}`` with the
-    campaign's own fields mirroring the CLI flags (bench/widths,
-    benches/thresholds, design/stacks).  Input netlists are published
-    and pinned under a tenant-scoped ref for the submission's
-    lifetime.
+    Body: ``{"campaign": "sweep"|"closure"|"compose", ...}``; the other
+    fields are the keyword arguments of the campaign's plan in
+    :data:`~repro.service.campaigns.CAMPAIGN_PLANS` (bench/widths,
+    benches/thresholds, design/stacks/engine, seed, ...), the same
+    plan the CLI and the library campaign clients use.  Input
+    netlists are published and pinned under a tenant-scoped ref for
+    the submission's lifetime.
 
     Errors:
         400 bad_request     unknown campaign / malformed fields
@@ -417,14 +305,18 @@ async def handle_submit_campaign(gw: "Gateway", tenant: Tenant,
     """
     del params, query
     name = body.get("campaign") if isinstance(body, dict) else None
-    expander = CAMPAIGN_EXPANDERS.get(name) if isinstance(name, str) \
-        else None
-    if expander is None:
+    plan = CAMPAIGN_PLANS.get(name) if isinstance(name, str) else None
+    if plan is None:
         raise GatewayError(
             400, "bad_request",
             f"unknown campaign {name!r}; choose from "
-            f"{sorted(CAMPAIGN_EXPANDERS)}")
-    specs, input_digests = expander(body, gw.store)
+            f"{sorted(CAMPAIGN_PLANS)}")
+    fields = {k: v for k, v in body.items() if k != "campaign"}
+    try:
+        specs, input_digests = plan(gw.store, **fields)
+    except (TypeError, ValueError) as exc:
+        raise GatewayError(400, "bad_request",
+                           f"invalid {name} campaign: {exc}") from None
     return 202, await gw._submit(tenant, specs, pins=input_digests,
                                  kind=name)
 
@@ -749,15 +641,16 @@ class Gateway:
             self, Gateway._close_inherited_sockets)
 
     def _close_inherited_sockets(self) -> None:
-        for sock in list(self._client_socks):
-            try:
-                sock.close()
-            except OSError:
-                pass
         server = self._server
-        for sock in (server.sockets if server is not None else []):
+        socks = list(self._client_socks) + list(
+            server.sockets if server is not None else [])
+        for sock in socks:
+            # asyncio hands out TransportSocket views, which have no
+            # close() (the hook would die on AttributeError, silently:
+            # multiprocessing swallows after-fork errors); the socket
+            # object beneath owns the descriptor.
             try:
-                sock.close()
+                getattr(sock, "_sock", sock).close()
             except OSError:
                 pass
 
@@ -768,6 +661,9 @@ class Gateway:
         if self._started:
             return self.host, self.port
         self._restore_grants()
+        # Fork the initial workers before the server accepts anything,
+        # so no connection is open for them to inherit.
+        self.scheduler.service_open()
         self._applier.start()
         self._executor.start()
         self._loop = asyncio.new_event_loop()
@@ -881,7 +777,6 @@ class Gateway:
         return await loop.run_in_executor(None, reply.get)
 
     def _executor_main(self) -> None:
-        self.scheduler.service_open()
         try:
             while not self._stop.is_set():
                 self._drain_wake()

@@ -1,4 +1,4 @@
-"""Run database: indexed SQLite backend with a JSONL legacy fallback.
+"""Run database: every job outcome, in one indexed SQLite file.
 
 Every job the scheduler finishes — succeeded, cache-served, failed,
 timed out, cancelled, or skipped — is recorded here.  The database is
@@ -6,26 +6,15 @@ the system of record for campaign forensics: *what ran, where, how
 many attempts, how long, and was it computed or served from the
 artifact store*.
 
-Two backends share one API (:meth:`RunDatabase.record`, ``records``,
-``query``, ``run_ids``, ``summary``), selected by
-``RunDatabase(path)`` itself:
-
-* :class:`SqliteRunDatabase` — the default for new databases.  One
-  ``records`` table indexed on ``run_id``, ``spec_hash``, ``status``
-  and ``job_type``; queries are pushed down to SQL, so a 10k-record
-  lookup touches an index, not the whole file.  WAL journaling keeps
-  concurrent readers (CLI ``runs``/``summary`` against a live
-  campaign) off the writer's back.
-* :class:`JsonlRunDatabase` — the original append-only JSON-lines
-  log, kept for greppability and for existing ``*.jsonl`` databases.
-  Reads cache the parsed prefix and its byte offset, so repeated
-  ``records()`` calls parse only the appended tail instead of
-  re-reading the whole file.
-
-``RunDatabase(path)`` dispatches on content first (an existing file's
-header decides), then on suffix (``.jsonl`` stays JSONL; anything
-else gets SQLite).  :func:`migrate_jsonl` moves a legacy log into a
-SQLite database losslessly, preserving append order and timestamps.
+:class:`RunDatabase` keeps one ``records`` table indexed on
+``run_id``, ``spec_hash``, ``status`` and ``job_type``; queries are
+pushed down to SQL, so a 10k-record lookup touches an index, not the
+whole file.  WAL journaling keeps concurrent readers (CLI
+``runs``/``summary`` against a live campaign) off the writer's back.
+A path that holds anything but a SQLite database is refused with
+:class:`sqlite3.DatabaseError` rather than opened as an empty log.
+:func:`migrate_jsonl` moves a legacy JSON-lines log into a SQLite
+database losslessly, preserving append order and timestamps.
 """
 
 from __future__ import annotations
@@ -75,151 +64,6 @@ _FIELDS = ("run_id", "job_id", "job_type", "spec_hash", "status",
 _FINISHED = ("succeeded", "failed", "timeout")
 
 
-class RunDatabase:
-    """Log of job outcomes; dispatches to a concrete backend.
-
-    ``RunDatabase(path)`` returns a :class:`SqliteRunDatabase` or a
-    :class:`JsonlRunDatabase` depending on what ``path`` holds (or,
-    for a fresh path, its suffix).  Instantiating a subclass directly
-    pins the backend regardless of suffix.
-    """
-
-    def __new__(cls, path: Union[str, Path]) -> "RunDatabase":
-        if cls is RunDatabase:
-            return super().__new__(_backend_for(path))
-        return super().__new__(cls)
-
-    # -- writing (backend-specific) ------------------------------------
-
-    def record(self, rec: RunRecord) -> None:
-        raise NotImplementedError
-
-    def record_many(self, recs: Sequence[RunRecord]) -> None:
-        """Bulk append; one transaction on SQLite."""
-        for rec in recs:
-            self.record(rec)
-
-    # -- reading (backend-specific primitives) -------------------------
-
-    def records(self) -> List[RunRecord]:
-        raise NotImplementedError
-
-    def query(self, run_id: Optional[str] = None,
-              job_type: Optional[str] = None,
-              status: Optional[str] = None,
-              cache_hit: Optional[bool] = None,
-              since: Optional[float] = None,
-              spec_hash: Optional[str] = None) -> List[RunRecord]:
-        """Filtered view of the log; all filters are conjunctive."""
-        out = []
-        for rec in self.records():
-            if run_id is not None and rec.run_id != run_id:
-                continue
-            if job_type is not None and rec.job_type != job_type:
-                continue
-            if status is not None and rec.status != status:
-                continue
-            if cache_hit is not None and rec.cache_hit != cache_hit:
-                continue
-            if since is not None and rec.finished_at < since:
-                continue
-            if spec_hash is not None and rec.spec_hash != spec_hash:
-                continue
-            out.append(rec)
-        return out
-
-    def run_ids(self) -> List[str]:
-        """Distinct run ids in first-seen order."""
-        seen: Dict[str, None] = {}
-        for rec in self.records():
-            seen.setdefault(rec.run_id, None)
-        return list(seen)
-
-    def summary(self, run_id: Optional[str] = None) -> Dict[str, object]:
-        """Aggregate view: counts by status, cache traffic, wall time."""
-        records = self.query(run_id=run_id)
-        by_status: Dict[str, int] = {}
-        for rec in records:
-            by_status[rec.status] = by_status.get(rec.status, 0) + 1
-        finished = [r for r in records if r.status in _FINISHED]
-        hits = sum(1 for r in records if r.cache_hit)
-        return {
-            "records": len(records),
-            "by_status": by_status,
-            "cache_hits": hits,
-            "cache_hit_rate": (hits / len(records)) if records else 0.0,
-            "total_wall_s": sum(r.wall_s for r in finished),
-            "total_attempts": sum(r.attempts for r in records),
-            "runs": len({r.run_id for r in records}),
-        }
-
-
-class JsonlRunDatabase(RunDatabase):
-    """Append-only JSON-lines backend (the legacy format).
-
-    Reads are incremental: the parsed records and the byte offset of
-    the parsed prefix are cached on the instance, so a ``records()``
-    call after an append parses only the new tail.  A file that
-    shrank or was replaced (different inode) triggers a full reparse;
-    a trailing line without a newline is left unconsumed until its
-    writer finishes it.  Returned records are shared with the cache —
-    treat them as read-only.
-    """
-
-    def __init__(self, path: Union[str, Path]) -> None:
-        self.path = Path(path)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._parsed: List[RunRecord] = []
-        self._offset = 0            # bytes of file parsed so far
-        self._inode: Optional[int] = None
-
-    # -- writing -------------------------------------------------------
-
-    def record(self, rec: RunRecord) -> None:
-        """Append one record and flush it to disk."""
-        line = json.dumps(rec.as_dict(), separators=(",", ":"))
-        with open(self.path, "a") as handle:
-            handle.write(line + "\n")
-            handle.flush()
-
-    # -- reading -------------------------------------------------------
-
-    def records(self) -> List[RunRecord]:
-        """All records in append order (empty if the file is absent)."""
-        try:
-            stat = self.path.stat()
-        except FileNotFoundError:
-            self._parsed, self._offset, self._inode = [], 0, None
-            return []
-        if stat.st_size < self._offset or (
-                self._inode is not None and stat.st_ino != self._inode):
-            self._parsed, self._offset = [], 0
-        self._inode = stat.st_ino
-        if stat.st_size == self._offset:
-            return list(self._parsed)
-        with open(self.path, "rb") as handle:
-            handle.seek(self._offset)
-            tail = handle.read()
-        # Only complete lines are consumed: a torn tail line stays
-        # pending (and never poisons queries), exactly like the old
-        # full-scan skipped it.
-        end = tail.rfind(b"\n")
-        if end < 0:
-            return list(self._parsed)
-        for line in tail[:end + 1].splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                self._parsed.append(
-                    RunRecord.from_dict(json.loads(line)))
-            except (json.JSONDecodeError, TypeError, KeyError,
-                    UnicodeDecodeError):
-                continue
-        self._offset += end + 1
-        return list(self._parsed)
-
-
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS records (
     id          INTEGER PRIMARY KEY AUTOINCREMENT,
@@ -243,8 +87,8 @@ CREATE INDEX IF NOT EXISTS idx_records_job_type ON records(job_type);
 """
 
 
-class SqliteRunDatabase(RunDatabase):
-    """SQLite backend: indexed queries, WAL for concurrent readers.
+class RunDatabase:
+    """Log of job outcomes: indexed queries, WAL for concurrent readers.
 
     Safe to share one instance across threads and forks: a single
     re-entrant lock serializes every statement (SQLite connections are
@@ -289,15 +133,18 @@ class SqliteRunDatabase(RunDatabase):
         return self._lock
 
     def close(self) -> None:
+        """Close this process's connection."""
         with self._guard():
             self._conn.close()
 
     # -- writing -------------------------------------------------------
 
     def record(self, rec: RunRecord) -> None:
+        """Append one record (committed before returning)."""
         self.record_many([rec])
 
     def record_many(self, recs: Sequence[RunRecord]) -> None:
+        """Bulk append in one transaction."""
         rows = [tuple(
             int(getattr(r, f)) if f == "cache_hit" else getattr(r, f)
             for f in _FIELDS) for r in recs]
@@ -325,6 +172,7 @@ class SqliteRunDatabase(RunDatabase):
                     for row in self._conn.execute(sql, params)]
 
     def records(self) -> List[RunRecord]:
+        """All records in append order."""
         return self._select()
 
     def query(self, run_id: Optional[str] = None,
@@ -333,6 +181,7 @@ class SqliteRunDatabase(RunDatabase):
               cache_hit: Optional[bool] = None,
               since: Optional[float] = None,
               spec_hash: Optional[str] = None) -> List[RunRecord]:
+        """Filtered view of the log; all filters are conjunctive."""
         clauses, params = [], []
         for column, value in (("run_id", run_id),
                               ("job_type", job_type),
@@ -350,12 +199,14 @@ class SqliteRunDatabase(RunDatabase):
         return self._select(" AND ".join(clauses), params)
 
     def run_ids(self) -> List[str]:
+        """Distinct run ids in first-seen order."""
         with self._guard():
             return [row[0] for row in self._conn.execute(
                 "SELECT run_id FROM records GROUP BY run_id "
                 "ORDER BY MIN(id)")]
 
     def summary(self, run_id: Optional[str] = None) -> Dict[str, object]:
+        """Aggregate view: counts by status, cache traffic, wall time."""
         where, params = ("WHERE run_id = ?", (run_id,)) \
             if run_id is not None else ("", ())
         with self._guard():
@@ -385,40 +236,39 @@ class SqliteRunDatabase(RunDatabase):
         }
 
 
-def _backend_for(path: Union[str, Path]) -> type:
-    """Backend class for ``path``: content sniff, then suffix."""
-    p = Path(path)
-    try:
-        if p.stat().st_size:
-            with open(p, "rb") as handle:
-                head = handle.read(16)
-            if head.startswith(b"SQLite format 3"):
-                return SqliteRunDatabase
-            return JsonlRunDatabase
-    except FileNotFoundError:
-        pass
-    return JsonlRunDatabase if p.suffix == ".jsonl" \
-        else SqliteRunDatabase
+#: Alias of :class:`RunDatabase` for code that names the SQLite backend.
+SqliteRunDatabase = RunDatabase
 
 
 def migrate_jsonl(src: Union[str, Path],
                   dest: Union[str, Path]) -> int:
-    """Copy a JSONL run log into a SQLite database, losslessly.
+    """Copy a legacy JSON-lines run log into a SQLite database.
 
-    Append order, timestamps, and every field survive; the source is
-    left untouched.  Returns the number of records migrated.  Raises
-    if ``dest`` already holds records (a migration is one-shot, not a
-    merge).
+    The source holds one JSON record per line, as the pre-SQLite
+    backend appended them; blank, malformed and incomplete lines (a
+    crashed writer's torn tail) are skipped, a missing source is an
+    empty log.  Append order, timestamps, and every field survive; the
+    source is left untouched.  Returns the number of records
+    migrated.  Raises if ``dest`` already holds records (a migration
+    is one-shot, not a merge).
     """
-    source = JsonlRunDatabase(src)
-    target = SqliteRunDatabase(dest)
+    records = []
+    try:
+        with open(src, "rb") as handle:
+            for line in handle:
+                try:
+                    records.append(RunRecord.from_dict(json.loads(line)))
+                except (ValueError, TypeError):
+                    continue
+    except FileNotFoundError:
+        pass
+    target = RunDatabase(dest)
     (existing,) = target._conn.execute(
         "SELECT COUNT(*) FROM records").fetchone()
     if existing:
         raise ValueError(
             f"refusing to migrate into non-empty database {dest} "
             f"({existing} records present)")
-    records = source.records()
     target.record_many(records)
     return len(records)
 

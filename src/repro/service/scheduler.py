@@ -6,8 +6,8 @@ dependencies forming a DAG.  :meth:`Scheduler.run` drains it:
 * **cache first** — before a job is ever dispatched, its
   ``spec_hash`` is looked up in the artifact store; a hit completes
   the job instantly (recorded as ``cache_hit`` in the run database);
-* **persistent worker pool** — the default execution mode keeps
-  ``workers`` long-lived processes (:class:`WorkerPool`) that pull
+* **persistent worker pool** — with ``workers >= 1`` the scheduler
+  keeps ``workers`` long-lived processes (:class:`WorkerPool`) that pull
   jobs over duplex pipes.  Workers stay warm between jobs: the
   process-local :func:`repro.netlist.engine_cache` (compiled gate
   programs, parsed netlists) and :func:`repro.formal.solver_registry`
@@ -19,9 +19,6 @@ dependencies forming a DAG.  :meth:`Scheduler.run` drains it:
   retries the job with exponential backoff while the spec's budget
   lasts.  A pool can be shared across schedulers (``pool=``) so
   warmth survives campaign resubmission;
-* **one process per job** — ``persistent=False`` restores the PR 4
-  fork-per-job dispatch (the comparison baseline for the warm-pool
-  benchmark);
 * **timeouts** — a job exceeding ``spec.timeout`` wall seconds has
   its worker killed and replaced without stalling siblings;
 * **cancellation** — :meth:`cancel` withdraws a pending job (and
@@ -94,46 +91,7 @@ class Job:
         return self.status in _TERMINAL
 
 
-class _Running:
-    """Bookkeeping for one live per-job worker process."""
-
-    def __init__(self, job: Job, process, conn, started: float) -> None:
-        self.job = job
-        self.process = process
-        self.conn = conn
-        self.started = started
-
-
-def _worker_main(conn, spec_bytes: bytes, store_root: Optional[str],
-                 seed: int, dep_results: Dict[str, object]) -> None:
-    """Per-job worker entry point: run one job, ship the outcome, exit.
-
-    The spec travels pickled even under the fork start method so that
-    an unpicklable spec fails loudly on every platform, not just where
-    ``spawn`` is the default.
-    """
-    import pickle
-
-    try:
-        spec: JobSpec = pickle.loads(spec_bytes)
-        store = ArtifactStore(store_root) if store_root else None
-        ctx = JobContext(seed=seed, store=store,
-                         dep_results=dep_results)
-        result = run_job(spec, ctx)
-        conn.send(("ok", result))
-    except BaseException:   # noqa: BLE001 — the pipe is the report
-        try:
-            conn.send(("error", traceback.format_exc()))
-        except (BrokenPipeError, OSError):
-            pass
-    finally:
-        try:
-            conn.close()
-        except OSError:
-            pass
-
-
-def _pool_worker_main(conn, heartbeat_interval: float) -> None:
+def _worker_loop(conn, heartbeat_interval: float) -> None:
     """Persistent worker entry point: serve jobs until told to stop.
 
     Protocol (duplex pipe, parent <-> worker):
@@ -161,6 +119,9 @@ def _pool_worker_main(conn, heartbeat_interval: float) -> None:
     # close / terminate), so let it drain instead of dying mid-recv
     # with a KeyboardInterrupt traceback.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    # A forked worker inherits the parent's handlers; SIGTERM must
+    # still end the worker, not raise inside the job it is running.
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
 
     send_lock = threading.Lock()
     stop = threading.Event()
@@ -259,8 +220,7 @@ class WorkerPool:
 
     def __init__(self, workers: int,
                  heartbeat_interval: float = 0.2,
-                 heartbeat_timeout: Optional[float] = None,
-                 mp_context=None) -> None:
+                 heartbeat_timeout: Optional[float] = None) -> None:
         if workers < 1:
             raise SchedulerError(
                 f"pool needs at least one worker, got {workers}")
@@ -269,11 +229,9 @@ class WorkerPool:
         self.heartbeat_timeout = (
             heartbeat_timeout if heartbeat_timeout is not None
             else max(25 * heartbeat_interval, 5.0))
-        if mp_context is None:
-            methods = multiprocessing.get_all_start_methods()
-            mp_context = multiprocessing.get_context(
-                "fork" if "fork" in methods else "spawn")
-        self._mp = mp_context
+        methods = multiprocessing.get_all_start_methods()
+        self._mp = multiprocessing.get_context(
+            "fork" if "fork" in methods else "spawn")
         self._workers: List[_PoolWorker] = []
         self.started = False
         self.respawns = 0
@@ -283,7 +241,7 @@ class WorkerPool:
     def _spawn(self) -> _PoolWorker:
         parent_conn, child_conn = self._mp.Pipe(duplex=True)
         process = self._mp.Process(
-            target=_pool_worker_main,
+            target=_worker_loop,
             args=(child_conn, self.heartbeat_interval),
             daemon=True)
         process.start()
@@ -373,19 +331,16 @@ class Scheduler:
     called as ``on_event(job)`` at each status transition — the CLI's
     watch mode.
 
-    ``persistent`` (default) executes on a :class:`WorkerPool` of
+    With ``workers >= 1`` jobs execute on a :class:`WorkerPool` of
     long-lived workers; pass an existing ``pool`` to share warm
     workers across schedulers (the pool then outlives this run).
-    ``persistent=False`` restores the fork-per-job dispatch of PR 4.
     """
 
     def __init__(self, workers: int = 0,
                  store: Optional[ArtifactStore] = None,
                  rundb: Optional[RunDatabase] = None,
                  run_id: Optional[str] = None,
-                 poll_interval: float = 0.005,
                  on_event: Optional[Callable[[Job], None]] = None,
-                 persistent: bool = True,
                  pool: Optional[WorkerPool] = None,
                  bus: Optional[EventBus] = None) -> None:
         if workers < 0:
@@ -395,20 +350,14 @@ class Scheduler:
         self.rundb = rundb
         self.run_id = run_id or (
             f"run-{os.getpid()}-{uuid.uuid4().hex[:8]}")
-        self.poll_interval = poll_interval
         self.on_event = on_event
         self.bus = bus
-        self.persistent = persistent or pool is not None
         self.jobs: Dict[str, Job] = {}
         self._order: List[str] = []     # submission order
-        self._running: List[_Running] = []   # live per-job processes
         self._shared_pool = pool
         self._pool: Optional[WorkerPool] = pool
         self._busy: Dict[_PoolWorker, _PoolTask] = {}
         self._ids = itertools.count(1)
-        methods = multiprocessing.get_all_start_methods()
-        self._mp = multiprocessing.get_context(
-            "fork" if "fork" in methods else "spawn")
 
     # -- submission ----------------------------------------------------
 
@@ -461,10 +410,10 @@ class Scheduler:
     def cancel(self, job_id: str) -> None:
         """Withdraw a job; its dependents will be skipped.
 
-        A job already running on a worker has its process terminated
-        (pool mode: killed and the worker respawned) and its slot
-        freed — the worker never reports, so the cancelled status is
-        final (``_finish`` refuses double transitions regardless).
+        A job already running on a worker has its worker killed and
+        respawned and its slot freed — the worker never reports, so
+        the cancelled status is final (``_finish`` refuses double
+        transitions regardless).
         In-process (``workers=0``) execution cannot interrupt a job
         mid-run; there cancellation applies only to jobs that have
         not started.
@@ -472,18 +421,10 @@ class Scheduler:
         job = self.jobs[job_id]
         if job.done:
             return
-        for entry in list(self._running):
-            if entry.job is job:
-                entry.process.terminate()
-                entry.process.join()
-                entry.conn.close()
-                self._running.remove(entry)
-                break
         for worker, task in list(self._busy.items()):
             if task.job is job:
                 del self._busy[worker]
-                if self._pool is not None:
-                    self._pool.respawn(worker)
+                self._pool.respawn(worker)
                 break
         self._finish(job, CANCELLED)
 
@@ -579,8 +520,7 @@ class Scheduler:
                     except Exception:   # noqa: BLE001
                         status = self._attempt_failed(
                             job, traceback.format_exc(),
-                            time.perf_counter() - started, "inline",
-                            retryable=True)
+                            time.perf_counter() - started, "inline")
                         if status == PENDING:
                             time.sleep(max(
                                 0.0, job.not_before
@@ -594,89 +534,12 @@ class Scheduler:
                     break
         self._skip_blocked()
 
-    # -- multiprocess --------------------------------------------------
-
-    def _launch(self, job: Job) -> _Running:
-        import pickle
-
-        job.attempts += 1
-        job.status = RUNNING
-        self._emit(job)
-        parent_conn, child_conn = self._mp.Pipe(duplex=False)
-        process = self._mp.Process(
-            target=_worker_main,
-            args=(child_conn, pickle.dumps(job.spec),
-                  str(self.store.root) if self.store is not None
-                  else None,
-                  job.spec.seed, self._dep_results(job)),
-            daemon=True)
-        process.start()
-        child_conn.close()
-        return _Running(job, process, parent_conn, time.perf_counter())
-
-    def _reap(self, running: _Running) -> Optional[str]:
-        """Poll one live worker; returns the job's new status or None."""
-        job = running.job
-        if job.done:
-            # Reached a terminal state (cancellation) while the entry
-            # was still listed — e.g. cancel() fired from the RUNNING
-            # on_event before the worker process existed.  Reclaim the
-            # process and drop the entry; the status stands.
-            running.process.terminate()
-            running.process.join()
-            running.conn.close()
-            return job.status
-        now = time.perf_counter()
-        if running.conn.poll():
-            try:
-                kind, payload = running.conn.recv()
-            except (EOFError, OSError):
-                kind, payload = "crash", "result pipe broke mid-send"
-            running.process.join()
-            running.conn.close()
-            wall = now - running.started
-            worker = f"pid{running.process.pid}"
-            if kind == "ok":
-                self._finish(job, SUCCEEDED, result=payload,
-                             wall_s=wall, worker=worker)
-                return SUCCEEDED
-            error = str(payload)
-            return self._attempt_failed(job, error, wall, worker,
-                                        retryable=True)
-        if job.spec.timeout is not None \
-                and now - running.started > job.spec.timeout:
-            running.process.terminate()
-            running.process.join()
-            running.conn.close()
-            wall = now - running.started
-            worker = f"pid{running.process.pid}"
-            error = (f"timeout: exceeded {job.spec.timeout:.3f}s "
-                     f"budget after {wall:.3f}s")
-            if job.spec.retry_on_timeout:
-                return self._attempt_failed(job, error, wall, worker,
-                                            retryable=True,
-                                            terminal_status=TIMEOUT)
-            self._finish(job, TIMEOUT, error=error, wall_s=wall,
-                         worker=worker)
-            return TIMEOUT
-        if not running.process.is_alive():
-            # Died without reporting: crash (os._exit, signal, OOM).
-            running.process.join()
-            running.conn.close()
-            wall = now - running.started
-            worker = f"pid{running.process.pid}"
-            error = (f"worker crashed with exit code "
-                     f"{running.process.exitcode} before reporting")
-            return self._attempt_failed(job, error, wall, worker,
-                                        retryable=True)
-        return None
-
     def _attempt_failed(self, job: Job, error: str, wall: float,
-                        worker: str, retryable: bool,
-                        terminal_status: str = FAILED) -> str:
+                        worker: str, terminal_status: str = FAILED) -> str:
+        """Retry ``job`` after backoff while its budget lasts, else end it."""
         if job.done:
             return job.status
-        if retryable and job.attempts <= job.spec.retries:
+        if job.attempts <= job.spec.retries:
             backoff = job.spec.retry_backoff * (
                 2 ** (job.attempts - 1))
             job.status = PENDING
@@ -705,49 +568,6 @@ class Scheduler:
                               + ", ".join(failed_deps))
                     progressed = True
 
-    def _run_per_job(self) -> None:
-        self._running = []
-        while True:
-            # Reap finished / timed-out / crashed workers.  Iterate a
-            # snapshot: cancel() from an on_event callback may remove
-            # entries mid-loop (a removed entry reaps as terminal and
-            # is not kept).
-            still: List[_Running] = []
-            for entry in list(self._running):
-                outcome = self._reap(entry)
-                if outcome is None:
-                    still.append(entry)
-            self._running = still
-            self._skip_blocked()
-            # Launch ready jobs into free slots (submission order; a
-            # job in backoff yields its slot to later ready jobs).
-            now = time.perf_counter()
-            for job_id in self._order:
-                if len(self._running) >= self.workers:
-                    break
-                job = self.jobs[job_id]
-                if (job.done or job.status == RUNNING
-                        or self._dep_state(job) != "ready"
-                        or job.not_before > now):
-                    continue
-                if self._serve_from_cache(job):
-                    continue
-                self._running.append(self._launch(job))
-            if not self._running:
-                pending = [j for j in self.jobs.values() if not j.done]
-                if not pending:
-                    break
-                # Nothing is running but work remains: with an acyclic
-                # DAG that means every runnable job sits behind a
-                # backoff gate.  Sleep until the earliest one opens.
-                gates = [j.not_before for j in pending
-                         if j.not_before > now]
-                if gates:
-                    time.sleep(max(0.0,
-                                   min(gates) - time.perf_counter()))
-                continue
-            time.sleep(self.poll_interval)
-
     # -- persistent pool -----------------------------------------------
 
     def _dispatch(self, job: Job, worker: _PoolWorker) -> None:
@@ -775,14 +595,13 @@ class Scheduler:
             self._pool.respawn(worker)
             self._attempt_failed(
                 job, "worker died before accepting the job", 0.0,
-                worker.label, retryable=True)
+                worker.label)
             return
         except Exception:
             # Unpicklable dependency results: the job cannot travel.
             self._attempt_failed(
                 job, "job could not be shipped to a worker:\n"
-                + traceback.format_exc(), 0.0, worker.label,
-                retryable=True)
+                + traceback.format_exc(), 0.0, worker.label)
             return
         self._busy[worker] = _PoolTask(job, task_id,
                                        time.perf_counter())
@@ -803,8 +622,7 @@ class Scheduler:
             self._finish(job, SUCCEEDED, result=payload, wall_s=wall,
                          worker=worker.label)
         else:
-            self._attempt_failed(job, str(payload), wall, worker.label,
-                                 retryable=True)
+            self._attempt_failed(job, str(payload), wall, worker.label)
 
     def _pool_worker_died(self, worker: _PoolWorker) -> None:
         """A pool worker's process ended or its pipe broke."""
@@ -816,8 +634,7 @@ class Scheduler:
             self._attempt_failed(
                 task.job,
                 f"worker crashed with exit code {exitcode} "
-                "before reporting", wall, worker.label,
-                retryable=True)
+                "before reporting", wall, worker.label)
 
     def _pool_deadlines(self) -> Optional[float]:
         """Kill over-budget / wedged workers; next deadline or None."""
@@ -833,8 +650,7 @@ class Scheduler:
                 error = (f"timeout: exceeded {timeout:.3f}s budget "
                          f"after {wall:.3f}s")
                 if job.spec.retry_on_timeout:
-                    self._attempt_failed(job, error, wall,
-                                         worker.label, retryable=True,
+                    self._attempt_failed(job, error, wall, worker.label,
                                          terminal_status=TIMEOUT)
                 else:
                     self._finish(job, TIMEOUT, error=error,
@@ -850,7 +666,7 @@ class Scheduler:
                     job,
                     "worker wedged: no heartbeat for "
                     f"{now - worker.last_beat:.3f}s", wall,
-                    worker.label, retryable=True)
+                    worker.label)
                 continue
             if timeout is not None:
                 deadline = task.started + timeout
@@ -868,7 +684,7 @@ class Scheduler:
         """
         self._check_acyclic()
         if self._pool is None:
-            self._pool = WorkerPool(self.workers, mp_context=self._mp)
+            self._pool = WorkerPool(self.workers)
         self._pool.start()
         self._busy = {}
 
@@ -883,9 +699,9 @@ class Scheduler:
         submission interrupts the wait instead of riding it out).
         Extra handles are never read here; the caller drains them.
 
-        This is the body of the classic :meth:`run` pool loop, exposed
-        so a long-running server can interleave scheduling with its
-        own command processing on a single thread.
+        :meth:`run` loops over it until the DAG drains; a long-running
+        server calls it itself to interleave scheduling with its own
+        command processing on a single thread.
         """
         from multiprocessing.connection import wait as _conn_wait
 
@@ -963,32 +779,20 @@ class Scheduler:
             self._pool = None
         self._busy = {}
 
-    def _run_pooled(self) -> None:
-        self._pool.start()
-        self._busy = {}
-        while not self.service_step():
-            pass
-
     # -- entry point ---------------------------------------------------
 
     def run(self) -> Dict[str, Job]:
         """Drain the DAG; returns the final job table."""
-        self._check_acyclic()
         if self.workers == 0:
+            self._check_acyclic()
             self._run_inline()
-        elif not self.persistent:
-            self._run_per_job()
         else:
-            owned = self._shared_pool is None
-            if owned:
-                self._pool = WorkerPool(self.workers,
-                                        mp_context=self._mp)
+            self.service_open()
             try:
-                self._run_pooled()
+                while not self.service_step():
+                    pass
             finally:
-                if owned:
-                    self._pool.shutdown()
-                    self._pool = None
+                self.service_close()
         return dict(self.jobs)
 
     def _check_acyclic(self) -> None:
@@ -1011,11 +815,6 @@ class Scheduler:
             visit(job_id, ())
 
     # -- results -------------------------------------------------------
-
-    def results(self) -> Dict[str, object]:
-        """job id -> result for every succeeded job."""
-        return {j.job_id: j.result for j in self.jobs.values()
-                if j.status == SUCCEEDED}
 
     def counts(self) -> Dict[str, int]:
         """Status -> job count."""

@@ -161,12 +161,12 @@ def tenant_pin_ref(tenant: str, ref: str) -> str:
 class NamespacedRunDatabase:
     """One tenant's read view of a shared run database.
 
-    Mirrors the read half of the :class:`~repro.service.rundb.
-    RunDatabase` API (``records``/``query``/``run_ids``/``summary``)
-    but surfaces only records whose run id lives under this tenant's
-    namespace — with the ``t/<tenant>/`` prefix stripped, so clients
-    see the submission ids they were given.  Strictly read-only: the
-    gateway writes through the scheduler, never through this view.
+    The :class:`~repro.service.rundb.RunDatabase` reads the gateway
+    serves (``query``/``run_ids``), surfacing only records whose run
+    id lives under this tenant's namespace — with the ``t/<tenant>/``
+    prefix stripped, so clients see the submission ids they were
+    given.  Strictly read-only: the gateway writes through the
+    scheduler, never through this view.
     """
 
     def __init__(self, db: RunDatabase, tenant: str) -> None:
@@ -180,14 +180,6 @@ class NamespacedRunDatabase:
         data = rec.as_dict()
         data["run_id"] = split[1]
         return RunRecord.from_dict(data)
-
-    def records(self) -> List[RunRecord]:
-        out = []
-        for rec in self._db.records():
-            local = self._localize(rec)
-            if local is not None:
-                out.append(local)
-        return out
 
     def query(self, run_id: Optional[str] = None,
               job_type: Optional[str] = None,
@@ -213,21 +205,3 @@ class NamespacedRunDatabase:
             if split is not None and split[0] == self.tenant:
                 out.append(split[1])
         return out
-
-    def summary(self, run_id: Optional[str] = None) -> Dict[str, object]:
-        records = self.query(run_id=run_id)
-        by_status: Dict[str, int] = {}
-        for rec in records:
-            by_status[rec.status] = by_status.get(rec.status, 0) + 1
-        finished = [r for r in records
-                    if r.status in ("succeeded", "failed", "timeout")]
-        hits = sum(1 for r in records if r.cache_hit)
-        return {
-            "records": len(records),
-            "by_status": by_status,
-            "cache_hits": hits,
-            "cache_hit_rate": (hits / len(records)) if records else 0.0,
-            "total_wall_s": sum(r.wall_s for r in finished),
-            "total_attempts": sum(r.attempts for r in records),
-            "runs": len({r.run_id for r in records}),
-        }

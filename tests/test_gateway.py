@@ -12,27 +12,40 @@ transport a remote design team would use.  Covered contracts:
   jobs finish);
 * SSE: cancelling a job mid-stream delivers its terminal event and
   closes the stream cleanly;
-* drain: shutting the server down cancels live jobs and leaves no
-  orphan worker processes (reusing the scheduler suite's
-  kill-injection jobs);
+* drain: shutting the server down — in process, or ``serve`` on
+  SIGTERM — cancels live jobs and leaves no orphan worker processes
+  (reusing the scheduler suite's kill-injection jobs), and a worker
+  forked mid-service holds no client connection open;
 * transport parity: a campaign computed through the in-process
-  campaign API is a 100% cache hit when resubmitted over HTTP;
-* input hygiene: traversal-shaped digests are 400s, never paths.
+  campaign API is a 100% cache hit when resubmitted over HTTP, and
+  default campaigns plan identically from the CLI, the library and
+  HTTP;
+* input hygiene: traversal-shaped digests and malformed campaign
+  fields are 400s, never paths or tracebacks.
 """
 
+import http.client
 import os
 import signal
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
-from repro.netlist import c17, netlist_to_dict
-from repro.service.campaigns import locking_sweep_campaign
+from repro.netlist import c17, netlist_to_dict, ripple_carry_adder
+from repro.service.campaigns import (
+    composition_matrix_campaign,
+    locking_sweep_campaign,
+    security_closure_campaign,
+)
 from repro.service.client import GatewayClient, GatewayClientError
 from repro.service.gateway import Gateway
 from repro.service.jobs import JobSpec
 from repro.service.rundb import SqliteRunDatabase
+from repro.service.scheduler import Scheduler
 from repro.service.store import ArtifactStore
 from repro.service.tenants import Tenant, TenantRegistry
 
@@ -272,6 +285,102 @@ class TestDrain:
         finally:
             gw.shutdown()
 
+    def test_respawned_worker_holds_no_client_connection(self, tmp_path):
+        # A worker forked while a connection is open must not keep its
+        # socket alive: when the server closes the connection, the
+        # client sees EOF at once, not silence until its own timeout.
+        gw = _gateway(tmp_path, workers=1)
+        conn = http.client.HTTPConnection(gw.host, gw.port, timeout=10)
+        try:
+            headers = {"X-Repro-Token": "tok-a"}
+            conn.request("GET", "/v1/status", headers=headers)
+            assert conn.getresponse().read()
+            # Cancelling a running job kills its worker; the
+            # replacement is forked with the connection still open.
+            client = GatewayClient(gw.host, gw.port, "tok-a")
+            pidfile = tmp_path / "w.pid"
+            receipt = client.submit_job(
+                "t-pid-sleep", {"pidfile": str(pidfile)}, retries=0,
+                cacheable=False)
+            deadline = time.time() + 15.0
+            while time.time() < deadline and not pidfile.exists():
+                time.sleep(0.01)
+            assert pidfile.exists()
+            client.cancel(receipt["job_ids"][0])
+            assert gw.scheduler._pool.respawns == 1
+            conn.request("GET", "/v1/status",
+                         headers={**headers, "Connection": "close"})
+            response = conn.getresponse()
+            assert response.status == 200
+            response.read()
+            assert conn.sock.recv(1) == b""     # EOF, not a timeout
+        finally:
+            conn.close()
+            gw.shutdown()
+
+    def test_sigterm_drains_serve_and_exits_zero(self, tmp_path):
+        # A service manager stops ``serve`` with SIGTERM: the server
+        # must drain like on Ctrl-C — exit 0, no pool worker left.
+        # Output goes to a file: orphaned workers would hold a pipe
+        # open and hang the read.
+        if not os.path.isdir("/proc"):
+            pytest.skip("needs /proc to find the server's children")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        log = tmp_path / "serve.log"
+        with open(log, "w") as out:
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "repro.service", "serve",
+                 "--port", "0", "--workers", "2",
+                 "--tenant", "alice=tok-a",
+                 "--store", str(tmp_path / "store")],
+                stdout=out, stderr=subprocess.STDOUT, env=env)
+        workers = []
+        try:
+            deadline = time.time() + 60.0
+            while len(workers) < 2:
+                assert proc.poll() is None and time.time() < deadline, \
+                    log.read_text()
+                if "gateway listening" in log.read_text():
+                    workers = _children(proc.pid)
+                time.sleep(0.05)
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=30) == 0, log.read_text()
+            assert "gateway stopped" in log.read_text()
+            deadline = time.time() + 10.0
+            while any(_alive(pid) for pid in workers) \
+                    and time.time() < deadline:
+                time.sleep(0.05)
+            assert not [pid for pid in workers if _alive(pid)]
+        finally:
+            for pid in [proc.pid] + workers:
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
+            proc.wait()
+
+
+def _proc_stat(pid):
+    """(parent pid, state) of a live process, or None."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            fields = stat.read().rsplit(")", 1)[1].split()
+    except OSError:
+        return None
+    return int(fields[1]), fields[0]
+
+
+def _children(pid):
+    return [int(entry) for entry in os.listdir("/proc")
+            if entry.isdigit() and (_proc_stat(entry) or (0,))[0] == pid]
+
+
+def _alive(pid):
+    stat = _proc_stat(pid)
+    return stat is not None and stat[1] not in ("Z", "X")
+
 
 class TestTransportParity:
     def test_campaign_resubmitted_over_http_is_all_cache_hits(
@@ -304,6 +413,51 @@ class TestTransportParity:
                         "max_iterations": 50},
                 seed=0, retries=1).spec_hash for bits in (0, 2)]
             assert receipt["spec_hashes"] == expected
+        finally:
+            gw.shutdown()
+
+    def test_default_campaigns_plan_identically_everywhere(
+            self, tmp_path, monkeypatch):
+        # Every default field of sweep, closure and compose is the same
+        # from the CLI, the library clients and POST /v1/campaigns, so
+        # a default campaign is one set of spec hashes — one set of
+        # cache entries — whatever the transport.  In-process runs are
+        # stopped after planning; the gateway's jobs are cancelled by
+        # its shutdown.
+        class Planned(Exception):
+            pass
+
+        planned = []
+
+        def record_plan(scheduler):
+            planned.append([job.spec.spec_hash
+                            for job in scheduler.jobs.values()])
+            raise Planned
+
+        monkeypatch.setattr(Scheduler, "run", record_plan)
+        from repro.service.cli import main
+
+        store = ArtifactStore(tmp_path / "store")
+        library = {
+            "sweep": lambda: locking_sweep_campaign(
+                c17(), [0, 2, 4], store=store),
+            "closure": lambda: security_closure_campaign(
+                [c17(), ripple_carry_adder(8)], store=store),
+            "compose": lambda: composition_matrix_campaign(store=store),
+        }
+        gw = Gateway(store, TenantRegistry([Tenant("alice", "tok-a")]),
+                     workers=1)
+        gw.start()
+        try:
+            client = GatewayClient(gw.host, gw.port, "tok-a")
+            for name, run_library in library.items():
+                over_http = client.submit_campaign(name)["spec_hashes"]
+                with pytest.raises(Planned):
+                    main([name, "--store", str(store.root)])
+                with pytest.raises(Planned):
+                    run_library()
+                assert planned == [over_http, over_http], name
+                planned.clear()
         finally:
             gw.shutdown()
 
@@ -368,6 +522,39 @@ class TestInputHygiene:
             response = conn.getresponse()
             assert response.status == 405
             response.read()
+            conn.close()
+        finally:
+            gw.shutdown()
+
+    @pytest.mark.parametrize("body", [
+        {"campaign": "sweep", "widths": ["x"]},
+        {"campaign": "sweep", "seed": "abc"},
+        {"campaign": "sweep", "max_iterations": "lots"},
+        {"campaign": "sweep", "timeout": "soon"},
+        {"campaign": "closure", "thresholds": "x"},
+        {"campaign": "closure", "num_layers": "two"},
+        {"campaign": "compose", "engine": [1, 2]},
+    ])
+    def test_malformed_campaign_fields_are_400(self, tmp_path, body):
+        import http.client
+        import json as _json
+
+        gw = _gateway(tmp_path, workers=1)
+        try:
+            conn = http.client.HTTPConnection(gw.host, gw.port,
+                                              timeout=10)
+            headers = {"X-Repro-Token": "tok-a",
+                       "Content-Type": "application/json"}
+            conn.request("POST", "/v1/campaigns",
+                         body=_json.dumps(body), headers=headers)
+            response = conn.getresponse()
+            payload = _json.loads(response.read())
+            assert response.status == 400, payload
+            assert payload["error"]["code"] == "bad_request"
+            assert "Traceback" not in payload["error"]["message"]
+            # A client error keeps the connection open.
+            conn.request("GET", "/v1/status", headers=headers)
+            assert conn.getresponse().status == 200
             conn.close()
         finally:
             gw.shutdown()

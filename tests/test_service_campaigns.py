@@ -1,5 +1,8 @@
 """Campaign clients: serial/parallel parity, cache resubmission, run DB."""
 
+import subprocess
+import sys
+
 import pytest
 
 import test_service_scheduler  # noqa: F401  registers t-echo / t-sleep
@@ -64,7 +67,7 @@ class TestCacheResubmission:
     def test_resubmission_is_cache_served(self, tmp_path):
         netlist = ripple_carry_adder(4)
         store = ArtifactStore(tmp_path / "store")
-        rundb = RunDatabase(tmp_path / "runs.jsonl")
+        rundb = RunDatabase(tmp_path / "runs.sqlite")
 
         first = locking_sweep_campaign(netlist, WIDTHS, seed=SEED,
                                        store=store, rundb=rundb)
@@ -84,7 +87,7 @@ class TestCacheResubmission:
     def test_different_seed_is_not_cache_served(self, tmp_path):
         netlist = ripple_carry_adder(4)
         store = ArtifactStore(tmp_path / "store")
-        rundb = RunDatabase(tmp_path / "runs.jsonl")
+        rundb = RunDatabase(tmp_path / "runs.sqlite")
         locking_sweep_campaign(netlist, [2], seed=1,
                                store=store, rundb=rundb)
         locking_sweep_campaign(netlist, [2], seed=2,
@@ -141,7 +144,7 @@ class TestPassPipelineJob:
 class TestSecurityClosureCampaign:
     def test_closure_job_end_to_end_multiprocess(self, tmp_path):
         store = ArtifactStore(tmp_path / "store")
-        rundb = RunDatabase(tmp_path / "runs.jsonl")
+        rundb = RunDatabase(tmp_path / "runs.sqlite")
         results = security_closure_campaign(
             [c17(), ripple_carry_adder(8)], seed=2, workers=2,
             store=store, rundb=rundb)
@@ -212,7 +215,7 @@ class TestCliValidation:
 
 class TestRunDatabase:
     def test_records_expose_policy_outcomes(self, tmp_path):
-        rundb = RunDatabase(tmp_path / "runs.jsonl")
+        rundb = RunDatabase(tmp_path / "runs.sqlite")
         s = Scheduler(workers=2, rundb=rundb,
                       store=ArtifactStore(tmp_path / "store"))
         ok = s.submit(JobSpec("t-echo", params={"value": 1}))
@@ -235,11 +238,30 @@ class TestRunDatabase:
             "succeeded": 1, "timeout": 1, "skipped": 1}
 
     def test_torn_tail_line_is_tolerated(self, tmp_path):
-        path = tmp_path / "runs.jsonl"
+        path = tmp_path / "runs.db"
         rundb = RunDatabase(path)
         s = Scheduler(workers=0, rundb=rundb)
         s.submit(JobSpec("t-echo", params={"value": 1}))
         s.run()
-        with open(path, "a") as handle:
-            handle.write('{"run_id": "torn')   # crash mid-append
+        wal = tmp_path / "runs.db-wal"
+        committed = wal.stat().st_size
+        # Crash mid-append: a writer spills uncommitted pages into the
+        # write-ahead log, then dies without commit or rollback.
+        crash = subprocess.run([sys.executable, "-c", _CRASH_MID_APPEND,
+                                str(path)], timeout=60)
+        assert crash.returncode == 0
+        assert wal.stat().st_size > committed   # a torn tail is there
         assert len(RunDatabase(path).records()) == 1
+
+
+_CRASH_MID_APPEND = """
+import os, sqlite3, sys
+conn = sqlite3.connect(sys.argv[1])
+conn.execute("PRAGMA cache_size=1")
+cols = ", ".join(c[1] for c in conn.execute("PRAGMA table_info(records)")
+                 if c[1] != "id")
+for _ in range(200):
+    conn.execute(f"INSERT INTO records ({cols}) "
+                 f"SELECT {cols} FROM records LIMIT 1")
+os._exit(0)
+"""

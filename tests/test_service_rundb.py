@@ -1,9 +1,9 @@
-"""Run database backends: dispatch, parity, migration, tail caching.
+"""Run database: queries, migration from JSON lines, durability.
 
-The SQLite backend must be observationally identical to the JSONL one
-through the public API (``records``/``query``/``run_ids``/``summary``/
-``render_records``) — the CLI and campaign clients never know which
-they are talking to.
+The public API (``records``/``query``/``run_ids``/``summary``/
+``render_records``) is what the CLI, the gateway and the campaign
+clients read; a legacy JSON-lines log moves in through
+:func:`migrate_jsonl` and is never opened as a database.
 """
 
 import json
@@ -12,13 +12,19 @@ import sqlite3
 import pytest
 
 from repro.service import (
-    JsonlRunDatabase,
     RunDatabase,
     RunRecord,
     SqliteRunDatabase,
     migrate_jsonl,
     render_records,
 )
+
+
+def _write_jsonl(path, records):
+    """A legacy JSON-lines run log, one record per line."""
+    with open(path, "a") as handle:
+        for rec in records:
+            handle.write(json.dumps(rec.as_dict()) + "\n")
 
 
 def _make_records():
@@ -46,35 +52,6 @@ def _make_records():
 
 
 class TestBackendDispatch:
-    def test_suffix_selects_backend_for_fresh_paths(self, tmp_path):
-        assert isinstance(RunDatabase(tmp_path / "runs.jsonl"),
-                          JsonlRunDatabase)
-        assert isinstance(RunDatabase(tmp_path / "runs.db"),
-                          SqliteRunDatabase)
-        assert isinstance(RunDatabase(tmp_path / "runs.sqlite"),
-                          SqliteRunDatabase)
-
-    def test_content_overrides_suffix(self, tmp_path):
-        # An existing file's header decides: a JSONL log named .db
-        # must not be opened as SQLite (and vice versa) — suffixes
-        # lie, headers do not.
-        jsonl_named_db = tmp_path / "legacy.db"
-        JsonlRunDatabase(jsonl_named_db).record(_make_records()[0])
-        assert isinstance(RunDatabase(jsonl_named_db), JsonlRunDatabase)
-
-        sqlite_named_jsonl = tmp_path / "modern.jsonl"
-        db = SqliteRunDatabase(sqlite_named_jsonl)
-        db.record(_make_records()[0])
-        db.close()
-        assert isinstance(RunDatabase(sqlite_named_jsonl),
-                          SqliteRunDatabase)
-
-    def test_direct_subclass_pins_backend(self, tmp_path):
-        assert isinstance(JsonlRunDatabase(tmp_path / "x.db"),
-                          JsonlRunDatabase)
-        assert isinstance(SqliteRunDatabase(tmp_path / "x.jsonl"),
-                          SqliteRunDatabase)
-
     def test_sqlite_is_indexed(self, tmp_path):
         db = SqliteRunDatabase(tmp_path / "runs.db")
         names = {row[0] for row in db._conn.execute(
@@ -83,16 +60,28 @@ class TestBackendDispatch:
             assert f"idx_records_{column}" in names
         db.close()
 
+    def test_legacy_jsonl_log_is_refused_loudly(self, tmp_path):
+        # A pre-SQLite log passed as the database must not open as an
+        # empty one (nor be overwritten): it has to be migrated.
+        from repro.service.cli import main
 
-@pytest.fixture(params=["jsonl", "sqlite"])
+        path = tmp_path / "runs.jsonl"
+        _write_jsonl(path, _make_records())
+        before = path.read_bytes()
+        with pytest.raises(sqlite3.DatabaseError):
+            RunDatabase(path)
+        with pytest.raises(sqlite3.DatabaseError):
+            main(["runs", "--db", str(path)])
+        assert path.read_bytes() == before
+
+
+@pytest.fixture(params=["sqlite"])   # test ids name the backend
 def db(request, tmp_path):
-    if request.param == "jsonl":
-        return JsonlRunDatabase(tmp_path / "runs.jsonl")
-    return SqliteRunDatabase(tmp_path / "runs.db")
+    return RunDatabase(tmp_path / f"runs.{request.param}")
 
 
 class TestBackendParity:
-    """Every public read path, exercised identically on both backends."""
+    """Every public read path."""
 
     def test_records_round_trip_in_order(self, db):
         records = _make_records()
@@ -156,23 +145,20 @@ class TestMigration:
         src = tmp_path / "legacy.jsonl"
         dest = tmp_path / "runs.db"
         records = _make_records()
-        JsonlRunDatabase(src).record_many(records)
+        _write_jsonl(src, records)
+        before = src.read_bytes()
         assert migrate_jsonl(src, dest) == len(records)
         migrated = RunDatabase(dest)
-        assert isinstance(migrated, SqliteRunDatabase)
         # Every field survives, including timestamps and append order.
         assert migrated.records() == records
-        assert migrated.summary() == JsonlRunDatabase(src).summary()
-        assert render_records(migrated.records()) == \
-            render_records(JsonlRunDatabase(src).records())
         # The source is untouched.
-        assert JsonlRunDatabase(src).records() == records
+        assert src.read_bytes() == before
 
     def test_refuses_non_empty_destination(self, tmp_path):
         src = tmp_path / "legacy.jsonl"
         dest = tmp_path / "runs.db"
-        JsonlRunDatabase(src).record_many(_make_records())
-        SqliteRunDatabase(dest).record(_make_records()[0])
+        _write_jsonl(src, _make_records())
+        RunDatabase(dest).record(_make_records()[0])
         with pytest.raises(ValueError, match="refusing"):
             migrate_jsonl(src, dest)
 
@@ -183,78 +169,41 @@ class TestMigration:
 
 
 class TestJsonlTailCaching:
-    def test_appends_are_parsed_incrementally(self, tmp_path):
-        db = JsonlRunDatabase(tmp_path / "runs.jsonl")
-        records = _make_records()
-        db.record_many(records[:2])
-        assert db.records() == records[:2]
-        offset_after_two = db._offset
-        db.record_many(records[2:])
-        assert db.records() == records
-        # The cached prefix was not re-read: the offset only advanced.
-        assert db._offset > offset_after_two
+    """The legacy JSON-lines reader behind :func:`migrate_jsonl`: what a
+    crashed writer or a hand edit leaves in the log never reaches the
+    database."""
 
     def test_torn_tail_line_stays_pending(self, tmp_path):
-        path = tmp_path / "runs.jsonl"
-        db = JsonlRunDatabase(path)
+        src = tmp_path / "legacy.jsonl"
         records = _make_records()
-        db.record_many(records[:2])
-        assert db.records() == records[:2]
+        _write_jsonl(src, records[:2])
         # A writer mid-append: no trailing newline yet.
         line = json.dumps(records[2].as_dict())
-        with open(path, "a") as handle:
+        with open(src, "a") as handle:
             handle.write(line[:20])
-            handle.flush()
-        assert db.records() == records[:2]      # torn tail not consumed
-        with open(path, "a") as handle:
+        assert migrate_jsonl(src, tmp_path / "torn.db") == 2
+        assert RunDatabase(tmp_path / "torn.db").records() == records[:2]
+        # The torn line was skipped, not lost: once the writer
+        # completes it, it migrates.
+        with open(src, "a") as handle:
             handle.write(line[20:] + "\n")
-        assert db.records() == records[:3]      # completed line lands
-
-    def test_replaced_file_triggers_full_reparse(self, tmp_path):
-        path = tmp_path / "runs.jsonl"
-        db = JsonlRunDatabase(path)
-        records = _make_records()
-        db.record_many(records)
-        assert len(db.records()) == 5
-        # Replace the log wholesale (rotation): shorter, new inode.
-        replacement = tmp_path / "new.jsonl"
-        JsonlRunDatabase(replacement).record_many(records[:1])
-        replacement.rename(path)
-        assert db.records() == records[:1]
-
-    def test_deleted_file_resets_the_cache(self, tmp_path):
-        path = tmp_path / "runs.jsonl"
-        db = JsonlRunDatabase(path)
-        db.record_many(_make_records())
-        assert len(db.records()) == 5
-        path.unlink()
-        assert db.records() == []
+        assert migrate_jsonl(src, tmp_path / "whole.db") == 3
+        assert RunDatabase(tmp_path / "whole.db").records() \
+            == records[:3]
 
     def test_malformed_lines_are_skipped(self, tmp_path):
-        path = tmp_path / "runs.jsonl"
-        db = JsonlRunDatabase(path)
+        src = tmp_path / "legacy.jsonl"
         records = _make_records()
-        db.record(records[0])
-        with open(path, "a") as handle:
-            handle.write("not json\n")
+        _write_jsonl(src, records[:1])
+        with open(src, "a") as handle:
+            handle.write("not json\n\n")
             handle.write('{"run_id": "orphan"}\n')   # missing fields
-        db.record(records[1])
-        assert db.records() == records[:2]
-
-    def test_two_handles_one_file(self, tmp_path):
-        # A CLI reader and a live scheduler writer share the file; the
-        # reader's cache must follow the writer's appends.
-        path = tmp_path / "runs.jsonl"
-        writer = JsonlRunDatabase(path)
-        reader = JsonlRunDatabase(path)
-        records = _make_records()
-        writer.record_many(records[:3])
-        assert reader.records() == records[:3]
-        writer.record_many(records[3:])
-        assert reader.records() == records
+        _write_jsonl(src, records[1:])
+        assert migrate_jsonl(src, tmp_path / "runs.db") == len(records)
+        assert RunDatabase(tmp_path / "runs.db").records() == records
 
 
-class TestSqliteConcurrency:
+class TestSqliteDurability:
     def test_second_connection_sees_committed_writes(self, tmp_path):
         path = tmp_path / "runs.db"
         writer = SqliteRunDatabase(path)
@@ -271,8 +220,7 @@ class TestSqliteConcurrency:
         db.close()
 
     def test_corrupt_sqlite_surfaces_loudly(self, tmp_path):
-        # Unlike the forgiving JSONL parser, SQLite corruption is an
-        # error, not silently empty results.
+        # Corruption is an error, not silently empty results.
         path = tmp_path / "runs.db"
         path.write_bytes(b"SQLite format 3\x00" + b"\xff" * 64)
         with pytest.raises(sqlite3.DatabaseError):

@@ -305,7 +305,7 @@ class TestCancellation:
         # cancel() fired from the RUNNING transition itself (the watch
         # callback) races worker startup; the job must still end up
         # CANCELLED with exactly one terminal run-database record.
-        db = RunDatabase(tmp_path / "runs.jsonl")
+        db = RunDatabase(tmp_path / "runs.sqlite")
         s = Scheduler(workers=2, rundb=db)
 
         def on_event(job):
@@ -355,7 +355,7 @@ class TestPersistentPool:
         # job must retry and succeed, siblings must be untouched, and
         # the run database must hold exactly one terminal record per
         # job — a crash neither loses a record nor double-records.
-        db = RunDatabase(tmp_path / "runs.jsonl")
+        db = RunDatabase(tmp_path / "runs.sqlite")
         pidfile = tmp_path / "worker.pid"
         with WorkerPool(2) as pool:
             s = Scheduler(pool=pool, rundb=db)
@@ -379,7 +379,7 @@ class TestPersistentPool:
         assert all(r.status == SUCCEEDED for r in records)
 
     def test_sigkill_without_retries_is_a_clean_failure(self, tmp_path):
-        db = RunDatabase(tmp_path / "runs.jsonl")
+        db = RunDatabase(tmp_path / "runs.sqlite")
         pidfile = tmp_path / "worker.pid"
         with WorkerPool(1) as pool:
             s = Scheduler(pool=pool, rundb=db)
@@ -446,8 +446,8 @@ class TestPersistentPool:
         assert jobs[good].status == SUCCEEDED
 
     def test_execution_modes_agree_bit_for_bit(self):
-        # Inline, per-job-process, and persistent-pool execution must
-        # produce identical result payloads for the same DAG.
+        # Inline and persistent-pool execution must produce identical
+        # result payloads for the same DAG.
         def build(**kwargs):
             s = Scheduler(**kwargs)
             ids = [s.submit(JobSpec("t-echo", params={"value": v},
@@ -458,6 +458,5 @@ class TestPersistentPool:
             return [jobs[j].result for j in ids + [total]]
 
         inline = build(workers=0)
-        per_job = build(workers=2, persistent=False)
         pooled = build(workers=2)
-        assert inline == per_job == pooled
+        assert inline == pooled
