@@ -10,7 +10,7 @@ the designer how many traces an attacker would need.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -49,10 +49,40 @@ def _pearson_rows(hypotheses: np.ndarray, traces: np.ndarray) -> np.ndarray:
     return corr
 
 
+#: HW(SBOX[x]) for every byte x: the default model as one lookup table.
+_SBOX_HW = HW8[np.asarray(SBOX, dtype=np.int64)]
+
+
 def aes_sbox_hypothesis(plaintexts: np.ndarray, key_guess: int) -> np.ndarray:
     """HW(SBOX[pt ^ k]) leakage hypothesis for one key byte."""
-    sbox = np.asarray(SBOX, dtype=np.int64)
-    return HW8[sbox[np.bitwise_xor(plaintexts, key_guess)]]
+    return _SBOX_HW[np.bitwise_xor(plaintexts, key_guess)]
+
+
+def _key_hypotheses(traces: np.ndarray, plaintexts: Sequence[int],
+                    hypothesis: Optional[Callable[[np.ndarray, int],
+                                                  np.ndarray]],
+                    n_keys: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Checked float traces and the (n_keys, n_traces) hypothesis matrix.
+
+    Shared by every key-recovery distinguisher.  The default model
+    (first-round AES S-box HW) is one table gather over all guesses and
+    accepts only byte plaintexts and at most 256 guesses; a custom
+    ``hypothesis(plaintexts, key)`` is called once per guess.
+    """
+    traces = np.asarray(traces, dtype=float)
+    pts = np.asarray(plaintexts, dtype=np.int64)
+    if traces.ndim != 2 or len(pts) != len(traces):
+        raise ValueError("traces must be (n, samples) aligned with plaintexts")
+    if traces.size == 0:
+        raise ValueError("no trace samples to attack")
+    if hypothesis is not None:
+        return traces, np.stack([hypothesis(pts, k) for k in range(n_keys)])
+    if not 1 <= n_keys <= 256:
+        raise ValueError(f"the AES model has 1..256 key guesses, not {n_keys}")
+    if pts.min() < 0 or pts.max() > 255:
+        raise ValueError("the AES model needs plaintext bytes in 0..255")
+    keys = np.arange(n_keys)
+    return traces, _SBOX_HW[pts[None, :] ^ keys[:, None]]
 
 
 def cpa_attack(traces: np.ndarray, plaintexts: Sequence[int],
@@ -64,14 +94,11 @@ def cpa_attack(traces: np.ndarray, plaintexts: Sequence[int],
     ``traces``: (n_traces, n_samples) array.  ``plaintexts``: the known
     input byte per trace.  ``hypothesis(plaintexts, key)`` returns the
     predicted leakage per trace (default: first-round AES S-box HW).
+    Raises ``ValueError`` for misaligned or empty inputs and, under the
+    default model, for plaintexts outside 0..255 or ``n_keys > 256``.
     """
-    traces = np.asarray(traces, dtype=float)
-    pts = np.asarray(plaintexts, dtype=np.int64)
-    if traces.ndim != 2 or len(pts) != len(traces):
-        raise ValueError("traces must be (n, samples) aligned with plaintexts")
-    hyp = hypothesis or aes_sbox_hypothesis
-    matrix = np.stack([hyp(pts, k) for k in range(n_keys)]).astype(float)
-    corr = _pearson_rows(matrix, traces)
+    traces, matrix = _key_hypotheses(traces, plaintexts, hypothesis, n_keys)
+    corr = _pearson_rows(matrix.astype(float), traces)
     peak = np.abs(corr).max(axis=1)
     ranking = list(np.argsort(-peak))
     best_key = int(ranking[0])

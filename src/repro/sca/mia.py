@@ -13,12 +13,64 @@ and model (unlike CPA's Pearson correlation).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..crypto import SBOX
-from .power_model import HW8
+from .cpa import _key_hypotheses
+
+
+def _class_codes(labels: np.ndarray) -> Tuple[np.ndarray, int]:
+    """Class index per entry of a (n_rows, n_traces) label matrix.
+
+    Non-negative integer labels below the trace count index the class
+    axis as they are; a class absent from a row leaves zero counts,
+    which add nothing to the MI.  Other labels (negative, float or wide
+    integers) are ranked within each row.  Either way the class axis is
+    at most ``n_traces`` long, whatever the label values.
+    """
+    n_rows, n = labels.shape
+    if np.issubdtype(labels.dtype, np.integer) and labels.min() >= 0:
+        top = int(labels.max())
+        if top < n:
+            return labels.astype(np.intp, copy=False), top + 1
+    order = np.argsort(labels, axis=1)
+    ranked = np.take_along_axis(labels, order, axis=1)
+    ranks = np.zeros((n_rows, n), dtype=np.intp)
+    np.cumsum(ranked[:, 1:] != ranked[:, :-1], axis=1, out=ranks[:, 1:])
+    codes = np.empty_like(ranks)
+    np.put_along_axis(codes, order, ranks, axis=1)
+    return codes, int(ranks[:, -1].max()) + 1
+
+
+def _mi_table(labels: np.ndarray, traces: np.ndarray,
+              n_bins: int) -> np.ndarray:
+    """Plug-in MI (bits) between every label row and every sample column.
+
+    ``labels``: (n_rows, n_traces) discrete model values; ``traces``:
+    (n_traces, n_samples).  Returns (n_rows, n_samples).  Each column is
+    histogram-binned once, then one ``bincount`` over (row, class, bin)
+    gives the joint histograms of all rows.  Columns are scored one at a
+    time, so no temporary grows with the sample count.
+    """
+    codes, n_classes = _class_codes(labels)
+    n_rows, n = codes.shape
+    # flat offset of each trace's (row, class) slab of n_bins counts
+    slabs = (np.arange(n_rows)[:, None] * n_classes + codes) * n_bins
+    mi = np.empty((n_rows, traces.shape[1]))
+    for sample, column in enumerate(traces.T):
+        edges = np.histogram_bin_edges(column, bins=n_bins)
+        binned = np.clip(np.digitize(column, edges[1:-1]), 0, n_bins - 1)
+        joint = np.bincount((slabs + binned).ravel(),
+                            minlength=n_rows * n_classes * n_bins)
+        joint = joint.reshape(n_rows, n_classes, n_bins) / n
+        p_label = joint.sum(axis=2, keepdims=True)
+        p_bin = joint.sum(axis=1, keepdims=True)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = joint / (p_label * p_bin)
+            terms = np.where(joint > 0, joint * np.log2(ratio), 0.0)
+        mi[:, sample] = terms.sum(axis=(1, 2))
+    return mi
 
 
 def mutual_information(samples: np.ndarray, labels: np.ndarray,
@@ -31,22 +83,7 @@ def mutual_information(samples: np.ndarray, labels: np.ndarray,
     """
     samples = np.asarray(samples, dtype=float)
     labels = np.asarray(labels)
-    edges = np.histogram_bin_edges(samples, bins=n_bins)
-    binned = np.clip(np.digitize(samples, edges[1:-1]), 0, n_bins - 1)
-    classes = np.unique(labels)
-    n = len(samples)
-    joint = np.zeros((len(classes), n_bins))
-    for i, c in enumerate(classes):
-        mask = labels == c
-        for b in range(n_bins):
-            joint[i, b] = np.sum(binned[mask] == b)
-    joint /= n
-    p_label = joint.sum(axis=1, keepdims=True)
-    p_bin = joint.sum(axis=0, keepdims=True)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = joint / (p_label @ p_bin)
-        terms = np.where(joint > 0, joint * np.log2(ratio), 0.0)
-    return float(terms.sum())
+    return float(_mi_table(labels[None, :], samples[:, None], n_bins)[0, 0])
 
 
 @dataclass
@@ -73,26 +110,10 @@ def mia_attack(traces: np.ndarray, plaintexts: Sequence[int],
     ``hypothesis(plaintexts, key)`` gives the predicted discrete
     intermediate per trace (default: HW of the first-round AES S-box
     output).  For each guess, the peak MI across trace samples is the
-    score.
+    score.  Inputs are checked as in :func:`~repro.sca.cpa.cpa_attack`.
     """
-    traces = np.asarray(traces, dtype=float)
-    pts = np.asarray(plaintexts, dtype=np.int64)
-    if traces.ndim != 2 or len(pts) != len(traces):
-        raise ValueError("traces must be (n, samples) aligned with pts")
-    if hypothesis is None:
-        sbox = np.asarray(SBOX, dtype=np.int64)
-
-        def hypothesis(p, k):
-            return HW8[sbox[np.bitwise_xor(p, k)]]
-
-    scores = np.zeros(n_keys)
-    for key in range(n_keys):
-        labels = hypothesis(pts, key)
-        best = 0.0
-        for sample in range(traces.shape[1]):
-            best = max(best, mutual_information(traces[:, sample],
-                                                labels, n_bins))
-        scores[key] = best
+    traces, labels = _key_hypotheses(traces, plaintexts, hypothesis, n_keys)
+    scores = np.maximum(_mi_table(labels, traces, n_bins).max(axis=1), 0.0)
     ranking = [int(k) for k in np.argsort(-scores)]
     return MiaResult(
         scores=scores,

@@ -309,7 +309,8 @@ def signal_to_noise_ratio(traces: np.ndarray,
     """Per-sample SNR: Var_groups(mean) / mean_groups(Var).
 
     ``labels`` assigns each trace to a group (e.g. an intermediate
-    value); high SNR samples are exploitable leakage points.
+    value); high SNR samples are exploitable leakage points.  A sample
+    with no noise scores inf if its group means differ, else 0.
     """
     groups = np.unique(labels)
     means = np.stack([traces[labels == g].mean(axis=0) for g in groups])
@@ -317,5 +318,6 @@ def signal_to_noise_ratio(traces: np.ndarray,
     noise = variances.mean(axis=0)
     signal = means.var(axis=0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        snr = np.where(noise > 0, signal / noise, np.inf * (signal > 0))
+        snr = np.where(noise > 0, signal / noise,
+                       np.where(signal > 0, np.inf, 0.0))
     return snr

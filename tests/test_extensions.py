@@ -133,6 +133,15 @@ class TestMia:
     def test_input_validation(self):
         with pytest.raises(ValueError):
             mia_attack(np.zeros((5, 2)), [1, 2, 3])
+        traces = np.random.default_rng(0).normal(0, 1, (4, 2))
+        # the default AES model takes byte plaintexts and <= 256 guesses
+        for pts in ([1, 2, -1, 3], [1, -200, 2, 3], [1, 2, 3, 256]):
+            with pytest.raises(ValueError):
+                mia_attack(traces, pts)
+        with pytest.raises(ValueError):
+            mia_attack(traces, [1, 2, 3, 4], n_keys=257)
+        with pytest.raises(ValueError):
+            mia_attack(np.empty((0, 2)), [])
 
 
 class TestStructuralAttack:

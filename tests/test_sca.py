@@ -86,6 +86,17 @@ class TestPowerModel:
         snr = signal_to_noise_ratio(traces, labels)
         assert snr[1] > 10 * max(snr[0], snr[2])
 
+    def test_snr_noise_free_samples(self):
+        rng = np.random.default_rng(0)
+        labels = rng.integers(0, 2, 500)
+        traces = np.stack([rng.normal(0, 1, 500), np.full(500, 3.0),
+                           labels * 2.0], axis=1)
+        snr = signal_to_noise_ratio(traces, labels)
+        # constant sample: no signal, no noise -> 0, never NaN
+        assert np.isfinite(snr[0]) and snr[1] == 0.0
+        # noise-free sample whose group means differ -> inf
+        assert snr[2] == np.inf and np.argmax(snr) == 2
+
 
 class TestTvla:
     def test_welch_t_zero_for_identical_stats(self):
@@ -158,6 +169,19 @@ class TestCpa:
     def test_input_validation(self):
         with pytest.raises(ValueError):
             cpa_attack(np.zeros((4, 2)), [1, 2, 3])
+        traces = np.random.default_rng(0).normal(0, 1, (4, 2))
+        # the default AES model takes byte plaintexts and <= 256 guesses
+        for pts in ([1, 2, -1, 3], [1, -200, 2, 3], [1, 2, 3, 256]):
+            with pytest.raises(ValueError):
+                cpa_attack(traces, pts)
+        with pytest.raises(ValueError):
+            cpa_attack(traces, [1, 2, 3, 4], n_keys=257)
+        with pytest.raises(ValueError):
+            cpa_attack(np.empty((0, 2)), [])
+        # a custom model defines its own plaintext domain
+        res = cpa_attack(traces, [-1, 300, 2, 3],
+                         hypothesis=lambda p, k: p * (k + 1), n_keys=2)
+        assert res.correlations.shape == (2, 2)
 
 
 class TestMaskingSoftware:
