@@ -96,8 +96,7 @@ def fault_campaign(netlist: Netlist, faults: Sequence[Fault],
                    n_vectors: int = 64,
                    alarm: Optional[str] = None,
                    payload_outputs: Optional[Sequence[str]] = None,
-                   seed: int = 0,
-                   batch: object = "auto") -> CampaignReport:
+                   seed: int = 0) -> CampaignReport:
     """Random-vector fault simulation campaign.
 
     ``alarm`` names the detection output (if the design has one);
@@ -115,9 +114,8 @@ def fault_campaign(netlist: Netlist, faults: Sequence[Fault],
       bit-flips as xor planes) and whole chunks of the fault list are
       scored in one packed evaluation alongside a golden variant.
 
-    ``batch`` selects the strategy: ``True``/``False`` force it,
-    ``"auto"`` (default) batches once the fault list is large enough to
-    amortize full-netlist evaluation over many variants.
+    Fault lists of at least ``_BATCH_THRESHOLD`` (8) faults are
+    batched; shorter ones run serially.
 
     Results match the ``inject_fault``-then-``simulate`` formulation
     exactly, including its name-resolution detail: a BIT_FLIP (or a
@@ -139,7 +137,7 @@ def fault_campaign(netlist: Netlist, faults: Sequence[Fault],
     gates = netlist.gates
     mask = (1 << width) - 1
     report = CampaignReport()
-    if batch is True or (batch == "auto" and len(faults) >= _BATCH_THRESHOLD):
+    if len(faults) >= _BATCH_THRESHOLD:
         chunk = max(1, _FAMILY_CHUNK_BITS // max(1, width))
         for start in range(0, len(faults), chunk):
             group = faults[start:start + chunk]

@@ -19,12 +19,23 @@ into a flat, integer-indexed gate program over a dense net-index space:
   consumers are kept alongside for incremental uses (single-fault
   propagation, per-level trace aggregation).
 
+There is one evaluator.  Every evaluation runs the program under a
+*delta layout* — which runtime bit-planes force, flip or re-type which
+nets — and the plain netlist is the empty layout.
+:class:`VariantFamily` only turns variant specs into a layout plus
+plane values and replicates the stimulus; it evaluates through the same
+interpreter, code generator and program memo as a plain ``simulate()``.
+Each topology keeps one bounded ``layout -> program`` memo: a layout's
+first evaluation is interpreted, its second compiles through the
+process-wide :class:`EngineCache`.
+
 Compilation is cached on the netlist instance and invalidated through
 the existing ``_topo_cache`` hook: every mutation path in
 :class:`~repro.netlist.Netlist` drops the topo cache, and the engine
 recompiles whenever the topo list object it captured is no longer the
 netlist's current one.  Packed-word semantics are bit-exact with the
-reference interpreter (property-tested in ``tests/test_engine.py``).
+reference interpreter (property-tested in ``tests/test_engine.py`` and,
+per variant, ``tests/test_variant_batch.py``).
 """
 
 from __future__ import annotations
@@ -80,9 +91,10 @@ class EngineCache:
     of an accident of module globals.  Two keyed pools:
 
     * **programs** — generated-source -> compiled chunk-function tuple,
-      shared across structurally identical netlists and variant
-      families with the same delta layout (absorbs the former
-      ``_PROGRAM_MEMO`` module global);
+      shared across structurally identical netlists evaluated under the
+      same delta layout (the plain netlist is the empty layout).  Each
+      topology's own bounded ``layout -> program`` memo sits in front
+      of this pool, so only a layout's compiling evaluation looks here;
     * **netlists** — caller-chosen string key (conventionally the
       transport digest of the serialized form) -> parsed
       :class:`~repro.netlist.Netlist`.  Each entry records the
@@ -220,12 +232,16 @@ def reset_engine_cache() -> None:
     _ENGINE_CACHE = None
 
 
+#: Delta layout of the plain netlist: no forces, no flips, no patched
+#: opcodes (see :meth:`VariantFamily._bind` for the layout format).
+_PLAIN: tuple = ((), (), ())
+
+
 def _gate_expr(compiled: "CompiledNetlist", i: int, op: int, ref) -> str:
     """Generated-source expression for gate ``i`` evaluated as ``op``.
 
-    Shared by the base program and the variant-family program (which
-    may evaluate a site under a *patched* opcode, hence the explicit
-    ``op``).  ``ref(j)`` renders a fanin reference.
+    ``op`` differs from the gate's own opcode at a site whose opcode a
+    delta layout patches.  ``ref(j)`` renders a fanin reference.
     """
     fis = compiled.fanins[i]
     if op == OP_INPUT:
@@ -257,33 +273,24 @@ def _gate_expr(compiled: "CompiledNetlist", i: int, op: int, ref) -> str:
     return f"(~{s} & {d0}) | ({s} & {d1})"
 
 
-def _compile_program(sources: Sequence[str]) -> tuple:
-    """Compile chunk sources to functions via the process-local cache.
-
-    Thin wrapper over :meth:`EngineCache.program` kept for the existing
-    call sites; the memoization policy (LRU bound, counters) lives on
-    the cache object.
-    """
-    return engine_cache().program(sources)
-
-
 class CompiledNetlist:
     """A netlist lowered to a flat, integer-indexed gate program.
 
     Instances are immutable snapshots of one topology; obtain them via
     :func:`get_compiled`, which caches one per netlist and recompiles
-    after any structural mutation.
+    after any structural mutation.  Every evaluation runs one delta
+    layout (see :class:`VariantFamily`); the plain netlist is the empty
+    layout.
     """
 
     __slots__ = (
         "netlist", "names", "index", "input_names", "flop_names",
         "opcodes", "fanins", "levels", "depth", "consumers", "flop_src",
-        "_topo_ref", "_input_pos", "_flop_pos", "_fn", "_evals",
-        "_family_seen", "_family_programs",
+        "_topo_ref", "_input_pos", "_flop_pos", "_programs",
     )
 
-    #: Bound on the per-topology cache of compiled family programs.
-    _FAMILY_PROGRAM_MAX = 16
+    #: Bound on the per-topology ``layout -> program`` memo.
+    _PROGRAMS_MAX = 16
 
     def __init__(self, netlist: Netlist) -> None:
         order = netlist.topological_order()
@@ -322,21 +329,16 @@ class CompiledNetlist:
         self.flop_src: List[int] = [
             self.index[gates[ff].fanins[0]] for ff in self.flop_names
         ]
-        # Code generation is lazy: the first evaluation runs over the
-        # opcode arrays directly, and the straight-line program is only
-        # generated and compiled from the second evaluation on.  Repeat
-        # consumers (trace campaigns, oracles) amortize the compile;
-        # mutate-once-simulate-once patterns (fault injection sweeps,
-        # DSE candidate scoring) never pay it.
-        self._fn: Optional[tuple] = None
-        self._evals = 0
-        # Variant-family state, scoped to this topology: delta layouts
-        # whose single interpreted warm-up has been spent, and compiled
-        # family programs keyed by layout, so a consumer that builds a
-        # fresh family per call (key sweeps, fault-campaign chunks)
-        # still reaches generated code from its second call on.
-        self._family_seen: set = set()
-        self._family_programs: Dict[tuple, tuple] = {}
+        # Code generation is lazy, per delta layout: a layout's first
+        # evaluation runs over the opcode arrays directly and is
+        # recorded here as ``None``; its second generates and compiles
+        # the straight-line program, which later evaluations reuse.
+        # Repeat consumers (trace campaigns, oracles, key sweeps)
+        # amortize the compile, even when they build a fresh family per
+        # call; mutate-once-simulate-once patterns (fault injection
+        # sweeps, DSE candidate scoring, one-shot fault-campaign
+        # chunks) never pay it.
+        self._programs: Dict[tuple, Optional[tuple]] = {}
 
     # ------------------------------------------------------------------
     # Code generation
@@ -348,21 +350,30 @@ class CompiledNetlist:
     #: chunks that each write their slice of a shared value list.
     CHUNK_STATEMENTS = 2000
 
-    def _codegen(self):
-        """Emit the gate program as chunked straight-line Python.
+    def _codegen(self, layout: tuple) -> List[str]:
+        """Emit the gate program under ``layout`` as chunked straight-line
+        Python sources.
 
-        Each chunk is one function ``_c(V, IN, ST, mask)`` holding its
+        Each chunk is one function ``_c(V, IN, ST, mask, D)`` holding its
         gates in fast locals and flushing them into the dense value
         list ``V`` with a single slice assignment; cross-chunk fanins
         read ``V[j]`` directly.  BUF gates are aliased away (their
         reference *is* the fanin's), so the generated body contains
         exactly one bitwise expression per logic cell.
+
+        At a delta site the expression selects among patched opcodes,
+        then applies the flip plane, then the force plane (force wins),
+        reading plane values from the runtime list ``D``.  BUF aliasing
+        stops at delta sites so their planes apply exactly once.  The
+        plain layout emits no ``D`` reference at all.
         """
+        force, flip, alt = (dict(part) for part in layout)
+        delta = force.keys() | flip.keys() | alt.keys()
         n = len(self.names)
         # Resolve BUF chains to their driving root once.
         root = list(range(n))
         for i, op in enumerate(self.opcodes):
-            if op == OP_BUF:
+            if op == OP_BUF and i not in delta:
                 root[i] = root[self.fanins[i][0]]
 
         sources = []
@@ -374,19 +385,34 @@ class CompiledNetlist:
                 r = root[j]
                 return f"v{r}" if r >= _start else f"V[{r}]"
 
-            lines = ["def _c(V, IN, ST, mask):"]
+            lines = ["def _c(V, IN, ST, mask, D):"]
             for i in range(start, stop):
                 op = self.opcodes[i]
-                if op == OP_BUF:
+                if i in delta:
+                    expr = _gate_expr(self, i, op, ref)
+                    if i in alt:
+                        base_ix, entries = alt[i]
+                        expr = " | ".join(
+                            [f"({expr}) & D[{base_ix}]"]
+                            + [f"({_gate_expr(self, i, alt_op, ref)})"
+                               f" & D[{mix}]" for alt_op, mix in entries])
+                    if i in flip:
+                        expr = f"({expr}) ^ D[{flip[i]}]"
+                    if i in force:
+                        keep, put = force[i]
+                        expr = f"(({expr}) & D[{keep}]) | D[{put}]"
+                elif op == OP_BUF:
                     continue
-                lines.append(f"    v{i} = {_gate_expr(self, i, op, ref)}")
+                else:
+                    expr = _gate_expr(self, i, op, ref)
+                lines.append(f"    v{i} = {expr}")
             flush = ",".join(ref(i) for i in range(start, stop))
             lines.append(f"    V[{start}:{stop}] = [{flush}]")
             sources.append("\n".join(lines))
             start = stop
             if n == 0:
                 break
-        return _compile_program(sources)
+        return sources
 
     # ------------------------------------------------------------------
     # Evaluation
@@ -406,18 +432,30 @@ class CompiledNetlist:
             regs = [0] * len(self.flop_names)
         return self._run(stim, regs, (1 << width) - 1)
 
-    def _run(self, stim: Sequence[int], regs: Sequence[int],
-             mask: int) -> List[int]:
-        """Evaluate with positional stimulus/state words (no name lookups)."""
+    def _run(self, stim: Sequence[int], regs: Sequence[int], mask: int,
+             layout: tuple = _PLAIN,
+             planes: Sequence[int] = ()) -> List[int]:
+        """Evaluate ``layout`` on positional stimulus/state words.
+
+        No name lookups; ``planes`` holds the plane values ``layout``
+        indexes.  Compiling goes through :func:`engine_cache`.  The
+        ``_programs`` memo is FIFO-bounded, but one-shot variant
+        layouts never evict the plain layout.
+        """
         values: List[int] = [0] * len(self.names)
-        if self._fn is None:
-            if self._evals == 0:
-                self._evals = 1
-                self._interpret(values, stim, regs, mask)
+        programs = self._programs
+        program = programs.get(layout)
+        if program is None:
+            if layout not in programs:
+                if len(programs) >= self._PROGRAMS_MAX:
+                    del programs[next(k for k in programs if k != _PLAIN)]
+                programs[layout] = None
+                self._interpret(values, stim, regs, mask, layout, planes)
                 return values
-            self._fn = self._codegen()
-        for chunk in self._fn:
-            chunk(values, stim, regs, mask)
+            program = programs[layout] = engine_cache().program(
+                self._codegen(layout))
+        for chunk in program:
+            chunk(values, stim, regs, mask, planes)
         return values
 
     def step_words(self, stim: Sequence[int], regs: Sequence[int],
@@ -434,20 +472,38 @@ class CompiledNetlist:
         return values, [values[src] for src in self.flop_src]
 
     def _interpret(self, values: List[int], stim: Sequence[int],
-                   regs: Sequence[int], mask: int) -> None:
-        """One full evaluation straight off the opcode arrays.
+                   regs: Sequence[int], mask: int, layout: tuple,
+                   planes: Sequence[int]) -> None:
+        """One full evaluation of ``layout`` straight off the opcode arrays.
 
-        Used for the first evaluation of a topology, before code
-        generation has paid for itself.
+        Used for a layout's first evaluation on a topology, before code
+        generation has paid for itself; delta semantics as in
+        :meth:`_codegen`.
         """
+        force, flip, alt = (dict(part) for part in layout)
+        delta = force.keys() | flip.keys() | alt.keys()
+        eval_gate = self._eval_gate
         value_of = values.__getitem__
         for i, op in enumerate(self.opcodes):
             if op == OP_INPUT:
-                values[i] = stim[self._input_pos[self.names[i]]] & mask
+                value = stim[self._input_pos[self.names[i]]] & mask
             elif op == OP_DFF:
-                values[i] = regs[self._flop_pos[self.names[i]]] & mask
+                value = regs[self._flop_pos[self.names[i]]] & mask
             else:
-                values[i] = self._eval_gate(i, value_of, mask)
+                value = eval_gate(i, value_of, mask)
+            if i in delta:
+                if i in alt:
+                    base_ix, entries = alt[i]
+                    value &= planes[base_ix]
+                    for alt_op, mix in entries:
+                        value |= (eval_gate(i, value_of, mask, alt_op)
+                                  & planes[mix])
+                if i in flip:
+                    value ^= planes[flip[i]]
+                if i in force:
+                    keep, put = force[i]
+                    value = (value & planes[keep]) | planes[put]
+            values[i] = value
 
     def simulate(self, inputs: Mapping[str, int], width: int = 1,
                  state: Optional[Mapping[str, int]] = None) -> Dict[str, int]:
@@ -462,9 +518,9 @@ class CompiledNetlist:
                    op: Optional[int] = None) -> int:
         """Interpreted evaluation of one gate.
 
-        Used by the incremental (event-driven) path and, with an ``op``
-        override, by :class:`VariantFamily` when a site is evaluated
-        under a patched opcode.
+        Used by the interpreter, by the incremental (event-driven)
+        path and, with an ``op`` override, at a site whose opcode the
+        delta layout patches.
         """
         if op is None:
             op = self.opcodes[i]
@@ -617,6 +673,11 @@ class VariantSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "VariantSpec":
+        """Inverse of :meth:`to_dict`; an unknown key raises, so a
+        misspelled delta is never scored as the base design."""
+        for key in data:
+            if key not in cls.__slots__:
+                raise NetlistError(f"unknown variant delta key {key!r}")
         return cls(inputs=data.get("inputs"),
                    forces=data.get("forces"),
                    flips=data.get("flips", ()),
@@ -638,16 +699,20 @@ class VariantFamily:
     result of each slice is bit-identical to simulating that variant
     alone at width ``traces``.
 
-    Structural deltas are compiled in: the generated program embeds
-    *plane indices* (part of the program-memo key) while plane *values*
-    are passed at call time, so families with the same delta layout
-    share one compiled program across trace widths.
+    A family only checks its specs, lays their structural deltas out
+    as plane indices (:meth:`_bind`) with per-width plane values
+    (:meth:`_planes_for`), and replicates the stimulus; evaluation is
+    the base program's own (:meth:`CompiledNetlist._run`).  Generated
+    code embeds plane *indices* while plane *values* arrive at call
+    time, so every family with the same delta layout shares one
+    compiled program per topology across trace widths — and families
+    whose deltas are input overrides only (key sweeps, re-maskings as
+    stimulus) share the plain netlist's program.
     """
 
     __slots__ = (
-        "netlist", "variants", "_compiled", "_input_over", "_force_ix",
-        "_flip_ix", "_alt_ix", "_plane_specs", "_planes_cache",
-        "_layout", "_fn", "_evals",
+        "netlist", "variants", "_compiled", "_input_over", "_plane_specs",
+        "_planes_cache", "_layout",
     )
 
     #: Bound on the per-family ``traces -> plane values`` cache.
@@ -685,11 +750,12 @@ class VariantFamily:
 
         Called at construction and again whenever the base netlist has
         been structurally mutated since (net indices may have moved).
+        The layout is three site-sorted tuples of ``(site, planes)``
+        pairs: forces, flips, patched opcodes.  Its plane indices point
+        into ``D``, the plane values :meth:`_planes_for` builds.
         """
         self._compiled = compiled
         self._planes_cache: Dict[int, tuple] = {}
-        self._fn = None
-        self._evals = 0
         index = compiled.index
         opcodes = compiled.opcodes
 
@@ -740,37 +806,28 @@ class VariantFamily:
                 alts.setdefault(site, {}).setdefault(op, []).append(v)
 
         # site -> (keep-plane, set-plane): new = (v & keep) | set
-        self._force_ix: Dict[int, Tuple[int, int]] = {}
+        force_ix = []
         for site in sorted(set(forces0) | set(forces1)):
             affected = forces0.get(site, []) + forces1.get(site, [])
-            self._force_ix[site] = (plane(affected, invert=True),
-                                    plane(forces1.get(site, [])))
+            force_ix.append((site, (plane(affected, invert=True),
+                                    plane(forces1.get(site, [])))))
         # site -> xor-plane
-        self._flip_ix: Dict[int, int] = {
-            site: plane(variant_ids)
-            for site, variant_ids in sorted(flips.items())
-        }
+        flip_ix = [(site, plane(variant_ids))
+                   for site, variant_ids in sorted(flips.items())]
         # site -> (base-keep-plane, ((opcode, select-plane), ...))
-        self._alt_ix: Dict[int, Tuple[int, tuple]] = {}
+        alt_ix = []
         for site in sorted(alts):
             by_op = alts[site]
             patched = [v for vs in by_op.values() for v in vs]
             base_ix = plane(patched, invert=True)
-            entries = tuple(sorted(
-                (op, plane(vs)) for op, vs in by_op.items()))
-            self._alt_ix[site] = (base_ix, entries)
+            alt_ix.append((site, (base_ix, tuple(sorted(
+                (op, plane(vs)) for op, vs in by_op.items())))))
         self._plane_specs = plane_specs
         self._input_over = input_over
         # The generated program depends only on which plane index wraps
-        # which site (values arrive at call time), so this key
-        # identifies the program across family instances on one
-        # topology — input-override-only families all share the empty
-        # layout, and repeated sweeps reuse one compiled program.
-        self._layout = (
-            tuple(sorted(self._force_ix.items())),
-            tuple(sorted(self._flip_ix.items())),
-            tuple(sorted(self._alt_ix.items())),
-        )
+        # which site (values arrive at call time), so the layout keys
+        # it in the topology's memo.
+        self._layout = (tuple(force_ix), tuple(flip_ix), tuple(alt_ix))
 
     def _planes_for(self, traces: int) -> tuple:
         """``(rep, tmask, full, D)`` for a given per-variant width."""
@@ -807,21 +864,30 @@ class VariantFamily:
 
         ``inputs``/``state`` carry shared ``traces``-bit stimulus words,
         replicated into every variant's slice; ``per_variant_inputs``
-        maps an input name to one ``traces``-bit word per variant.  An
-        input may be omitted from ``inputs`` only if every variant
-        overrides it.  The result is indexed like the base program's
-        ``names``; use :meth:`split_word` to recover per-variant words.
+        maps an input name to exactly one ``traces``-bit word per
+        variant.  An input may be omitted from ``inputs`` only if every
+        variant overrides it.  The result is indexed like the base
+        program's ``names``; use :meth:`split_word` to recover
+        per-variant words.
         """
         compiled = get_compiled(self.netlist)
         if compiled is not self._compiled:
             self._bind(compiled)
         n_variants = len(self.variants)
+        per_variant_inputs = per_variant_inputs or {}
+        for name, words in per_variant_inputs.items():
+            if name not in compiled._input_pos:
+                raise NetlistError(
+                    f"per-variant stimulus target {name!r} is not an input")
+            if len(words) != n_variants:
+                raise NetlistError(
+                    f"per-variant stimulus for input {name!r} has "
+                    f"{len(words)} words for {n_variants} variants")
         rep, tmask, full, planes = self._planes_for(traces)
         stim: List[int] = []
         for name in compiled.input_names:
             over = self._input_over.get(name)
-            pv = (per_variant_inputs.get(name)
-                  if per_variant_inputs else None)
+            pv = per_variant_inputs.get(name)
             if over is None and pv is None:
                 try:
                     base = inputs[name]
@@ -835,10 +901,6 @@ class VariantFamily:
                 # Byte-wise assembly: one join instead of V shift-ORs
                 # into an ever-growing accumulator (the loop below is
                 # quadratic in the variant count).
-                if len(pv) != n_variants:
-                    raise NetlistError(
-                        f"per-variant stimulus for input {name!r} has "
-                        f"{len(pv)} words for {n_variants} variants")
                 n_bytes = traces >> 3
                 encoded: Dict[int, bytes] = {}
                 parts: List[bytes] = []
@@ -864,122 +926,10 @@ class VariantFamily:
                     for ff in compiled.flop_names]
         else:
             regs = [0] * len(compiled.flop_names)
-        values: List[int] = [0] * len(compiled.names)
-        if self._fn is None:
-            program = compiled._family_programs.get(self._layout)
-            if program is not None:
-                self._fn = program
-            elif self._evals == 0 and self._layout not in compiled._family_seen:
-                # First-ever evaluation of this delta layout on this
-                # topology: interpret once.  Single-shot families (one
-                # fault-campaign chunk) never pay codegen; repeat
-                # layouts graduate to a shared compiled program below.
-                compiled._family_seen.add(self._layout)
-                self._evals = 1
-                self._interpret(values, stim, regs, full, planes)
-                return values
-            else:
-                self._fn = self._codegen()
-                if len(compiled._family_programs) >= compiled._FAMILY_PROGRAM_MAX:
-                    compiled._family_programs.pop(
-                        next(iter(compiled._family_programs)))
-                compiled._family_programs[self._layout] = self._fn
-        for chunk in self._fn:
-            chunk(values, stim, regs, full, planes)
-        return values
+        return compiled._run(stim, regs, full, self._layout, planes)
 
     def split_word(self, word: int, traces: int) -> List[int]:
         """Per-variant ``traces``-bit words of one packed value."""
         tmask = (1 << traces) - 1
         return [(word >> (v * traces)) & tmask
                 for v in range(len(self.variants))]
-
-    # ------------------------------------------------------------------
-    # Lowering
-    # ------------------------------------------------------------------
-
-    def _codegen(self):
-        """Chunked straight-line program with per-site delta wrapping.
-
-        Identical to the base program except at delta sites, where the
-        generated expression selects among patched opcodes and applies
-        flip/force planes from the runtime list ``D``.  Delta order at
-        one site: opcode select, then flip, then force (force wins).
-        BUF aliasing stops at delta sites so their planes apply exactly
-        once.
-        """
-        c = self._compiled
-        n = len(c.names)
-        delta = set(self._force_ix) | set(self._flip_ix) | set(self._alt_ix)
-        root = list(range(n))
-        for i, op in enumerate(c.opcodes):
-            if op == OP_BUF and i not in delta:
-                root[i] = root[c.fanins[i][0]]
-
-        sources = []
-        start = 0
-        while start < n or (n == 0 and start == 0):
-            stop = min(n, start + c.CHUNK_STATEMENTS)
-
-            def ref(j: int, _start=start) -> str:
-                r = root[j]
-                return f"v{r}" if r >= _start else f"V[{r}]"
-
-            lines = ["def _c(V, IN, ST, mask, D):"]
-            for i in range(start, stop):
-                op = c.opcodes[i]
-                if op == OP_BUF and i not in delta:
-                    continue
-                alt = self._alt_ix.get(i)
-                if alt is None:
-                    expr = _gate_expr(c, i, op, ref)
-                else:
-                    base_ix, entries = alt
-                    parts = [f"({_gate_expr(c, i, op, ref)}) & D[{base_ix}]"]
-                    parts.extend(
-                        f"({_gate_expr(c, i, alt_op, ref)}) & D[{mix}]"
-                        for alt_op, mix in entries)
-                    expr = " | ".join(parts)
-                flip = self._flip_ix.get(i)
-                if flip is not None:
-                    expr = f"({expr}) ^ D[{flip}]"
-                force = self._force_ix.get(i)
-                if force is not None:
-                    expr = f"(({expr}) & D[{force[0]}]) | D[{force[1]}]"
-                lines.append(f"    v{i} = {expr}")
-            flush = ",".join(ref(i) for i in range(start, stop))
-            lines.append(f"    V[{start}:{stop}] = [{flush}]")
-            sources.append("\n".join(lines))
-            start = stop
-            if n == 0:
-                break
-        return _compile_program(sources)
-
-    def _interpret(self, values: List[int], stim: Sequence[int],
-                   regs: Sequence[int], mask: int,
-                   planes: Sequence[int]) -> None:
-        """First-evaluation path straight off the opcode arrays."""
-        c = self._compiled
-        value_of = values.__getitem__
-        for i, op in enumerate(c.opcodes):
-            if op == OP_INPUT:
-                value = stim[c._input_pos[c.names[i]]] & mask
-            elif op == OP_DFF:
-                value = regs[c._flop_pos[c.names[i]]] & mask
-            else:
-                alt = self._alt_ix.get(i)
-                if alt is None:
-                    value = c._eval_gate(i, value_of, mask)
-                else:
-                    base_ix, entries = alt
-                    value = c._eval_gate(i, value_of, mask) & planes[base_ix]
-                    for alt_op, mix in entries:
-                        value |= (c._eval_gate(i, value_of, mask, alt_op)
-                                  & planes[mix])
-            flip = self._flip_ix.get(i)
-            if flip is not None:
-                value ^= planes[flip]
-            force = self._force_ix.get(i)
-            if force is not None:
-                value = (value & planes[force[0]]) | planes[force[1]]
-            values[i] = value

@@ -32,20 +32,20 @@ from typing import Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
-from ..netlist import Netlist, VariantFamily, get_compiled
+from ..netlist import Netlist, VariantFamily, VariantSpec, get_compiled
 
 #: Hamming-weight lookup for bytes.
 HW8 = np.array([x.bit_count() for x in range(256)], dtype=np.int64)
 
-#: Patterns per packed simulation chunk.  Bounds the Python-int words at
-#: ``PACK_CHUNK`` bits so bigint ops stay in the small, cache-friendly
-#: regime even for multi-thousand-trace campaigns.
+#: Patterns per packed simulation chunk.  Bounds a one-variant call's
+#: Python-int words at ``PACK_CHUNK`` bits so bigint ops stay in the
+#: small, cache-friendly regime even for multi-thousand-trace campaigns.
 PACK_CHUNK = 2048
 
-#: Total word width (variants x traces-per-chunk) for family sweeps.
+#: Total word width (variants x patterns-per-chunk) for wide families.
 #: Wider than :data:`PACK_CHUNK`: the batched win comes from amortizing
-#: per-statement dispatch over more patterns per word, so family chunks
-#: deliberately run in the large-word regime.
+#: per-statement dispatch over more patterns per word, so families of
+#: 16 or more variants deliberately run in the large-word regime.
 FAMILY_CHUNK_BITS = 1 << 15
 
 
@@ -130,25 +130,15 @@ def _pack_stimuli(stimuli: Sequence[Mapping[str, int]],
 
 
 def net_bit_matrix(netlist: Netlist,
-                   stimuli: Sequence[Mapping[str, int]],
-                   chunk: int = PACK_CHUNK) -> np.ndarray:
+                   stimuli: Sequence[Mapping[str, int]]) -> np.ndarray:
     """Value of every net for every stimulus as a ``(nets, traces)`` matrix.
 
     Rows follow the compiled topological order
-    (``get_compiled(netlist).names``).  The stimulus batch is simulated
-    in chunks of ``chunk`` packed patterns.
+    (``get_compiled(netlist).names``).  The one-variant call of
+    :func:`family_net_bit_matrix`.
     """
-    compiled = get_compiled(netlist)
-    input_names = compiled.input_names
-    n_traces = len(stimuli)
-    bits = np.empty((len(compiled.names), n_traces), dtype=np.uint8)
-    for start in range(0, n_traces, chunk):
-        batch = stimuli[start:start + chunk]
-        packed = _pack_stimuli(batch, input_names)
-        words = compiled.eval_words(packed, len(batch))
-        bits[:, start:start + len(batch)] = _words_to_bit_matrix(
-            words, len(batch))
-    return bits
+    return family_net_bit_matrix(
+        VariantFamily(netlist, [VariantSpec()]), stimuli)[0]
 
 
 def leakage_traces(netlist: Netlist,
@@ -166,26 +156,12 @@ def leakage_traces(netlist: Netlist,
 
     For ``model="toggle"``, each trace covers the transition from the
     previous stimulus to the current one (the first trace uses an
-    all-zero predecessor).
+    all-zero predecessor).  The one-variant call of
+    :func:`family_leakage_traces`.
     """
-    if model not in ("value", "toggle"):
-        raise ValueError(f"unknown leakage model {model!r}")
-    n_traces = len(stimuli)
-    if n_traces == 0:
-        return np.zeros((0, 0))
-    compiled = get_compiled(netlist)
-    bits = net_bit_matrix(netlist, stimuli)
-    if model == "toggle":
-        # Transition bits: value in trace i vs trace i-1 (trace 0 vs 0).
-        toggled = bits.copy()
-        toggled[:, 1:] = bits[:, 1:] ^ bits[:, :-1]
-        bits = toggled
-    scatter = _level_scatter(compiled, weights)
-    samples = (bits.T.astype(scatter.dtype) @ scatter).astype(np.float64)
-    if noise_sigma > 0:
-        rng = np.random.default_rng(seed)
-        samples = samples + rng.normal(0.0, noise_sigma, samples.shape)
-    return samples
+    return family_leakage_traces(VariantFamily(netlist, [VariantSpec()]),
+                                 stimuli, model, noise_sigma, seed,
+                                 weights)[0]
 
 
 def _level_scatter(compiled, weights: Optional[Mapping[str, float]]
@@ -210,11 +186,12 @@ def _level_scatter(compiled, weights: Optional[Mapping[str, float]]
 
 
 def family_net_bit_matrix(family: VariantFamily,
-                          stimuli: Sequence[Mapping[str, int]],
-                          chunk_bits: int = FAMILY_CHUNK_BITS) -> np.ndarray:
+                          stimuli: Sequence[Mapping[str, int]]
+                          ) -> np.ndarray:
     """Every net's value per variant as ``(variants, nets, traces)``.
 
-    The whole family is simulated in one packed pass per chunk; the
+    The whole family is simulated in one packed pass per chunk of
+    ``min(PACK_CHUNK, FAMILY_CHUNK_BITS // variants)`` patterns; the
     full ``variants * chunk``-bit words are unpacked with a single
     ``unpackbits`` and reshaped, so no per-variant slicing happens in
     Python.  Variant ``v``'s plane is bit-identical to
@@ -228,7 +205,7 @@ def family_net_bit_matrix(family: VariantFamily,
         name for name in compiled.input_names
         if len(family._input_over.get(name, ())) < n_variants
     ]
-    chunk = max(1, chunk_bits // max(1, n_variants))
+    chunk = max(1, min(PACK_CHUNK, FAMILY_CHUNK_BITS // n_variants))
     bits = np.empty((n_variants, len(compiled.names), n_traces),
                     dtype=np.uint8)
     for start in range(0, n_traces, chunk):

@@ -333,7 +333,6 @@ def variant_sweep_campaign(netlist: Netlist,
                            rundb: Optional[RunDatabase] = None,
                            timeout: Optional[float] = None,
                            retries: int = 1,
-                           batch: bool = True,
                            pool: Optional[WorkerPool] = None,
                            bus: Optional[EventBus] = None
                            ) -> List[Dict[str, object]]:
@@ -343,11 +342,10 @@ def variant_sweep_campaign(netlist: Netlist,
     ``variant-eval`` spec hash — batching is an execution detail, not
     part of the addressed computation.  The campaign first serves
     variants already cached (whether an earlier run scored them
-    serially or batched), then submits only the misses: one
-    ``variant-batch`` job covering all of them when ``batch`` is true
-    (the job publishes each per-variant result under its
-    ``variant-eval`` hash), or one ``variant-eval`` job per variant
-    otherwise.  Results come back in variant order and are
+    serially or batched), then submits only the misses: two or more
+    become one ``variant-batch`` job (which publishes each per-variant
+    result under its ``variant-eval`` hash), a single one stays one
+    ``variant-eval`` job.  Results come back in variant order and are
     bit-identical across strategies, worker counts, and cache states.
 
     ``variants`` may hold :class:`~repro.netlist.VariantSpec` objects
@@ -377,7 +375,7 @@ def variant_sweep_campaign(netlist: Netlist,
             results[i] = payload["result"]
         else:
             misses.append(i)
-    if batch and len(misses) > 1:
+    if len(misses) > 1:
         spec = JobSpec(
             "variant-batch",
             params={"netlist": input_hash,

@@ -74,7 +74,7 @@ from .campaigns import CAMPAIGN_PLANS
 from .events import EventBus, JobEvent
 from .jobs import JobSpec, registered_job_types
 from .rundb import RunDatabase
-from .scheduler import Scheduler, WorkerPool
+from .scheduler import Scheduler
 from .store import ArtifactStore, validate_digest
 from .tenants import (
     NamespacedRunDatabase,
@@ -599,19 +599,18 @@ class Gateway:
                  registry: TenantRegistry,
                  rundb: Optional[RunDatabase] = None,
                  workers: int = 2,
-                 host: str = "127.0.0.1", port: int = 0,
-                 pool: Optional[WorkerPool] = None) -> None:
-        if workers < 1 and pool is None:
+                 host: str = "127.0.0.1", port: int = 0) -> None:
+        if workers < 1:
             raise ValueError("gateway needs at least one worker")
         self.store = store
         self.rundb = rundb
         self.registry = registry
-        self.workers = pool.size if pool is not None else workers
+        self.workers = workers
         self.host = host
         self.port = port
         self.bus = EventBus()
         self.scheduler = Scheduler(
-            workers=workers, store=store, rundb=rundb, pool=pool,
+            workers=workers, store=store, rundb=rundb,
             run_id="gateway", bus=self.bus)
         self._lock = threading.RLock()
         self._jobs: Dict[str, _JobView] = {}

@@ -9,26 +9,36 @@ variant's deltas (input overrides, stuck-at forces, bit flips, patched
 opcodes) while walking the netlist in topological order.
 
 The same bit-exactness is asserted one level up for the ported
-consumers: fault campaigns (batched vs serial strategy), leakage
-traces / TVLA verdicts (family vs per-variant simulation), and the
-service layer's per-variant artifact-cache keys.
+consumers: fault campaigns (both strategies vs one injected copy per
+fault under the reference simulator), leakage traces / TVLA verdicts
+(family vs per-variant simulation), and the service layer's
+per-variant artifact-cache keys.
 """
 
 from __future__ import annotations
+
+import random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.fia import FaultKind, enumerate_faults, fault_campaign
+from repro.fia import FaultKind, enumerate_faults, fault_campaign, inject_fault
+from repro.fia.analysis import _BATCH_THRESHOLD
 from repro.netlist import (
     GateType,
     Netlist,
+    NetlistError,
     VariantFamily,
     VariantSpec,
+    engine_cache,
     get_compiled,
+    random_stimulus,
+    reset_engine_cache,
+    simulate_reference,
 )
-from repro.netlist.generators import c17
+from repro.netlist.engine import CompiledNetlist
+from repro.netlist.generators import c17, random_circuit, ripple_carry_adder
 from repro.sca import family_leakage_traces, leakage_traces, tvla
 
 _VARIADIC = (
@@ -256,33 +266,165 @@ def test_spec_round_trip_and_validation():
         VariantFamily(netlist, [])       # empty family
     with pytest.raises(Exception):       # INPUT sites are not patchable
         VariantFamily(netlist, [VariantSpec(opcodes={"G1": "AND"})])
+    with pytest.raises(NetlistError, match="'flip'"):   # misspelled delta
+        VariantSpec.from_dict({"flip": ["G10"]})
+    with pytest.raises(NetlistError, match="'flip'"):
+        VariantFamily(netlist, [{"flip": ["G10"]}])
+
+
+@pytest.mark.parametrize("traces", [3, 8])
+@pytest.mark.parametrize("columns, match", [
+    ({"G1": [1]}, "1 words for 2 variants"),            # short list
+    ({"G1": [1, 1, 1]}, "3 words for 2 variants"),      # long list
+    ({"nope": [1, 1]}, "'nope' is not an input"),       # unknown name
+])
+def test_per_variant_inputs_checked_at_every_width(traces, columns, match):
+    netlist = c17()
+    family = VariantFamily(netlist, [VariantSpec(), VariantSpec()])
+    stimulus = {name: 0b101 for name in netlist.inputs}
+    with pytest.raises(NetlistError, match=match):
+        family.eval_words(stimulus, traces, per_variant_inputs=columns)
+
+
+def test_plain_family_reuses_the_plain_program():
+    """The identity family is the plain netlist: no second program."""
+    reset_engine_cache()
+    netlist = c17()
+    stimulus = {name: 0b1011 for name in netlist.inputs}
+    compiled = get_compiled(netlist)
+    compiled.eval_words(stimulus, 4)          # interpreted
+    want = compiled.eval_words(stimulus, 4)   # compiles the program
+    before = engine_cache().stats()
+    family = VariantFamily(netlist, [VariantSpec()])
+    for _ in range(3):
+        assert family.eval_words(stimulus, 4) == want
+    after = engine_cache().stats()
+    assert after["programs"] == before["programs"]
+    assert after["misses"] == before["misses"]
+    reset_engine_cache()
+
+
+def test_one_shot_layouts_stay_bounded_and_keep_the_plain_program(
+        monkeypatch):
+    netlist = c17()
+    stimulus = {name: 0b1011 for name in netlist.inputs}
+    compiled = get_compiled(netlist)
+    compiled.eval_words(stimulus, 4)
+    want = compiled.eval_words(stimulus, 4)
+    faults = enumerate_faults(netlist, kinds=(
+        FaultKind.STUCK_AT_0, FaultKind.STUCK_AT_1, FaultKind.BIT_FLIP))
+    # At 2**15 vectors every batched family holds one fault, so each
+    # site brings its own layout: more than the memo may keep.
+    layouts = {(f.net, f.kind is FaultKind.BIT_FLIP) for f in faults}
+    assert len(layouts) > CompiledNetlist._PROGRAMS_MAX
+    fault_campaign(netlist, faults, n_vectors=1 << 15, seed=1)
+    assert get_compiled(netlist) is compiled
+    assert len(compiled._programs) <= CompiledNetlist._PROGRAMS_MAX
+
+    def not_compiled(self, *args):
+        raise AssertionError("the plain program was dropped")
+
+    # Neither interpreted nor regenerated: the compiled program runs.
+    monkeypatch.setattr(CompiledNetlist, "_codegen", not_compiled)
+    monkeypatch.setattr(CompiledNetlist, "_interpret", not_compiled)
+    before = engine_cache().stats()
+    assert compiled.eval_words(stimulus, 4) == want
+    assert engine_cache().stats() == before
 
 
 # ----------------------------------------------------------------------
 # Ported consumers
 # ----------------------------------------------------------------------
 
-@settings(max_examples=25, deadline=None)
-@given(data=st.data())
-def test_fault_campaign_batched_matches_serial(data):
-    netlist = data.draw(combinational_netlists())
+def reference_campaign(netlist: Netlist, faults, n_vectors: int,
+                       seed: int, alarm=None):
+    """``inject_fault`` then ``simulate_reference``, one copy per fault.
+
+    The formulation :func:`fault_campaign` documents, evaluated with
+    neither its event-driven nor its batched machinery; the stimulus
+    is the campaign's own seeded draw.
+    """
+    mask = (1 << n_vectors) - 1
+    stimulus = random_stimulus(netlist.inputs, n_vectors,
+                               random.Random(seed))
+    golden = simulate_reference(netlist, stimulus, n_vectors)
+    outputs = [o for o in netlist.outputs if o != alarm]
+    rows = []
+    for fault in faults:
+        faulty = simulate_reference(inject_fault(netlist, fault), stimulus,
+                                    n_vectors)
+        corrupt = 0
+        for o in outputs:
+            corrupt |= golden[o] ^ faulty[o]
+        propagated = corrupt != 0
+        if alarm is None:
+            detected, silent = False, propagated
+        else:
+            undetected = corrupt & ~faulty[alarm] & mask
+            detected, silent = propagated and undetected == 0, undetected != 0
+        rows.append((fault.net, fault.kind, propagated, detected, silent))
+    return rows
+
+
+def _campaign_rows(report):
+    return [(o.fault.net, o.fault.kind, o.propagated, o.detected,
+             o.silent_corruption) for o in report.outcomes]
+
+
+def _check_campaign(netlist: Netlist, n_vectors: int, seed: int,
+                    alarm=None) -> None:
+    """Both strategies vs the oracle on every fault.
+
+    The full list runs batched; windows shorter than the threshold run
+    serially.
+    """
     faults = enumerate_faults(
         netlist, kinds=(FaultKind.STUCK_AT_0, FaultKind.STUCK_AT_1,
                         FaultKind.BIT_FLIP))
-    seed = data.draw(st.integers(min_value=0, max_value=2**16))
-    n_vectors = data.draw(st.sampled_from([1, 7, 32]))
-    serial = fault_campaign(netlist, faults, n_vectors=n_vectors,
-                            seed=seed, batch=False)
-    batched = fault_campaign(netlist, faults, n_vectors=n_vectors,
-                             seed=seed, batch=True)
-    assert [
-        (o.fault.net, o.fault.kind, o.propagated, o.detected,
-         o.silent_corruption) for o in serial.outcomes
-    ] == [
-        (o.fault.net, o.fault.kind, o.propagated, o.detected,
-         o.silent_corruption) for o in batched.outcomes
-    ]
-    assert serial.coverage == batched.coverage
+    want = reference_campaign(netlist, faults, n_vectors, seed, alarm)
+    got = fault_campaign(netlist, faults, n_vectors=n_vectors, alarm=alarm,
+                         seed=seed)
+    assert _campaign_rows(got) == want
+    step = _BATCH_THRESHOLD - 1
+    for start in range(0, len(faults), step):
+        window = faults[start:start + step]
+        got = fault_campaign(netlist, window, n_vectors=n_vectors,
+                             alarm=alarm, seed=seed)
+        assert _campaign_rows(got) == want[start:start + step]
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_fault_campaign_matches_inject_then_simulate(data):
+    netlist = data.draw(combinational_netlists())
+    alarm = None
+    if data.draw(st.booleans()):
+        alarm = data.draw(st.sampled_from(
+            [g for g in netlist.gates if g not in netlist.outputs]))
+        netlist.add_output(alarm)
+    _check_campaign(netlist, n_vectors=data.draw(st.sampled_from([1, 7, 32])),
+                    seed=data.draw(st.integers(min_value=0, max_value=2**16)),
+                    alarm=alarm)
+
+
+@pytest.mark.parametrize("build", [
+    c17, lambda: ripple_carry_adder(4), lambda: random_circuit(6, 30, 3, 5),
+], ids=["c17", "rca4", "random"])
+@pytest.mark.parametrize("with_alarm", [False, True])
+def test_fault_campaign_both_strategies_match_oracle(build, with_alarm):
+    netlist = build()
+    assert len(enumerate_faults(netlist)) >= _BATCH_THRESHOLD
+    alarm = None
+    if with_alarm:
+        # An internal net that also drives the payload: a flip on it
+        # corrupts outputs while the alarm's own name reads healthy.
+        fanout = netlist.fanout_map()
+        alarm = next(g for g in netlist.topological_order()
+                     if netlist.gates[g].gate_type is not GateType.INPUT
+                     and fanout[g])
+        netlist.add_output(alarm)
+    for n_vectors, seed in ((1, 0), (1, 1), (48, 2)):
+        _check_campaign(netlist, n_vectors, seed, alarm)
 
 
 @settings(max_examples=10, deadline=None)
@@ -342,7 +484,7 @@ def test_service_variant_hashes_and_cache_hits(tmp_path, monkeypatch):
     ]
     store = ArtifactStore(str(tmp_path / "store"))
     first = variant_sweep_campaign(netlist, variants, n_vectors=16,
-                                   seed=3, store=store, batch=True)
+                                   seed=3, store=store)
     # Each batch entry equals the one-variant serial kernel (hash incl.)
     for variant, row in zip(variants, first):
         solo = evaluate_variants(netlist, [variant], n_vectors=16,
@@ -355,5 +497,5 @@ def test_service_variant_hashes_and_cache_hits(tmp_path, monkeypatch):
 
     monkeypatch.setattr(campaigns, "Scheduler", _no_scheduler)
     again = variant_sweep_campaign(netlist, variants, n_vectors=16,
-                                   seed=3, store=store, batch=False)
+                                   seed=3, store=store)
     assert again == first
