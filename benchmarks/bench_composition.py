@@ -9,6 +9,10 @@ gadget two ways and reproduces the exact effect:
   the XOR of the shares — the unmasked secret — and TVLA explodes.
 
 The composition engine must flag the second stack and pass the first.
+Its TVLA verdict is confirmed on a second trace set, so the verdict
+holds across seeds: over 100 consecutive seeds the parity stack is
+always flagged and the masked baseline never reads as a confirmed leak,
+although a single trace set fails it by chance now and then.
 """
 
 import pytest
@@ -20,6 +24,11 @@ from repro.core import (
     parity_countermeasure,
     wddl_countermeasure,
 )
+from repro.sca import TVLA_THRESHOLD
+
+#: Composition seeds of the verdict sweep: consecutive, fixed in advance.
+SWEEP_SEEDS = range(100)
+SWEEP_TRACES = 2000
 
 
 def run_composition_matrix():
@@ -67,3 +76,36 @@ def test_composition_cross_effects(benchmark):
     assert any("masking broken" in n for n in par["notes"])
     # WDDL composes safely with masking.
     assert matrix["wddl"]["final_t"] < 4.5
+
+
+def run_verdict_sweep(seeds=SWEEP_SEEDS):
+    """Masked-and + parity rows over ``seeds``: which rows go unflagged,
+    which baselines the first trace set alone fails, and which baselines
+    read as a confirmed leak (TVLA or a leaking net)."""
+    unflagged, first_set_fails, confirmed_leaks = [], [], []
+    for seed in seeds:
+        row = CompositionEngine(n_traces=SWEEP_TRACES, seed=seed) \
+            .evaluate_stack_row("masked-and", ["parity"])
+        baseline = row["baseline"]
+        if not row["flagged"]:
+            unflagged.append(seed)
+        if baseline["tvla_max_t"] > TVLA_THRESHOLD:
+            first_set_fails.append(seed)
+        if baseline["tvla_leaks"] or baseline["leaky_nets"]:
+            confirmed_leaks.append(seed)
+    return {"seeds": len(seeds), "unflagged": unflagged,
+            "first_set_fails": first_set_fails,
+            "confirmed_leaks": confirmed_leaks}
+
+
+def test_composition_verdict_seed_sweep(benchmark):
+    sweep = benchmark.pedantic(run_verdict_sweep, rounds=1, iterations=1)
+    print(f"\n=== masked-and + parity over {sweep['seeds']} seeds "
+          f"({SWEEP_TRACES} traces/class) ===")
+    print(f"unflagged parity rows:                 {sweep['unflagged']}")
+    print(f"baselines failing on the first set:    "
+          f"{len(sweep['first_set_fails'])} {sweep['first_set_fails']}")
+    print(f"baselines with a confirmed leak:       "
+          f"{sweep['confirmed_leaks']}")
+    assert not sweep["unflagged"]
+    assert not sweep["confirmed_leaks"]

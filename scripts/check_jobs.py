@@ -16,6 +16,9 @@ audit checks (without *running* anything):
   than a lottery,
 * the hash ignores execution policy (timeout/retries) but depends on
   the seed,
+* the registered result ``version`` is an int >= 0, and a nonzero
+  version changes the hash (version 0 keeps the unversioned one), so
+  a persistent store never serves results of an older version,
 * the declared ``sample_result`` is picklable *and* JSON-able — the
   result must cross the worker pipe and land in the artifact store,
   so it must not smuggle process-local handles (compiled programs,
@@ -44,7 +47,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 def audit() -> List[str]:
     """Return one problem string per registry violation (empty = clean)."""
-    from repro.netlist import canonical_json
+    from repro.netlist import canonical_json, stable_hash
     from repro.service import JobSpec, registered_job_types
 
     problems: List[str] = []
@@ -153,6 +156,22 @@ def audit() -> List[str]:
         if spec.spec_hash == JobSpec(name, params=sample,
                                      seed=8).spec_hash:
             problems.append(f"{name}: spec hash ignores the seed")
+
+        # Result version: a nonzero version must move the hash off the
+        # unversioned formula, or stale results stay addressable.
+        version = job_type.version
+        unversioned = stable_hash({"job_type": name, "params": sample,
+                                   "seed": 7})
+        if (not isinstance(version, int) or isinstance(version, bool)
+                or version < 0):
+            problems.append(
+                f"{name}: version {version!r} is not an int >= 0")
+        elif version and spec.spec_hash == unversioned:
+            problems.append(
+                f"{name}: version {version} does not change the spec "
+                "hash")
+        elif not version and spec.spec_hash != unversioned:
+            problems.append(f"{name}: version 0 changes the spec hash")
     return problems
 
 

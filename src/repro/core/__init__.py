@@ -57,7 +57,6 @@ from .designs import (
     wddl_countermeasure,
 )
 from .flow import (
-    CheckResult,
     SecureFlow,
     SecureFlowResult,
     SecurityRequirement,
@@ -117,7 +116,7 @@ __all__ = [
     "parity_countermeasure", "register_countermeasure",
     "register_design", "timing_reassociation_step",
     "wddl_countermeasure",
-    "CheckResult", "SecureFlow", "SecureFlowResult", "SecurityRequirement",
+    "SecureFlow", "SecureFlowResult", "SecurityRequirement",
     "no_leaky_net_requirement", "tvla_requirement",
     "Candidate", "LockingSweepPoint", "dominates", "locking_candidates",
     "measure_locking_point",

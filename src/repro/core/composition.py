@@ -14,6 +14,13 @@ cross-effects.  The flagship instance this engine catches: wrapping an
 ISW-masked gadget with parity-based error detection physically computes
 the XOR of the shares — the unmasked secret — on a wire, and TVLA
 lights up (ref [61] made executable).
+
+Side-channel metrics are the flow's verdict
+(:func:`~repro.flow.properties.tvla_check` and
+:func:`~repro.flow.properties.masking_check`, one shared simulation per
+TVLA class): a leak counts only when a second trace set confirms it, so
+a chance threshold crossing on a masked baseline neither hides a real
+break nor reads as one.
 """
 
 from __future__ import annotations
@@ -22,11 +29,9 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from ..fia import Fault, FaultKind, fault_campaign
 from ..netlist import Netlist, ppa_report
-from ..sca import TVLA_THRESHOLD, leakage_traces, locate_leaking_nets, tvla
+from ..sca import TVLA_THRESHOLD
 from .threats import ThreatVector
 
 #: A stimulus transformer: adapts base-circuit stimuli to the current
@@ -93,7 +98,12 @@ class Countermeasure:
 class EvaluationSnapshot:
     """All-threat metric values for one design state."""
 
+    #: First trace set's max|t| (the reported statistic).
     tvla_max_t: float
+    #: Confirmed verdict: a second trace set crosses the threshold at
+    #: a sample where the first did.
+    tvla_leaks: bool
+    #: Nets whose per-net leak a second trace set confirms.
     leaky_nets: int
     fia_coverage: float
     fia_silent: int
@@ -105,6 +115,7 @@ class EvaluationSnapshot:
         """Flat numeric view for tabular reports."""
         return {
             "tvla_max_t": self.tvla_max_t,
+            "tvla_leaks": float(self.tvla_leaks),
             "leaky_nets": float(self.leaky_nets),
             "fia_coverage": self.fia_coverage,
             "fia_silent": float(self.fia_silent),
@@ -175,26 +186,6 @@ class CompositionEngine:
 
     # -- individual evaluations -----------------------------------------
 
-    def evaluate_sca(self, design: Design,
-                     seed_offset: int = 0) -> Tuple[float, int]:
-        """(max |t|, count of individually leaking nets)."""
-        fixed = design.make_stimuli(self.n_traces, True,
-                                    self.seed + seed_offset)
-        rand = design.make_stimuli(self.n_traces, False,
-                                   self.seed + seed_offset + 1)
-        fixed_traces = leakage_traces(design.netlist, fixed,
-                                      noise_sigma=self.noise_sigma,
-                                      seed=self.seed + seed_offset)
-        rand_traces = leakage_traces(design.netlist, rand,
-                                     noise_sigma=self.noise_sigma,
-                                     seed=self.seed + seed_offset + 1)
-        result = tvla(fixed_traces, rand_traces)
-        per_net = locate_leaking_nets(design.netlist, fixed, rand,
-                                      seed=self.seed)
-        leaky = sum(1 for entry in per_net
-                    if abs(entry.t_statistic) > self.tvla_threshold)
-        return result.max_abs_t, leaky
-
     def evaluate_fia(self, design: Design) -> Tuple[float, int]:
         """(detection coverage, silent corruptions) over the region."""
         faults = design.fault_sites()
@@ -208,13 +199,30 @@ class CompositionEngine:
 
     def evaluate(self, design: Design,
                  seed_offset: int = 0) -> EvaluationSnapshot:
-        """All-threat snapshot: SCA, FIA, and PPA in one record."""
-        max_t, leaky = self.evaluate_sca(design, seed_offset)
+        """All-threat snapshot: SCA, FIA, and PPA in one record.
+
+        SCA is the flow's verdict (:func:`~repro.flow.properties.
+        tvla_check` and :func:`~repro.flow.properties.masking_check`)
+        on one shared simulation per TVLA class.
+        """
+        from ..flow.analysis import AnalysisCache
+        from ..flow.properties import masking_check, tvla_check
+
+        cache = AnalysisCache()
+        seed = self.seed + seed_offset
+        tvla = tvla_check(design, n_traces=self.n_traces,
+                          noise_sigma=self.noise_sigma,
+                          threshold=self.tvla_threshold, seed=seed,
+                          cache=cache)
+        masking = masking_check(design, n_traces=self.n_traces,
+                                threshold=self.tvla_threshold, seed=seed,
+                                cache=cache)
         coverage, silent = self.evaluate_fia(design)
         ppa = ppa_report(design.netlist)
         return EvaluationSnapshot(
-            tvla_max_t=max_t,
-            leaky_nets=leaky,
+            tvla_max_t=tvla.value,
+            tvla_leaks=not tvla.passed,
+            leaky_nets=int(masking.value),
             fia_coverage=coverage,
             fia_silent=silent,
             area=ppa.area,
@@ -230,9 +238,9 @@ class CompositionEngine:
         """Apply each countermeasure, re-verifying all threats after each.
 
         Harmful cross-effects are flagged when a countermeasure for one
-        threat makes another threat's metric materially worse:
-        TVLA flipping from pass to fail, FIA coverage dropping, or new
-        individually-leaking nets appearing.
+        threat makes another threat's metric materially worse: the
+        confirmed TVLA verdict flipping from pass to leak, FIA coverage
+        dropping, or more confirmed individually-leaking nets.
         """
         report = CompositionReport()
         snapshot = self.evaluate(design)
@@ -297,8 +305,7 @@ class CompositionEngine:
     def _diff(self, report: CompositionReport, cm: Countermeasure,
               before: EvaluationSnapshot,
               after: EvaluationSnapshot) -> None:
-        tvla_flipped = (before.tvla_max_t <= self.tvla_threshold
-                        < after.tvla_max_t)
+        tvla_flipped = after.tvla_leaks and not before.tvla_leaks
         report.cross_effects.append(CrossEffect(
             cm.name, "tvla_max_t", before.tvla_max_t, after.tvla_max_t,
             harmful=tvla_flipped,

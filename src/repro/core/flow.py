@@ -11,26 +11,30 @@
   countermeasure), all requirements are re-checked, so nothing is
   "inadvertently compromised".
 
-Since the pass-manager refactor this class is a thin pipeline
-definition over :class:`repro.flow.PassManager`: requirements become
-property checkers, transforms run as effect-undeclared (conservative)
-passes — which is exactly the re-check-everything loop above — and the
-run additionally yields the manager's machine-readable
-:class:`~repro.flow.manager.FlowTrace` as ``result.trace``.  The
-measurement logic itself (TVLA, per-net leakage) lives once, in
+This class is a thin pipeline definition over
+:class:`repro.flow.PassManager`: each requirement's ``check`` is a
+property checker handed to the manager as is, transforms run as
+effect-undeclared (conservative) passes — which is exactly the
+re-check-everything loop above — and the run additionally yields the
+manager's machine-readable :class:`~repro.flow.manager.FlowTrace` as
+``result.trace``.  The measurement logic itself (TVLA and per-net
+leakage, confirmed on a second trace set) lives once, in
 :mod:`repro.flow.properties`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence
 
 from ..sca import TVLA_THRESHOLD
-from ..flow.properties import masking_check, tvla_check
+from ..flow.properties import PropertyCheck, masking_check, tvla_check
 from .composition import Design
 from .stages import DesignStage, FlowReport
 from .threats import ThreatVector
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from ..flow.manager import FlowContext
 
 
 @dataclass
@@ -40,27 +44,10 @@ class SecurityRequirement:
     name: str
     threat: ThreatVector
     stage: DesignStage
-    check: Callable[["SecureFlowContext"], "CheckResult"]
-
-
-@dataclass
-class CheckResult:
-    passed: bool
-    value: float
-    message: str
-
-
-class SecureFlowContext:
-    """Everything a requirement check may inspect.
-
-    Kept for API compatibility; requirement checks now also accept the
-    pass manager's :class:`repro.flow.manager.FlowContext`, which has
-    the same ``design`` / ``placement`` surface plus an analysis cache.
-    """
-
-    def __init__(self, design: Design) -> None:
-        self.design = design
-        self.placement = None
+    #: ``check(ctx) -> PropertyCheck`` over the pass manager's
+    #: :class:`~repro.flow.manager.FlowContext`; handed to
+    #: :class:`~repro.flow.PassManager` as is.
+    check: Callable[[FlowContext], PropertyCheck]
 
 
 @dataclass
@@ -81,11 +68,10 @@ def tvla_requirement(n_traces: int = 4000, noise_sigma: float = 0.25,
                      seed: int = 0) -> SecurityRequirement:
     """Fixed-vs-random leakage must stay below the TVLA threshold."""
 
-    def check(ctx: SecureFlowContext) -> CheckResult:
-        result = tvla_check(ctx.design, n_traces=n_traces,
-                            noise_sigma=noise_sigma, threshold=threshold,
-                            seed=seed, cache=getattr(ctx, "cache", None))
-        return CheckResult(result.passed, result.value, result.message)
+    def check(ctx: FlowContext) -> PropertyCheck:
+        return tvla_check(ctx.design, n_traces=n_traces,
+                          noise_sigma=noise_sigma, threshold=threshold,
+                          seed=seed, cache=ctx.cache)
 
     return SecurityRequirement(
         "tvla-first-order", ThreatVector.SIDE_CHANNEL,
@@ -97,11 +83,10 @@ def no_leaky_net_requirement(n_traces: int = 3000,
                              seed: int = 0) -> SecurityRequirement:
     """No individual wire may pass the per-net leakage test."""
 
-    def check(ctx: SecureFlowContext) -> CheckResult:
-        result = masking_check(ctx.design, n_traces=n_traces,
-                               threshold=threshold, seed=seed,
-                               cache=getattr(ctx, "cache", None))
-        return CheckResult(result.passed, result.value, result.message)
+    def check(ctx: FlowContext) -> PropertyCheck:
+        return masking_check(ctx.design, n_traces=n_traces,
+                             threshold=threshold, seed=seed,
+                             cache=ctx.cache)
 
     return SecurityRequirement(
         "no-leaky-wire", ThreatVector.SIDE_CHANNEL,
@@ -133,19 +118,11 @@ class SecureFlow:
     def run(self, design: Design) -> SecureFlowResult:
         """Run stages + transforms, re-checking requirements after each."""
         from ..flow import PassManager, secure_pipeline, to_flow_report
-        from ..flow.properties import PropertyCheck
         from ..netlist import ppa_report
-
-        def adapt(requirement: SecurityRequirement) -> Callable:
-            def checker(ctx) -> PropertyCheck:
-                result = requirement.check(ctx)
-                return PropertyCheck(requirement.name, result.passed,
-                                     result.value, result.message)
-            return checker
 
         names = [r.name for r in self.requirements]
         manager = PassManager(
-            checkers={r.name: adapt(r) for r in self.requirements},
+            checkers={r.name: r.check for r in self.requirements},
             seed=self.seed)
         outcome = manager.run(
             design,

@@ -111,7 +111,9 @@ def register_from_composition(design_name: str,
     """Convert a composition audit into a risk register.
 
     Harmful cross-effects become HIGH/CRITICAL findings; clean steps
-    become INFO entries with the model-limit residual attached.
+    become INFO entries with the model-limit residual attached.  The
+    leakage finding is graded on the final snapshot's confirmed TVLA
+    verdict, the same one the engine flags cross-effects on.
     """
     register = RiskRegister(design_name)
     final = report.steps[-1][1] if report.steps else None
@@ -137,10 +139,12 @@ def register_from_composition(design_name: str,
         register.add(RiskEntry(
             threat=ThreatVector.SIDE_CHANNEL,
             title="first-order leakage assessment",
-            severity=(Severity.CRITICAL if final.tvla_max_t > 4.5
+            severity=(Severity.CRITICAL if final.tvla_leaks
                       else Severity.INFO),
             measured=f"TVLA max|t| = {final.tvla_max_t:.2f} at the "
-                     f"configured trace budget",
+                     f"configured trace budget, "
+                     + ("leak confirmed by a second trace set"
+                        if final.tvla_leaks else "no confirmed leak"),
             residual=MODEL_LIMITS[ThreatVector.SIDE_CHANNEL],
         ))
         register.add(RiskEntry(

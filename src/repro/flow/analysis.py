@@ -1,7 +1,8 @@
 """Epoch-keyed analysis cache for the pass manager.
 
 Every expensive derived view of a netlist — topological order,
-levelization, PPA, the compiled simulation program, leakage traces —
+levelization, PPA, the compiled simulation program, the simulated net
+bits of a TVLA class and the leakage statistics computed from them —
 is an *analysis*.  :class:`AnalysisCache` stores one entry per
 ``(analysis name, extra key)`` pair, validated against the identity of
 the netlist it was computed from **and** the netlist's

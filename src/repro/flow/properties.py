@@ -8,12 +8,18 @@ the ``*_check`` functions in this module are the **single**
 implementation of each property's measurement, shared by
 
 * the pass manager's re-verification loop (:mod:`repro.flow.manager`),
-* the legacy :class:`repro.core.flow.SecureFlow` requirements, and
-* the constraint compiler (:mod:`repro.core.constraints`),
+* the :class:`repro.core.flow.SecureFlow` requirements,
+* the constraint compiler (:mod:`repro.core.constraints`), and
+* the composition engine (:mod:`repro.core.composition`), whose
+  snapshots the risk register grades,
 
-so the TVLA logic — previously duplicated between
-``core.flow.tvla_requirement`` and ``core.constraints.LeakageConstraint``
-— now exists exactly once.
+so the leakage verdict exists exactly once.  :func:`tvla_check` and
+:func:`masking_check` follow standard TVLA practice (Goodwill et al.,
+2011): each TVLA class of a trace set is simulated once into a net bit
+matrix in the :class:`~repro.flow.analysis.AnalysisCache`, both
+statistics are computed from it, and a check whose first set crosses
+the threshold draws a second set, reporting a leak only where both
+sets cross — at the same sample (TVLA) or the same net (masking).
 
 This module deliberately imports nothing from :mod:`repro.core` at
 module level (only under ``TYPE_CHECKING``): ``repro.core`` submodules
@@ -25,13 +31,23 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, Optional
+from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple
 
-from ..sca import TVLA_THRESHOLD, leakage_traces, locate_leaking_nets, tvla
+import numpy as np
+
+from ..netlist import get_compiled
+from ..sca import (
+    TVLA_THRESHOLD,
+    assessed_nets,
+    bits_to_traces,
+    net_t_statistics,
+    welch_t,
+)
+from ..sca.power_model import net_bit_matrix
+from .analysis import AnalysisCache
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     from ..core.composition import Design
-    from .analysis import AnalysisCache
 
 
 class SecurityProperty(enum.Enum):
@@ -74,27 +90,52 @@ class PropertyCheck:
         return "PASS" if self.passed else "FAIL"
 
 
-def _class_traces(design: "Design", fixed: bool, n_traces: int,
-                  noise_sigma: float, seed: int,
-                  cache: Optional["AnalysisCache"]):
-    """Leakage traces for one TVLA class, via the analysis cache.
+def _class_bits(design: "Design", fixed: bool, n_traces: int, seed: int,
+                cache: "AnalysisCache") -> np.ndarray:
+    """``(nets, traces)`` bit matrix of one TVLA class, simulated once.
 
-    The cache entry is keyed on the stimulus parameters and validated
-    against both the design object and the netlist mutation epoch, so a
-    re-check on an unchanged netlist (e.g. after a placement pass) is a
-    cache hit instead of a full re-simulation.
+    Keyed on the stimulus parameters and validated against the design
+    object and the netlist mutation epoch: the TVLA and per-net checks
+    of one trace set share the simulation, and a re-check on an
+    unmutated netlist simulates nothing.
     """
-    def build():
-        stimuli = design.make_stimuli(n_traces, fixed,
-                                      seed if fixed else seed + 1)
-        return leakage_traces(design.netlist, stimuli,
-                              noise_sigma=noise_sigma,
-                              seed=seed if fixed else seed + 1)
+    return cache.get(
+        "class-bits", design.netlist,
+        lambda: net_bit_matrix(design.netlist,
+                               design.make_stimuli(n_traces, fixed, seed)),
+        key=(design, fixed, n_traces, seed))
 
-    if cache is None:
-        return build()
-    return cache.get("leakage-traces", design.netlist, build,
-                     key=(design, fixed, n_traces, noise_sigma, seed))
+
+def _confirmed_leaks(design: "Design", statistic: Callable,
+                     analysis: Tuple, n_traces: int, threshold: float,
+                     seed: int, cache: Optional["AnalysisCache"]
+                     ) -> Tuple[np.ndarray, np.ndarray]:
+    """First-set ``|t|`` and the points where both trace sets cross
+    ``threshold``.
+
+    Trace set ``k`` draws its fixed and random classes from stimulus
+    seeds ``seed + 2k`` and ``seed + 2k + 1``; ``statistic(fixed_bits,
+    random_bits, set_seed)`` turns them into a t vector, cached per set
+    as ``analysis`` (the analysis name, then any statistic parameters).
+    The second set is drawn only when the first crosses somewhere, so a
+    passing design costs one set.
+    """
+    cache = cache if cache is not None else AnalysisCache()
+
+    def abs_t(set_seed: int) -> np.ndarray:
+        def build():
+            return np.abs(statistic(
+                _class_bits(design, True, n_traces, set_seed, cache),
+                _class_bits(design, False, n_traces, set_seed + 1, cache),
+                set_seed))
+        return cache.get(analysis[0], design.netlist, build,
+                         key=(design, n_traces, set_seed) + analysis[1:])
+
+    first = abs_t(seed)
+    leaks = first > threshold
+    if leaks.any():
+        leaks = leaks & (abs_t(seed + 2) > threshold)
+    return first, leaks
 
 
 def tvla_check(design: "Design", n_traces: int = 3000,
@@ -103,17 +144,32 @@ def tvla_check(design: "Design", n_traces: int = 3000,
                cache: Optional["AnalysisCache"] = None) -> PropertyCheck:
     """Fixed-vs-random first-order TVLA against ``threshold``.
 
-    The one shared implementation of the TVLA bound check.
+    The one shared implementation of the TVLA bound check.  ``value``
+    is the first set's max|t| (bit-identical to :func:`~repro.sca.tvla`
+    on :func:`~repro.sca.leakage_traces` of the same stimuli); the
+    check fails only on a leak confirmed at the same sample by a second
+    trace set.
     """
-    result = tvla(
-        _class_traces(design, True, n_traces, noise_sigma, seed, cache),
-        _class_traces(design, False, n_traces, noise_sigma, seed, cache))
+    def statistic(fixed_bits, random_bits, set_seed):
+        compiled = get_compiled(design.netlist)
+        return welch_t(
+            bits_to_traces(compiled, fixed_bits, noise_sigma, set_seed),
+            bits_to_traces(compiled, random_bits, noise_sigma,
+                           set_seed + 1))
+
+    abs_t, leaks = _confirmed_leaks(design, statistic,
+                                    ("tvla-t", noise_sigma), n_traces,
+                                    threshold, seed, cache)
+    max_t = float(abs_t.max())
+    note = ""
+    if max_t > threshold:
+        note = (f"; a second trace set confirms {int(leaks.sum())} "
+                f"leaking sample(s)" if leaks.any() else
+                "; not confirmed by a second trace set")
     return PropertyCheck(
-        SecurityProperty.TVLA_BOUND,
-        result.max_abs_t <= threshold,
-        result.max_abs_t,
-        f"TVLA max|t| = {result.max_abs_t:.2f} (threshold {threshold}) "
-        f"at {n_traces} traces/class")
+        SecurityProperty.TVLA_BOUND, not leaks.any(), max_t,
+        f"TVLA max|t| = {max_t:.2f} (threshold {threshold}{note}) at "
+        f"{n_traces} traces/class")
 
 
 def masking_check(design: "Design", n_traces: int = 2500,
@@ -121,18 +177,29 @@ def masking_check(design: "Design", n_traces: int = 2500,
                   cache: Optional["AnalysisCache"] = None) -> PropertyCheck:
     """Per-wire leakage test: no individual net may distinguish the
     fixed class from the random class — the observable definition of
-    intact share encoding."""
-    del cache  # per-net values are not trace-shaped; no cache reuse yet
-    fixed = design.make_stimuli(n_traces, True, seed + 2)
-    rand = design.make_stimuli(n_traces, False, seed + 3)
-    entries = locate_leaking_nets(design.netlist, fixed, rand, seed=seed)
-    leaky = [e for e in entries if abs(e.t_statistic) > threshold]
-    worst = abs(entries[0].t_statistic) if entries else 0.0
-    message = (f"{len(leaky)} leaking nets"
-               + (f", worst {entries[0].net} |t|={worst:.1f}"
-                  if leaky else f" (worst per-net |t| = {worst:.2f})"))
-    return PropertyCheck(SecurityProperty.MASKING, not leaky,
-                         float(len(leaky)), message)
+    intact share encoding.
+
+    ``value`` counts the nets whose leak a second trace set confirms;
+    it reads the same class simulations as :func:`tvla_check` at equal
+    ``n_traces`` and ``seed``.
+    """
+    def statistic(fixed_bits, random_bits, set_seed):
+        return net_t_statistics(design.netlist, fixed_bits, random_bits,
+                                seed=set_seed)
+
+    abs_t, leaks = _confirmed_leaks(design, statistic, ("net-t",),
+                                    n_traces, threshold, seed, cache)
+    n_leaky = int(leaks.sum())
+    if n_leaky:
+        worst = int(np.argmax(np.where(leaks, abs_t, -1.0)))
+        message = (f"{n_leaky} leaking nets, worst "
+                   f"{assessed_nets(design.netlist)[worst]} "
+                   f"|t|={abs_t[worst]:.1f}")
+    else:
+        message = (f"0 leaking nets (worst per-net |t| = "
+                   f"{abs_t.max(initial=0.0):.2f})")
+    return PropertyCheck(SecurityProperty.MASKING, not n_leaky,
+                         float(n_leaky), message)
 
 
 def no_flow_check(design: "Design", source: str, target: str,
@@ -397,7 +464,7 @@ def default_checkers(n_traces: int = 3000,
     """The stock checker set for pipelines over masked designs."""
     return {
         SecurityProperty.TVLA_BOUND: tvla_checker(n_traces, noise_sigma),
-        SecurityProperty.MASKING: masking_checker(min(n_traces, 2500)),
+        SecurityProperty.MASKING: masking_checker(n_traces),
         SecurityProperty.FAULT_DETECTION: fault_detection_checker(),
         SecurityProperty.SCAN_LEAKAGE: scan_leakage_checker(),
     }

@@ -2,6 +2,7 @@
 
 from .power_model import (
     HW8,
+    bits_to_traces,
     family_leakage_traces,
     family_net_bit_matrix,
     hamming_weight,
@@ -43,13 +44,15 @@ from .mia import (
 )
 from .localize import (
     NetLeakage,
+    assessed_nets,
     leaking_gate_report,
     locate_leaking_nets,
-    per_net_values,
+    net_t_statistics,
 )
 
 __all__ = [
-    "HW8", "family_leakage_traces", "family_net_bit_matrix",
+    "HW8", "bits_to_traces", "family_leakage_traces",
+    "family_net_bit_matrix",
     "hamming_weight", "hd_model", "intermediate_value_trace",
     "leakage_traces", "popcounts", "signal_to_noise_ratio",
     "TVLA_THRESHOLD", "TvlaResult", "tvla", "tvla_sweep", "welch_t",
@@ -63,6 +66,6 @@ __all__ = [
     "sequential_leakage_traces", "sequential_power_trace",
     "MiaResult", "mia_attack", "mutual_information",
     "perceived_information_gap",
-    "NetLeakage", "leaking_gate_report", "locate_leaking_nets",
-    "per_net_values",
+    "NetLeakage", "assessed_nets", "leaking_gate_report",
+    "locate_leaking_nets", "net_t_statistics",
 ]

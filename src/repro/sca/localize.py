@@ -11,7 +11,7 @@ finished ICs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Sequence
+from typing import List, Mapping, Sequence
 
 import numpy as np
 
@@ -33,13 +33,35 @@ class NetLeakage:
         return abs(self.t_statistic) > TVLA_THRESHOLD
 
 
-def per_net_values(netlist: Netlist,
-                   stimuli: Sequence[Mapping[str, int]]) -> Dict[str, np.ndarray]:
-    """Bit matrix of every net's value across a stimulus batch."""
-    compiled = get_compiled(netlist)
-    bits = net_bit_matrix(netlist, stimuli)
-    return {net: bits[i].astype(np.int64)
-            for i, net in enumerate(compiled.names)}
+def assessed_nets(netlist: Netlist) -> List[str]:
+    """Nets the per-net test covers: every non-input net, gate order.
+
+    Primary inputs are excluded: they trivially differ between classes.
+    """
+    inputs = set(netlist.inputs)
+    return [net for net in netlist.gates if net not in inputs]
+
+
+def net_t_statistics(netlist: Netlist, fixed_bits: np.ndarray,
+                     random_bits: np.ndarray, noise_sigma: float = 0.01,
+                     seed: int = 0) -> np.ndarray:
+    """Fixed-vs-random t of every :func:`assessed_nets` entry, in order.
+
+    ``fixed_bits`` / ``random_bits`` are ``(nets, traces)`` matrices from
+    :func:`~repro.sca.power_model.net_bit_matrix`.  A tiny noise floor
+    keeps the t-statistic finite on constant nets; it is drawn from
+    ``default_rng(seed)`` net by net, fixed class then random class, so
+    one vectorized Welch call over all nets equals a per-net loop.
+    """
+    index = get_compiled(netlist).index
+    rows = [index[net] for net in assessed_nets(netlist)]
+    n_fixed = fixed_bits.shape[1]
+    rng = np.random.default_rng(seed)
+    noise = rng.normal(0.0, noise_sigma,
+                       (len(rows), n_fixed + random_bits.shape[1]))
+    a = fixed_bits[rows].astype(float) + noise[:, :n_fixed]
+    b = random_bits[rows].astype(float) + noise[:, n_fixed:]
+    return welch_t(a.T, b.T)
 
 
 def locate_leaking_nets(netlist: Netlist,
@@ -47,26 +69,14 @@ def locate_leaking_nets(netlist: Netlist,
                         random_stimuli: Sequence[Mapping[str, int]],
                         noise_sigma: float = 0.01,
                         seed: int = 0) -> List[NetLeakage]:
-    """Per-net fixed-vs-random t-test, most leaky nets first.
-
-    Primary inputs are excluded: they trivially differ between classes.
-    A tiny noise floor keeps the t-statistic finite on constant nets.
-    """
-    rng = np.random.default_rng(seed)
-    fixed_bits = per_net_values(netlist, fixed_stimuli)
-    random_bits = per_net_values(netlist, random_stimuli)
+    """Per-net fixed-vs-random t-test, most leaky nets first."""
+    t = net_t_statistics(netlist, net_bit_matrix(netlist, fixed_stimuli),
+                         net_bit_matrix(netlist, random_stimuli),
+                         noise_sigma, seed)
     levels = netlist.levels()
-    inputs = set(netlist.inputs)
-    results: List[NetLeakage] = []
-    for net in netlist.gates:
-        if net in inputs:
-            continue
-        a = fixed_bits[net].astype(float)[:, None]
-        b = random_bits[net].astype(float)[:, None]
-        a = a + rng.normal(0.0, noise_sigma, a.shape)
-        b = b + rng.normal(0.0, noise_sigma, b.shape)
-        t = float(welch_t(a, b)[0])
-        results.append(NetLeakage(net=net, t_statistic=t, level=levels[net]))
+    results = [NetLeakage(net=net, t_statistic=float(value),
+                          level=levels[net])
+               for net, value in zip(assessed_nets(netlist), t)]
     results.sort(key=lambda r: -abs(r.t_statistic))
     return results
 

@@ -185,6 +185,33 @@ def _level_scatter(compiled, weights: Optional[Mapping[str, float]]
     return scatter
 
 
+def bits_to_traces(compiled, bits: np.ndarray, noise_sigma: float = 1.0,
+                   seed: int = 0,
+                   weights: Optional[Mapping[str, float]] = None
+                   ) -> np.ndarray:
+    """Per-level traces from net bit matrices: the one aggregation step.
+
+    ``bits`` is one ``(nets, traces)`` matrix (rows in
+    ``compiled.names`` order) or a ``(variants, nets, traces)`` stack;
+    the result is ``(traces, depth+1)`` or ``(variants, traces,
+    depth+1)``.  Plane ``v`` gets Gaussian noise from a fresh
+    ``default_rng(seed + v)``, so a cached bit matrix turned into
+    traces here is bit-identical to :func:`leakage_traces` on the
+    stimuli it was simulated from.
+    """
+    scatter = _level_scatter(compiled, weights)
+    planes = bits.reshape((-1,) + bits.shape[-2:])
+    out = np.empty((len(planes), bits.shape[-1], compiled.depth + 1))
+    for v, plane in enumerate(planes):
+        samples = (plane.T.astype(scatter.dtype) @ scatter) \
+            .astype(np.float64)
+        if noise_sigma > 0:
+            rng = np.random.default_rng(seed + v)
+            samples = samples + rng.normal(0.0, noise_sigma, samples.shape)
+        out[v] = samples
+    return out.reshape(bits.shape[:-2] + out.shape[1:])
+
+
 def family_net_bit_matrix(family: VariantFamily,
                           stimuli: Sequence[Mapping[str, int]]
                           ) -> np.ndarray:
@@ -237,26 +264,15 @@ def family_leakage_traces(family: VariantFamily,
     """
     if model not in ("value", "toggle"):
         raise ValueError(f"unknown leakage model {model!r}")
-    n_variants = len(family.variants)
-    n_traces = len(stimuli)
-    if n_traces == 0:
-        return np.zeros((n_variants, 0, 0))
-    compiled = get_compiled(family.netlist)
+    if len(stimuli) == 0:
+        return np.zeros((len(family.variants), 0, 0))
     bits = family_net_bit_matrix(family, stimuli)
     if model == "toggle":
         toggled = bits.copy()
         toggled[:, :, 1:] = bits[:, :, 1:] ^ bits[:, :, :-1]
         bits = toggled
-    scatter = _level_scatter(compiled, weights)
-    out = np.empty((n_variants, n_traces, compiled.depth + 1))
-    for v in range(n_variants):
-        samples = (bits[v].T.astype(scatter.dtype) @ scatter) \
-            .astype(np.float64)
-        if noise_sigma > 0:
-            rng = np.random.default_rng(seed + v)
-            samples = samples + rng.normal(0.0, noise_sigma, samples.shape)
-        out[v] = samples
-    return out
+    return bits_to_traces(get_compiled(family.netlist), bits, noise_sigma,
+                          seed, weights)
 
 
 def intermediate_value_trace(values: Sequence[int],

@@ -42,17 +42,27 @@ class JobType:
     #: engines, open stores), which is the contract that keeps warm
     #: workers' caches *inside* the worker.
     sample_result: Mapping[str, object] = field(default_factory=dict)
+    #: Result version, folded into :attr:`JobSpec.spec_hash` when
+    #: nonzero.  Bumped when a change makes the job return different
+    #: results for the same ``(params, seed)``, so a persistent store
+    #: cannot serve results computed before the change.
+    version: int = 0
 
 
 def register_job_type(name: str,
                       sample_params: Optional[Mapping[str, object]] = None,
-                      sample_result: Optional[Mapping[str, object]] = None):
-    """Decorator: register ``fn`` as the implementation of ``name``."""
+                      sample_result: Optional[Mapping[str, object]] = None,
+                      version: int = 0):
+    """Decorator: register ``fn`` as the implementation of ``name``.
+
+    ``version`` is a constant of the registration (see
+    :attr:`JobType.version`); version 0 keeps the unversioned hash.
+    """
     def wrap(fn: Callable) -> Callable:
         if name in _JOB_TYPES:
             raise ValueError(f"duplicate job type {name!r}")
         _JOB_TYPES[name] = JobType(name, fn, dict(sample_params or {}),
-                                   dict(sample_result or {}))
+                                   dict(sample_result or {}), version)
         return fn
     return wrap
 
@@ -138,14 +148,18 @@ class JobSpec:
     def spec_hash(self) -> str:
         """Content hash of the *computation* this spec names.
 
-        Covers job type, parameters, and seed — not the execution
-        policy (timeout/retries), which changes how hard we try, not
-        what is computed.  This is the artifact-store key: same hash,
-        same result.
+        Covers job type, parameters, seed and the registered result
+        version (when nonzero) — not the execution policy
+        (timeout/retries), which changes how hard we try, not what is
+        computed.  This is the artifact-store key: same hash, same
+        result.
         """
-        return stable_hash({"job_type": self.job_type,
-                            "params": self.params_dict,
-                            "seed": self.seed})
+        doc = {"job_type": self.job_type, "params": self.params_dict,
+               "seed": self.seed}
+        job_type = _JOB_TYPES.get(self.job_type)
+        if job_type is not None and job_type.version:
+            doc["version"] = job_type.version
+        return stable_hash(doc)
 
     def describe(self) -> str:
         return f"{self.job_type}[{self.spec_hash[:10]}]"
@@ -199,13 +213,25 @@ def _locking_point_job(params: Dict[str, object], ctx: JobContext):
     "engine": {"n_traces": 400, "noise_sigma": 0.25,
                "n_fault_vectors": 16}}, sample_result={
     "design": "masked-and", "stack": ["duplication"],
-    "sca_leaks": False, "fia_detected": 1.0, "area": 40.0})
+    "baseline": {"tvla_max_t": 1.09, "tvla_leaks": 0.0,
+                 "leaky_nets": 0.0, "fia_coverage": 0.0,
+                 "fia_silent": 48.0, "area": 41.1, "delay": 340.0,
+                 "key_bits": 0.0},
+    "final": {"tvla_max_t": 2.15, "tvla_leaks": 0.0, "leaky_nets": 0.0,
+              "fia_coverage": 1.0, "fia_silent": 0.0, "area": 94.45,
+              "delay": 502.0, "key_bits": 0.0},
+    "area_factor": 2.3, "flagged": False, "notes": [],
+    "cross_effects": [{"countermeasure": "duplication-detect",
+                       "metric": "tvla_max_t", "before": 1.09,
+                       "after": 2.15, "harmful": False, "note": ""}]},
+    version=1)
 def _composition_stack_job(params: Dict[str, object], ctx: JobContext):
     """One cross-effect matrix row: compose a named stack, re-verify.
 
     Designs and countermeasures are addressed by registry name
     (:mod:`repro.core.designs`) because they hold closures that cannot
-    cross process boundaries.
+    cross process boundaries.  Version 1: rows carry the confirmed TVLA
+    verdict (``tvla_leaks``) and count confirmed leaking nets.
     """
     from ..core import CompositionEngine
 

@@ -9,6 +9,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import test_service_scheduler  # noqa: F401  registers the t-* job types
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -141,3 +143,85 @@ class TestJobRegistryAudit:
             capture_output=True, text=True, cwd=REPO_ROOT)
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert "picklable and hash-stable" in proc.stdout
+
+
+class TestJobResultVersion:
+    """``register_job_type(version=...)`` folds into ``spec_hash``."""
+
+    @staticmethod
+    def unversioned_hash(job_type, params, seed):
+        from repro.netlist import stable_hash
+
+        return stable_hash({"job_type": job_type, "params": params,
+                            "seed": seed})
+
+    def test_composition_stack_hash_is_versioned(self):
+        from repro.service import JobSpec, registered_job_types
+
+        assert registered_job_types()["composition-stack"].version == 1
+        params = {"design": "masked-and", "stack": ["parity"],
+                  "engine": {"n_traces": 2000}}
+        spec = JobSpec("composition-stack", params=params, seed=1)
+        assert spec.spec_hash != self.unversioned_hash(
+            "composition-stack", params, 1)
+
+    def test_unversioned_job_types_keep_their_hash(self):
+        from repro.service import JobSpec, registered_job_types
+
+        assert registered_job_types()["netlist-ppa"].version == 0
+        params = {"netlist": "ab" * 32}
+        assert JobSpec("netlist-ppa", params=params, seed=3).spec_hash \
+            == self.unversioned_hash("netlist-ppa", params, 3)
+
+    @pytest.mark.parametrize("version", [-1, "1", 1.0, True])
+    def test_audit_rejects_invalid_version(self, version):
+        from repro.service import jobs as jobs_mod
+        from repro.service.jobs import JobType
+
+        check_jobs = load_check_jobs()
+
+        def documented(params, ctx):
+            """Documented, with a malformed result version."""
+            return None
+
+        jobs_mod._JOB_TYPES["t-bad-version"] = JobType(
+            "t-bad-version", documented, {"n": 1},
+            sample_result={"n": 1}, version=version)
+        try:
+            problems = "\n".join(check_jobs.audit())
+        finally:
+            del jobs_mod._JOB_TYPES["t-bad-version"]
+        assert f"t-bad-version: version {version!r} is not an int >= 0" \
+            in problems
+
+    def test_audit_catches_version_the_hash_ignores(self, monkeypatch):
+        from repro.service import JobSpec
+
+        check_jobs = load_check_jobs()
+        monkeypatch.setattr(JobSpec, "spec_hash", property(
+            lambda spec: self.unversioned_hash(
+                spec.job_type, spec.params_dict, spec.seed)))
+        problems = check_jobs.audit()
+        assert problems == [
+            "composition-stack: version 1 does not change the spec hash"]
+
+    def test_composition_sample_result_has_a_real_rows_shape(self):
+        from repro.service import (
+            JobContext,
+            JobSpec,
+            registered_job_types,
+            run_job,
+        )
+
+        def shape(value):
+            if isinstance(value, dict):
+                return {k: shape(v) for k, v in value.items()}
+            if isinstance(value, list):
+                return [shape(v) for v in value[:1]]
+            return type(value).__name__
+
+        job_type = registered_job_types()["composition-stack"]
+        row = run_job(JobSpec("composition-stack",
+                              params=job_type.sample_params, seed=1),
+                      JobContext(seed=1))
+        assert shape(job_type.sample_result) == shape(row)
