@@ -8,16 +8,10 @@ points at.  As the contrast, the secure flow runs the same masked
 design and reports its security verdicts.
 """
 
-import pytest
-
-from repro.core import (
-    ClassicalFlow,
-    SecureFlow,
-    masked_and_design,
-    tvla_requirement,
-)
+from repro.core import SecureFlow, masked_and_design, tvla_requirement
 from repro.crypto import aes_sbox_netlist
-from repro.netlist import array_multiplier, ripple_carry_adder
+from repro.flow import PassManager, classical_pipeline, netlist_design
+from repro.netlist import array_multiplier, ppa_report, ripple_carry_adder
 
 
 WORKLOADS = {
@@ -28,9 +22,14 @@ WORKLOADS = {
 
 
 def run_classical():
-    flow = ClassicalFlow(placement_iterations=4000)
-    return {name: flow.run(factory()) for name, factory in
-            WORKLOADS.items()}
+    """Fig. 1 on every workload: ``{name: (FlowRunResult, final PPA)}``."""
+    results = {}
+    for name, factory in WORKLOADS.items():
+        outcome = PassManager().run(
+            netlist_design(factory()),
+            classical_pipeline(placement_iterations=4000))
+        results[name] = (outcome, ppa_report(outcome.design.netlist))
+    return results
 
 
 def test_fig1_classical_flow(benchmark):
@@ -38,22 +37,20 @@ def test_fig1_classical_flow(benchmark):
     print("\n=== Fig. 1: classical EDA flow (no security considered) ===")
     print(f"{'design':<10} {'cells':>6} {'area':>8} {'delay ps':>9} "
           f"{'hpwl':>7} {'stuck-at cov':>12} {'security checks':>16}")
-    for name, result in results.items():
-        ppa = result.report.final_ppa
-        hpwl = next(r.metrics.get("hpwl", 0.0)
-                    for r in result.report.records
-                    if "hpwl" in r.metrics)
+    for name, (outcome, ppa) in results.items():
+        passes = outcome.trace.passes
+        hpwl = next(p.details["hpwl"] for p in passes
+                    if "hpwl" in p.details)
         coverage = next(
-            (r.metrics["stuck_at_coverage"]
-             for r in result.report.records
-             if "stuck_at_coverage" in r.metrics), float("nan"))
-        checks = result.report.total_security_checks
+            (p.details["stuck_at_coverage"] for p in passes
+             if "stuck_at_coverage" in p.details), float("nan"))
+        checks = len(outcome.trace.all_rechecks())
         print(f"{name:<10} {ppa.cell_count:>6} {ppa.area:>8.1f} "
               f"{ppa.delay:>9.1f} {hpwl:>7.0f} {coverage:>12.2f} "
               f"{checks:>16}")
         assert checks == 0  # the defining property of Fig. 1
     print("\n(per-stage trace for rca8)")
-    print(results["rca8"].report.render())
+    print(results["rca8"][0].trace.render())
 
 
 def test_fig1_secure_flow_contrast(benchmark):
@@ -63,13 +60,12 @@ def test_fig1_secure_flow_contrast(benchmark):
         return flow.run(masked_and_design())
 
     result = benchmark.pedantic(run, rounds=3, iterations=1)
-    checks = result.report.total_security_checks
+    rechecks = result.trace.all_rechecks()
     print("\n=== contrast: the security-centric flow on the same "
           "substrate ===")
-    print(f"security checks executed: {checks}; failures: "
+    print(f"security checks executed: {len(rechecks)}; failures: "
           f"{len(result.failures)}")
-    for record in result.report.records:
-        for check in record.security_checks:
-            print(f"   {check}")
-    assert checks > 0
+    for check in rechecks:
+        print(f"   {check.line}")
+    assert rechecks
     assert result.all_passed

@@ -11,13 +11,6 @@ Usage::
     python benchmarks/run_bench.py                 # whole suite
     python benchmarks/run_bench.py bench_tvla.py   # one file
     python benchmarks/run_bench.py -k tvla         # pytest filters pass through
-    python benchmarks/run_bench.py --jobs 4        # fan out per file
-
-With ``--jobs N`` each bench file becomes one ``pytest-bench`` job
-fanned through the :mod:`repro.service` scheduler (N worker
-processes, crash isolation, run-database visibility); the per-job
-benchmark JSONs are merged into the usual single ``BENCH_<n>.json``,
-so comparison and ``--check`` gating are unchanged.
 
 Exit status is non-zero if pytest fails or any benchmark regressed by
 more than ``--threshold`` (default 10%).
@@ -164,92 +157,6 @@ def check_summary(baseline: Dict[str, float],
               f"{statistics.median(speedups):.2f}x")
 
 
-def expand_targets(targets) -> list:
-    """Flatten targets to individual bench files (fan-out units)."""
-    files = []
-    for target in targets:
-        path = Path(target)
-        if path.is_dir():
-            files.extend(sorted(str(p) for p in path.glob("bench_*.py")))
-        else:
-            files.append(str(path))
-    return files
-
-
-def run_parallel(targets, flags, out_path: Path, jobs: int,
-                 rundb_path: Optional[Path] = None,
-                 serialize: bool = False) -> int:
-    """Fan one ``pytest-bench`` job per file through the scheduler.
-
-    Jobs are submitted ``cacheable=False`` — wall-clock timings are
-    not a pure function of ``(params, seed)``, so serving them from
-    the artifact store would defeat the measurement.  Per-job
-    benchmark JSONs are merged (``benchmarks`` lists concatenated,
-    top-level metadata from the first successful job) into
-    ``out_path`` so downstream comparison sees one ordinary run.
-
-    With ``serialize`` (used by ``--check``) each job depends on its
-    predecessor, so measurements never overlap: concurrent timing
-    runs contend for the same cores and slow short benchmarks
-    disproportionately, which the drift-normalized gate cannot tell
-    from a real regression.  The jobs still run as isolated worker
-    processes with run-database visibility.
-    """
-    sys.path.insert(0, str(REPO_ROOT / "src"))
-    from repro.service import JobSpec, RunDatabase, Scheduler
-
-    files = expand_targets(targets)
-    if not files:
-        print("no bench files matched")
-        return 1
-    rundb = RunDatabase(rundb_path) if rundb_path else None
-    scheduler = Scheduler(workers=jobs, rundb=rundb)
-    prev_id = None
-    for target in files:
-        prev_id = scheduler.submit(
-            JobSpec("pytest-bench",
-                    params={"target": target,
-                            "flags": list(flags),
-                            "cwd": str(REPO_ROOT),
-                            "pythonpath": str(REPO_ROOT / "src")},
-                    cacheable=False),
-            deps=([prev_id] if serialize and prev_id else ()),
-            job_id=Path(target).stem)
-    finished = scheduler.run()
-
-    merged = None
-    failures = 0
-    for job_id in sorted(finished):
-        job = finished[job_id]
-        if job.status != "succeeded" or job.result is None:
-            print(f"{job_id}: job {job.status}"
-                  + (f" — {job.error.splitlines()[-1]}"
-                     if job.error else ""))
-            failures += 1
-            continue
-        doc = job.result.get("doc")
-        if job.result.get("returncode") != 0 or not doc:
-            print(f"{job_id}: pytest exited with "
-                  f"{job.result.get('returncode')}")
-            tail = job.result.get("tail", "")
-            if tail:
-                print("\n".join(tail.splitlines()[-15:]))
-            failures += 1
-            continue
-        n = len(doc.get("benchmarks", []))
-        print(f"{job_id}: {n} benchmarks")
-        if merged is None:
-            merged = doc
-        else:
-            merged["benchmarks"].extend(doc.get("benchmarks", []))
-    if merged is not None:
-        out_path.write_text(json.dumps(merged, indent=2))
-    if failures:
-        print(f"{failures} bench job(s) failed")
-        return 1
-    return 0
-
-
 def main(argv: Optional[list] = None) -> int:
     parser = argparse.ArgumentParser(
         description=__doc__.splitlines()[0],
@@ -264,13 +171,6 @@ def main(argv: Optional[list] = None) -> int:
                         help="pipeline-overhead check: run only "
                              f"{', '.join(CHECK_FILES)} and compare "
                              f"against the {BASELINE.name} baseline")
-    parser.add_argument("--jobs", type=int, default=0,
-                        help="fan out one job per bench file through "
-                             "the repro.service scheduler with this "
-                             "many worker processes (0 = plain pytest)")
-    parser.add_argument("--rundb", default=None,
-                        help="with --jobs: record job outcomes in this "
-                             "SQLite run database")
     args, pytest_args = parser.parse_known_args(argv)
 
     runs = existing_runs()
@@ -314,30 +214,20 @@ def main(argv: Optional[list] = None) -> int:
             if not Path(t).exists() and (BENCH_DIR / t).exists() else t
             for t in targets
         ]
-    if args.jobs > 0:
-        print(f"fanning out through repro.service "
-              f"({args.jobs} workers) -> {out_path.name}")
-        rc = run_parallel(
-            targets, flags, out_path, args.jobs,
-            rundb_path=Path(args.rundb) if args.rundb else None,
-            serialize=args.check)
-        if rc != 0:
-            return rc
-    else:
-        cmd = [
-            sys.executable, "-m", "pytest", "-q", *targets, *flags,
-            f"--benchmark-json={out_path}",
-        ]
-        env_path = str(REPO_ROOT / "src")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = (env_path + os.pathsep
-                             + env.get("PYTHONPATH", ""))
-        print("running:", " ".join(cmd))
-        proc = subprocess.run(cmd, cwd=REPO_ROOT, env=env)
-        if proc.returncode != 0:
-            print(f"pytest exited with {proc.returncode}; "
-                  f"results (if any) in {out_path.name}")
-            return proc.returncode
+    cmd = [
+        sys.executable, "-m", "pytest", "-q", *targets, *flags,
+        f"--benchmark-json={out_path}",
+    ]
+    env_path = str(REPO_ROOT / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = (env_path + os.pathsep
+                         + env.get("PYTHONPATH", ""))
+    print("running:", " ".join(cmd))
+    proc = subprocess.run(cmd, cwd=REPO_ROOT, env=env)
+    if proc.returncode != 0:
+        print(f"pytest exited with {proc.returncode}; "
+              f"results (if any) in {out_path.name}")
+        return proc.returncode
 
     current = load_means(out_path)
     print(f"\nwrote {out_path.name} ({len(current)} benchmarks)")

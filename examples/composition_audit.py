@@ -56,7 +56,7 @@ def main() -> None:
         transforms=[parity_countermeasure()],
         placement_iterations=1000)
     result = flow.run(masked_and_design())
-    print(result.report.render())
+    print(result.trace.render())
     print(f"\nflow verdict: "
           f"{'signoff BLOCKED' if result.failures else 'signoff clean'}")
 

@@ -20,7 +20,10 @@ Walks every registered :class:`repro.flow.Pass` and fails on:
   geometry, which only physical passes produce or edit),
 * a closure ECO (``is_closure_eco = True``) that breaks the ECO
   contract: netlist untouched (functional equivalence *preserved*),
-  at least one layout property established, physical-synthesis stage.
+  at least one layout property established, physical-synthesis stage,
+* a ``PassProvenance(...)`` call in any module under ``src/repro``
+  other than ``flow/manager.py``: :func:`repro.flow.manager.run_pass`
+  is the one writer of a flow trace's pass entries.
 
 Run directly (exit 1 on problems) or import :func:`audit` from a test.
 
@@ -31,11 +34,16 @@ Usage::
 
 from __future__ import annotations
 
+import ast
 import sys
 from pathlib import Path
 from typing import List
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+SRC = Path(__file__).resolve().parent.parent / "src"
+#: The only module that may construct ``PassProvenance``.
+PROVENANCE_WRITER = Path("repro", "flow", "manager.py")
+
+sys.path.insert(0, str(SRC))
 
 
 def audit() -> List[str]:
@@ -73,6 +81,29 @@ def audit() -> List[str]:
         if not (cls.__doc__ or "").strip():
             problems.append(f"{name}: pass class {where} has no "
                             "docstring explaining its declaration")
+    return problems + _stray_provenance_writers()
+
+
+def _stray_provenance_writers() -> List[str]:
+    """One problem per ``PassProvenance(...)`` call outside the pass
+    manager module."""
+    problems: List[str] = []
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        rel = path.relative_to(SRC)
+        if rel == PROVENANCE_WRITER:
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            called = (func.id if isinstance(func, ast.Name) else
+                      func.attr if isinstance(func, ast.Attribute)
+                      else None)
+            if called == "PassProvenance":
+                problems.append(
+                    f"{rel.as_posix()}:{node.lineno}: constructs "
+                    f"PassProvenance — record passes through "
+                    f"repro.flow.manager.run_pass")
     return problems
 
 

@@ -1,10 +1,11 @@
 """Core contribution: the secure-composition EDA framework.
 
-Threat models (Table I), the classical flow (Fig. 1), an executable
-Table II, security metrics with step-function semantics (Sec. IV), the
-composition engine with cross-effect detection (Sec. IV, ref [61]), the
-security-centric flow with its re-verification loop, and security-aware
-design-space exploration.
+Threat models (Table I), the design stages of Table II and an
+executable Table II, security metrics with step-function semantics
+(Sec. IV), the composition engine with cross-effect detection (Sec. IV,
+ref [61]), the security-centric flow with its re-verification loop, and
+security-aware design-space exploration.  The classical flow of Fig. 1
+is a pass pipeline, :func:`repro.flow.classical_pipeline`.
 """
 
 from .threats import (
@@ -19,13 +20,7 @@ from .threats import (
     ThreatVector,
     TROJAN_ADVERSARY,
 )
-from .stages import (
-    ClassicalFlow,
-    ClassicalFlowResult,
-    DesignStage,
-    FlowReport,
-    StageRecord,
-)
+from .stages import DesignStage
 from .metrics import (
     Direction,
     MetricRegistry,
@@ -58,7 +53,6 @@ from .designs import (
 )
 from .flow import (
     SecureFlow,
-    SecureFlowResult,
     SecurityRequirement,
     no_leaky_net_requirement,
     tvla_requirement,
@@ -103,8 +97,7 @@ __all__ = [
     "AttackTime", "EdaRole", "END_USER_ADVERSARY", "FIA_ADVERSARY",
     "FOUNDRY_ADVERSARY", "POWER_SCA_ADVERSARY", "THREAT_CATALOG",
     "ThreatModel", "ThreatVector", "TROJAN_ADVERSARY",
-    "ClassicalFlow", "ClassicalFlowResult", "DesignStage", "FlowReport",
-    "StageRecord",
+    "DesignStage",
     "Direction", "MetricRegistry", "MetricResult", "SecurityMetric",
     "StepFunctionMetric", "masking_order_steps",
     "sat_attack_resistance_steps",
@@ -116,7 +109,7 @@ __all__ = [
     "parity_countermeasure", "register_countermeasure",
     "register_design", "timing_reassociation_step",
     "wddl_countermeasure",
-    "SecureFlow", "SecureFlowResult", "SecurityRequirement",
+    "SecureFlow", "SecurityRequirement",
     "no_leaky_net_requirement", "tvla_requirement",
     "Candidate", "LockingSweepPoint", "dominates", "locking_candidates",
     "measure_locking_point",

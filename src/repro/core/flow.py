@@ -1,7 +1,8 @@
 """The security-centric EDA flow the paper calls for.
 
-:class:`SecureFlow` extends the classical flow of
-:mod:`repro.core.stages` with the paper's Sec. II-C / IV program:
+:class:`SecureFlow` extends the classical flow of Fig. 1
+(:func:`repro.flow.classical_pipeline`) with the paper's Sec. II-C / IV
+program:
 
 * explicit security *requirements* compiled into the flow,
 * evaluation of security metrics at the stages where they are
@@ -11,30 +12,30 @@
   countermeasure), all requirements are re-checked, so nothing is
   "inadvertently compromised".
 
-This class is a thin pipeline definition over
+This class compiles requirements into a run of
 :class:`repro.flow.PassManager`: each requirement's ``check`` is a
-property checker handed to the manager as is, transforms run as
-effect-undeclared (conservative) passes — which is exactly the
-re-check-everything loop above — and the run additionally yields the
-manager's machine-readable :class:`~repro.flow.manager.FlowTrace` as
-``result.trace``.  The measurement logic itself (TVLA and per-net
-leakage, confirmed on a second trace set) lives once, in
-:mod:`repro.flow.properties`.
+property checker handed to the manager as is and its name a goal,
+transforms run as effect-undeclared (conservative) passes — which is
+exactly the re-check-everything loop above — and :meth:`SecureFlow.run`
+returns the manager's :class:`~repro.flow.manager.FlowRunResult`, whose
+:class:`~repro.flow.manager.FlowTrace` is the flow's one record.  The
+measurement logic itself (TVLA and per-net leakage, confirmed on a
+second trace set) lives once, in :mod:`repro.flow.properties`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from ..sca import TVLA_THRESHOLD
 from ..flow.properties import PropertyCheck, masking_check, tvla_check
 from .composition import Design
-from .stages import DesignStage, FlowReport
+from .stages import DesignStage
 from .threats import ThreatVector
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
-    from ..flow.manager import FlowContext
+    from ..flow.manager import FlowContext, FlowRunResult
 
 
 @dataclass
@@ -48,19 +49,6 @@ class SecurityRequirement:
     #: :class:`~repro.flow.manager.FlowContext`; handed to
     #: :class:`~repro.flow.PassManager` as is.
     check: Callable[[FlowContext], PropertyCheck]
-
-
-@dataclass
-class SecureFlowResult:
-    design: Design
-    report: FlowReport
-    failures: List[str] = field(default_factory=list)
-    #: Pass-manager provenance (per-pass timing, re-check outcomes).
-    trace: Optional[object] = None
-
-    @property
-    def all_passed(self) -> bool:
-        return not self.failures
 
 
 def tvla_requirement(n_traces: int = 4000, noise_sigma: float = 0.25,
@@ -115,21 +103,15 @@ class SecureFlow:
         self.placement_iterations = placement_iterations
         self.seed = seed
 
-    def run(self, design: Design) -> SecureFlowResult:
+    def run(self, design: Design) -> FlowRunResult:
         """Run stages + transforms, re-checking requirements after each."""
-        from ..flow import PassManager, secure_pipeline, to_flow_report
-        from ..netlist import ppa_report
+        from ..flow import PassManager, secure_pipeline
 
         names = [r.name for r in self.requirements]
         manager = PassManager(
             checkers={r.name: r.check for r in self.requirements},
             seed=self.seed)
-        outcome = manager.run(
+        return manager.run(
             design,
             secure_pipeline(self.transforms, self.placement_iterations),
             goals=names, assume=names)
-        report = to_flow_report(outcome.trace)
-        report.final_ppa = ppa_report(outcome.design.netlist)
-        return SecureFlowResult(outcome.design, report,
-                                list(outcome.failures),
-                                trace=outcome.trace)

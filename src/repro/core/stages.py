@@ -1,22 +1,15 @@
-"""Design stages and the classical (security-unaware) EDA flow — Fig. 1.
+"""The design stages of an EDA flow — the rows of Table II.
 
-The six stages are the rows of Table II.  :class:`ClassicalFlow` chains
-the substrate engines exactly as the paper's Fig. 1 draws them —
-synthesis, technology mapping, place-and-route, timing/power sign-off,
-test generation — optimizing PPA and nothing else.  Its report has an
-empty ``security_checks`` list *by construction*; the secure flow in
-:mod:`repro.core.flow` is the paper's proposed alternative.
+Every registered flow pass (:mod:`repro.flow`) names the stage it
+belongs to, and each entry of a :class:`~repro.flow.manager.FlowTrace`
+carries it.  Fig. 1's classical flow is the pass pipeline
+:func:`repro.flow.classical_pipeline`, run with no security goals; the
+secure flow of :mod:`repro.core.flow` is the paper's alternative.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
-
-from ..netlist import Netlist, ppa_report
-from ..netlist.metrics import PPAReport
-from ..physical import Placement
 
 
 class DesignStage(enum.Enum):
@@ -28,95 +21,3 @@ class DesignStage(enum.Enum):
     FUNCTIONAL_VALIDATION = "functional validation"
     TIMING_POWER_VERIFICATION = "timing and power verification"
     TESTING = "testing (ATPG, DFT, BIST)"
-
-
-@dataclass
-class StageRecord:
-    """What one stage did and measured."""
-
-    stage: DesignStage
-    actions: List[str] = field(default_factory=list)
-    metrics: Dict[str, float] = field(default_factory=dict)
-    security_checks: List[str] = field(default_factory=list)
-
-
-@dataclass
-class FlowReport:
-    """Trace of a complete flow run."""
-
-    design_name: str
-    records: List[StageRecord] = field(default_factory=list)
-    final_ppa: Optional[PPAReport] = None
-
-    @property
-    def total_security_checks(self) -> int:
-        return sum(len(r.security_checks) for r in self.records)
-
-    def render(self) -> str:
-        """Human-readable per-stage trace."""
-        lines = [f"=== flow report: {self.design_name} ==="]
-        for r in self.records:
-            lines.append(f"[{r.stage.value}]")
-            for a in r.actions:
-                lines.append(f"  - {a}")
-            for k, v in r.metrics.items():
-                lines.append(f"    {k} = {v:.2f}")
-            if r.security_checks:
-                for c in r.security_checks:
-                    lines.append(f"    [security] {c}")
-            else:
-                lines.append("    [security] (none)")
-        if self.final_ppa:
-            d = self.final_ppa.as_dict()
-            lines.append("final PPA: " + ", ".join(
-                f"{k}={v:.1f}" for k, v in d.items()))
-        return "\n".join(lines)
-
-
-@dataclass
-class ClassicalFlowResult:
-    netlist: Netlist
-    placement: Optional[Placement]
-    report: FlowReport
-
-
-class ClassicalFlow:
-    """Fig. 1: the PPA-driven flow with no security awareness.
-
-    Parameters bound the effort of each engine so the flow stays fast
-    on test-sized designs.
-
-    Since the pass-manager refactor this is a thin wrapper over
-    :func:`repro.flow.classical_pipeline` run with *no* tracked
-    properties (``goals=()``), so its report has an empty
-    ``security_checks`` list by construction — the classical flow's
-    defining gap, now visible in the pipeline definition itself.
-    """
-
-    def __init__(self, placement_iterations: int = 6000,
-                 run_atpg_stage: bool = True,
-                 seed: int = 0) -> None:
-        self.placement_iterations = placement_iterations
-        self.run_atpg_stage = run_atpg_stage
-        self.seed = seed
-
-    def run(self, netlist: Netlist) -> ClassicalFlowResult:
-        """Run all classical stages; returns netlist, placement, report."""
-        from ..flow import (
-            PassManager,
-            classical_pipeline,
-            netlist_design,
-            to_flow_report,
-        )
-
-        design = netlist_design(netlist.copy(), name=netlist.name,
-                                seed=self.seed)
-        manager = PassManager(seed=self.seed)
-        outcome = manager.run(
-            design,
-            classical_pipeline(self.placement_iterations,
-                               self.run_atpg_stage))
-        report = to_flow_report(outcome.trace)
-        report.final_ppa = ppa_report(outcome.design.netlist)
-        return ClassicalFlowResult(outcome.design.netlist,
-                                   outcome.context.placement, report)

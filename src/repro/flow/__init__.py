@@ -49,7 +49,7 @@ from .manager import (
     PassManager,
     PassProvenance,
     PropertyRecheck,
-    to_flow_report,
+    strip_wall_times,
 )
 from . import library as library  # noqa: F401  (populates the registry)
 from . import layout_library as layout_library  # noqa: F401  (registry)
@@ -61,7 +61,6 @@ from .layout_library import (
 )
 from .library import (
     AtpgPass,
-    AtpgSkipPass,
     BistSignaturePass,
     BufferSweepPass,
     CamouflagePass,
@@ -102,8 +101,8 @@ __all__ = [
     "Effects", "Pass", "PassResult", "conservative", "create_pass",
     "effects", "preserves_all", "register_pass", "registered_passes",
     "FlowContext", "FlowRunResult", "FlowTrace", "PassManager",
-    "PassProvenance", "PropertyRecheck", "to_flow_report",
-    "AtpgPass", "AtpgSkipPass", "BistSignaturePass", "BufferSweepPass",
+    "PassProvenance", "PropertyRecheck", "strip_wall_times",
+    "AtpgPass", "BistSignaturePass", "BufferSweepPass",
     "CamouflagePass", "ConstantPropagationPass", "DeadGateSweepPass",
     "DoubleInversionPass", "FunctionalValidationPass", "LogicLockingPass",
     "MaskInsertionPass", "PlacementPass", "ReassociationPass",

@@ -550,19 +550,6 @@ class StaSignoffPass(Pass):
 
 
 @register_pass
-class AtpgSkipPass(Pass):
-    """Explicit record that the flow configuration skipped ATPG."""
-
-    name = "atpg-skip"
-    stage = DesignStage.TESTING
-    effects = preserves_all()
-
-    def apply(self, netlist, ctx) -> PassResult:
-        return PassResult(self.name,
-                          summary="ATPG skipped (flow configuration)")
-
-
-@register_pass
 class FunctionalValidationPass(Pass):
     """The classical flow's validation stance made explicit."""
 

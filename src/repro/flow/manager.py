@@ -14,7 +14,10 @@ tracked security properties must be re-measured:
 
 Everything the run did — wall time per pass, cell deltas, which
 properties were re-checked and why, cache hit rates, netlist mutation
-epochs — lands in a machine-readable :class:`FlowTrace`.
+epochs — lands in a machine-readable :class:`FlowTrace`, the only
+record of a flow run.  One function, :func:`run_pass`, writes each
+pass's entry, for the manager and for
+:func:`repro.physical.closure.security_closure` alike.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from typing import (
 )
 
 from ..core.composition import Design
-from ..core.stages import DesignStage, FlowReport, StageRecord
+from ..core.stages import DesignStage
 from .analysis import AnalysisCache
 from .passes import Pass, PassResult
 from .properties import PropertyCheck, SecurityProperty
@@ -81,7 +84,8 @@ class PropertyRecheck:
 
     @property
     def line(self) -> str:
-        """Legacy-format check line (matches SecureFlow reports)."""
+        """One-line form of the re-check, as listed in
+        :attr:`FlowTrace.failures`."""
         return f"{self.key} [{self.when}]: {self.status} — {self.message}"
 
     def as_dict(self) -> Dict[str, object]:
@@ -140,8 +144,8 @@ class PassProvenance:
         """Inverse of :meth:`as_dict`.
 
         ``wall_ms`` comes back at the serialized (millisecond-rounded)
-        precision; re-serializing yields the identical dict, which is
-        the round-trip contract the run database relies on.
+        precision, so re-serializing yields the identical dict; a
+        document stripped by :func:`strip_wall_times` reads it as 0.
         """
         cache = data.get("cache", {})
         epoch = data.get("epoch", [0, 0])
@@ -150,7 +154,7 @@ class PassProvenance:
             stage=(DesignStage(data["stage"]) if data.get("stage")
                    else None),
             effects={k: list(v) for k, v in data["effects"].items()},
-            wall_ms=float(data["wall_ms"]),
+            wall_ms=float(data.get("wall_ms", 0.0)),
             cells_before=int(data["cells_before"]),
             cells_after=int(data["cells_after"]),
             rewrites=int(data["rewrites"]),
@@ -216,8 +220,8 @@ class FlowTrace:
 
         Derived fields (``failures``, ``total_wall_ms``) are ignored on
         input and recomputed; everything else round-trips losslessly,
-        so traces pulled back out of the run database are full
-        :class:`FlowTrace` objects, not dict blobs.
+        so a trace returned by a service job revives as a full
+        :class:`FlowTrace`, not a dict blob.
         """
         return cls(
             design_name=str(data["design"]),
@@ -241,6 +245,9 @@ class FlowTrace:
                 f"{p.cells_after} cells, {p.wall_ms:.1f} ms")
             if p.summary:
                 lines.append(f"  - {p.summary}")
+            for k, v in p.details.items():
+                if isinstance(v, (int, float)) and not isinstance(v, bool):
+                    lines.append(f"    {k} = {v:.2f}")
             for r in p.rechecks:
                 lines.append(
                     f"  [re-check:{r.reason}] {r.key}: {r.status} — "
@@ -251,6 +258,20 @@ class FlowTrace:
         lines.append(f"=== {status}: {len(self.failures)} failing "
                      f"check(s), {self.total_wall_ms:.1f} ms in passes ===")
         return "\n".join(lines)
+
+
+def strip_wall_times(doc: Mapping) -> Dict[str, object]:
+    """A :meth:`FlowTrace.to_dict` document without its wall times.
+
+    Wall times are the only part of a trace that is not a pure function
+    of the flow's inputs and seed, so job results and determinism
+    checks use this form; :meth:`FlowTrace.from_dict` revives it with
+    every ``wall_ms`` at 0.
+    """
+    out = {k: v for k, v in doc.items() if k != "total_wall_ms"}
+    out["passes"] = [{k: v for k, v in p.items() if k != "wall_ms"}
+                     for p in doc["passes"]]
+    return out
 
 
 @dataclass
@@ -268,6 +289,74 @@ class FlowRunResult:
     @property
     def all_passed(self) -> bool:
         return not self.trace.failures
+
+
+def declared_rechecks(p: Pass, props: Iterable
+                      ) -> List[Tuple[object, str]]:
+    """``(property, reason)`` for each of ``props`` that ``p`` does not
+    preserve; the reason is the pass's declared action on it
+    (``"establishes"`` or ``"invalidates"``).
+
+    Custom string-keyed properties carry no effect declarations, and a
+    pass without ``effects`` declares nothing: both conservatively
+    invalidate (SecureFlow's re-run-everything loop).
+    """
+    out = []
+    for prop in props:
+        if isinstance(prop, SecurityProperty) and p.effects:
+            action = p.effects.classify(prop)
+        else:
+            action = "invalidates"
+        if action != "preserves":
+            out.append((prop, action))
+    return out
+
+
+def recheck(checkers: Mapping, prop, ctx: FlowContext, when: str,
+            reason: str) -> PropertyRecheck:
+    """Measure ``prop`` on ``ctx`` with its checker, as a trace entry."""
+    check: PropertyCheck = checkers[prop](ctx)
+    return PropertyRecheck(_key(prop), when, reason, check.passed,
+                           check.value, check.message)
+
+
+def run_pass(trace: FlowTrace, p: Pass, ctx: FlowContext,
+             checkers: Mapping, rechecks: Sequence[Tuple[object, str]]
+             ) -> PassProvenance:
+    """Apply ``p`` to ``ctx`` and append its provenance to ``trace``.
+
+    The one writer of :class:`PassProvenance`: applies the pass, swaps
+    in the design it returns, records cell, mutation-epoch and
+    analysis-cache deltas, measures each ``(property, reason)`` of
+    ``rechecks`` after the pass, and times all of it as ``wall_ms``.
+    """
+    netlist = ctx.design.netlist
+    cells_before = len(netlist.gates)
+    epoch_before = netlist.mutation_epoch
+    hits0, misses0 = ctx.cache.hits, ctx.cache.misses
+    start = time.perf_counter()
+    result: PassResult = p.apply(netlist, ctx)
+    if result.design is not None:
+        ctx.design = result.design
+    after = ctx.design.netlist
+    prov = PassProvenance(
+        pass_name=p.name, stage=p.stage,
+        effects=p.effects.as_dict() if p.effects else
+        {"preserves": [], "establishes": [], "invalidates": []},
+        wall_ms=0.0,
+        cells_before=cells_before, cells_after=len(after.gates),
+        rewrites=result.rewrites, summary=result.summary,
+        details=dict(result.details),
+        epoch_before=epoch_before,
+        epoch_after=after.mutation_epoch)
+    when = f"after {p.name}"
+    for prop, reason in rechecks:
+        prov.rechecks.append(recheck(checkers, prop, ctx, when, reason))
+    prov.wall_ms = (time.perf_counter() - start) * 1000.0
+    prov.cache_hits = ctx.cache.hits - hits0
+    prov.cache_misses = ctx.cache.misses - misses0
+    trace.passes.append(prov)
+    return prov
 
 
 class PassManager:
@@ -288,8 +377,8 @@ class PassManager:
       goal, it is measured once at the end.
 
     Custom string-keyed properties have no effect declarations, so every
-    pass conservatively re-checks them — which is exactly the legacy
-    ``SecureFlow`` re-run-everything loop.
+    pass conservatively re-checks them — which is exactly
+    ``SecureFlow``'s re-run-everything loop.
     """
 
     def __init__(self, checkers: Optional[Mapping] = None, seed: int = 0,
@@ -297,14 +386,6 @@ class PassManager:
         self.checkers: Dict[object, Callable] = dict(checkers or {})
         self.seed = seed
         self.cache = cache if cache is not None else AnalysisCache()
-
-    # -- internals -----------------------------------------------------
-
-    def _measure(self, prop, ctx: FlowContext, when: str,
-                 reason: str) -> PropertyRecheck:
-        check: PropertyCheck = self.checkers[prop](ctx)
-        return PropertyRecheck(_key(prop), when, reason, check.passed,
-                               check.value, check.message)
 
     def _tracked(self, goals: Iterable, assume: Iterable) -> List:
         wanted = list(assume) + [g for g in goals if g not in set(assume)]
@@ -314,8 +395,6 @@ class PassManager:
                 "no checker registered for tracked properties: "
                 + ", ".join(_key(p) for p in missing))
         return wanted
-
-    # -- entry point ---------------------------------------------------
 
     def run(self, design: Design, passes: Sequence[Pass],
             goals: Iterable = (), assume: Iterable = ()) -> FlowRunResult:
@@ -329,103 +408,30 @@ class PassManager:
         held: set = set()
         checked_ever: set = set()
         for prop in assume:
-            recheck = self._measure(prop, ctx, "baseline", "baseline")
-            trace.baseline.append(recheck)
+            measured = recheck(self.checkers, prop, ctx, "baseline",
+                               "baseline")
+            trace.baseline.append(measured)
             checked_ever.add(prop)
-            if recheck.passed:
+            if measured.passed:
                 held.add(prop)
 
         for p in passes:
-            netlist = ctx.design.netlist
-            cells_before = len(netlist.gates)
-            epoch_before = netlist.mutation_epoch
-            hits0, misses0 = self.cache.hits, self.cache.misses
-            start = time.perf_counter()
-            result: PassResult = p.apply(netlist, ctx)
-            if result.design is not None:
-                ctx.design = result.design
-            wall_pass = time.perf_counter() - start
-            after = ctx.design.netlist
-            prov = PassProvenance(
-                pass_name=p.name, stage=p.stage,
-                effects=p.effects.as_dict() if p.effects else
-                {"preserves": [], "establishes": [], "invalidates": []},
-                wall_ms=0.0,
-                cells_before=cells_before, cells_after=len(after.gates),
-                rewrites=result.rewrites, summary=result.summary,
-                details=dict(result.details),
-                epoch_before=epoch_before,
-                epoch_after=after.mutation_epoch)
-
-            start_checks = time.perf_counter()
-            when = f"after {p.name}"
-            for prop in tracked:
-                if isinstance(prop, SecurityProperty) and p.effects:
-                    action = p.effects.classify(prop)
-                else:
-                    # Custom properties carry no effect declarations:
-                    # conservatively re-check (legacy SecureFlow loop).
-                    action = "invalidates"
-                if action == "preserves":
-                    continue
-                if action == "invalidates" and prop not in held:
-                    continue  # nothing established yet -> nothing to lose
-                reason = ("establishes" if action == "establishes"
-                          else "invalidates")
-                recheck = self._measure(prop, ctx, when, reason)
-                prov.rechecks.append(recheck)
+            # An invalidated property that does not hold has nothing
+            # to lose: only re-check it while it holds.
+            due = [(prop, reason)
+                   for prop, reason in declared_rechecks(p, tracked)
+                   if reason == "establishes" or prop in held]
+            prov = run_pass(trace, p, ctx, self.checkers, due)
+            for (prop, _), measured in zip(due, prov.rechecks):
                 checked_ever.add(prop)
-                if recheck.passed:
+                if measured.passed:
                     held.add(prop)
                 else:
                     held.discard(prop)
-            wall_checks = time.perf_counter() - start_checks
-            prov.wall_ms = (wall_pass + wall_checks) * 1000.0
-            prov.cache_hits = self.cache.hits - hits0
-            prov.cache_misses = self.cache.misses - misses0
-            trace.passes.append(prov)
 
         for prop in goals:
-            if prop in checked_ever:
-                continue
-            recheck = self._measure(prop, ctx, "final", "baseline")
-            trace.final.append(recheck)
-            if recheck.passed:
-                held.add(prop)
+            if prop not in checked_ever:
+                trace.final.append(recheck(self.checkers, prop, ctx,
+                                           "final", "baseline"))
 
         return FlowRunResult(ctx.design, trace, ctx)
-
-
-def to_flow_report(trace: FlowTrace,
-                   stage_order: Optional[Tuple[DesignStage, ...]] = None
-                   ) -> FlowReport:
-    """Project a :class:`FlowTrace` onto the legacy stage-record report.
-
-    Each pass becomes one :class:`~repro.core.stages.StageRecord` under
-    its declared stage, with its summary as the action line, numeric
-    details as metrics, and re-check lines as security checks — so
-    legacy consumers (tests, benchmarks, ``render()``) keep working on
-    pipeline-produced flows.
-    """
-    del stage_order  # passes already carry their stage; order = pipeline
-    report = FlowReport(trace.design_name)
-    if trace.baseline:
-        record = StageRecord(DesignStage.LOGIC_SYNTHESIS)
-        record.actions.append("baseline property measurement")
-        record.security_checks.extend(r.line for r in trace.baseline)
-        report.records.append(record)
-    for p in trace.passes:
-        record = StageRecord(p.stage if p.stage else
-                             DesignStage.LOGIC_SYNTHESIS)
-        record.actions.append(p.summary or f"applied pass: {p.pass_name}")
-        for k, v in p.details.items():
-            if isinstance(v, (int, float)) and not isinstance(v, bool):
-                record.metrics[k] = float(v)
-        record.security_checks.extend(r.line for r in p.rechecks)
-        report.records.append(record)
-    if trace.final:
-        record = StageRecord(DesignStage.TIMING_POWER_VERIFICATION)
-        record.actions.append("final goal verification")
-        record.security_checks.extend(r.line for r in trace.final)
-        report.records.append(record)
-    return report

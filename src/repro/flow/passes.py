@@ -121,9 +121,9 @@ class PassResult:
     ``design`` is set when the pass replaced the design wholesale
     (masking, WDDL, locking: new netlist + new stimulus interface);
     in-place passes leave it ``None`` and mutate the netlist they were
-    handed.  ``details`` carries per-pass metrics (numeric values are
-    surfaced as stage metrics in legacy flow reports); ``summary`` is
-    the one-line human trace entry.
+    handed.  ``details`` carries per-pass metrics (scalar values are
+    kept in the pass's :class:`~repro.flow.manager.FlowTrace` entry);
+    ``summary`` is the one-line human trace entry.
     """
 
     pass_name: str

@@ -1,8 +1,9 @@
 """Stock pipelines: the classical and secure flows as pass sequences.
 
-``ClassicalFlow`` and ``SecureFlow`` in :mod:`repro.core` are now thin
-wrappers over these definitions — the flows *are* pipelines, and
-everything they do is visible in the resulting
+Fig. 1 runs as ``PassManager(seed).run(netlist_design(...),
+classical_pipeline(...))``; :class:`repro.core.SecureFlow` compiles its
+requirements into checkers and goals and runs :func:`secure_pipeline`.
+The flows *are* pipelines, and everything they do is in the resulting
 :class:`~repro.flow.manager.FlowTrace`.
 """
 
@@ -16,7 +17,6 @@ from ..core.stages import DesignStage
 from ..netlist import Netlist
 from .library import (
     AtpgPass,
-    AtpgSkipPass,
     FunctionalValidationPass,
     MaskInsertionPass,
     PlacementPass,
@@ -95,8 +95,7 @@ class SecurePlacementPass(PlacementPass):
         return result
 
 
-def classical_pipeline(placement_iterations: int = 6000,
-                       run_atpg_stage: bool = True) -> List[Pass]:
+def classical_pipeline(placement_iterations: int = 6000) -> List[Pass]:
     """Fig. 1 as a pipeline: synthesis, validation, PnR, sign-off, test.
 
     Run with ``goals=()`` — no security property is ever tracked, which
@@ -107,7 +106,7 @@ def classical_pipeline(placement_iterations: int = 6000,
         FunctionalValidationPass(),
         PlacementPass(iterations=placement_iterations),
         StaSignoffPass(),
-        AtpgPass() if run_atpg_stage else AtpgSkipPass(),
+        AtpgPass(),
     ]
 
 

@@ -6,10 +6,13 @@ orders (ECOs), re-route what the ECOs disturbed, and repeat until
 every metric is under its threshold — without adding functional
 logic.  This module provides the ECO *primitives* (shield insertion,
 ECO filler fill, critical-net burying) and the :func:`security_closure`
-driver; the same primitives are exposed as registered flow passes in
-:mod:`repro.flow.layout_library`, which is how the driver applies them
-so each iteration lands in :class:`~repro.flow.manager.FlowTrace`
-provenance.
+loop, which applies them as the registered flow passes of
+:mod:`repro.flow.layout_library` through the pass manager's per-pass
+recorder (:func:`repro.flow.manager.run_pass`), so each iteration lands
+in the :class:`~repro.flow.manager.FlowTrace`.  After each ECO it
+re-checks every property the ECO's declared effects do not preserve,
+with the declared action as the reason; the loop's own metric
+measurement still re-reads the properties an ECO declares preserved.
 
 The three defenses map one-to-one onto the three metrics of
 :mod:`repro.physical.attack_surface`:
@@ -30,9 +33,8 @@ rather than assume.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Optional, Sequence, Set
 
 from ..netlist import Netlist, ppa_report
 from .attack_surface import (
@@ -269,13 +271,15 @@ def security_closure(netlist: Netlist,
     repeatedly applies the registered ECO passes — bury, shield, fill,
     each only while its metric is violated — re-measuring after every
     pass.  Per-pass provenance, including which metrics were re-checked
-    and why, is recorded in the returned trace exactly as the pass
-    manager would record it.
+    and why, is written by the pass manager's own
+    :func:`~repro.flow.manager.run_pass`.
     """
     # Flow imports are deferred: repro.flow imports repro.physical at
     # module level (library.py, layout_library.py), so importing it
     # back here at module level would cycle.
-    from ..flow import FlowContext, FlowTrace, create_pass, netlist_design
+    from ..flow import (FlowContext, FlowTrace, PropertyCheck,
+                        SecurityProperty as P, create_pass, netlist_design)
+    from ..flow.manager import declared_rechecks, recheck, run_pass
     from ..flow.properties import layout_checkers
     from ..formal import check_equivalence
 
@@ -298,6 +302,19 @@ def security_closure(netlist: Netlist,
         probe_layers=probe_layers, spot_radius=spot_radius,
         min_trojan_sites=min_trojan_sites,
         min_free_capacity=min_free_capacity)
+
+    def equivalence_check(run_ctx: FlowContext) -> PropertyCheck:
+        cec = check_equivalence(golden, run_ctx.design.netlist)
+        return PropertyCheck(
+            P.FUNCTIONAL_EQUIVALENCE, cec.equivalent,
+            0.0 if cec.equivalent else 1.0,
+            "SAT CEC against pre-closure netlist: "
+            + ("equivalent" if cec.equivalent else
+               f"MISMATCH on {cec.mismatched_output}"))
+
+    checkers[P.FUNCTIONAL_EQUIVALENCE] = equivalence_check
+    layout_props = (P.PROBING_EXPOSURE, P.FIA_EXPOSURE,
+                    P.TROJAN_INSERTABILITY)
     trace = FlowTrace(netlist.name)
 
     def measure() -> ClosureMetrics:
@@ -307,43 +324,18 @@ def security_closure(netlist: Netlist,
             min_trojan_sites=min_trojan_sites,
             min_free_capacity=min_free_capacity)
 
-    def apply_pass(p, rechecks: Iterable, reason_map: Dict) -> None:
-        """Run one pass and append manager-grade provenance."""
-        from ..flow.manager import PassProvenance, PropertyRecheck
+    def eco(name: str, **params) -> None:
+        """Apply one ECO; re-check what its declaration does not
+        preserve, with the declared action as the reason."""
+        p = create_pass(name, **params)
+        run_pass(trace, p, ctx, checkers, declared_rechecks(p, checkers))
 
-        cells = len(ctx.design.netlist.gates)
-        epoch = ctx.design.netlist.mutation_epoch
-        start = time.perf_counter()
-        result = p.apply(ctx.design.netlist, ctx)
-        prov = PassProvenance(
-            pass_name=p.name, stage=p.stage,
-            effects=p.effects.as_dict(),
-            wall_ms=0.0, cells_before=cells,
-            cells_after=len(ctx.design.netlist.gates),
-            rewrites=result.rewrites, summary=result.summary,
-            details=dict(result.details),
-            epoch_before=epoch,
-            epoch_after=ctx.design.netlist.mutation_epoch)
-        for prop in rechecks:
-            check = checkers[prop](ctx)
-            prov.rechecks.append(PropertyRecheck(
-                prop.value, f"after {p.name}", reason_map[prop],
-                check.passed, check.value, check.message))
-        prov.wall_ms = (time.perf_counter() - start) * 1000.0
-        trace.passes.append(prov)
-
-    from ..flow import SecurityProperty as P
-    layout_props = (P.PROBING_EXPOSURE, P.FIA_EXPOSURE,
-                    P.TROJAN_INSERTABILITY)
-
-    # Route, then take the metric baseline.
-    apply_pass(create_pass("route", num_layers=num_layers), (), {})
-    from ..flow.manager import PropertyRecheck
-    for prop in layout_props:
-        check = checkers[prop](ctx)
-        trace.baseline.append(PropertyRecheck(
-            prop.value, "baseline", "baseline", check.passed,
-            check.value, check.message))
+    # Route (nothing is measured yet, so nothing to re-check), then
+    # take the metric baseline.
+    run_pass(trace, create_pass("route", num_layers=num_layers), ctx,
+             checkers, ())
+    trace.baseline.extend(recheck(checkers, prop, ctx, "baseline",
+                                  "baseline") for prop in layout_props)
     initial = measure()
 
     metrics = initial
@@ -357,51 +349,29 @@ def security_closure(netlist: Netlist,
             break
         iterations += 1
         if "probing" in violated:
-            bury = create_pass("bury-critical-nets",
-                               probe_depth=probe_layers)
-            apply_pass(bury, layout_props, {
-                P.PROBING_EXPOSURE: "establishes",
-                P.FIA_EXPOSURE: "invalidates",
-                P.TROJAN_INSERTABILITY: "invalidates"})
+            eco("bury-critical-nets", probe_depth=probe_layers)
             buried.extend(ctx.notes.get("buried-nets", []))
             metrics = measure()
             violated = metrics.violations(thresholds)
         if "probing" in violated or "fia" in violated:
-            shield = create_pass("shield-insertion")
-            apply_pass(shield, layout_props, {
-                P.PROBING_EXPOSURE: "establishes",
-                P.FIA_EXPOSURE: "establishes",
-                P.TROJAN_INSERTABILITY: "invalidates"})
+            eco("shield-insertion")
             shields_added += int(ctx.notes.get("shields-added", 0))
             metrics = measure()
             violated = metrics.violations(thresholds)
         if "trojan" in violated:
-            filler = create_pass("eco-filler",
-                                 min_sites=min_trojan_sites,
-                                 min_free_capacity=min_free_capacity)
-            apply_pass(filler, (P.TROJAN_INSERTABILITY,),
-                       {P.TROJAN_INSERTABILITY: "establishes"})
+            eco("eco-filler", min_sites=min_trojan_sites,
+                min_free_capacity=min_free_capacity)
             filler_sites += int(ctx.notes.get("filler-sites", 0))
             metrics = measure()
 
     # Final verification: the three metrics plus CEC against the
     # pre-closure netlist (ECOs are layout-only; prove it anyway).
-    equivalence = check_equivalence(golden, ctx.design.netlist)
     area_after = ppa_report(ctx.design.netlist).area
     overhead = ((area_after - area_before) / area_before
                 if area_before else 0.0)
-    for prop in layout_props:
-        check = checkers[prop](ctx)
-        trace.final.append(PropertyRecheck(
-            prop.value, "final", "baseline", check.passed,
-            check.value, check.message))
-    trace.final.append(PropertyRecheck(
-        P.FUNCTIONAL_EQUIVALENCE.value, "final", "baseline",
-        equivalence.equivalent,
-        0.0 if equivalence.equivalent else 1.0,
-        "SAT CEC against pre-closure netlist: "
-        + ("equivalent" if equivalence.equivalent else
-           f"MISMATCH on {equivalence.mismatched_output}")))
+    trace.final.extend(recheck(checkers, prop, ctx, "final", "baseline")
+                       for prop in checkers)
+    cec = trace.final[-1]          # functional equivalence, added last
 
     return ClosureResult(
         design_name=netlist.name,
@@ -410,7 +380,7 @@ def security_closure(netlist: Netlist,
         initial_metrics=initial,
         metrics=metrics,
         thresholds=thresholds,
-        equivalent=equivalence.equivalent,
+        equivalent=cec.passed,
         area_overhead=overhead,
         shields_added=shields_added,
         filler_sites=filler_sites,

@@ -103,8 +103,8 @@ class JobSpec:
     per attempt.  Timeouts are terminal by default
     (``retry_on_timeout=False``): a job that exceeds its budget once
     is presumed to again.  ``cacheable=False`` opts a job out of the
-    artifact-store result cache — for work that is not a pure function
-    of ``(params, seed)``, e.g. wall-clock benchmarking.
+    artifact-store result cache, so it runs afresh on every
+    submission.
     """
 
     job_type: str
@@ -261,56 +261,6 @@ def _netlist_ppa_job(params: Dict[str, object], ctx: JobContext):
             "cells": netlist.num_cells()}
 
 
-@register_job_type("pytest-bench", sample_params={
-    "target": "benchmarks/bench_fig1.py", "flags": [],
-    "cwd": ".", "pythonpath": "src"}, sample_result={
-    "target": "benchmarks/bench_fig1.py", "returncode": 0,
-    "doc": None, "tail": ""})
-def _pytest_bench_job(params: Dict[str, object], ctx: JobContext):
-    """Run one pytest-benchmark target; return its benchmark JSON.
-
-    The fan-out unit of ``run_bench.py --jobs N``.  Timing results are
-    not a pure function of the spec, so submit these with
-    ``cacheable=False``.
-    """
-    import os
-    import subprocess
-    import sys
-    import tempfile
-
-    del ctx
-    cwd = str(params.get("cwd", "."))
-    with tempfile.NamedTemporaryFile(suffix=".json",
-                                     delete=False) as handle:
-        out_path = handle.name
-    env = dict(os.environ)
-    pythonpath = str(params.get("pythonpath", ""))
-    if pythonpath:
-        env["PYTHONPATH"] = (pythonpath + os.pathsep
-                             + env.get("PYTHONPATH", ""))
-    cmd = [sys.executable, "-m", "pytest", "-q", str(params["target"]),
-           *[str(f) for f in params.get("flags", [])],
-           f"--benchmark-json={out_path}"]
-    proc = subprocess.run(cmd, cwd=cwd, env=env, capture_output=True,
-                          text=True)
-    try:
-        with open(out_path) as handle:
-            doc = json.load(handle)
-    except (OSError, json.JSONDecodeError):
-        doc = None
-    finally:
-        try:
-            os.unlink(out_path)
-        except OSError:
-            pass
-    return {
-        "target": params["target"],
-        "returncode": proc.returncode,
-        "doc": doc,
-        "tail": proc.stdout[-2000:] + proc.stderr[-1000:],
-    }
-
-
 @register_job_type("route", sample_params={
     "netlist": "0" * 64, "num_layers": None,
     "placement_iterations": 2000}, sample_result={
@@ -362,11 +312,13 @@ def _closure_job(params: Dict[str, object], ctx: JobContext):
     """Run iterative security closure on a stored netlist.
 
     Returns :meth:`~repro.physical.closure.ClosureResult.to_dict` with
-    the trace's wall times stripped — the one non-deterministic part —
-    so the result is a pure function of ``(params, seed)`` and the
-    artifact cache stays sound.  The closed layout is published to the
-    store under ``result['layout']``.
+    the trace's wall times stripped
+    (:func:`~repro.flow.manager.strip_wall_times`) — the one
+    non-deterministic part — so the result is a pure function of
+    ``(params, seed)`` and the artifact cache stays sound.  The closed
+    layout is published to the store under ``result['layout']``.
     """
+    from ..flow import strip_wall_times
     from ..physical import ClosureThresholds, security_closure
 
     netlist = ctx.store.get_netlist(str(params["netlist"]))
@@ -385,9 +337,7 @@ def _closure_job(params: Dict[str, object], ctx: JobContext):
             params.get("placement_iterations", 2000)),
         seed=ctx.seed)
     doc = result.to_dict()
-    for prov in doc["trace"]["passes"]:
-        prov.pop("wall_ms", None)
-    doc["trace"].pop("total_wall_ms", None)
+    doc["trace"] = strip_wall_times(doc["trace"])
     layout_doc = result.layout.to_dict()
     layout_digest = stable_hash(layout_doc)
     ctx.store.put(layout_digest, layout_doc)
@@ -510,17 +460,22 @@ def _variant_batch_job(params: Dict[str, object], ctx: JobContext):
 @register_job_type("pass-pipeline", sample_params={
     "netlist": "0" * 64,
     "passes": [["synthesis", {}]]}, sample_result={
-    "trace": {"passes": []}, "result_netlist": "0" * 64})
+    "trace": {"passes": []}, "result_netlist": "0" * 64},
+    version=1)
 def _pass_pipeline_job(params: Dict[str, object], ctx: JobContext):
     """Run a named pass pipeline over a stored netlist.
 
     ``params['passes']`` is a list of ``[pass name, ctor kwargs]``
     pairs resolved through the flow pass registry.  The transformed
-    netlist is published back into the store and the full
-    :class:`~repro.flow.manager.FlowTrace` dict is returned — the
-    round-trip (``FlowTrace.from_dict``) reconstructs it client-side.
+    netlist is published back into the store and the
+    :class:`~repro.flow.manager.FlowTrace` dict is returned without its
+    wall times (:func:`~repro.flow.manager.strip_wall_times`), so the
+    result is a pure function of ``(params, seed)``;
+    ``FlowTrace.from_dict`` reconstructs the trace client-side.
+    Version 1: wall times stripped.
     """
-    from ..flow import PassManager, create_pass, netlist_design
+    from ..flow import (PassManager, create_pass, netlist_design,
+                        strip_wall_times)
 
     netlist = ctx.store.get_netlist(str(params["netlist"]))
     if netlist is None:
@@ -531,5 +486,5 @@ def _pass_pipeline_job(params: Dict[str, object], ctx: JobContext):
     manager = PassManager(seed=ctx.seed)
     outcome = manager.run(netlist_design(netlist, seed=ctx.seed), passes)
     result_digest = ctx.store.put_netlist(outcome.design.netlist)
-    return {"trace": outcome.trace.to_dict(),
+    return {"trace": strip_wall_times(outcome.trace.to_dict()),
             "result_netlist": result_digest}

@@ -203,7 +203,8 @@ class TestJobResultVersion:
                 spec.job_type, spec.params_dict, spec.seed)))
         problems = check_jobs.audit()
         assert problems == [
-            "composition-stack: version 1 does not change the spec hash"]
+            f"{name}: version 1 does not change the spec hash"
+            for name in ("composition-stack", "pass-pipeline")]
 
     def test_composition_sample_result_has_a_real_rows_shape(self):
         from repro.service import (

@@ -145,6 +145,21 @@ class TestPassRegistryAudit:
             assert P.FUNCTIONAL_EQUIVALENCE in cls.effects.preserves
             assert cls.effects.establishes & layout
 
+    def test_audit_flags_provenance_written_outside_the_manager(
+            self, tmp_path, monkeypatch):
+        check_passes = load_check_passes()
+        (tmp_path / "repro" / "flow").mkdir(parents=True)
+        (tmp_path / "repro" / "flow" / "manager.py").write_text(
+            "PassProvenance(pass_name='ok')\n")
+        (tmp_path / "repro" / "eco.py").write_text(
+            "from repro.flow import manager\n\n"
+            "manager.PassProvenance(pass_name='x')\n")
+        monkeypatch.setattr(check_passes, "SRC", tmp_path)
+        problems = check_passes._stray_provenance_writers()
+        assert problems == [
+            "repro/eco.py:3: constructs PassProvenance — record passes "
+            "through repro.flow.manager.run_pass"]
+
     def test_script_exits_zero_on_clean_registry(self):
         proc = subprocess.run(
             [sys.executable, str(REPO_ROOT / "scripts" /

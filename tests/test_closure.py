@@ -2,6 +2,13 @@
 
 import pytest
 
+from repro.flow import (
+    EcoFillerPass,
+    SecurityProperty as P,
+    preserves_all,
+    registered_passes,
+    strip_wall_times,
+)
 from repro.netlist import c17, ripple_carry_adder
 from repro.physical import (
     ClosureThresholds,
@@ -175,10 +182,32 @@ class TestSecurityClosure:
         a = security_closure(c17(), seed=3).to_dict()
         b = security_closure(c17(), seed=3).to_dict()
         for d in (a, b):                   # wall times may differ
-            for p in d["trace"]["passes"]:
-                p.pop("wall_ms", None)
-            d["trace"].pop("total_wall_ms", None)
+            d["trace"] = strip_wall_times(d["trace"])
         assert a == b
+
+    def test_eco_rechecks_follow_declared_effects(self):
+        # 3 layers: bury, shield and filler all run.
+        result = security_closure(ripple_carry_adder(8), num_layers=3,
+                                  seed=0)
+        ecos = result.trace.passes[1:]
+        assert [p.pass_name for p in ecos] == [
+            "bury-critical-nets", "shield-insertion", "eco-filler"]
+        for prov in ecos:
+            declared = registered_passes()[prov.pass_name].effects
+            expected = {prop.value: declared.classify(prop)
+                        for prop in P if prop not in declared.preserves}
+            assert {r.key: r.reason for r in prov.rechecks} == expected
+
+    def test_eco_rechecks_track_a_changed_declaration(self, monkeypatch):
+        monkeypatch.setattr(EcoFillerPass, "effects", preserves_all(
+            establishes=[P.TROJAN_INSERTABILITY],
+            invalidates=[P.FIA_EXPOSURE]))
+        result = security_closure(c17(), seed=2)
+        filler = result.trace.passes[-1]
+        assert filler.pass_name == "eco-filler"
+        assert [(r.key, r.reason) for r in filler.rechecks] == [
+            ("fia-exposure", "invalidates"),
+            ("trojan-insertability", "establishes")]
 
     def test_bury_loop_on_shallow_stack(self):
         # With only 3 layers, probe depth 2 reaches layer 2 — burying

@@ -4,7 +4,6 @@ import pytest
 
 from repro.core import (
     AttackTime,
-    ClassicalFlow,
     CompositionEngine,
     Design,
     DesignStage,
@@ -34,7 +33,14 @@ from repro.core import (
     wddl_countermeasure,
 )
 from repro.core.dse import Candidate, dominates
-from repro.netlist import random_circuit
+from repro.flow import PassManager, classical_pipeline, netlist_design
+from repro.netlist import ppa_report, random_circuit
+
+
+def run_classical(netlist, placement_iterations):
+    """Fig. 1: the classical pipeline with no security goals."""
+    return PassManager().run(netlist_design(netlist),
+                             classical_pipeline(placement_iterations))
 
 
 class TestThreatModels:
@@ -63,25 +69,22 @@ class TestThreatModels:
 
 class TestClassicalFlow:
     def test_runs_and_reports(self):
-        flow = ClassicalFlow(placement_iterations=1000)
-        result = flow.run(random_circuit(8, 60, 3, seed=1))
-        assert result.report.final_ppa is not None
-        stages = [r.stage for r in result.report.records]
+        result = run_classical(random_circuit(8, 60, 3, seed=1), 1000)
+        assert ppa_report(result.design.netlist).area > 0
+        stages = [p.stage for p in result.trace.passes]
         assert DesignStage.LOGIC_SYNTHESIS in stages
         assert DesignStage.TESTING in stages
 
     def test_no_security_checks_by_construction(self):
-        flow = ClassicalFlow(placement_iterations=500,
-                             run_atpg_stage=False)
-        result = flow.run(random_circuit(6, 40, 2, seed=2))
-        assert result.report.total_security_checks == 0
+        result = run_classical(random_circuit(6, 40, 2, seed=2), 500)
+        assert result.trace.all_rechecks() == []
+        assert result.all_passed
 
     def test_render(self):
-        flow = ClassicalFlow(placement_iterations=500,
-                             run_atpg_stage=False)
-        result = flow.run(random_circuit(6, 40, 2, seed=3))
-        text = result.report.render()
-        assert "(none)" in text  # the security-gap marker
+        result = run_classical(random_circuit(6, 40, 2, seed=3), 500)
+        text = result.trace.render()
+        assert "re-check" not in text  # the security gap
+        assert "0 failing check(s)" in text
 
 
 class TestMetrics:

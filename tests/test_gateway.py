@@ -20,8 +20,9 @@ transport a remote design team would use.  Covered contracts:
   campaign API is a 100% cache hit when resubmitted over HTTP, and
   default campaigns plan identically from the CLI, the library and
   HTTP;
-* input hygiene: traversal-shaped digests and malformed campaign
-  fields are 400s, never paths or tracebacks.
+* input hygiene: traversal-shaped digests, malformed campaign fields
+  and a job type that would run a tenant-chosen command are 400s, never
+  paths or tracebacks.
 """
 
 import http.client
@@ -42,7 +43,7 @@ from repro.service.campaigns import (
     security_closure_campaign,
 )
 from repro.service.client import GatewayClient, GatewayClientError
-from repro.service.gateway import Gateway
+from repro.service.gateway import Gateway, GatewayError, spec_from_body
 from repro.service.jobs import JobSpec
 from repro.service.rundb import SqliteRunDatabase
 from repro.service.scheduler import Scheduler
@@ -558,6 +559,17 @@ class TestInputHygiene:
             conn.close()
         finally:
             gw.shutdown()
+
+    def test_pytest_runner_job_type_is_400(self):
+        # A job that runs pytest with tenant-chosen target, flags, cwd
+        # and PYTHONPATH lets any tenant import arbitrary modules
+        # (-p) or delete a directory (--basetemp) on a pool worker.
+        with pytest.raises(GatewayError) as err:
+            spec_from_body({"job_type": "pytest-bench", "params": {
+                "target": "tests", "flags": ["--basetemp=store"],
+                "cwd": ".", "pythonpath": "."}})
+        assert err.value.status == 400
+        assert err.value.code == "bad_request"
 
     def test_unknown_job_type_and_campaign_are_400(self, tmp_path):
         gw = _gateway(tmp_path)

@@ -139,6 +139,8 @@ class TestPassPipelineJob:
         assert result["result_netlist"] in store
         trace = FlowTrace.from_dict(result["trace"])
         assert [p.pass_name for p in trace.passes] == ["synthesis"]
+        # Pure in (params, seed): a second run returns the same result.
+        assert run_job(spec, JobContext(seed=3, store=store)) == result
 
 
 class TestSecurityClosureCampaign:
@@ -171,6 +173,20 @@ class TestSecurityClosureCampaign:
             [c17()], seed=4, workers=2,
             store=ArtifactStore(tmp_path / "parallel"))
         assert serial == parallel
+
+    def test_closure_job_trace_revives(self, tmp_path):
+        from repro.flow import FlowTrace
+        from repro.service import JobContext, run_job
+
+        store = ArtifactStore(tmp_path / "store")
+        spec = JobSpec("closure",
+                       params={"netlist": store.put_netlist(c17())},
+                       seed=2)
+        doc = run_job(spec, JobContext(seed=2, store=store))["trace"]
+        trace = FlowTrace.from_dict(doc)
+        assert [p.pass_name for p in trace.passes][0] == "route"
+        assert all(p.wall_ms == 0.0 for p in trace.passes)
+        assert trace.failures == doc["failures"]
 
     def test_route_job_publishes_layout(self, tmp_path):
         from repro.service import JobContext, run_job
