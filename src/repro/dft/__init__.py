@@ -10,7 +10,7 @@ from .scan import (
     scan_load,
     scan_unload,
 )
-from .faultsim import CoverageReport, grade_vectors
+from .faultsim import CoverageReport, detection_words, grade_vectors
 from .atpg import (
     AtpgResult,
     IncrementalAtpg,
@@ -32,7 +32,7 @@ from .dfx import ChipState, DfxController, DfxEventLog
 __all__ = [
     "SCAN_ENABLE", "SCAN_IN", "SCAN_OUT", "ScanDesign", "insert_scan",
     "scan_capture", "scan_load", "scan_unload",
-    "CoverageReport", "grade_vectors",
+    "CoverageReport", "detection_words", "grade_vectors",
     "AtpgResult", "IncrementalAtpg", "compact_vectors",
     "generate_test_for_fault", "run_atpg", "shared_atpg_engine",
     "BistResult", "Lfsr", "Misr", "bist_detects_fault", "run_bist",

@@ -1,10 +1,13 @@
 """Automatic test pattern generation (ATPG) for stuck-at faults.
 
-Two-phase industrial recipe: cheap random patterns with fault dropping
-first, then SAT-based deterministic generation for the stragglers (the
-D-algorithm's job, here done by asking the solver for an input that
-distinguishes the faulty circuit from the good one).  Faults the solver
-proves untestable are *redundant* — which is itself useful feedback, and
+Two-phase industrial recipe.  The random phase grades one packed block
+of random patterns in a single fault-simulation pass
+(:func:`~repro.dft.faultsim.detection_words`), keeps only each
+detected fault's first detecting pattern and statically compacts that
+set; the SAT phase then asks the solver, for each fault the block
+missed, for an input that distinguishes the faulty circuit from the
+good one (the D-algorithm's job).  Faults the solver proves untestable
+are *redundant* — which is itself useful feedback, and
 security-relevant: redundant logic is where Trojans and locking key
 gates hide from testing.
 """
@@ -17,8 +20,8 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..fia import Fault, FaultKind, enumerate_faults, inject_fault
 from ..formal import CircuitEncoder, lit, neg
-from ..netlist import GateType, Netlist
-from .faultsim import detected_by_vectors, grade_vectors
+from ..netlist import GateType, Netlist, pack_patterns, random_stimulus
+from .faultsim import detected_by_vectors, detection_words
 
 
 @dataclass
@@ -154,7 +157,8 @@ def shared_atpg_engine(netlist: Netlist) -> IncrementalAtpg:
     clauses steer the search.  Use this only where the surfaced result
     is model-independent (coverage verdicts, detect/undetectable
     classification); batch flows whose concrete vectors are part of the
-    result (``run_atpg``) must keep constructing their own engine.
+    result must keep constructing their own engine — :func:`run_atpg`
+    does, for the faults its random block left undetected.
     The engine assumes the netlist is not mutated while registered;
     the registry key is content-addressed, so a structurally different
     netlist always gets a fresh engine.
@@ -169,11 +173,20 @@ def shared_atpg_engine(netlist: Netlist) -> IncrementalAtpg:
 
 def run_atpg(netlist: Netlist,
              faults: Optional[Sequence[Fault]] = None,
-             random_budget: int = 64,
+             random_budget: int = 1024,
              seed: int = 0) -> AtpgResult:
-    """Random phase with fault dropping, then SAT phase per survivor.
+    """Random block with first-detector selection, then SAT per survivor.
 
-    The SAT phase also drops faults: every deterministically generated
+    ``random_budget`` is the number of random patterns *graded*, not
+    kept: they are drawn as one packed block (one ``getrandbits`` word
+    per input) and fault-simulated in one :func:`detection_words` pass.
+    Only each detected fault's first detecting pattern is kept, and
+    that set is compacted by the reverse-order greedy of
+    :func:`compact_vectors`, so the kept count follows the faults, not
+    the budget.  The faults the block missed go to one
+    :class:`IncrementalAtpg` engine.
+
+    The SAT phase drops faults too: every deterministically generated
     test is fault-simulated against the remaining undetected faults, so
     one solver query typically retires many faults — the classical
     test-generation loop, and the difference between minutes and
@@ -182,15 +195,18 @@ def run_atpg(netlist: Netlist,
     rng = random.Random(seed)
     fault_list = list(faults) if faults is not None else enumerate_faults(
         netlist, kinds=(FaultKind.STUCK_AT_0, FaultKind.STUCK_AT_1))
-    vectors = [
-        {name: rng.randint(0, 1) for name in netlist.inputs}
-        for _ in range(random_budget)
-    ]
-    report = grade_vectors(netlist, vectors, fault_list)
-    result = AtpgResult(vectors=vectors)
-    undetected_set = set(report.undetected)
-    result.detected = [f for f in fault_list if f not in undetected_set]
-    remaining = list(report.undetected)
+    inputs = netlist.inputs
+    block = random_stimulus(inputs, random_budget, rng)
+    words = detection_words(netlist, block, random_budget, fault_list)
+    first = 0
+    for w in words:
+        first |= w & -w          # the fault's first detecting pattern
+    kept = _reverse_greedy([w for w in words if w], first)
+    result = AtpgResult(
+        vectors=[{name: (block[name] >> p) & 1 for name in inputs}
+                 for p in range(random_budget) if kept >> p & 1],
+        detected=[f for f, w in zip(fault_list, words) if w])
+    remaining = [f for f, w in zip(fault_list, words) if not w]
     engine = IncrementalAtpg(netlist) if remaining else None
     while remaining:
         fault = remaining.pop(0)
@@ -222,13 +238,31 @@ def compact_vectors(netlist: Netlist, vectors: Sequence[Mapping[str, int]],
                     faults: Optional[Sequence[Fault]] = None
                     ) -> List[Dict[str, int]]:
     """Greedy reverse-order compaction: drop vectors that do not reduce
-    coverage (classic static compaction)."""
-    kept = [dict(v) for v in vectors]
-    baseline = grade_vectors(netlist, kept, faults).coverage
-    index = len(kept) - 1
-    while index >= 0:
-        trial = kept[:index] + kept[index + 1:]
-        if grade_vectors(netlist, trial, faults).coverage >= baseline:
-            kept = trial
-        index -= 1
+    coverage (classic static compaction).
+
+    One :func:`detection_words` pass grades the whole set.  Walking from
+    the last vector to the first, a vector is dropped unless some fault
+    is detected by it and by no other vector still kept.  ``faults``
+    defaults to all single stuck-at faults.
+    """
+    fault_list = list(faults) if faults is not None else enumerate_faults(
+        netlist, kinds=(FaultKind.STUCK_AT_0, FaultKind.STUCK_AT_1))
+    width = len(vectors)
+    words = detection_words(netlist, pack_patterns(vectors, netlist.inputs),
+                            width, fault_list)
+    kept = _reverse_greedy([w for w in words if w], (1 << width) - 1)
+    return [dict(v) for p, v in enumerate(vectors) if kept >> p & 1]
+
+
+def _reverse_greedy(words: Sequence[int], kept: int) -> int:
+    """Static compaction on detection words: the pattern mask to keep.
+
+    Visits the patterns set in ``kept`` from the highest index down and
+    drops each one unless some fault's word, restricted to the patterns
+    still kept, is that pattern alone.
+    """
+    for p in reversed(range(kept.bit_length())):
+        bit = 1 << p
+        if kept & bit and not any((w & kept) == bit for w in words):
+            kept ^= bit
     return kept

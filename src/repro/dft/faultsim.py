@@ -1,11 +1,13 @@
 """Stuck-at fault simulation for test-coverage grading.
 
-Grades a vector set against the single-stuck-at model using the
+Grades a pattern block against the single-stuck-at model using the
 compiled bit-parallel simulator: one fault-free simulation covers the
-whole pattern set, then each fault is propagated *incrementally*
-through its fanout cone over the compiled gate program — no per-fault
-netlist copy, no full re-simulation.  Fault dropping keeps campaigns
-fast.
+whole block, then each fault is propagated *incrementally* through its
+fanout cone over the compiled gate program — no per-fault netlist
+copy, no full re-simulation.  :func:`detection_words` is the one
+kernel: it keeps, per fault, *which* patterns detect it, so coverage,
+first detectors and static compaction are all bit operations on its
+result.
 """
 
 from __future__ import annotations
@@ -44,25 +46,43 @@ def _forced_word(compiled: CompiledNetlist, fault: Fault,
     raise ValueError(f"unsupported fault kind {fault.kind}")
 
 
+def detection_words(netlist: Netlist, columns: Mapping[str, int],
+                    width: int, faults: Sequence[Fault]) -> List[int]:
+    """Per-fault packed detection word of a ``width``-pattern block.
+
+    ``columns`` maps every primary input to its packed word (pattern
+    ``p`` in bit ``p``, as :func:`~repro.netlist.random_stimulus` and
+    :func:`~repro.netlist.pack_patterns` build it).  Bit ``p`` of a
+    fault's word is set when pattern ``p`` flips some primary output
+    under the fault: the output diff of
+    :meth:`~repro.netlist.CompiledNetlist.propagate_force` against one
+    fault-free evaluation of the block.  Flop state reads as zero.
+    """
+    compiled = get_compiled(netlist)
+    mask = (1 << width) - 1
+    golden = compiled.eval_words(columns, width)
+    outputs = [compiled.index[o] for o in netlist.outputs]
+    words: List[int] = []
+    for fault in faults:
+        changed = compiled.propagate_force(
+            golden, compiled.index[fault.net],
+            _forced_word(compiled, fault, golden, mask), width)
+        word = 0
+        for o in outputs:
+            new = changed.get(o)
+            if new is not None:
+                word |= golden[o] ^ new
+        words.append(word)
+    return words
+
+
 def detected_by_vectors(netlist: Netlist,
                         vectors: Sequence[Mapping[str, int]],
                         faults: Sequence[Fault]) -> List[bool]:
     """Per-fault detection flags of a vector set (order preserved)."""
-    if not vectors:
-        return [False] * len(faults)
-    compiled = get_compiled(netlist)
-    width = len(vectors)
-    mask = (1 << width) - 1
-    stimulus = pack_patterns(list(vectors), compiled.input_names)
-    golden = compiled.eval_words(stimulus, width)
-    output_indices = frozenset(compiled.index[o] for o in netlist.outputs)
-    flags: List[bool] = []
-    for fault in faults:
-        forced = _forced_word(compiled, fault, golden, mask)
-        flags.append(compiled.fault_detects(
-            golden, compiled.index[fault.net], forced, output_indices,
-            width))
-    return flags
+    columns = pack_patterns(vectors, netlist.inputs)
+    return [word != 0 for word in
+            detection_words(netlist, columns, len(vectors), faults)]
 
 
 def grade_vectors(netlist: Netlist,
@@ -75,8 +95,6 @@ def grade_vectors(netlist: Netlist,
     """
     fault_list = list(faults) if faults is not None else enumerate_faults(
         netlist, kinds=(FaultKind.STUCK_AT_0, FaultKind.STUCK_AT_1))
-    if not vectors:
-        return CoverageReport(len(fault_list), 0, list(fault_list))
     flags = detected_by_vectors(netlist, vectors, fault_list)
     undetected = [f for f, hit in zip(fault_list, flags) if not hit]
     return CoverageReport(len(fault_list), len(fault_list) - len(undetected),

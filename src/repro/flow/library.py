@@ -368,18 +368,21 @@ class AtpgPass(Pass):
     stage = DesignStage.TESTING
     effects = preserves_all()
 
-    def __init__(self, random_budget: int = 32) -> None:
+    def __init__(self, random_budget: Optional[int] = None) -> None:
+        # ``None`` keeps run_atpg's own default budget.
         self.random_budget = random_budget
 
     def apply(self, netlist, ctx) -> PassResult:
-        atpg = run_atpg(netlist, random_budget=self.random_budget,
-                        seed=ctx.seed)
+        budget = {} if self.random_budget is None else {
+            "random_budget": self.random_budget}
+        atpg = run_atpg(netlist, seed=ctx.seed, **budget)
         ctx.notes["atpg"] = atpg
         return PassResult(
             self.name,
             summary=f"ATPG: {len(atpg.vectors)} vectors, "
                     f"{len(atpg.untestable)} redundant faults",
-            details={"stuck_at_coverage": atpg.coverage})
+            details={"stuck_at_coverage": atpg.coverage,
+                     "vectors": len(atpg.vectors)})
 
 
 # ----------------------------------------------------------------------

@@ -280,7 +280,6 @@ class FlowRunResult:
 
     design: Design
     trace: FlowTrace
-    context: FlowContext
 
     @property
     def failures(self) -> List[str]:
@@ -434,4 +433,4 @@ class PassManager:
                 trace.final.append(recheck(self.checkers, prop, ctx,
                                            "final", "baseline"))
 
-        return FlowRunResult(ctx.design, trace, ctx)
+        return FlowRunResult(ctx.design, trace)

@@ -589,12 +589,6 @@ class CompiledNetlist:
                         heappush(heap, consumer)
         return changed
 
-    def fault_detects(self, golden: Sequence[int], site: int, forced: int,
-                      output_indices: frozenset, width: int) -> bool:
-        """True when forcing ``site`` flips some primary output pattern."""
-        changed = self.propagate_force(golden, site, forced, width)
-        return not output_indices.isdisjoint(changed)
-
 
 def get_compiled(netlist: Netlist) -> CompiledNetlist:
     """The cached compiled program for ``netlist`` (recompiling if stale).

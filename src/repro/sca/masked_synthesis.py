@@ -25,11 +25,16 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from ..netlist import GateType, Netlist
 from ..synth.techmap import decompose_variadic
 from .wddl import to_and_or_not
+
+
+#: ``bytes.translate`` table turning ASCII ``0``/``1`` into 0/1 bytes.
+_BITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 @dataclass
@@ -45,17 +50,37 @@ class MaskedCircuit:
     def randomness_bits(self) -> int:
         return len(self.random_inputs)
 
+    @cached_property
+    def _draw_layout(self) -> Tuple[Tuple[str, ...], Tuple[str, ...], str]:
+        """``(slots, plain names, format spec)`` of :meth:`stimulus`.
+
+        Slots run from the most significant bit of the formatted word
+        down: first shares, random inputs, then second shares.
+        """
+        plain = tuple(self.input_shares)
+        first = tuple(s0 for s0, _ in self.input_shares.values())
+        second = tuple(s1 for _, s1 in self.input_shares.values())
+        slots = first + tuple(self.random_inputs) + second
+        return slots, plain, f"0{len(slots)}b"
+
     def stimulus(self, plain_inputs: Mapping[str, int],
                  rng: random.Random) -> Dict[str, int]:
-        """Randomly share a plain stimulus and draw gadget randomness."""
-        stim: Dict[str, int] = {}
-        for name, (s0, s1) in self.input_shares.items():
-            share = rng.randint(0, 1)
-            stim[s0] = share
-            stim[s1] = (plain_inputs.get(name, 0) & 1) ^ share
-        for r in self.random_inputs:
-            stim[r] = rng.randint(0, 1)
-        return stim
+        """Randomly share a plain stimulus and draw gadget randomness.
+
+        One ``rng.getrandbits(k)`` per call, ``k`` = shared inputs +
+        random inputs: its top bits are the first shares, the rest the
+        gadget randomness, and each second share is its first share
+        XOR the plain bit.  The word is split into 0/1 values at C
+        speed (``format``, ``bytes.translate``, ``zip``).
+        """
+        slots, plain, spec = self._draw_layout
+        n_shared, n_random = len(plain), len(self.random_inputs)
+        word = rng.getrandbits(n_shared + n_random)
+        bits = 0
+        for name in plain:
+            bits = (bits << 1) | (plain_inputs.get(name, 0) & 1)
+        word = (word << n_shared) | ((word >> n_random) ^ bits)
+        return dict(zip(slots, format(word, spec).encode().translate(_BITS)))
 
     def decode_outputs(self, values: Mapping[str, int],
                        pattern: int = 0) -> Dict[str, int]:

@@ -461,7 +461,7 @@ def _variant_batch_job(params: Dict[str, object], ctx: JobContext):
     "netlist": "0" * 64,
     "passes": [["synthesis", {}]]}, sample_result={
     "trace": {"passes": []}, "result_netlist": "0" * 64},
-    version=1)
+    version=2)
 def _pass_pipeline_job(params: Dict[str, object], ctx: JobContext):
     """Run a named pass pipeline over a stored netlist.
 
@@ -472,7 +472,10 @@ def _pass_pipeline_job(params: Dict[str, object], ctx: JobContext):
     wall times (:func:`~repro.flow.manager.strip_wall_times`), so the
     result is a pure function of ``(params, seed)``;
     ``FlowTrace.from_dict`` reconstructs the trace client-side.
-    Version 1: wall times stripped.
+    Version 1: wall times stripped.  Version 2: the ``atpg`` pass keeps
+    only first-detecting patterns of a 1024-pattern block and reports
+    their count, and ``mask-insertion`` draws one RNG word per masked
+    stimulus, so its TVLA re-checks read other values.
     """
     from ..flow import (PassManager, create_pass, netlist_design,
                         strip_wall_times)

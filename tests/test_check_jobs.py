@@ -203,8 +203,9 @@ class TestJobResultVersion:
                 spec.job_type, spec.params_dict, spec.seed)))
         problems = check_jobs.audit()
         assert problems == [
-            f"{name}: version 1 does not change the spec hash"
-            for name in ("composition-stack", "pass-pipeline")]
+            f"{name}: version {version} does not change the spec hash"
+            for name, version in (("composition-stack", 1),
+                                  ("pass-pipeline", 2))]
 
     def test_composition_sample_result_has_a_real_rows_shape(self):
         from repro.service import (

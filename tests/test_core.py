@@ -1,5 +1,8 @@
 """Tests for the core secure-composition framework."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.core import (
@@ -33,7 +36,12 @@ from repro.core import (
     wddl_countermeasure,
 )
 from repro.core.dse import Candidate, dominates
-from repro.flow import PassManager, classical_pipeline, netlist_design
+from repro.flow import (
+    AnalysisCache,
+    PassManager,
+    classical_pipeline,
+    netlist_design,
+)
 from repro.netlist import ppa_report, random_circuit
 
 
@@ -195,6 +203,27 @@ class TestSecureFlow:
             placement_iterations=500)
         result = flow.run(masked_and_design())
         assert any("leaking nets" in f for f in result.failures)
+
+    def test_result_holds_no_analysis_cache(self, monkeypatch):
+        # The run's cache holds every TVLA bit matrix it simulated; a
+        # caller keeping the result must not keep those alive.
+        caches = []
+        init = AnalysisCache.__init__
+
+        def spy(self):
+            init(self)
+            caches.append(weakref.ref(self))
+
+        monkeypatch.setattr(AnalysisCache, "__init__", spy)
+        flow = SecureFlow(
+            [tvla_requirement(n_traces=2500)],
+            transforms=[parity_countermeasure()],
+            placement_iterations=500)
+        result = flow.run(masked_and_design())
+        gc.collect()
+        assert caches
+        assert all(ref() is None for ref in caches)
+        assert result.trace.all_rechecks()
 
 
 class TestDse:

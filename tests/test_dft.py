@@ -1,17 +1,21 @@
 """Tests for the DFT substrate: scan, ATPG, BIST, scan attack, DFX."""
 
 import random
+from functools import partial
 
 import pytest
 
+from repro.crypto import aes_sbox_netlist
 from repro.dft import (
     ChipState,
     DfxController,
+    IncrementalAtpg,
     Lfsr,
     Misr,
     ScanChipModel,
     bist_detects_fault,
     compact_vectors,
+    detection_words,
     generate_test_for_fault,
     grade_vectors,
     insert_scan,
@@ -23,9 +27,19 @@ from repro.dft import (
     scan_unload,
 )
 from repro.dft import test_access_still_works as scan_test_access
-from repro.fia import Fault, FaultKind, attack_fault_stream, inject_fault, \
-    natural_fault_stream
-from repro.netlist import GateType, Netlist, c17, random_circuit
+from repro.fia import Fault, FaultKind, attack_fault_stream, \
+    enumerate_faults, inject_fault, natural_fault_stream
+from repro.netlist import (
+    GateType,
+    Netlist,
+    c17,
+    random_circuit,
+    random_stimulus,
+    ripple_carry_adder,
+    simulate_reference,
+)
+
+STUCK_AT = (FaultKind.STUCK_AT_0, FaultKind.STUCK_AT_1)
 
 
 def sequential_example():
@@ -107,6 +121,91 @@ class TestFaultGrading:
         assert high >= low
 
 
+class TestDetectionWords:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_inject_fault_reference(self, seed):
+        n = random_circuit(6, 40, 4, seed=seed)
+        width = 24
+        columns = random_stimulus(n.inputs, width, random.Random(seed))
+        faults = enumerate_faults(n, kinds=STUCK_AT)
+        words = detection_words(n, columns, width, faults)
+        patterns = [{name: (columns[name] >> p) & 1 for name in n.inputs}
+                    for p in range(width)]
+        good = [simulate_reference(n, pattern) for pattern in patterns]
+        for fault, word in zip(faults, words):
+            faulty = inject_fault(n, fault)
+            for p, pattern in enumerate(patterns):
+                bad = simulate_reference(faulty, pattern)
+                flips = any(bad[o] != good[p][o] for o in n.outputs)
+                assert (word >> p) & 1 == flips, (fault, p)
+
+    def test_flags_and_coverage_derive_from_words(self):
+        n = random_circuit(8, 60, 4, seed=1)
+        rng = random.Random(3)
+        vectors = [{name: rng.randint(0, 1) for name in n.inputs}
+                   for _ in range(12)]
+        faults = enumerate_faults(n, kinds=STUCK_AT)
+        columns = {name: sum(v[name] << p for p, v in enumerate(vectors))
+                   for name in n.inputs}
+        words = detection_words(n, columns, len(vectors), faults)
+        report = grade_vectors(n, vectors, faults)
+        assert report.detected_faults == sum(1 for w in words if w)
+        assert report.undetected == [f for f, w in zip(faults, words)
+                                     if not w]
+
+
+def _compact_by_regrading(netlist, vectors, faults=None):
+    """The per-vector re-grading loop ``compact_vectors`` used to run."""
+    kept = [dict(v) for v in vectors]
+    baseline = grade_vectors(netlist, kept, faults).coverage
+    index = len(kept) - 1
+    while index >= 0:
+        trial = kept[:index] + kept[index + 1:]
+        if grade_vectors(netlist, trial, faults).coverage >= baseline:
+            kept = trial
+        index -= 1
+    return kept
+
+
+def _and_tree(width):
+    """``y = AND`` of ``width`` inputs as a balanced 2-input tree."""
+    n = Netlist(f"and{width}")
+    level = [n.add_input(f"x{i}") for i in range(width)]
+    while len(level) > 2:
+        level = [n.add(GateType.AND, list(pair), prefix="t")
+                 for pair in zip(level[::2], level[1::2])]
+    n.add_gate("y", GateType.AND, level)
+    n.add_output("y")
+    return n
+
+
+class TestCompaction:
+    @pytest.mark.parametrize("make", [
+        c17, partial(ripple_carry_adder, 8), aes_sbox_netlist,
+        *(partial(random_circuit, 8, 60, 4, seed=s) for s in range(4)),
+    ], ids=["c17", "rca8", "aes_sbox",
+            *(f"random{s}" for s in range(4))])
+    def test_matches_regrading_loop(self, make):
+        n = make()
+        rng = random.Random(11)
+        vectors = [{name: rng.randint(0, 1) for name in n.inputs}
+                   for _ in range(48)]
+        assert compact_vectors(n, vectors) == \
+            _compact_by_regrading(n, vectors)
+
+    def test_matches_regrading_loop_on_fault_subset(self):
+        n = ripple_carry_adder(8)
+        faults = enumerate_faults(n, kinds=STUCK_AT)[::3]
+        vectors = run_atpg(n, random_budget=64, seed=2).vectors
+        assert compact_vectors(n, vectors, faults) == \
+            _compact_by_regrading(n, vectors, faults)
+
+    def test_empty_and_faultless(self):
+        assert compact_vectors(c17(), []) == []
+        vectors = [{name: 1 for name in c17().inputs}]
+        assert compact_vectors(c17(), vectors, faults=[]) == []
+
+
 class TestAtpg:
     def test_full_coverage_on_c17(self):
         result = run_atpg(c17(), random_budget=8, seed=1)
@@ -131,6 +230,52 @@ class TestAtpg:
         if status == "detected":
             report = grade_vectors(n, [test], [fault])
             assert report.coverage == 1.0
+
+    def test_random_resistant_faults_go_through_sat(self, monkeypatch):
+        # Exciting stuck-at-0 at the root of a 16-input AND tree (or
+        # stuck-at-1 on one leaf) needs one pattern in 2**16: a
+        # 1024-pattern block almost never holds it, so SAT must.
+        n = _and_tree(16)
+        engines = []
+        init = IncrementalAtpg.__init__
+
+        def spy(self, netlist):
+            init(self, netlist)
+            engines.append(self)
+
+        monkeypatch.setattr(IncrementalAtpg, "__init__", spy)
+        root = Fault("y", FaultKind.STUCK_AT_0)
+        block = random_stimulus(n.inputs, 1024, random.Random(0))
+        assert detection_words(n, block, 1024, [root]) == [0]
+        result = run_atpg(n, seed=0)
+        assert result.coverage == 1.0
+        assert not result.aborted and not result.untestable
+        assert root in result.detected
+        assert {name: 1 for name in n.inputs} in result.vectors
+        assert len(engines) == 1
+        assert engines[0].encoder.encode_calls == 1
+        assert grade_vectors(n, result.vectors).coverage == 1.0
+
+    def test_redundant_fault_lands_in_untestable(self):
+        n = Netlist()
+        n.add_input("x")
+        n.add_gate("inv", GateType.NOT, ["x"])
+        n.add_gate("o", GateType.OR, ["x", "inv"])   # constant 1
+        n.add_gate("y", GateType.AND, ["o", "x"])
+        n.add_output("y")
+        result = run_atpg(n, seed=0)
+        assert Fault("o", FaultKind.STUCK_AT_1) in result.untestable
+        assert not result.aborted
+        assert result.coverage == 1.0
+
+    def test_budget_counts_patterns_graded_not_kept(self):
+        n = aes_sbox_netlist()
+        result = run_atpg(n, seed=0)
+        assert result.coverage == 1.0 and not result.aborted
+        # Only first detectors survive: far fewer than the 1024 graded.
+        assert len(result.vectors) < 128
+        assert grade_vectors(n, result.vectors).coverage == 1.0
+        assert compact_vectors(n, result.vectors) == result.vectors
 
     def test_compaction_keeps_coverage(self):
         n = c17()

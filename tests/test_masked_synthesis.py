@@ -1,7 +1,9 @@
 """Tests for automated masking synthesis (netlist-level ISW transform)."""
 
 import random
+from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,7 +16,7 @@ from repro.netlist import (
     random_circuit,
     simulate,
 )
-from repro.sca import leakage_traces, mask_netlist, tvla
+from repro.sca import TVLA_THRESHOLD, leakage_traces, mask_netlist, tvla
 from repro.synth import reassociate_for_timing
 
 
@@ -84,6 +86,49 @@ class TestMaskNetlist:
         assert set(masked.output_shares) == set(base.outputs)
 
 
+class CountingRandom(random.Random):
+    """``random.Random`` that counts its primitive draws."""
+
+    def __init__(self, seed):
+        self.calls = Counter()
+        super().__init__(seed)
+
+    def getrandbits(self, k):
+        self.calls["getrandbits"] += 1
+        return super().getrandbits(k)
+
+    def random(self):
+        self.calls["random"] += 1
+        return super().random()
+
+
+class TestStimulus:
+    def test_one_word_per_trace_and_valid_shares(self):
+        masked = mask_netlist(present_sbox_netlist())
+        names = sorted(masked.netlist.inputs)
+        plain_rng = random.Random(7)
+        rng = CountingRandom(3)
+        rows = []
+        for trace in range(4000):
+            plain = {f"x{i}": plain_rng.randint(0, 1) for i in range(4)}
+            stim = masked.stimulus(plain, rng)
+            assert rng.calls == {"getrandbits": trace + 1}
+            assert sorted(stim) == names
+            assert set(stim.values()) <= {0, 1}
+            for name, (s0, s1) in masked.input_shares.items():
+                assert stim[s0] ^ stim[s1] == plain[name]
+            rows.append([stim[name] for name in names])
+        means = np.asarray(rows).mean(axis=0)
+        # 0.5 +- 0.05 is over six standard errors at 4000 draws.
+        assert np.all(np.abs(means - 0.5) < 0.05), means
+
+    def test_missing_plain_inputs_read_as_zero(self):
+        masked = mask_netlist(c17())
+        stim = masked.stimulus({}, random.Random(0))
+        for s0, s1 in masked.input_shares.values():
+            assert stim[s0] == stim[s1]
+
+
 class TestMaskedLeakage:
     def _classes(self, masked, n, fixed, seed):
         rng = random.Random(seed)
@@ -129,6 +174,37 @@ class TestMaskedLeakage:
             broken, self._classes(masked, 4000, False, 5),
             noise_sigma=0.3, seed=5)
         assert tvla(fixed, rand).leaks
+
+
+class TestFig2VerdictSlice:
+    """Fig. 2 at circuit scale over seeds 0-19 (fixed in advance): the
+    masked PRESENT S-box always passes TVLA and its timing-driven
+    re-association always fails, at 2000 traces per class and noise
+    0.3 (the ``signoff`` benchmark's recipe)."""
+
+    PLAIN = [{f"x{i}": (x >> i) & 1 for i in range(4)} for x in range(16)]
+
+    def _max_t(self, masked, netlist, seed):
+        rng = random.Random(seed)
+        fixed = [masked.stimulus(self.PLAIN[0xB], rng)
+                 for _ in range(2000)]
+        rand = [masked.stimulus(self.PLAIN[rng.randrange(16)], rng)
+                for _ in range(2000)]
+        return tvla(
+            leakage_traces(netlist, fixed, noise_sigma=0.3, seed=seed),
+            leakage_traces(netlist, rand, noise_sigma=0.3, seed=seed + 1),
+        ).max_abs_t
+
+    def test_verdicts_hold_on_every_seed(self):
+        masked = mask_netlist(present_sbox_netlist())
+        broken = masked.netlist.copy()
+        reassociate_for_timing(
+            broken, input_arrivals={r: 1e5 for r in masked.random_inputs})
+        for seed in range(20):
+            secure_t = self._max_t(masked, masked.netlist, seed)
+            broken_t = self._max_t(masked, broken, seed)
+            assert secure_t < TVLA_THRESHOLD, (seed, secure_t)
+            assert broken_t > TVLA_THRESHOLD, (seed, broken_t)
 
 
 @settings(max_examples=8, deadline=None)
