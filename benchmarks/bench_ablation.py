@@ -21,9 +21,9 @@ import random
 
 import pytest
 
-from repro.core import CompositionEngine, masked_and_design, \
-    parity_countermeasure
+from repro.core import CompositionEngine, masked_and_design
 from repro.crypto import sbox_with_key_netlist
+from repro.flow import ParityDetectPass
 from repro.ip import (
     attack_locked_circuit,
     lock_xor,
@@ -97,7 +97,7 @@ def run_budget_ablation():
         engine = CompositionEngine(n_traces=budget, noise_sigma=0.25,
                                    seed=1)
         _, report = engine.compose(masked_and_design(),
-                                   [parity_countermeasure()])
+                                   [ParityDetectPass()])
         flagged = any(e.metric == "tvla_max_t" and e.harmful
                       for e in report.cross_effects)
         rows[budget] = (report.steps[-1][1].tvla_max_t, flagged)

@@ -17,13 +17,8 @@ although a single trace set fails it by chance now and then.
 
 import pytest
 
-from repro.core import (
-    CompositionEngine,
-    duplication_countermeasure,
-    masked_and_design,
-    parity_countermeasure,
-    wddl_countermeasure,
-)
+from repro.core import CompositionEngine, masked_and_design
+from repro.flow import DuplicationDetectPass, ParityDetectPass, WddlPass
 from repro.sca import TVLA_THRESHOLD
 
 #: Composition seeds of the verdict sweep: consecutive, fixed in advance.
@@ -34,9 +29,9 @@ SWEEP_TRACES = 2000
 def run_composition_matrix():
     engine = CompositionEngine(n_traces=4000, noise_sigma=0.25, seed=1)
     stacks = {
-        "duplication": [duplication_countermeasure()],
-        "parity": [parity_countermeasure()],
-        "wddl": [wddl_countermeasure()],
+        "duplication": [DuplicationDetectPass()],
+        "parity": [ParityDetectPass()],
+        "wddl": [WddlPass()],
     }
     out = {}
     for name, stack in stacks.items():

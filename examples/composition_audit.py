@@ -21,14 +21,17 @@ from repro.core import (
     MaskingConstraint,
     SecureFlow,
     compile_and_check,
-    duplication_countermeasure,
     masked_and_design,
-    parity_countermeasure,
     register_from_composition,
-    timing_reassociation_step,
     tvla_requirement,
     no_leaky_net_requirement,
-    wddl_countermeasure,
+)
+from repro.flow import (
+    DuplicationDetectPass,
+    ParityDetectPass,
+    PassManager,
+    ReassociationPass,
+    WddlPass,
 )
 
 
@@ -36,10 +39,10 @@ def main() -> None:
     engine = CompositionEngine(n_traces=4000, noise_sigma=0.25, seed=1)
 
     stacks = {
-        "masking + duplication": [duplication_countermeasure()],
-        "masking + parity": [parity_countermeasure()],
-        "masking + timing re-association": [timing_reassociation_step()],
-        "masking + WDDL": [wddl_countermeasure()],
+        "masking + duplication": [DuplicationDetectPass()],
+        "masking + parity": [ParityDetectPass()],
+        "masking + timing re-association": [ReassociationPass()],
+        "masking + WDDL": [WddlPass()],
     }
     for name, stack in stacks.items():
         print(f"\n##### {name} #####")
@@ -53,7 +56,7 @@ def main() -> None:
     flow = SecureFlow(
         [tvla_requirement(n_traces=3000),
          no_leaky_net_requirement(n_traces=2500)],
-        transforms=[parity_countermeasure()],
+        transforms=[ParityDetectPass()],
         placement_iterations=1000)
     result = flow.run(masked_and_design())
     print(result.trace.render())
@@ -67,16 +70,17 @@ def main() -> None:
         DetectionConstraint(),
     ]
     for name, countermeasure in (
-            ("duplication", duplication_countermeasure()),
-            ("parity", parity_countermeasure())):
-        design = countermeasure.apply(masked_and_design())
+            ("duplication", DuplicationDetectPass()),
+            ("parity", ParityDetectPass())):
+        design = PassManager().run(masked_and_design(),
+                                   [countermeasure]).design
         print(f"\n--- constraints vs masking + {name} ---")
         print(compile_and_check(design, constraints).render())
 
     print("\n##### risk register hand-off #####")
     engine = CompositionEngine(n_traces=3000, seed=9)
     _, parity_report = engine.compose(masked_and_design(),
-                                      [parity_countermeasure()])
+                                      [ParityDetectPass()])
     register = register_from_composition("masked-and + parity",
                                          parity_report)
     print(register.render())

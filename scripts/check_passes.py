@@ -23,7 +23,12 @@ Walks every registered :class:`repro.flow.Pass` and fails on:
   at least one layout property established, physical-synthesis stage,
 * a ``PassProvenance(...)`` call in any module under ``src/repro``
   other than ``flow/manager.py``: :func:`repro.flow.manager.run_pass`
-  is the one writer of a flow trace's pass entries.
+  is the one writer of a flow trace's pass entries,
+* a composition stack name that reaches no registered pass: a
+  :data:`repro.core.designs.STACK_PASSES` entry naming an unregistered
+  pass, or a :data:`repro.service.campaigns.DEFAULT_STACKS` stack using
+  a name that table lacks (so a mistyped stack fails here, not in a
+  worker job).
 
 Run directly (exit 1 on problems) or import :func:`audit` from a test.
 
@@ -81,7 +86,26 @@ def audit() -> List[str]:
         if not (cls.__doc__ or "").strip():
             problems.append(f"{name}: pass class {where} has no "
                             "docstring explaining its declaration")
-    return problems + _stray_provenance_writers()
+    return problems + _stack_problems() + _stray_provenance_writers()
+
+
+def _stack_problems() -> List[str]:
+    """One problem per composition stack name without a registered
+    pass behind it."""
+    from repro.core.designs import STACK_PASSES
+    from repro.flow import registered_passes
+    from repro.service.campaigns import DEFAULT_STACKS
+
+    registered = registered_passes()
+    problems = [
+        f"STACK_PASSES[{name!r}]: names unregistered pass {pass_name!r}"
+        for name, pass_name in sorted(STACK_PASSES.items())
+        if pass_name not in registered]
+    for label, names in sorted(DEFAULT_STACKS.items()):
+        problems.extend(
+            f"DEFAULT_STACKS[{label!r}]: stack name {name!r} is not in "
+            f"STACK_PASSES" for name in names if name not in STACK_PASSES)
+    return problems
 
 
 def _stray_provenance_writers() -> List[str]:

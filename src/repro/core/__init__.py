@@ -33,23 +33,17 @@ from .metrics import (
 from .composition import (
     CompositionEngine,
     CompositionReport,
-    Countermeasure,
     CrossEffect,
     Design,
     EvaluationSnapshot,
 )
 from .designs import (
-    COUNTERMEASURE_FACTORIES,
     DESIGN_FACTORIES,
+    STACK_PASSES,
     build_design,
     build_stack,
-    duplication_countermeasure,
     masked_and_design,
-    parity_countermeasure,
-    register_countermeasure,
     register_design,
-    timing_reassociation_step,
-    wddl_countermeasure,
 )
 from .flow import (
     SecureFlow,
@@ -101,14 +95,10 @@ __all__ = [
     "Direction", "MetricRegistry", "MetricResult", "SecurityMetric",
     "StepFunctionMetric", "masking_order_steps",
     "sat_attack_resistance_steps",
-    "CompositionEngine", "CompositionReport", "Countermeasure",
-    "CrossEffect", "Design", "EvaluationSnapshot",
-    "COUNTERMEASURE_FACTORIES", "DESIGN_FACTORIES",
-    "build_design", "build_stack",
-    "duplication_countermeasure", "masked_and_design",
-    "parity_countermeasure", "register_countermeasure",
-    "register_design", "timing_reassociation_step",
-    "wddl_countermeasure",
+    "CompositionEngine", "CompositionReport", "CrossEffect", "Design",
+    "EvaluationSnapshot",
+    "DESIGN_FACTORIES", "STACK_PASSES", "build_design", "build_stack",
+    "masked_and_design", "register_design",
     "SecureFlow", "SecurityRequirement",
     "no_leaky_net_requirement", "tvla_requirement",
     "Candidate", "LockingSweepPoint", "dominates", "locking_candidates",

@@ -7,13 +7,13 @@
     effectiveness are required."
 
 :class:`CompositionEngine` is that tool: it holds a :class:`Design`
-(netlist + security interface), applies countermeasures through
-:class:`Countermeasure` adapters, and — after *every* application —
-re-evaluates the metrics of **all** threat vectors, flagging negative
-cross-effects.  The flagship instance this engine catches: wrapping an
-ISW-masked gadget with parity-based error detection physically computes
-the XOR of the shares — the unmasked secret — on a wire, and TVLA
-lights up (ref [61] made executable).
+(netlist + security interface), applies countermeasures as registered
+flow passes (:mod:`repro.flow.library`), and — after *every*
+application — re-evaluates the metrics of **all** threat vectors,
+flagging negative cross-effects.  The flagship instance this engine
+catches: wrapping an ISW-masked gadget with parity-based error
+detection physically computes the XOR of the shares — the unmasked
+secret — on a wire, and TVLA lights up (ref [61] made executable).
 
 Side-channel metrics are the flow's verdict
 (:func:`~repro.flow.properties.tvla_check` and
@@ -26,13 +26,17 @@ break nor reads as one.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, replace
+from typing import (
+    TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple,
+)
 
 from ..fia import Fault, FaultKind, fault_campaign
 from ..netlist import Netlist, ppa_report
 from ..sca import TVLA_THRESHOLD
-from .threats import ThreatVector
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from ..flow.passes import Pass
 
 #: A stimulus transformer: adapts base-circuit stimuli to the current
 #: (possibly wrapped/transformed) netlist's input names.
@@ -60,7 +64,6 @@ class Design:
     payload_outputs: Optional[List[str]] = None
     protected_region_prefix: str = ""
     key_bits: int = 0
-    applied: List[str] = field(default_factory=list)
 
     def fault_sites(self, kinds=(FaultKind.STUCK_AT_0,
                                  FaultKind.STUCK_AT_1)) -> List[Fault]:
@@ -82,16 +85,6 @@ class Design:
         rng = random.Random(seed)
         generator = self.tvla_fixed if fixed else self.tvla_random
         return [self.stimulus_adapter(generator(rng)) for _ in range(n)]
-
-
-@dataclass
-class Countermeasure:
-    """An adapter turning a substrate transform into a composable pass."""
-
-    name: str
-    threat: ThreatVector
-    apply: Callable[[Design], Design]
-    description: str = ""
 
 
 @dataclass
@@ -232,41 +225,49 @@ class CompositionEngine:
 
     # -- composition loop -------------------------------------------------
 
-    def compose(self, design: Design,
-                countermeasures: Sequence[Countermeasure]
+    def compose(self, design: Design, passes: Sequence["Pass"]
                 ) -> Tuple[Design, CompositionReport]:
-        """Apply each countermeasure, re-verifying all threats after each.
+        """Apply each pass, re-verifying all threats after each.
+
+        Each pass runs through :func:`~repro.flow.manager.run_pass` with
+        no re-checks of its own: the all-threat snapshot is the
+        verification.  The passes work on a copy of ``design``'s
+        netlist, since in-place ones (re-association) would otherwise
+        edit the caller's.
 
         Harmful cross-effects are flagged when a countermeasure for one
         threat makes another threat's metric materially worse: the
         confirmed TVLA verdict flipping from pass to leak, FIA coverage
         dropping, or more confirmed individually-leaking nets.
         """
+        from ..flow.manager import FlowContext, FlowTrace, run_pass
+
+        ctx = FlowContext(replace(design, netlist=design.netlist.copy()),
+                          seed=self.seed)
+        trace = FlowTrace(design.name)
         report = CompositionReport()
-        snapshot = self.evaluate(design)
+        snapshot = self.evaluate(ctx.design)
         report.steps.append(("baseline", snapshot))
-        current = design
-        for index, cm in enumerate(countermeasures, start=1):
-            current = cm.apply(current)
-            current.applied.append(cm.name)
-            new_snapshot = self.evaluate(current, seed_offset=10 * index)
-            report.steps.append((cm.name, new_snapshot))
-            self._diff(report, cm, snapshot, new_snapshot)
+        for index, p in enumerate(passes, start=1):
+            run_pass(trace, p, ctx, {}, ())
+            new_snapshot = self.evaluate(ctx.design, seed_offset=10 * index)
+            report.steps.append((p.name, new_snapshot))
+            self._diff(report, p.name, snapshot, new_snapshot)
             snapshot = new_snapshot
-        return current, report
+        return ctx.design, report
 
     def compose_named(self, design_name: str,
                       stack_names: Sequence[str]
                       ) -> Tuple[Design, CompositionReport]:
         """Compose a *named* design with a *named* countermeasure stack.
 
-        The declarative twin of :meth:`compose`: both the design and
-        the stack are referenced by registry name
-        (:data:`~repro.core.designs.DESIGN_FACTORIES` /
-        :data:`~repro.core.designs.COUNTERMEASURE_FACTORIES`), so the
-        whole invocation is a picklable, hashable spec — this is the
-        entry point the :mod:`repro.service` ``composition-stack`` job
-        calls inside worker processes.
+        The declarative twin of :meth:`compose`: the design is
+        referenced by registry name
+        (:data:`~repro.core.designs.DESIGN_FACTORIES`) and each stack
+        entry by its name in :data:`~repro.core.designs.STACK_PASSES`,
+        so the whole invocation is a picklable, hashable spec — this is
+        the entry point the :mod:`repro.service` ``composition-stack``
+        job calls inside worker processes.
         """
         from .designs import build_design, build_stack
 
@@ -302,24 +303,24 @@ class CompositionEngine:
             ],
         }
 
-    def _diff(self, report: CompositionReport, cm: Countermeasure,
+    def _diff(self, report: CompositionReport, step: str,
               before: EvaluationSnapshot,
               after: EvaluationSnapshot) -> None:
         tvla_flipped = after.tvla_leaks and not before.tvla_leaks
         report.cross_effects.append(CrossEffect(
-            cm.name, "tvla_max_t", before.tvla_max_t, after.tvla_max_t,
+            step, "tvla_max_t", before.tvla_max_t, after.tvla_max_t,
             harmful=tvla_flipped,
             note="masking broken by composition" if tvla_flipped else "",
         ))
         if after.leaky_nets > before.leaky_nets:
             report.cross_effects.append(CrossEffect(
-                cm.name, "leaky_nets", before.leaky_nets,
+                step, "leaky_nets", before.leaky_nets,
                 after.leaky_nets, harmful=True,
                 note="new first-order-leaking wires introduced",
             ))
         if after.fia_coverage < before.fia_coverage - 1e-9:
             report.cross_effects.append(CrossEffect(
-                cm.name, "fia_coverage", before.fia_coverage,
+                step, "fia_coverage", before.fia_coverage,
                 after.fia_coverage, harmful=True,
                 note="fault-detection coverage regressed",
             ))

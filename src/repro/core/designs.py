@@ -1,4 +1,5 @@
-"""Ready-made designs and countermeasure adapters for composition studies.
+"""Ready-made designs and the named countermeasure stacks of
+composition studies.
 
 The flagship experiment (paper Sec. IV, ref [61]): start from a
 first-order masked AND gadget, then add fault detection two ways —
@@ -9,27 +10,23 @@ first-order masked AND gadget, then add fault detection two ways —
   the definition of unmasking (``c0 ^ c1 ^ c2 = a & b``) — the checker
   itself becomes the side channel, and the composition engine flags it.
 
-A third adapter exposes the Fig. 2 offender (timing re-association) as
-a pseudo-countermeasure so flows can audit *optimizations* with the
-same machinery.
+Both are registered flow passes (``duplication-detect``,
+``parity-detect`` in :mod:`repro.flow.library`), as are the WDDL and
+Fig. 2 re-association steps the stacks below also name, so the
+composition engine audits *optimizations* and countermeasures through
+the one pass registry the flow uses.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import replace
-from typing import Callable, Dict, List, Sequence
+from typing import TYPE_CHECKING, Callable, Dict, List, Sequence
 
-from ..fia import duplicate_and_compare, parity_protect
-from ..sca import (
-    dual_rail_stimulus,
-    isw_and_netlist,
-    random_share_stimulus,
-    wddl_transform,
-)
-from ..synth import reassociate_for_timing
-from .composition import Countermeasure, Design
-from .threats import ThreatVector
+from ..sca import isw_and_netlist, random_share_stimulus
+from .composition import Design
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from ..flow.passes import Pass
 
 
 #: Named design factories: ``Design`` objects hold closures (stimulus
@@ -38,22 +35,20 @@ from .threats import ThreatVector
 #: by factory *name* and rebuild the design inside the worker.
 DESIGN_FACTORIES: Dict[str, "Callable[[], Design]"] = {}
 
-#: Named countermeasure factories, for the same reason.
-COUNTERMEASURE_FACTORIES: Dict[str, "Callable[[], Countermeasure]"] = {}
+#: Stack names of composition jobs, each naming the registered pass
+#: (:func:`repro.flow.create_pass`) it applies.
+STACK_PASSES: Dict[str, str] = {
+    "duplication": "duplication-detect",
+    "parity": "parity-detect",
+    "wddl": "wddl-hiding",
+    "timing-reassociation": "reassoc-timing",
+}
 
 
 def register_design(name: str):
     """Register a zero-argument design factory under ``name``."""
     def wrap(factory):
         DESIGN_FACTORIES[name] = factory
-        return factory
-    return wrap
-
-
-def register_countermeasure(name: str):
-    """Register a zero-argument countermeasure factory under ``name``."""
-    def wrap(factory):
-        COUNTERMEASURE_FACTORIES[name] = factory
         return factory
     return wrap
 
@@ -68,14 +63,16 @@ def build_design(name: str) -> Design:
             f"{sorted(DESIGN_FACTORIES)}") from None
 
 
-def build_stack(names: "Sequence[str]") -> "List[Countermeasure]":
-    """Instantiate a countermeasure stack from registered names."""
-    missing = [n for n in names if n not in COUNTERMEASURE_FACTORIES]
+def build_stack(names: Sequence[str]) -> List["Pass"]:
+    """Instantiate a pass stack from :data:`STACK_PASSES` names."""
+    from ..flow import create_pass
+
+    missing = [n for n in names if n not in STACK_PASSES]
     if missing:
         raise KeyError(
             f"unknown countermeasures {missing}; registered: "
-            f"{sorted(COUNTERMEASURE_FACTORIES)}")
-    return [COUNTERMEASURE_FACTORIES[n]() for n in names]
+            f"{sorted(STACK_PASSES)}")
+    return [create_pass(STACK_PASSES[n]) for n in names]
 
 
 @register_design("masked-and")
@@ -100,115 +97,4 @@ def masked_and_design(n_shares: int = 3) -> Design:
         tvla_fixed=fixed,
         tvla_random=rand,
         payload_outputs=[f"c{i}" for i in range(n_shares)],
-    )
-
-
-@register_countermeasure("duplication")
-def duplication_countermeasure() -> Countermeasure:
-    """Duplicate-and-compare fault detection (composes safely)."""
-
-    def apply(design: Design) -> Design:
-        protected = duplicate_and_compare(design.netlist)
-        return replace(
-            design,
-            name=design.name + "+dup",
-            netlist=protected.netlist,
-            alarm=protected.alarm,
-            payload_outputs=protected.payload_outputs,
-            protected_region_prefix="m_",
-            applied=list(design.applied),
-        )
-
-    return Countermeasure(
-        name="duplication-detect",
-        threat=ThreatVector.FAULT_INJECTION,
-        apply=apply,
-        description="two copies + per-output comparison; share-wise, "
-                    "so masking survives",
-    )
-
-
-@register_countermeasure("parity")
-def parity_countermeasure() -> Countermeasure:
-    """Parity-prediction fault detection (breaks masking — ref [61])."""
-
-    def apply(design: Design) -> Design:
-        protected = parity_protect(design.netlist)
-        return replace(
-            design,
-            name=design.name + "+parity",
-            netlist=protected.netlist,
-            alarm=protected.alarm,
-            payload_outputs=protected.payload_outputs,
-            protected_region_prefix="m_",
-            applied=list(design.applied),
-        )
-
-    return Countermeasure(
-        name="parity-detect",
-        threat=ThreatVector.FAULT_INJECTION,
-        apply=apply,
-        description="output-parity prediction; XOR of the shares is the "
-                    "unmasked secret",
-    )
-
-
-@register_countermeasure("timing-reassociation")
-def timing_reassociation_step(rng_arrival: float = 1e5) -> Countermeasure:
-    """The Fig. 2 optimizer audited as if it were a countermeasure.
-
-    Models a security-oblivious PPA pass running *after* masking was
-    integrated: XOR trees are rebuilt for timing with the RNG inputs
-    arriving late, exposing sums of share products on real wires.
-    """
-
-    def apply(design: Design) -> Design:
-        netlist = design.netlist.copy(design.netlist.name + "_ra")
-        late = {
-            name: rng_arrival for name in netlist.inputs
-            if name.startswith("r_")
-        }
-        reassociate_for_timing(netlist, input_arrivals=late)
-        return replace(
-            design,
-            name=design.name + "+reassoc",
-            netlist=netlist,
-            applied=list(design.applied),
-        )
-
-    return Countermeasure(
-        name="timing-reassociation",
-        threat=ThreatVector.SIDE_CHANNEL,  # the threat it *affects*
-        apply=apply,
-        description="security-unaware XOR re-association (Fig. 2)",
-    )
-
-
-@register_countermeasure("wddl")
-def wddl_countermeasure() -> Countermeasure:
-    """WDDL dual-rail hiding as a composable SCA countermeasure."""
-
-    def apply(design: Design) -> Design:
-        dual, rails = wddl_transform(design.netlist)
-        previous_adapter = design.stimulus_adapter
-
-        def adapter(stimulus: Dict[str, int]) -> Dict[str, int]:
-            return dual_rail_stimulus(previous_adapter(stimulus))
-
-        return replace(
-            design,
-            name=design.name + "+wddl",
-            netlist=dual,
-            stimulus_adapter=adapter,
-            alarm=None,
-            payload_outputs=list(dual.outputs),
-            protected_region_prefix="",
-            applied=list(design.applied),
-        )
-
-    return Countermeasure(
-        name="wddl-hiding",
-        threat=ThreatVector.SIDE_CHANNEL,
-        apply=apply,
-        description="dual-rail constant-weight logic style",
     )

@@ -14,9 +14,10 @@ program:
 
 This class compiles requirements into a run of
 :class:`repro.flow.PassManager`: each requirement's ``check`` is a
-property checker handed to the manager as is and its name a goal,
-transforms run as effect-undeclared (conservative) passes — which is
-exactly the re-check-everything loop above — and :meth:`SecureFlow.run`
+property checker handed to the manager as is, and its name a goal.
+Transforms are registered passes; no pass declares an effect on a
+requirement, so every held requirement is re-checked after each —
+exactly the re-check-everything loop above.  :meth:`SecureFlow.run`
 returns the manager's :class:`~repro.flow.manager.FlowRunResult`, whose
 :class:`~repro.flow.manager.FlowTrace` is the flow's one record.  The
 measurement logic itself (TVLA and per-net leakage, confirmed on a
@@ -36,6 +37,7 @@ from .threats import ThreatVector
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     from ..flow.manager import FlowContext, FlowRunResult
+    from ..flow.passes import Pass
 
 
 @dataclass
@@ -84,18 +86,17 @@ def no_leaky_net_requirement(n_traces: int = 3000,
 class SecureFlow:
     """Classical stages + compiled security requirements + re-verify loop.
 
-    ``transforms`` are design-mutating steps (countermeasures or
-    optimizations) executed in order after logic synthesis; after each,
-    every requirement is re-checked (the paper's "re-run the
-    security-centric flow" loop).  Under the pass manager this is the
-    *conservative* pipeline: legacy transforms declare no effects, so
-    the manager schedules a full re-check after each — migrating a
-    transform to a registered pass with real declarations is what makes
-    its re-verification incremental.
+    ``transforms`` are design-mutating passes (countermeasures such as
+    ``parity-detect`` or optimizations such as ``reassoc-timing``, see
+    :func:`repro.flow.create_pass`) run in order after logic synthesis;
+    after each, every requirement is re-checked (the paper's "re-run
+    the security-centric flow" loop).  Requirements are custom
+    properties that no pass's declared effects cover, so the manager
+    re-checks them all after every transform.
     """
 
     def __init__(self, requirements: Sequence[SecurityRequirement],
-                 transforms: Sequence = (),
+                 transforms: Sequence[Pass] = (),
                  placement_iterations: int = 3000,
                  seed: int = 0) -> None:
         self.requirements = list(requirements)

@@ -15,8 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Mapping, Optional, Sequence
 
-from ..fia import Fault, FaultKind, enumerate_faults
-from ..netlist import CompiledNetlist, Netlist, get_compiled, pack_patterns
+from ..fia import Fault, FaultKind, enumerate_faults, forced_word
+from ..netlist import Netlist, get_compiled, pack_patterns
 
 
 @dataclass
@@ -32,18 +32,6 @@ class CoverageReport:
         if self.total_faults == 0:
             return 1.0
         return self.detected_faults / self.total_faults
-
-
-def _forced_word(compiled: CompiledNetlist, fault: Fault,
-                 golden: Sequence[int], mask: int) -> int:
-    """Packed word the fault forces onto its net."""
-    if fault.kind is FaultKind.STUCK_AT_0:
-        return 0
-    if fault.kind is FaultKind.STUCK_AT_1:
-        return mask
-    if fault.kind is FaultKind.BIT_FLIP:
-        return ~golden[compiled.index[fault.net]] & mask
-    raise ValueError(f"unsupported fault kind {fault.kind}")
 
 
 def detection_words(netlist: Netlist, columns: Mapping[str, int],
@@ -64,9 +52,9 @@ def detection_words(netlist: Netlist, columns: Mapping[str, int],
     outputs = [compiled.index[o] for o in netlist.outputs]
     words: List[int] = []
     for fault in faults:
+        site = compiled.index[fault.net]
         changed = compiled.propagate_force(
-            golden, compiled.index[fault.net],
-            _forced_word(compiled, fault, golden, mask), width)
+            golden, site, forced_word(fault, golden[site], mask), width)
         word = 0
         for o in outputs:
             new = changed.get(o)

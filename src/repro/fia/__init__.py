@@ -7,6 +7,7 @@ from .analysis import (
     FaultOutcome,
     FormalFaultResult,
     fault_campaign,
+    forced_word,
     formal_coverage,
     prove_fault_detected,
 )
@@ -52,7 +53,8 @@ __all__ = [
     "Fault", "FaultKind", "enumerate_faults", "sample_faults",
     "inject_fault", "with_fault_control",
     "CampaignReport", "FaultOutcome", "FormalFaultResult",
-    "fault_campaign", "formal_coverage", "prove_fault_detected",
+    "fault_campaign", "forced_word", "formal_coverage",
+    "prove_fault_detected",
     "ProtectedDesign", "duplicate_and_compare", "parity_protect",
     "residue_mod3_net", "residue_protect_adder", "tmr_protect",
     "GlitchOutcome", "clock_glitch_capture", "guard_band_to_close",

@@ -92,6 +92,42 @@ def _fault_spec(fault: Fault) -> VariantSpec:
     raise ValueError(f"unsupported fault kind {fault.kind}")
 
 
+def forced_word(fault: Fault, golden_word: int, mask: int) -> int:
+    """Packed word ``fault`` forces onto its net, whose fault-free packed
+    word is ``golden_word`` (one bit per pattern under ``mask``)."""
+    if fault.kind is FaultKind.STUCK_AT_0:
+        return 0
+    if fault.kind is FaultKind.STUCK_AT_1:
+        return mask
+    if fault.kind is FaultKind.BIT_FLIP:
+        return ~golden_word & mask
+    raise ValueError(f"unsupported fault kind {fault.kind}")
+
+
+def _site_visible(netlist: Netlist, fault: Fault) -> bool:
+    """Whether the victim net reads faulty under its own name (the
+    name-resolution detail :func:`fault_campaign` documents)."""
+    return (fault.kind is not FaultKind.BIT_FLIP
+            and netlist.gates[fault.net].gate_type is not GateType.INPUT)
+
+
+def _outcome(fault: Fault, golden: Sequence[int], faulty: Sequence[int],
+             has_alarm: bool, mask: int) -> FaultOutcome:
+    """Score one fault from the watched nets' fault-free and faulty
+    packed words: the payload outputs, then the alarm if ``has_alarm``."""
+    n_outputs = len(golden) - 1 if has_alarm else len(golden)
+    corrupt = 0
+    for g, f in zip(golden[:n_outputs], faulty[:n_outputs]):
+        corrupt |= g ^ f
+    propagated = corrupt != 0
+    if not has_alarm:
+        return FaultOutcome(fault, propagated, False, propagated)
+    undetected_corruption = corrupt & ~faulty[-1] & mask
+    return FaultOutcome(fault, propagated,
+                        propagated and undetected_corruption == 0,
+                        undetected_corruption != 0)
+
+
 def fault_campaign(netlist: Netlist, faults: Sequence[Fault],
                    n_vectors: int = 64,
                    alarm: Optional[str] = None,
@@ -132,9 +168,11 @@ def fault_campaign(netlist: Netlist, faults: Sequence[Fault],
     outputs = list(payload_outputs) if payload_outputs else [
         o for o in netlist.outputs if o != alarm
     ]
-    output_indices = [compiled.index[o] for o in outputs]
-    alarm_index = compiled.index[alarm] if alarm is not None else None
-    gates = netlist.gates
+    has_alarm = alarm is not None
+    # Net indices scored per fault: payload outputs, then the alarm.
+    watched = [compiled.index[o] for o in outputs]
+    if has_alarm:
+        watched.append(compiled.index[alarm])
     mask = (1 << width) - 1
     report = CampaignReport()
     if len(faults) >= _BATCH_THRESHOLD:
@@ -146,71 +184,28 @@ def fault_campaign(netlist: Netlist, faults: Sequence[Fault],
             family = VariantFamily(
                 netlist, [VariantSpec()] + [_fault_spec(f) for f in group])
             words = family.eval_words(stimulus, width)
+            golden = [words[i] & mask for i in watched]
             for k, fault in enumerate(group, start=1):
-                site = compiled.index[fault.net]
                 shift = k * width
-                site_visible = (
-                    fault.kind is not FaultKind.BIT_FLIP
-                    and gates[fault.net].gate_type is not GateType.INPUT)
-                corrupt = 0
-                for o in output_indices:
-                    if o == site and not site_visible:
-                        continue
-                    word = words[o]
-                    corrupt |= ((word >> shift) ^ word) & mask
-                propagated = corrupt != 0
-                if alarm is not None:
-                    word = words[alarm_index]
-                    if alarm_index == site and not site_visible:
-                        alarm_word = word & mask
-                    else:
-                        alarm_word = (word >> shift) & mask
-                    undetected_corruption = corrupt & ~alarm_word & mask
-                    detected = propagated and undetected_corruption == 0
-                    silent = undetected_corruption != 0
-                else:
-                    detected = False
-                    silent = propagated
+                hidden = (compiled.index[fault.net]
+                          if not _site_visible(netlist, fault) else None)
+                faulty = [words[i] & mask if i == hidden
+                          else (words[i] >> shift) & mask for i in watched]
                 report.outcomes.append(
-                    FaultOutcome(fault, propagated, detected, silent)
-                )
+                    _outcome(fault, golden, faulty, has_alarm, mask))
         return report
-    golden = compiled.eval_words(stimulus, width)
+    golden_words = compiled.eval_words(stimulus, width)
+    golden = [golden_words[i] for i in watched]
     for fault in faults:
         site = compiled.index[fault.net]
-        if fault.kind is FaultKind.STUCK_AT_0:
-            forced = 0
-        elif fault.kind is FaultKind.STUCK_AT_1:
-            forced = mask
-        elif fault.kind is FaultKind.BIT_FLIP:
-            forced = ~golden[site] & mask
-        else:
-            raise ValueError(f"unsupported fault kind {fault.kind}")
-        site_visible = (fault.kind is not FaultKind.BIT_FLIP
-                        and gates[fault.net].gate_type is not GateType.INPUT)
-        changed = compiled.propagate_force(golden, site, forced, width)
-        corrupt = 0
-        for o in output_indices:
-            if o == site and not site_visible:
-                continue
-            new = changed.get(o)
-            if new is not None:
-                corrupt |= (golden[o] ^ new) & mask
-        propagated = corrupt != 0
-        if alarm is not None:
-            if alarm_index == site and not site_visible:
-                alarm_word = golden[alarm_index]
-            else:
-                alarm_word = changed.get(alarm_index, golden[alarm_index])
-            undetected_corruption = corrupt & ~alarm_word & mask
-            detected = propagated and undetected_corruption == 0
-            silent = undetected_corruption != 0
-        else:
-            detected = False
-            silent = propagated
+        changed = compiled.propagate_force(
+            golden_words, site,
+            forced_word(fault, golden_words[site], mask), width)
+        if not _site_visible(netlist, fault):
+            changed.pop(site, None)
+        faulty = [changed.get(i, golden_words[i]) for i in watched]
         report.outcomes.append(
-            FaultOutcome(fault, propagated, detected, silent)
-        )
+            _outcome(fault, golden, faulty, has_alarm, mask))
     return report
 
 

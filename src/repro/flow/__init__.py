@@ -67,9 +67,11 @@ from .library import (
     ConstantPropagationPass,
     DeadGateSweepPass,
     DoubleInversionPass,
+    DuplicationDetectPass,
     FunctionalValidationPass,
     LogicLockingPass,
     MaskInsertionPass,
+    ParityDetectPass,
     PlacementPass,
     ReassociationPass,
     ScanInsertionPass,
@@ -81,7 +83,6 @@ from .library import (
     WddlPass,
 )
 from .pipelines import (
-    ConservativeTransformPass,
     SecurePlacementPass,
     classical_pipeline,
     netlist_design,
@@ -104,14 +105,15 @@ __all__ = [
     "PassProvenance", "PropertyRecheck", "strip_wall_times",
     "AtpgPass", "BistSignaturePass", "BufferSweepPass",
     "CamouflagePass", "ConstantPropagationPass", "DeadGateSweepPass",
-    "DoubleInversionPass", "FunctionalValidationPass", "LogicLockingPass",
-    "MaskInsertionPass", "PlacementPass", "ReassociationPass",
+    "DoubleInversionPass", "DuplicationDetectPass",
+    "FunctionalValidationPass", "LogicLockingPass", "MaskInsertionPass",
+    "ParityDetectPass", "PlacementPass", "ReassociationPass",
     "ScanInsertionPass", "SecureSynthesisPass", "SfllLockPass",
     "StaSignoffPass", "StructuralHashingPass", "SynthesisStagePass",
     "WddlPass",
     "BuryCriticalNetsPass", "EcoFillerPass", "RoutingPass",
     "ShieldInsertionPass",
-    "ConservativeTransformPass", "SecurePlacementPass",
+    "SecurePlacementPass",
     "classical_pipeline", "netlist_design", "secure_masking_pipeline",
     "secure_pipeline",
 ]

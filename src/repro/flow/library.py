@@ -2,9 +2,10 @@
 
 One wrapper per substrate transform — synthesis rewrites
 (:mod:`repro.synth.passes`), restructuring, masking and WDDL insertion
-(:mod:`repro.sca`), DFT insertion (:mod:`repro.dft`), IP protection
-(:mod:`repro.ip`), and placement / sign-off / ATPG
-(:mod:`repro.physical`, :mod:`repro.dft.atpg`) — each with its stage
+(:mod:`repro.sca`), error-detection insertion (:mod:`repro.fia`), DFT
+insertion (:mod:`repro.dft`), IP protection (:mod:`repro.ip`), and
+placement / sign-off / ATPG (:mod:`repro.physical`,
+:mod:`repro.dft.atpg`) — each with its stage
 (Table II row) and a *total* effect declaration over
 :data:`~repro.flow.properties.ALL_PROPERTIES`
 (``scripts/check_passes.py`` rejects partial ones).
@@ -23,10 +24,12 @@ import random
 from dataclasses import replace
 from typing import Dict, Optional
 
-from ..core.composition import Design
+from ..core.composition import Design, StimulusAdapter
 from ..core.stages import DesignStage
 from ..dft import insert_scan, run_atpg, run_bist
+from ..fia import duplicate_and_compare, parity_protect
 from ..ip import camouflage, lock_xor, sfll_hd_lock
+from ..netlist import Netlist
 from ..physical import (
     annealing_placement,
     critical_path_placed,
@@ -47,6 +50,7 @@ from ..synth import (
 from .passes import (
     Pass,
     PassResult,
+    conservative,
     effects,
     preserves_all,
     register_pass,
@@ -58,6 +62,25 @@ from .properties import SecurityProperty as P
 #: geometry stale, so netlist-mutating passes below invalidate all
 #: three; pure analyses preserve them.
 _LAYOUT = (P.PROBING_EXPOSURE, P.FIA_EXPOSURE, P.TROJAN_INSERTABILITY)
+
+
+def _replaced(design: Design, suffix: str, netlist: Netlist,
+              adapt: Optional[StimulusAdapter] = None, **fields) -> Design:
+    """``design`` rebuilt around a pass's new ``netlist``.
+
+    Appends ``+suffix`` to the design name and, when ``adapt`` is given,
+    applies it after the design's stimulus adapter; ``fields`` replace
+    any other :class:`~repro.core.composition.Design` field.
+    """
+    if adapt is not None:
+        previous = design.stimulus_adapter
+
+        def adapter(stimulus: Dict[str, int]) -> Dict[str, int]:
+            return adapt(previous(stimulus))
+
+        fields["stimulus_adapter"] = adapter
+    return replace(design, name=f"{design.name}+{suffix}", netlist=netlist,
+                   **fields)
 
 
 # ----------------------------------------------------------------------
@@ -235,21 +258,11 @@ class MaskInsertionPass(Pass):
 
     def apply(self, netlist, ctx) -> PassResult:
         masked = mask_netlist(netlist)
-        previous = ctx.design.stimulus_adapter
         share_rng = random.Random(ctx.seed ^ 0x5EED)
-
-        def adapter(stimulus: Dict[str, int]) -> Dict[str, int]:
-            return masked.stimulus(previous(stimulus), share_rng)
-
-        design = replace(
-            ctx.design,
-            name=ctx.design.name + "+masked",
-            netlist=masked.netlist,
-            stimulus_adapter=adapter,
-            alarm=None,
-            payload_outputs=list(masked.netlist.outputs),
-            applied=list(ctx.design.applied) + [self.name])
-        ctx.notes["masked-circuit"] = masked
+        design = _replaced(
+            ctx.design, "masked", masked.netlist,
+            adapt=lambda stimulus: masked.stimulus(stimulus, share_rng),
+            alarm=None, payload_outputs=list(masked.netlist.outputs))
         return PassResult(
             self.name, rewrites=len(masked.netlist.gates),
             summary=f"ISW-masked {len(netlist.gates)} -> "
@@ -272,27 +285,70 @@ class WddlPass(Pass):
                      P.FAULT_DETECTION, *_LAYOUT])
 
     def apply(self, netlist, ctx) -> PassResult:
-        dual, rails = wddl_transform(netlist)
-        previous = ctx.design.stimulus_adapter
-
-        def adapter(stimulus: Dict[str, int]) -> Dict[str, int]:
-            return dual_rail_stimulus(previous(stimulus))
-
-        design = replace(
-            ctx.design,
-            name=ctx.design.name + "+wddl",
-            netlist=dual,
-            stimulus_adapter=adapter,
-            alarm=None,
-            payload_outputs=list(dual.outputs),
-            protected_region_prefix="",
-            applied=list(ctx.design.applied) + [self.name])
-        ctx.notes["wddl-rails"] = rails
+        dual, _ = wddl_transform(netlist)
+        design = _replaced(
+            ctx.design, "wddl", dual, adapt=dual_rail_stimulus,
+            alarm=None, payload_outputs=list(dual.outputs),
+            protected_region_prefix="")
         return PassResult(
             self.name, rewrites=len(dual.gates),
             summary=f"WDDL dual-rail: {len(netlist.gates)} -> "
                     f"{len(dual.gates)} cells",
             design=design)
+
+
+# ----------------------------------------------------------------------
+# Error-detection insertion (repro.fia)
+# ----------------------------------------------------------------------
+
+class _DetectionPass(Pass):
+    """Shared apply() for error-detection wrappers (paper ref [61]).
+
+    The wrapper copies the functional core under ``m_`` (the region
+    the fault campaign targets) and adds a checker with one alarm
+    output.  Fault detection is what it is for; nothing else is
+    proven, so every other property is declared invalidated.
+    """
+
+    stage = DesignStage.LOGIC_SYNTHESIS
+    effects = conservative(establishes=[P.FAULT_DETECTION])
+    protect = None
+    suffix = ""
+
+    def apply(self, netlist, ctx) -> PassResult:
+        protected = self.protect(netlist)
+        design = _replaced(
+            ctx.design, self.suffix, protected.netlist,
+            alarm=protected.alarm,
+            payload_outputs=protected.payload_outputs,
+            protected_region_prefix="m_")
+        return PassResult(
+            self.name, rewrites=protected.overhead_cells,
+            summary=f"{protected.scheme} detection: "
+                    f"+{protected.overhead_cells} cells, alarm on "
+                    f"{protected.alarm!r}",
+            details={"overhead_cells": protected.overhead_cells},
+            design=design)
+
+
+@register_pass
+class DuplicationDetectPass(_DetectionPass):
+    """Duplicate-and-compare: comparison runs share against share, so
+    every comparator wire of a masked core stays masked."""
+
+    name = "duplication-detect"
+    protect = staticmethod(duplicate_and_compare)
+    suffix = "dup"
+
+
+@register_pass
+class ParityDetectPass(_DetectionPass):
+    """Output-parity prediction: on a masked core the parity of the
+    output shares is the unmasked secret, so the checker itself leaks."""
+
+    name = "parity-detect"
+    protect = staticmethod(parity_protect)
+    suffix = "parity"
 
 
 # ----------------------------------------------------------------------
@@ -317,21 +373,14 @@ class ScanInsertionPass(Pass):
 
     def apply(self, netlist, ctx) -> PassResult:
         scan = insert_scan(netlist)
-        previous = ctx.design.stimulus_adapter
 
-        def adapter(stimulus: Dict[str, int]) -> Dict[str, int]:
-            adapted = dict(previous(stimulus))
+        def adapt(stimulus: Dict[str, int]) -> Dict[str, int]:
+            adapted = dict(stimulus)
             adapted.setdefault("scan_en", 0)
             adapted.setdefault("scan_in", 0)
             return adapted
 
-        design = replace(
-            ctx.design,
-            name=ctx.design.name + "+scan",
-            netlist=scan.netlist,
-            stimulus_adapter=adapter,
-            applied=list(ctx.design.applied) + [self.name])
-        ctx.notes["scan-chain"] = scan
+        design = _replaced(ctx.design, "scan", scan.netlist, adapt=adapt)
         return PassResult(
             self.name, rewrites=scan.length,
             summary=f"scan chain over {scan.length} flops",
@@ -352,7 +401,6 @@ class BistSignaturePass(Pass):
 
     def apply(self, netlist, ctx) -> PassResult:
         result = run_bist(netlist, n_patterns=self.n_patterns)
-        ctx.notes["bist"] = result
         return PassResult(
             self.name,
             summary=f"BIST signature {result.signature:#x} over "
@@ -376,7 +424,6 @@ class AtpgPass(Pass):
         budget = {} if self.random_budget is None else {
             "random_budget": self.random_budget}
         atpg = run_atpg(netlist, seed=ctx.seed, **budget)
-        ctx.notes["atpg"] = atpg
         return PassResult(
             self.name,
             summary=f"ATPG: {len(atpg.vectors)} vectors, "
@@ -410,21 +457,10 @@ class LogicLockingPass(Pass):
 
     def apply(self, netlist, ctx) -> PassResult:
         locked = lock_xor(netlist, self.key_bits, seed=ctx.seed)
-        previous = ctx.design.stimulus_adapter
-
-        def adapter(stimulus: Dict[str, int]) -> Dict[str, int]:
-            adapted = dict(previous(stimulus))
-            adapted.update(locked.key)
-            return adapted
-
-        design = replace(
-            ctx.design,
-            name=ctx.design.name + "+locked",
-            netlist=locked.netlist,
-            stimulus_adapter=adapter,
-            key_bits=ctx.design.key_bits + locked.key_bits,
-            applied=list(ctx.design.applied) + [self.name])
-        ctx.notes["locked-circuit"] = locked
+        design = _replaced(
+            ctx.design, "locked", locked.netlist,
+            adapt=lambda stimulus: {**stimulus, **locked.key},
+            key_bits=ctx.design.key_bits + locked.key_bits)
         return PassResult(
             self.name, rewrites=locked.key_bits,
             summary=f"inserted {locked.key_bits} XOR/XNOR key gates",
@@ -455,21 +491,10 @@ class SfllLockPass(Pass):
                             n_protect_bits=self.n_protect_bits,
                             seed=ctx.seed)
         locked = sfll.locked
-        previous = ctx.design.stimulus_adapter
-
-        def adapter(stimulus: Dict[str, int]) -> Dict[str, int]:
-            adapted = dict(previous(stimulus))
-            adapted.update(locked.key)
-            return adapted
-
-        design = replace(
-            ctx.design,
-            name=ctx.design.name + "+sfll",
-            netlist=locked.netlist,
-            stimulus_adapter=adapter,
-            key_bits=ctx.design.key_bits + locked.key_bits,
-            applied=list(ctx.design.applied) + [self.name])
-        ctx.notes["sfll-circuit"] = sfll
+        design = _replaced(
+            ctx.design, "sfll", locked.netlist,
+            adapt=lambda stimulus: {**stimulus, **locked.key},
+            key_bits=ctx.design.key_bits + locked.key_bits)
         return PassResult(
             self.name, rewrites=locked.key_bits,
             summary=f"SFLL-HD (h={sfll.h}) on {output}: "
@@ -491,12 +516,7 @@ class CamouflagePass(Pass):
 
     def apply(self, netlist, ctx) -> PassResult:
         camo = camouflage(netlist, self.n_cells, seed=ctx.seed)
-        design = replace(
-            ctx.design,
-            name=ctx.design.name + "+camo",
-            netlist=camo.netlist,
-            applied=list(ctx.design.applied) + [self.name])
-        ctx.notes["camouflage"] = camo
+        design = _replaced(ctx.design, "camo", camo.netlist)
         return PassResult(
             self.name, rewrites=camo.n_cells,
             summary=f"camouflaged {camo.n_cells} cells "
@@ -524,7 +544,6 @@ class PlacementPass(Pass):
         placed = annealing_placement(netlist, iterations=self.iterations,
                                      seed=ctx.seed)
         ctx.placement = placed.placement
-        ctx.notes["placement"] = placed
         return PassResult(
             self.name,
             summary=f"annealing placement: HPWL {placed.initial_hpwl:.0f}"

@@ -52,9 +52,11 @@ class FlowContext:
 
     Passes read and update ``design`` (via their returned
     :class:`~repro.flow.passes.PassResult`), share analyses through
-    ``cache``, publish side artifacts (placement, scan chain, ATPG
-    results) into ``placement`` / ``notes``, and derive determinism
-    from ``seed``.
+    ``cache``, and derive determinism from ``seed``.  Later passes and
+    checkers read what earlier ones publish: ``placement`` and
+    ``routing``, and in ``notes`` the security-closure loop's
+    ``critical-nets`` plus its ECOs' ``buried-nets``, ``shields-added``
+    and ``filler-sites``.
     """
 
     def __init__(self, design: Design, cache: Optional[AnalysisCache] = None,

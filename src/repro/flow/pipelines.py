@@ -12,8 +12,7 @@ from __future__ import annotations
 import random
 from typing import Dict, List, Optional, Sequence
 
-from ..core.composition import Countermeasure, Design
-from ..core.stages import DesignStage
+from ..core.composition import Design
 from ..netlist import Netlist
 from .library import (
     AtpgPass,
@@ -52,36 +51,10 @@ def netlist_design(netlist: Netlist, name: Optional[str] = None,
                   payload_outputs=list(netlist.outputs))
 
 
-class ConservativeTransformPass(Pass):
-    """A legacy :class:`~repro.core.composition.Countermeasure` run as a
-    pass that declares nothing — so the manager conservatively
-    re-checks every tracked property after it.
-
-    This is the exact semantics of the paper's (and the legacy
-    ``SecureFlow``'s) re-run-everything loop; transforms migrate to
-    registered passes with real declarations to become incremental.
-    """
-
-    stage = DesignStage.LOGIC_SYNTHESIS
-    effects = conservative()
-
-    def __init__(self, transform: Countermeasure) -> None:
-        self.transform = transform
-        self.name = transform.name
-
-    def apply(self, netlist, ctx) -> PassResult:
-        design = self.transform.apply(ctx.design)
-        design.applied.append(self.transform.name)
-        return PassResult(
-            self.name,
-            summary=f"applied transform: {self.transform.name}",
-            design=design)
-
-
 class SecurePlacementPass(PlacementPass):
-    """Placement inside the conservative secure flow: declares nothing,
-    so all requirements are re-run post-placement (legacy semantics).
-    Adds the placed critical path to the stage metrics."""
+    """Placement inside the secure flow: declares nothing, so all
+    requirements are re-run post-placement.  Adds the placed critical
+    path to the stage metrics."""
 
     effects = conservative()
 
@@ -110,16 +83,19 @@ def classical_pipeline(placement_iterations: int = 6000) -> List[Pass]:
     ]
 
 
-def secure_pipeline(transforms: Sequence[Countermeasure] = (),
+def secure_pipeline(transforms: Sequence[Pass] = (),
                     placement_iterations: int = 3000) -> List[Pass]:
-    """The legacy secure flow as a pipeline of conservative passes.
+    """The secure flow as a pipeline: secure synthesis, the given
+    transform passes, then placement with its checks re-run.
 
-    Every transform is undeclared, so the manager re-checks all tracked
-    requirements after each — the paper's full re-verification loop.
+    :class:`~repro.core.SecureFlow` tracks its requirements as custom
+    properties, which no pass declares an effect on, so the manager
+    re-checks every held requirement after each transform — the
+    paper's full re-verification loop.
     """
     return [
         SecureSynthesisPass(),
-        *(ConservativeTransformPass(t) for t in transforms),
+        *transforms,
         SecurePlacementPass(iterations=placement_iterations),
     ]
 

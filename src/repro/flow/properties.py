@@ -251,15 +251,11 @@ def scan_leakage_check(design: "Design",
     Structural: a design with no scan chain trivially satisfies the
     property; one with a plain (non-secured) chain fails it, since the
     scan attack of :mod:`repro.dft.scan_attack` reads state directly.
-    A secure-scan wrapper records itself in ``design.applied``.
     """
     del cache
     if "scan_en" not in design.netlist:
         return PropertyCheck(SecurityProperty.SCAN_LEAKAGE, True, 0.0,
                              "no scan access present")
-    if any("secure-scan" in step for step in design.applied):
-        return PropertyCheck(SecurityProperty.SCAN_LEAKAGE, True, 0.0,
-                             "scan chain gated by secure-scan wrapper")
     return PropertyCheck(
         SecurityProperty.SCAN_LEAKAGE, False, 1.0,
         "plain scan chain exposes internal state (scan attack applies)")

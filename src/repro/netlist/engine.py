@@ -545,8 +545,8 @@ class CompiledNetlist:
                 out ^= value_of(fi)
             return out if op == OP_XOR else ~out & mask
         if op == OP_MUX:
-            s, d0, d1 = (value_of(fi) for fi in fis)
-            return (~s & d0) | (s & d1)
+            s = value_of(fis[0])
+            return (~s & value_of(fis[1])) | (s & value_of(fis[2]))
         if op == OP_CONST0:
             return 0
         if op == OP_CONST1:

@@ -224,14 +224,18 @@ def _locking_point_job(params: Dict[str, object], ctx: JobContext):
     "cross_effects": [{"countermeasure": "duplication-detect",
                        "metric": "tvla_max_t", "before": 1.09,
                        "after": 2.15, "harmful": False, "note": ""}]},
-    version=1)
+    version=2)
 def _composition_stack_job(params: Dict[str, object], ctx: JobContext):
     """One cross-effect matrix row: compose a named stack, re-verify.
 
-    Designs and countermeasures are addressed by registry name
-    (:mod:`repro.core.designs`) because they hold closures that cannot
-    cross process boundaries.  Version 1: rows carry the confirmed TVLA
-    verdict (``tvla_leaks``) and count confirmed leaking nets.
+    Designs and stack entries are addressed by name
+    (:mod:`repro.core.designs`) because designs hold closures that
+    cannot cross process boundaries.  Version 1: rows carry the
+    confirmed TVLA verdict (``tvla_leaks``) and count confirmed leaking
+    nets.  Version 2: each stack entry is a registered flow pass
+    (:data:`~repro.core.designs.STACK_PASSES`), so cross effects carry
+    the pass name — ``timing-reassociation`` reads ``reassoc-timing``;
+    all other values are unchanged.
     """
     from ..core import CompositionEngine
 

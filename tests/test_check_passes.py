@@ -160,6 +160,20 @@ class TestPassRegistryAudit:
             "repro/eco.py:3: constructs PassProvenance — record passes "
             "through repro.flow.manager.run_pass"]
 
+    def test_audit_checks_composition_stack_table(self, monkeypatch):
+        from repro.core import designs
+        from repro.service import campaigns
+
+        check_passes = load_check_passes()
+        monkeypatch.setitem(designs.STACK_PASSES, "typo", "parity-detcet")
+        monkeypatch.setitem(campaigns.DEFAULT_STACKS, "typo-stack",
+                            ["parity", "partiy"])
+        assert check_passes.audit() == [
+            "STACK_PASSES['typo']: names unregistered pass "
+            "'parity-detcet'",
+            "DEFAULT_STACKS['typo-stack']: stack name 'partiy' is not in "
+            "STACK_PASSES"]
+
     def test_script_exits_zero_on_clean_registry(self):
         proc = subprocess.run(
             [sys.executable, str(REPO_ROOT / "scripts" /

@@ -12,34 +12,38 @@ from repro.core import (
     DesignStage,
     EdaRole,
     MetricRegistry,
+    STACK_PASSES,
     SecureFlow,
     SecurityMetric,
     StepFunctionMetric,
     THREAT_CATALOG,
     ThreatVector,
     Direction,
-    duplication_countermeasure,
+    build_stack,
     locking_candidates,
     masked_and_design,
     masking_order_steps,
     no_leaky_net_requirement,
     pareto_front,
-    parity_countermeasure,
     render_table,
     render_table_i,
     run_cell,
     sat_attack_resistance_steps,
     sweep_locking,
     table_i,
-    timing_reassociation_step,
     tvla_requirement,
-    wddl_countermeasure,
 )
 from repro.core.dse import Candidate, dominates
 from repro.flow import (
     AnalysisCache,
+    DuplicationDetectPass,
+    ParityDetectPass,
     PassManager,
+    ReassociationPass,
+    SecurityProperty as P,
+    WddlPass,
     classical_pipeline,
+    default_checkers,
     netlist_design,
 )
 from repro.netlist import ppa_report, random_circuit
@@ -144,7 +148,7 @@ class TestComposition:
 
     def test_duplication_composes_safely(self, engine):
         _, report = engine.compose(masked_and_design(),
-                                   [duplication_countermeasure()])
+                                   [DuplicationDetectPass()])
         assert not report.harmful_effects
         final = report.steps[-1][1]
         assert final.fia_coverage == 1.0
@@ -152,7 +156,7 @@ class TestComposition:
 
     def test_parity_breaks_masking(self, engine):
         _, report = engine.compose(masked_and_design(),
-                                   [parity_countermeasure()])
+                                   [ParityDetectPass()])
         harmful = {e.metric for e in report.harmful_effects}
         assert "tvla_max_t" in harmful
         final = report.steps[-1][1]
@@ -161,28 +165,64 @@ class TestComposition:
 
     def test_reassociation_flagged(self, engine):
         _, report = engine.compose(masked_and_design(),
-                                   [timing_reassociation_step()])
+                                   [ReassociationPass()])
         assert report.harmful_effects
 
     def test_wddl_composes_safely(self, engine):
         _, report = engine.compose(masked_and_design(),
-                                   [wddl_countermeasure()])
+                                   [WddlPass()])
         assert not any(e.metric == "tvla_max_t" and e.harmful
                        for e in report.cross_effects)
 
     def test_report_render(self, engine):
         _, report = engine.compose(masked_and_design(),
-                                   [parity_countermeasure()])
+                                   [ParityDetectPass()])
         text = report.render()
         assert "!!" in text
         assert "baseline" in text
+
+    @pytest.mark.parametrize("stack", sorted(STACK_PASSES))
+    def test_compose_leaves_caller_netlist_unchanged(self, stack):
+        design = masked_and_design()
+        netlist = design.netlist
+        before = (len(netlist.gates), netlist.mutation_epoch)
+        engine = CompositionEngine(n_traces=200, n_fault_vectors=16)
+        final, report = engine.compose(design, build_stack([stack]))
+        assert report.steps[-1][0] == STACK_PASSES[stack]
+        assert design.netlist is netlist
+        assert (len(netlist.gates), netlist.mutation_epoch) == before
+        assert final.netlist is not netlist
+
+
+class TestDetectionPassEffects:
+    """The error-detection passes' declared effects, measured on the
+    masked AND gadget by the manager's own re-checks."""
+
+    def rechecks_after(self, p):
+        result = PassManager(default_checkers(n_traces=2000)).run(
+            masked_and_design(), [p], goals=[P.FAULT_DETECTION],
+            assume=[P.MASKING, P.TVLA_BOUND])
+        assert all(r.passed for r in result.trace.baseline)
+        entry, = result.trace.passes
+        return {r.key: (r.reason, r.passed) for r in entry.rechecks}
+
+    @pytest.mark.parametrize("cls", [DuplicationDetectPass,
+                                     ParityDetectPass])
+    def test_fault_detection_established(self, cls):
+        rechecks = self.rechecks_after(cls())
+        assert rechecks["fault-detection"] == ("establishes", True)
+
+    def test_parity_invalidates_masking_and_tvla_bound(self):
+        rechecks = self.rechecks_after(ParityDetectPass())
+        assert rechecks["masking"] == ("invalidates", False)
+        assert rechecks["tvla-bound"] == ("invalidates", False)
 
 
 class TestSecureFlow:
     def test_catches_parity_break(self):
         flow = SecureFlow(
             [tvla_requirement(n_traces=2500)],
-            transforms=[parity_countermeasure()],
+            transforms=[ParityDetectPass()],
             placement_iterations=500)
         result = flow.run(masked_and_design())
         assert not result.all_passed
@@ -191,7 +231,7 @@ class TestSecureFlow:
     def test_passes_safe_composition(self):
         flow = SecureFlow(
             [tvla_requirement(n_traces=2500)],
-            transforms=[duplication_countermeasure()],
+            transforms=[DuplicationDetectPass()],
             placement_iterations=500)
         result = flow.run(masked_and_design())
         assert result.all_passed
@@ -199,7 +239,7 @@ class TestSecureFlow:
     def test_leaky_net_requirement_names_wire(self):
         flow = SecureFlow(
             [no_leaky_net_requirement(n_traces=2500)],
-            transforms=[parity_countermeasure()],
+            transforms=[ParityDetectPass()],
             placement_iterations=500)
         result = flow.run(masked_and_design())
         assert any("leaking nets" in f for f in result.failures)
@@ -217,7 +257,7 @@ class TestSecureFlow:
         monkeypatch.setattr(AnalysisCache, "__init__", spy)
         flow = SecureFlow(
             [tvla_requirement(n_traces=2500)],
-            transforms=[parity_countermeasure()],
+            transforms=[ParityDetectPass()],
             placement_iterations=500)
         result = flow.run(masked_and_design())
         gc.collect()

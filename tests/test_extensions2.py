@@ -11,11 +11,10 @@ from repro.core import (
     RiskEntry,
     Severity,
     ThreatVector,
-    duplication_countermeasure,
     masked_and_design,
-    parity_countermeasure,
     register_from_composition,
 )
+from repro.flow import DuplicationDetectPass, ParityDetectPass
 from repro.formal import check_equivalence
 from repro.ip import (
     antisat_lock,
@@ -137,7 +136,7 @@ class TestRiskRegister:
     def test_parity_composition_is_critical(self):
         engine = CompositionEngine(n_traces=2500, seed=1)
         _, report = engine.compose(masked_and_design(),
-                                   [parity_countermeasure()])
+                                   [ParityDetectPass()])
         register = register_from_composition("demo", report)
         assert register.worst is Severity.CRITICAL
         sca_entries = register.by_threat(ThreatVector.SIDE_CHANNEL)
@@ -148,7 +147,7 @@ class TestRiskRegister:
     def test_safe_composition_is_clean(self):
         engine = CompositionEngine(n_traces=2500, seed=2)
         _, report = engine.compose(masked_and_design(),
-                                   [duplication_countermeasure()])
+                                   [DuplicationDetectPass()])
         register = register_from_composition("demo", report)
         assert register.worst in (Severity.INFO, Severity.LOW)
 

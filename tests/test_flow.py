@@ -304,16 +304,16 @@ class TestAnalysisCacheKeys:
 class TestLegacyWrappers:
     def test_secure_flow_exposes_trace(self):
         from repro.core import SecureFlow, tvla_requirement
-        from repro.core.designs import parity_countermeasure
+        from repro.flow import ParityDetectPass
 
         flow = SecureFlow([tvla_requirement(n_traces=1500)],
-                          transforms=[parity_countermeasure()],
+                          transforms=[ParityDetectPass()],
                           placement_iterations=200)
         result = flow.run(masked_and_design())
         assert result.trace is not None
         assert not result.all_passed
         assert any("after parity-detect" in f for f in result.failures)
-        # Legacy transforms are conservative: the re-check ran.
+        # No pass declares an effect on a requirement: it re-ran.
         assert "tvla-first-order" in \
             result.trace.rechecked_properties("parity-detect")
 

@@ -9,10 +9,9 @@ from repro.core import (
     MaskingConstraint,
     NoFlowConstraint,
     compile_and_check,
-    duplication_countermeasure,
     masked_and_design,
-    parity_countermeasure,
 )
+from repro.flow import DuplicationDetectPass, ParityDetectPass, PassManager
 from repro.formal import (
     glift_simulate,
     prove_no_flow,
@@ -115,7 +114,8 @@ class TestNoFlowProof:
 
 class TestConstraintCompiler:
     def test_safe_stack_signs_off(self):
-        design = duplication_countermeasure().apply(masked_and_design())
+        design = PassManager().run(masked_and_design(),
+                                   [DuplicationDetectPass()]).design
         report = compile_and_check(design, [
             LeakageConstraint(n_traces=2000),
             MaskingConstraint(n_traces=2000),
@@ -125,7 +125,8 @@ class TestConstraintCompiler:
         assert "signoff clean" in report.render()
 
     def test_unsafe_stack_blocked(self):
-        design = parity_countermeasure().apply(masked_and_design())
+        design = PassManager().run(masked_and_design(),
+                                   [ParityDetectPass()]).design
         report = compile_and_check(design, [
             LeakageConstraint(n_traces=2000),
             MaskingConstraint(n_traces=2000),

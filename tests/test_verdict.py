@@ -28,12 +28,12 @@ from repro.core import (
     ThreatVector,
     masked_and_design,
     no_leaky_net_requirement,
-    parity_countermeasure,
     register_from_composition,
     tvla_requirement,
 )
 from repro.flow import (
     AnalysisCache,
+    ParityDetectPass,
     PassManager,
     SecurePlacementPass,
     SecurityProperty as P,
@@ -64,7 +64,8 @@ SWEEP_SEEDS = range(20)
 
 
 def parity_design():
-    return parity_countermeasure().apply(masked_and_design())
+    return PassManager().run(masked_and_design(),
+                             [ParityDetectPass()]).design
 
 
 def reference_per_net_loop(netlist, fixed_stimuli, random_stimuli,
@@ -153,7 +154,7 @@ class TestCompositionVerdict:
 
     def test_more_confirmed_leaking_nets_are_flagged(self):
         _, report = CompositionEngine(seed=1, n_traces=2000).compose(
-            masked_and_design(), [parity_countermeasure()])
+            masked_and_design(), [ParityDetectPass()])
         final = report.steps[-1][1]
         assert final.leaky_nets > 0
         assert any(e.metric == "leaky_nets" and e.harmful
@@ -175,7 +176,7 @@ class TestRiskRegisterVerdict:
     def test_confirmed_leak_is_critical(self):
         engine = CompositionEngine(seed=FALSE_POSITIVE_SEED, n_traces=2000)
         _, report = engine.compose(masked_and_design(),
-                                   [parity_countermeasure()])
+                                   [ParityDetectPass()])
         register = register_from_composition("masked-and", report)
         entry, = [e for e in register.by_threat(ThreatVector.SIDE_CHANNEL)
                   if e.title == "first-order leakage assessment"]
