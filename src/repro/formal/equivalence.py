@@ -76,11 +76,15 @@ def check_equivalence(left: Netlist, right: Netlist,
     # each output's (in)equality is asked under an assumption, so the
     # solver — and every clause it learns about the common fan-in logic
     # — is reused across the whole output list instead of rebuilding
-    # one monolithic OR-of-differences formula.
+    # one monolithic OR-of-differences formula.  An output whose two
+    # sides hashed to the same variable is proven without a query.
     solver = enc.solver
     for out in left.outputs:
-        right_out = output_map.get(out, out)
-        diff = enc.xor_of(left_vars[out], right_vars[right_out])
+        left_var = left_vars[out]
+        right_var = right_vars[output_map.get(out, out)]
+        if left_var == right_var:
+            continue
+        diff = enc.xor_of(left_var, right_var)
         if solver.solve(assumptions=[lit(diff)]):
             cex = {
                 name: solver.model_value(left_vars[name])

@@ -311,21 +311,35 @@ class Netlist:
         self.invalidate()
 
     def sweep_dangling(self) -> int:
-        """Remove gates driving nothing (not outputs, not consumed). Returns count."""
+        """Remove gates driving nothing (not outputs, not consumed). Returns count.
+
+        One use-count pass, then a worklist: removing a gate releases
+        its fanins, and each fanin goes as soon as nothing uses it.
+        """
+        gates = self.gates
+        uses = dict.fromkeys(gates, 0)
+        for g in gates.values():
+            for fi in g.fanins:
+                if fi not in uses:
+                    raise NetlistError(
+                        f"gate {g.name!r} references undriven net {fi!r}"
+                    )
+                uses[fi] += 1
+        live = set(self.outputs)
+        unused = [net for net, count in uses.items() if not count]
         removed = 0
-        while True:
-            fanout = self.fanout_map()
-            dead = [
-                net for net, consumers in fanout.items()
-                if not consumers and net not in self.outputs
-                and self.gates[net].gate_type is not GateType.INPUT
-            ]
-            if not dead:
-                return removed
-            for net in dead:
-                del self.gates[net]
-                removed += 1
+        while unused:
+            net = unused.pop()
+            if net in live or gates[net].gate_type is GateType.INPUT:
+                continue
+            for fi in gates.pop(net).fanins:
+                uses[fi] -= 1
+                if not uses[fi]:
+                    unused.append(fi)
+            removed += 1
+        if removed:
             self.invalidate()
+        return removed
 
     # ------------------------------------------------------------------
     # Copy / compose

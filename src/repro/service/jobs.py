@@ -179,14 +179,18 @@ def run_job(spec: JobSpec, ctx: JobContext):
     "netlist": "0" * 64, "key_bits": 4, "max_iterations": 100,
     "baseline_area": None}, sample_result={
     "key_bits": 4, "area": 12.5, "sat_attack_iterations": 3,
-    "attack_seconds": 0.01, "attack_gave_up": False})
+    "attack_seconds": 0.01, "attack_gave_up": False}, version=1)
 def _locking_point_job(params: Dict[str, object], ctx: JobContext):
     """One point of a locking sweep: lock at ``key_bits``, SAT-attack.
 
     ``params['netlist']`` is an artifact-store digest; the worker
     rebuilds the netlist (insertion order preserved), so the seeded
     site selection — and therefore the attack transcript — is
-    bit-identical to a serial run on the original object.
+    bit-identical to a serial run on the original object.  Version 1:
+    the attack's miter is structurally hashed with constants folded
+    (:class:`~repro.formal.CircuitEncoder`), so the solver meets
+    distinguishing inputs in another order and
+    ``sat_attack_iterations`` moves.
     """
     from ..core.dse import measure_locking_point
 
@@ -465,7 +469,7 @@ def _variant_batch_job(params: Dict[str, object], ctx: JobContext):
     "netlist": "0" * 64,
     "passes": [["synthesis", {}]]}, sample_result={
     "trace": {"passes": []}, "result_netlist": "0" * 64},
-    version=2)
+    version=3)
 def _pass_pipeline_job(params: Dict[str, object], ctx: JobContext):
     """Run a named pass pipeline over a stored netlist.
 
@@ -479,7 +483,10 @@ def _pass_pipeline_job(params: Dict[str, object], ctx: JobContext):
     Version 1: wall times stripped.  Version 2: the ``atpg`` pass keeps
     only first-detecting patterns of a 1024-pattern block and reports
     their count, and ``mask-insertion`` draws one RNG word per masked
-    stimulus, so its TVLA re-checks read other values.
+    stimulus, so its TVLA re-checks read other values.  Version 3:
+    :meth:`~repro.netlist.Netlist.sweep_dangling` bumps the mutation
+    epoch once per call, not once per removal wave, so trace epochs
+    after sweeping passes read lower.
     """
     from ..flow import (PassManager, create_pass, netlist_design,
                         strip_wall_times)

@@ -205,7 +205,8 @@ class TestJobResultVersion:
         assert problems == [
             f"{name}: version {version} does not change the spec hash"
             for name, version in (("composition-stack", 2),
-                                  ("pass-pipeline", 2))]
+                                  ("locking-point", 1),
+                                  ("pass-pipeline", 3))]
 
     def test_composition_sample_result_has_a_real_rows_shape(self):
         from repro.service import (

@@ -26,6 +26,8 @@ from repro.ip import (
 from repro.netlist import GateType, Netlist, random_circuit
 from repro.sca import sequential_leakage_traces, sequential_power_trace
 
+from key_oracle import key_is_correct
+
 
 class TestAntiSat:
     def test_correct_key_restores_function(self):
@@ -61,6 +63,7 @@ class TestAntiSat:
             iterations[width] = result.iterations
             if result.success:
                 assert verify_recovered_key(locked, result.recovered_key)
+                assert key_is_correct(locked, result.recovered_key)
         # ~2^width growth: each step roughly doubles
         assert iterations[4] >= 1.5 * iterations[3]
         assert iterations[5] >= 1.5 * iterations[4]

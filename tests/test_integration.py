@@ -18,6 +18,8 @@ from repro.physical import annealing_placement
 from repro.sca import cpa_attack, leakage_traces, tvla
 from repro.synth import SynthesisFlow, synthesize
 
+from key_oracle import key_is_correct
+
 
 class TestFig2Storyline:
     """The paper's motivational example, end to end at netlist level."""
@@ -76,6 +78,7 @@ class TestLockAndAttackStoryline:
         result = attack_locked_circuit(locked)
         assert result.success
         assert verify_recovered_key(locked, result.recovered_key)
+        assert key_is_correct(locked, result.recovered_key)
         # stolen netlist now equals the original everywhere
         stolen = apply_key(locked, result.recovered_key)
         assert check_equivalence(stolen, sbox).equivalent

@@ -37,6 +37,8 @@ from repro.netlist import GateType, random_circuit, ripple_carry_adder
 from repro.physical import annealing_placement
 from repro.synth import synthesize, to_nand_inv
 
+from key_oracle import key_is_correct
+
 import numpy as np
 
 
@@ -79,6 +81,7 @@ class TestSatAttack:
         result = attack_locked_circuit(locked)
         assert result.success
         assert verify_recovered_key(locked, result.recovered_key)
+        assert key_is_correct(locked, result.recovered_key)
 
     def test_dip_count_reasonable(self):
         base = random_circuit(8, 60, 4, seed=6)
@@ -100,6 +103,7 @@ class TestSatAttack:
         assert result.success
         # functional correctness is the criterion, not bit equality
         assert verify_recovered_key(locked, result.recovered_key)
+        assert key_is_correct(locked, result.recovered_key)
 
 
 class TestSfll:
@@ -156,6 +160,7 @@ class TestCamouflage:
         result = attack_locked_circuit(locked)
         assert result.success
         assert verify_recovered_key(locked, result.recovered_key)
+        assert key_is_correct(locked, result.recovered_key)
 
     def test_too_many_cells_rejected(self):
         base = random_circuit(5, 20, 2, seed=15)

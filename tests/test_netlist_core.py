@@ -198,6 +198,24 @@ class TestMutation:
         assert n.sweep_dangling() == 2
         assert "dead" not in n and "dead2" not in n
 
+    def test_sweep_removes_a_deep_dead_chain_in_one_call(self):
+        n = build_simple()
+        n.add_input("spare")
+        before = dict(n.gates)
+        outputs = list(n.outputs)
+        net = n.add_gate("d0", GateType.AND, ["a", "spare"])
+        for k in range(1, 6):
+            net = n.add_gate(f"d{k}", GateType.XOR, [net, net])
+        n.add_gate("tap", GateType.OR, ["d2", "b"])
+        epoch = n.mutation_epoch
+        assert n.sweep_dangling() == 7
+        assert list(n.gates) == list(before) and n.gates == before
+        assert n.outputs == outputs
+        assert "spare" in n
+        assert n.mutation_epoch == epoch + 1
+        assert n.sweep_dangling() == 0
+        assert n.mutation_epoch == epoch + 1
+
     def test_sweep_keeps_inputs(self):
         n = Netlist()
         n.add_input("a")

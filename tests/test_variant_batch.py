@@ -332,6 +332,27 @@ def test_one_shot_layouts_stay_bounded_and_keep_the_plain_program(
     assert engine_cache().stats() == before
 
 
+def test_one_fault_families_stay_bounded_and_keep_the_plain_program():
+    """The memo bound under one layout per fault site, driven through
+    VariantFamily directly: a 2**15-vector campaign runs serially and
+    builds no families."""
+    netlist = c17()
+    stimulus = {name: 0b1011 for name in netlist.inputs}
+    compiled = get_compiled(netlist)
+    want = compiled.eval_words(stimulus, 4)
+    specs = [spec for net in netlist.gates
+             for spec in (VariantSpec(forces={net: 1}),
+                          VariantSpec(flips=[net]))]
+    assert len(specs) > CompiledNetlist._PROGRAMS_MAX
+    for spec in specs:
+        family = VariantFamily(netlist, [VariantSpec(), spec])
+        for _ in range(2):      # the second use compiles the layout
+            family.eval_words(stimulus, 4)
+    assert get_compiled(netlist) is compiled
+    assert len(compiled._programs) <= CompiledNetlist._PROGRAMS_MAX
+    assert compiled.eval_words(stimulus, 4) == want
+
+
 # ----------------------------------------------------------------------
 # Ported consumers
 # ----------------------------------------------------------------------
@@ -425,6 +446,28 @@ def test_fault_campaign_both_strategies_match_oracle(build, with_alarm):
         netlist.add_output(alarm)
     for n_vectors, seed in ((1, 0), (1, 1), (48, 2)):
         _check_campaign(netlist, n_vectors, seed, alarm)
+
+
+@pytest.mark.parametrize("n_vectors, batched", [(64, True), (1024, False)])
+def test_fault_campaign_strategy_follows_faults_per_word(
+        monkeypatch, n_vectors, batched):
+    """Narrow words hold many faults each and batch; 1024-vector words
+    hold 32 and run serially."""
+    import repro.fia.analysis as analysis
+
+    families = []
+
+    def spy(*args, **kwargs):
+        families.append(args)
+        return VariantFamily(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, "VariantFamily", spy)
+    netlist = ripple_carry_adder(8)
+    faults = enumerate_faults(netlist)
+    report = fault_campaign(netlist, faults, n_vectors=n_vectors, seed=3)
+    assert bool(families) is batched
+    assert (_campaign_rows(report)
+            == reference_campaign(netlist, faults, n_vectors, 3))
 
 
 @settings(max_examples=10, deadline=None)
