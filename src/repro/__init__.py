@@ -9,7 +9,7 @@ Sec. IV:
 - :mod:`repro.netlist` — gate-level IR, simulation, BENCH I/O, PPA
 - :mod:`repro.synth` — logic synthesis and technology mapping
 - :mod:`repro.physical` — placement, routing estimation, timing
-- :mod:`repro.crypto` — AES-128 / PRESENT-80 attack targets
+- :mod:`repro.crypto` — AES-128 and S-box attack targets
 - :mod:`repro.formal` — CDCL SAT, equivalence and property checking
 - :mod:`repro.sca` — side-channel analysis: TVLA, CPA, masking, WDDL
 - :mod:`repro.fia` — fault injection, DFA, detection codes, sensors

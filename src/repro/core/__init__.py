@@ -22,12 +22,7 @@ from .threats import (
 )
 from .stages import DesignStage
 from .metrics import (
-    Direction,
-    MetricRegistry,
-    MetricResult,
-    SecurityMetric,
     StepFunctionMetric,
-    masking_order_steps,
     sat_attack_resistance_steps,
 )
 from .composition import (
@@ -59,7 +54,6 @@ from .dse import (
     measure_locking_point,
     pareto_front,
     sweep_locking,
-    sweep_locking_keys,
 )
 from .table2 import (
     CellResult,
@@ -92,9 +86,7 @@ __all__ = [
     "FOUNDRY_ADVERSARY", "POWER_SCA_ADVERSARY", "THREAT_CATALOG",
     "ThreatModel", "ThreatVector", "TROJAN_ADVERSARY",
     "DesignStage",
-    "Direction", "MetricRegistry", "MetricResult", "SecurityMetric",
-    "StepFunctionMetric", "masking_order_steps",
-    "sat_attack_resistance_steps",
+    "StepFunctionMetric", "sat_attack_resistance_steps",
     "CompositionEngine", "CompositionReport", "CrossEffect", "Design",
     "EvaluationSnapshot",
     "DESIGN_FACTORIES", "STACK_PASSES", "build_design", "build_stack",
@@ -102,8 +94,7 @@ __all__ = [
     "SecureFlow", "SecurityRequirement",
     "no_leaky_net_requirement", "tvla_requirement",
     "Candidate", "LockingSweepPoint", "dominates", "locking_candidates",
-    "measure_locking_point",
-    "pareto_front", "sweep_locking", "sweep_locking_keys",
+    "measure_locking_point", "pareto_front", "sweep_locking",
     "CellResult", "all_demos", "render_table", "run_all", "run_cell",
     "CompilationReport", "DetectionConstraint", "LeakageConstraint",
     "MaskingConstraint", "NoFlowConstraint", "Obligation",

@@ -39,8 +39,10 @@ if TYPE_CHECKING:  # pragma: no cover - annotations only
     from ..flow.passes import Pass
 
 #: A stimulus transformer: adapts base-circuit stimuli to the current
-#: (possibly wrapped/transformed) netlist's input names.
-StimulusAdapter = Callable[[Dict[str, int]], Dict[str, int]]
+#: (possibly wrapped/transformed) netlist's input names.  Randomness it
+#: needs (fresh mask shares) comes from the ``random.Random`` of the
+#: draw it serves, so stimuli stay a function of their seed.
+StimulusAdapter = Callable[[Dict[str, int], random.Random], Dict[str, int]]
 
 
 @dataclass
@@ -59,7 +61,7 @@ class Design:
     tvla_fixed: Callable[[random.Random], Dict[str, int]]
     tvla_random: Callable[[random.Random], Dict[str, int]]
     #: Rewrites base-circuit stimuli for the current netlist's ports.
-    stimulus_adapter: StimulusAdapter = staticmethod(lambda s: s)
+    stimulus_adapter: StimulusAdapter = staticmethod(lambda s, rng: s)
     alarm: Optional[str] = None
     payload_outputs: Optional[List[str]] = None
     protected_region_prefix: str = ""
@@ -81,10 +83,15 @@ class Design:
 
     def make_stimuli(self, n: int, fixed: bool,
                      seed: int) -> List[Dict[str, int]]:
-        """Generate adapted TVLA-class stimuli for the current netlist."""
+        """Generate adapted TVLA-class stimuli for the current netlist.
+
+        One ``random.Random(seed)`` feeds the class generator and the
+        stimulus adapter, so equal arguments give equal stimuli.
+        """
         rng = random.Random(seed)
         generator = self.tvla_fixed if fixed else self.tvla_random
-        return [self.stimulus_adapter(generator(rng)) for _ in range(n)]
+        return [self.stimulus_adapter(generator(rng), rng)
+                for _ in range(n)]
 
 
 @dataclass

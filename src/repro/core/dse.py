@@ -124,34 +124,6 @@ def sweep_locking(netlist: Netlist, key_widths: Sequence[int],
     ]
 
 
-def sweep_locking_keys(locked, candidate_keys: Sequence[Dict[str, int]],
-                       vectors: int = 64,
-                       seed: int = 0) -> List[Candidate]:
-    """Score many candidate keys of one locked design as DSE candidates.
-
-    All keys share a single lowering of the locked netlist: the sweep
-    runs as one batched
-    :class:`~repro.netlist.VariantFamily` evaluation
-    (:func:`repro.ip.score_candidate_keys`) instead of one
-    compile+simulate round trip per key.  The ``corruption`` objective
-    is the wrong-key error rate of each candidate — 0.0 means the key
-    is functionally indistinguishable from the correct one on the
-    tested vectors.
-    """
-    from ..ip import score_candidate_keys
-
-    rates = score_candidate_keys(locked, list(candidate_keys),
-                                 vectors=vectors, seed=seed)
-    return [
-        Candidate(
-            name=f"key{i}",
-            params={name: float(bit) for name, bit in key.items()},
-            objectives={"corruption": rate},
-        )
-        for i, (key, rate) in enumerate(zip(candidate_keys, rates))
-    ]
-
-
 def locking_candidates(points: Sequence[LockingSweepPoint],
                        step_thresholds: Sequence[int] = (1, 10, 100)
                        ) -> List[Candidate]:

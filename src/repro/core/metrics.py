@@ -1,4 +1,4 @@
-"""Security metrics: registry, evaluation, and step-function behaviour.
+"""Security metrics with step-function behaviour.
 
 Sec. IV of the paper: EDA is metrics-driven, so secure composition
 needs security metrics standing next to area/delay/power — but, unlike
@@ -12,96 +12,8 @@ treat it correctly (never trade along a flat segment).
 from __future__ import annotations
 
 import bisect
-import enum
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
-
-from .threats import ThreatVector
-
-
-class Direction(enum.Enum):
-    """Whether larger metric values mean more security."""
-
-    HIGHER_IS_BETTER = "higher"
-    LOWER_IS_BETTER = "lower"
-
-
-@dataclass
-class MetricResult:
-    """One evaluated metric value with pass/fail against its target."""
-
-    name: str
-    value: float
-    target: Optional[float]
-    direction: Direction
-    threat: ThreatVector
-
-    @property
-    def satisfied(self) -> Optional[bool]:
-        if self.target is None:
-            return None
-        if self.direction is Direction.HIGHER_IS_BETTER:
-            return self.value >= self.target
-        return self.value <= self.target
-
-
-@dataclass
-class SecurityMetric:
-    """A named, threat-annotated metric with an evaluator.
-
-    ``evaluator(design) -> float`` where ``design`` is whatever object
-    the owning pass family operates on (usually a
-    :class:`repro.core.composition.Design`).
-    """
-
-    name: str
-    threat: ThreatVector
-    direction: Direction
-    evaluator: Callable[..., float]
-    target: Optional[float] = None
-    description: str = ""
-
-    def evaluate(self, design) -> MetricResult:
-        """Run the evaluator; returns the value with pass/fail context."""
-        return MetricResult(
-            name=self.name,
-            value=float(self.evaluator(design)),
-            target=self.target,
-            direction=self.direction,
-            threat=self.threat,
-        )
-
-
-class MetricRegistry:
-    """Lookup of metrics by name and by threat vector."""
-
-    def __init__(self) -> None:
-        self._metrics: Dict[str, SecurityMetric] = {}
-
-    def register(self, metric: SecurityMetric) -> SecurityMetric:
-        """Register a metric (unique by name); returns it."""
-        if metric.name in self._metrics:
-            raise ValueError(f"duplicate metric {metric.name!r}")
-        self._metrics[metric.name] = metric
-        return metric
-
-    def get(self, name: str) -> SecurityMetric:
-        """Look a metric up by name."""
-        return self._metrics[name]
-
-    def for_threat(self, threat: ThreatVector) -> List[SecurityMetric]:
-        """All metrics quantifying one threat vector."""
-        return [m for m in self._metrics.values() if m.threat is threat]
-
-    def all(self) -> List[SecurityMetric]:
-        """Every registered metric."""
-        return list(self._metrics.values())
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._metrics
-
-    def __len__(self) -> int:
-        return len(self._metrics)
+from typing import List, Optional, Sequence
 
 
 @dataclass
@@ -160,13 +72,4 @@ def sat_attack_resistance_steps(key_bits_thresholds: Sequence[float] = (
             "none", "stops-brute-force", "slows-sat", "stops-budgeted-sat",
             "stops-all-modeled",
         ],
-    )
-
-
-def masking_order_steps() -> StepFunctionMetric:
-    """Masking security vs number of shares: jumps only at whole orders."""
-    return StepFunctionMetric(
-        name="masking-order",
-        thresholds=[2, 3, 4],
-        level_names=["unprotected", "1st-order", "2nd-order", "3rd-order"],
     )

@@ -38,7 +38,7 @@ ROLE_EVIDENCE: Dict[Tuple[ThreatVector, EdaRole], List[str]] = {
     ],
     (ThreatVector.IP_PIRACY, EdaRole.MITIGATION): [
         "repro.ip.locking", "repro.ip.sfll", "repro.ip.camouflage",
-        "repro.ip.split", "repro.ip.watermark", "repro.ip.metering",
+        "repro.ip.split", "repro.ip.metering",
         "repro.ip.puf",
     ],
     (ThreatVector.TROJAN, EdaRole.MITIGATION): [

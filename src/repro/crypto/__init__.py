@@ -1,6 +1,6 @@
-"""Cryptographic attack targets: AES-128, PRESENT-80, GF(2^8), S-box netlists."""
+"""Cryptographic attack targets: AES-128, GF(2^8), S-box netlists."""
 
-from .gf import AES_POLY, gf_inv, gf_mul, gf_pow, mul_table, xtime
+from .gf import AES_POLY, gf_inv, gf_mul, gf_pow, xtime
 from .aes import (
     AES128,
     AesTrace,
@@ -19,41 +19,28 @@ from .aes import (
     shift_rows,
     sub_bytes,
 )
-from .present import (
-    INV_SBOX4,
-    Present80,
-    PresentTrace,
-    ROUNDS,
-    SBOX4,
-    expand_key80,
-)
 from .aes_netlist import (
     aes_datapath_netlist,
-    aes_round_netlist,
-    decode_state,
     encode_state,
     encryption_schedule,
     run_aes_datapath,
     run_aes_datapath_batch,
 )
+from .present import SBOX4
 from .sboxes import (
     aes_sbox_netlist,
     present_sbox_netlist,
-    sbox_lookup,
     sbox_with_key_netlist,
 )
 
 __all__ = [
-    "AES_POLY", "gf_inv", "gf_mul", "gf_pow", "mul_table", "xtime",
+    "AES_POLY", "gf_inv", "gf_mul", "gf_pow", "xtime",
     "AES128", "AesTrace", "INV_SBOX", "RCON", "SBOX", "SHIFT_ROWS",
     "INV_SHIFT_ROWS", "add_round_key", "expand_key", "inv_mix_columns",
     "inv_shift_rows", "inv_sub_bytes", "mix_columns", "recover_master_key",
     "shift_rows", "sub_bytes",
-    "INV_SBOX4", "Present80", "PresentTrace", "ROUNDS", "SBOX4",
-    "expand_key80",
-    "aes_datapath_netlist", "aes_round_netlist", "decode_state",
-    "encode_state", "encryption_schedule", "run_aes_datapath",
-    "run_aes_datapath_batch",
-    "aes_sbox_netlist", "present_sbox_netlist", "sbox_lookup",
+    "aes_datapath_netlist", "encode_state", "encryption_schedule",
+    "run_aes_datapath", "run_aes_datapath_batch",
+    "SBOX4", "aes_sbox_netlist", "present_sbox_netlist",
     "sbox_with_key_netlist",
 ]

@@ -1,11 +1,10 @@
-"""Gate-level AES-128: round function and iterated datapath netlists.
+"""Gate-level AES-128: the iterated datapath netlist.
 
-The hardware the paper's attacks actually target.  The round netlist
-(~7,500 cells) composes 16 S-box cones, ShiftRows wiring, the xtime-
-based MixColumns, and AddRoundKey; the datapath wraps it with a 128-bit
-state register so scan insertion, netlist-level leakage simulation, and
-fault campaigns run against real AES hardware rather than a single
-S-box cone.
+The hardware the paper's attacks actually target.  One round (16 S-box
+cones, ShiftRows wiring, the xtime-based MixColumns, and AddRoundKey)
+sits behind a 128-bit state register, so scan insertion, netlist-level
+leakage simulation, and fault campaigns run against real AES hardware
+rather than a single S-box cone.
 
 Bit conventions: state byte ``i`` (AES order) occupies nets
 ``{prefix}{i}_{b}`` for bit ``b`` (LSB first).
@@ -64,59 +63,6 @@ def _xor_bytes(host: Netlist, *bytes_: List[str],
     return out
 
 
-def aes_round_netlist(last_round: bool = False,
-                      name: Optional[str] = None) -> Netlist:
-    """One AES round: SubBytes -> ShiftRows -> [MixColumns] -> ARK.
-
-    Inputs: state ``s{i}_{b}`` and round key ``k{i}_{b}`` (16 bytes x 8
-    bits each); outputs ``o{i}_{b}``.  ``last_round`` omits MixColumns.
-    """
-    host = Netlist(name or ("aes_last_round" if last_round
-                            else "aes_round"))
-    for i in range(16):
-        for b in range(8):
-            host.add_input(f"s{i}_{b}")
-    for i in range(16):
-        for b in range(8):
-            host.add_input(f"k{i}_{b}")
-    template = _sbox_template()
-    # SubBytes: one S-box instance per byte.
-    sub: List[List[str]] = []
-    for i in range(16):
-        port_map = {f"x{b}": f"s{i}_{b}" for b in range(8)}
-        rename = host.import_netlist(template, f"sb{i}_", port_map)
-        sub.append([rename[f"y{b}"] for b in range(8)])
-    # ShiftRows is pure wiring.
-    shifted = [sub[SHIFT_ROWS[i]] for i in range(16)]
-    # MixColumns per column c over rows r:
-    if last_round:
-        mixed = shifted
-    else:
-        mixed = [None] * 16  # type: ignore[list-item]
-        for c in range(4):
-            col = [shifted[4 * c + r] for r in range(4)]
-            for r in range(4):
-                a0 = col[r]
-                a1 = col[(r + 1) % 4]
-                a2 = col[(r + 2) % 4]
-                a3 = col[(r + 3) % 4]
-                two_a0 = _xtime_nets(host, a0, f"mc{c}{r}a_")
-                two_a1 = _xtime_nets(host, a1, f"mc{c}{r}b_")
-                # 2*a0 ^ 3*a1 ^ a2 ^ a3 = 2*a0 ^ 2*a1 ^ a1 ^ a2 ^ a3
-                mixed[4 * c + r] = _xor_bytes(
-                    host, two_a0, two_a1, a1, a2, a3,
-                    prefix=f"mc{c}{r}_")
-    # AddRoundKey and output buffers.
-    for i in range(16):
-        key_byte = _byte_nets("k", i)
-        out_byte = _xor_bytes(host, mixed[i], key_byte,
-                              prefix=f"ark{i}_")
-        for b in range(8):
-            host.add_gate(f"o{i}_{b}", GateType.BUF, [out_byte[b]])
-            host.add_output(f"o{i}_{b}")
-    return host
-
-
 def encode_state(value_bytes: Sequence[int], prefix: str,
                  width: int = 1) -> Dict[str, int]:
     """Stimulus dict for a 16-byte state on ``{prefix}{i}_{b}`` nets."""
@@ -126,18 +72,6 @@ def encode_state(value_bytes: Sequence[int], prefix: str,
         for b in range(8):
             stimulus[f"{prefix}{i}_{b}"] = mask if (byte >> b) & 1 else 0
     return stimulus
-
-
-def decode_state(values: Mapping[str, int], prefix: str,
-                 pattern: int = 0) -> List[int]:
-    """Read a 16-byte state back from net values."""
-    out = []
-    for i in range(16):
-        byte = 0
-        for b in range(8):
-            byte |= ((values[f"{prefix}{i}_{b}"] >> pattern) & 1) << b
-        out.append(byte)
-    return out
 
 
 def aes_datapath_netlist(name: str = "aes_datapath") -> Netlist:

@@ -6,8 +6,6 @@ and the leakage-model hypotheses in :mod:`repro.sca`.
 
 from __future__ import annotations
 
-from typing import List
-
 AES_POLY = 0x11B
 
 
@@ -49,8 +47,3 @@ def gf_inv(a: int) -> int:
     if a == 0:
         return 0
     return gf_pow(a, 254)
-
-
-def mul_table(c: int) -> List[int]:
-    """The 256-entry table of ``gf_mul(c, x)`` — used by DFA candidates."""
-    return [gf_mul(c, x) for x in range(256)]

@@ -1,114 +1,10 @@
-"""PRESENT-80 lightweight block cipher (Bogdanov et al., CHES 2007).
+"""PRESENT's 4-bit S-box (Bogdanov et al., CHES 2007).
 
-A second, structurally different attack target: 64-bit blocks, a 4-bit
-S-box, and a bit permutation layer.  Lightweight ciphers are the typical
-payload of the paper's embedded-security scenarios, and the 4-bit S-box
-makes exhaustive netlist-level analyses cheap.
+A second, structurally different attack target next to AES: the 4-bit
+S-box of the PRESENT lightweight cipher, the typical payload of the
+paper's embedded-security scenarios.  Its small cone makes exhaustive
+netlist-level analyses cheap (:func:`repro.crypto.present_sbox_netlist`).
 """
-
-from __future__ import annotations
-
-from dataclasses import dataclass, field
-from typing import List
 
 SBOX4 = [0xC, 0x5, 0x6, 0xB, 0x9, 0x0, 0xA, 0xD,
          0x3, 0xE, 0xF, 0x8, 0x4, 0x7, 0x1, 0x2]
-INV_SBOX4 = [SBOX4.index(i) for i in range(16)]
-
-#: pLayer: output bit position of input bit i.
-PERM = [(16 * i) % 63 if i != 63 else 63 for i in range(64)]
-INV_PERM = [PERM.index(i) for i in range(64)]
-
-ROUNDS = 31
-
-
-def _sbox_layer(state: int) -> int:
-    out = 0
-    for nib in range(16):
-        out |= SBOX4[(state >> (4 * nib)) & 0xF] << (4 * nib)
-    return out
-
-
-def _inv_sbox_layer(state: int) -> int:
-    out = 0
-    for nib in range(16):
-        out |= INV_SBOX4[(state >> (4 * nib)) & 0xF] << (4 * nib)
-    return out
-
-
-def _p_layer(state: int) -> int:
-    out = 0
-    for i in range(64):
-        if (state >> i) & 1:
-            out |= 1 << PERM[i]
-    return out
-
-
-def _inv_p_layer(state: int) -> int:
-    out = 0
-    for i in range(64):
-        if (state >> i) & 1:
-            out |= 1 << INV_PERM[i]
-    return out
-
-
-def expand_key80(key: int) -> List[int]:
-    """PRESENT-80 key schedule: 32 round keys of 64 bits."""
-    if key < 0 or key >= (1 << 80):
-        raise ValueError("PRESENT-80 key must be an 80-bit integer")
-    register = key
-    round_keys = []
-    for round_counter in range(1, ROUNDS + 2):
-        round_keys.append(register >> 16)
-        # 61-bit left rotation of the 80-bit register.
-        register = ((register << 61) | (register >> 19)) & ((1 << 80) - 1)
-        # S-box on the top nibble.
-        top = (register >> 76) & 0xF
-        register = (register & ~(0xF << 76)) | (SBOX4[top] << 76)
-        # XOR round counter into bits 19..15.
-        register ^= round_counter << 15
-    return round_keys
-
-
-@dataclass
-class PresentTrace:
-    """Intermediate round states of one encryption (after key XOR)."""
-
-    round_states: List[int] = field(default_factory=list)
-    ciphertext: int = 0
-
-
-class Present80:
-    """PRESENT with an 80-bit key, with round-level observability."""
-
-    def __init__(self, key: int) -> None:
-        self.round_keys = expand_key80(key)
-
-    def encrypt(self, plaintext: int) -> int:
-        """Encrypt one 64-bit block."""
-        return self.encrypt_traced(plaintext).ciphertext
-
-    def encrypt_traced(self, plaintext: int) -> PresentTrace:
-        """Encrypt while recording every round state."""
-        if plaintext < 0 or plaintext >= (1 << 64):
-            raise ValueError("PRESENT block must be a 64-bit integer")
-        trace = PresentTrace()
-        state = plaintext
-        for rnd in range(ROUNDS):
-            state ^= self.round_keys[rnd]
-            trace.round_states.append(state)
-            state = _sbox_layer(state)
-            state = _p_layer(state)
-        state ^= self.round_keys[ROUNDS]
-        trace.round_states.append(state)
-        trace.ciphertext = state
-        return trace
-
-    def decrypt(self, ciphertext: int) -> int:
-        """Decrypt one 64-bit block."""
-        state = ciphertext ^ self.round_keys[ROUNDS]
-        for rnd in range(ROUNDS - 1, -1, -1):
-            state = _inv_p_layer(state)
-            state = _inv_sbox_layer(state)
-            state ^= self.round_keys[rnd]
-        return state

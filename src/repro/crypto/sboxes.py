@@ -97,8 +97,3 @@ def _build_sbox_with_key(table: Sequence[int], bits: int) -> Netlist:
         n.add_gate(f"y{bit}", GateType.BUF, [rename[f"y{bit}"]])
         n.add_output(f"y{bit}")
     return n
-
-
-def sbox_lookup(sbox: Sequence[int], value: int) -> int:
-    """Plain software S-box application (attack-hypothesis helper)."""
-    return sbox[value]

@@ -6,7 +6,6 @@ from .scan import (
     SCAN_OUT,
     ScanDesign,
     insert_scan,
-    scan_capture,
     scan_load,
     scan_unload,
 )
@@ -14,12 +13,9 @@ from .faultsim import CoverageReport, detection_words, grade_vectors
 from .atpg import (
     AtpgResult,
     IncrementalAtpg,
-    compact_vectors,
-    generate_test_for_fault,
     run_atpg,
-    shared_atpg_engine,
 )
-from .bist import BistResult, Lfsr, Misr, bist_detects_fault, run_bist
+from .bist import BistResult, Lfsr, Misr, run_bist
 from .scan_attack import (
     ScanAttackResult,
     ScanChipModel,
@@ -31,11 +27,10 @@ from .dfx import ChipState, DfxController, DfxEventLog
 
 __all__ = [
     "SCAN_ENABLE", "SCAN_IN", "SCAN_OUT", "ScanDesign", "insert_scan",
-    "scan_capture", "scan_load", "scan_unload",
+    "scan_load", "scan_unload",
     "CoverageReport", "detection_words", "grade_vectors",
-    "AtpgResult", "IncrementalAtpg", "compact_vectors",
-    "generate_test_for_fault", "run_atpg", "shared_atpg_engine",
-    "BistResult", "Lfsr", "Misr", "bist_detects_fault", "run_bist",
+    "AtpgResult", "IncrementalAtpg", "run_atpg",
+    "BistResult", "Lfsr", "Misr", "run_bist",
     "ScanAttackResult", "ScanChipModel", "netlist_scan_attack",
     "scan_attack",
     "test_access_still_works",

@@ -16,11 +16,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..fia import Fault, FaultKind, enumerate_faults, inject_fault
 from ..formal import CircuitEncoder, lit, neg
-from ..netlist import GateType, Netlist, pack_patterns, random_stimulus
+from ..netlist import GateType, Netlist, random_stimulus
 from .faultsim import detected_by_vectors, detection_words
 
 
@@ -132,45 +132,6 @@ class IncrementalAtpg:
         return test, "detected"
 
 
-def generate_test_for_fault(netlist: Netlist, fault: Fault,
-                            conflict_budget: Optional[int] = 50_000
-                            ) -> Tuple[Optional[Dict[str, int]], str]:
-    """One-shot SAT query for an input that exposes ``fault``.
-
-    Convenience wrapper over :class:`IncrementalAtpg`; batch callers
-    should hold on to one engine instead so the base encoding and
-    learned clauses are shared across faults.
-    """
-    return IncrementalAtpg(netlist).test_for_fault(fault, conflict_budget)
-
-
-def shared_atpg_engine(netlist: Netlist) -> IncrementalAtpg:
-    """Process-local :class:`IncrementalAtpg` engine for ``netlist``.
-
-    Registered in the :func:`repro.formal.solver_registry` under the
-    netlist's transport digest, so a warm worker re-running ATPG jobs
-    on the same design skips the base Tseitin encoding and starts from
-    the learned clauses of earlier queries.
-
-    **Caveat (model dependence):** a warm engine may emit different —
-    equally valid — test vectors than a cold one, because learned
-    clauses steer the search.  Use this only where the surfaced result
-    is model-independent (coverage verdicts, detect/undetectable
-    classification); batch flows whose concrete vectors are part of the
-    result must keep constructing their own engine — :func:`run_atpg`
-    does, for the faults its random block left undetected.
-    The engine assumes the netlist is not mutated while registered;
-    the registry key is content-addressed, so a structurally different
-    netlist always gets a fresh engine.
-    """
-    from ..formal import solver_registry
-    from ..netlist import transport_hash
-
-    key = "atpg:" + transport_hash(netlist)
-    return solver_registry().get_or_create(
-        key, lambda: IncrementalAtpg(netlist))
-
-
 def run_atpg(netlist: Netlist,
              faults: Optional[Sequence[Fault]] = None,
              random_budget: int = 1024,
@@ -181,9 +142,9 @@ def run_atpg(netlist: Netlist,
     kept: they are drawn as one packed block (one ``getrandbits`` word
     per input) and fault-simulated in one :func:`detection_words` pass.
     Only each detected fault's first detecting pattern is kept, and
-    that set is compacted by the reverse-order greedy of
-    :func:`compact_vectors`, so the kept count follows the faults, not
-    the budget.  The faults the block missed go to one
+    that set is compacted by a reverse-order greedy (classic static
+    compaction, :func:`_reverse_greedy`), so the kept count follows the
+    faults, not the budget.  The faults the block missed go to one
     :class:`IncrementalAtpg` engine.
 
     The SAT phase drops faults too: every deterministically generated
@@ -232,26 +193,6 @@ def run_atpg(netlist: Netlist,
             f"base circuit encoded {engine.encoder.encode_calls} times; "
             f"incremental ATPG must encode it exactly once")
     return result
-
-
-def compact_vectors(netlist: Netlist, vectors: Sequence[Mapping[str, int]],
-                    faults: Optional[Sequence[Fault]] = None
-                    ) -> List[Dict[str, int]]:
-    """Greedy reverse-order compaction: drop vectors that do not reduce
-    coverage (classic static compaction).
-
-    One :func:`detection_words` pass grades the whole set.  Walking from
-    the last vector to the first, a vector is dropped unless some fault
-    is detected by it and by no other vector still kept.  ``faults``
-    defaults to all single stuck-at faults.
-    """
-    fault_list = list(faults) if faults is not None else enumerate_faults(
-        netlist, kinds=(FaultKind.STUCK_AT_0, FaultKind.STUCK_AT_1))
-    width = len(vectors)
-    words = detection_words(netlist, pack_patterns(vectors, netlist.inputs),
-                            width, fault_list)
-    kept = _reverse_greedy([w for w in words if w], (1 << width) - 1)
-    return [dict(v) for p, v in enumerate(vectors) if kept >> p & 1]
 
 
 def _reverse_greedy(words: Sequence[int], kept: int) -> int:

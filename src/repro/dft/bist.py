@@ -115,12 +115,3 @@ def run_bist(netlist: Netlist, n_patterns: int = 256,
     golden = golden_signature if golden_signature is not None \
         else misr.signature
     return BistResult(misr.signature, golden, n_patterns)
-
-
-def bist_detects_fault(netlist: Netlist, faulty: Netlist,
-                       n_patterns: int = 256) -> bool:
-    """Does the signature change under a fault (or Trojan payload)?"""
-    golden = run_bist(netlist, n_patterns)
-    suspect = run_bist(faulty, n_patterns,
-                       golden_signature=golden.signature)
-    return not suspect.passed

@@ -75,16 +75,6 @@ def scan_load(design: ScanDesign, bits: Sequence[int],
     return dict(zip(compiled.flop_names, regs))
 
 
-def scan_capture(design: ScanDesign,
-                 functional_inputs: Mapping[str, int],
-                 state: Dict[str, int]) -> Dict[str, int]:
-    """One functional (capture) cycle with ``scan_en = 0``."""
-    compiled, stim, regs = _scan_cycle_setup(design, functional_inputs,
-                                             state, scan_enable=0)
-    _, regs = compiled.step_words(stim, regs)
-    return dict(zip(compiled.flop_names, regs))
-
-
 def scan_unload(design: ScanDesign,
                 state: Dict[str, int],
                 functional_inputs: Optional[Mapping[str, int]] = None

@@ -1,7 +1,7 @@
 """Fault-injection attacks and countermeasures: injection, DFA, codes, sensors."""
 
-from .models import Fault, FaultKind, enumerate_faults, sample_faults
-from .injector import inject_fault, with_fault_control
+from .models import Fault, FaultKind, enumerate_faults
+from .injector import inject_fault
 from .analysis import (
     CampaignReport,
     FaultOutcome,
@@ -22,8 +22,6 @@ from .codes import (
 from .glitch_attack import (
     GlitchOutcome,
     clock_glitch_capture,
-    guard_band_to_close,
-    vulnerability_profile,
 )
 from .dfa import (
     BIT_FAULTS,
@@ -50,15 +48,13 @@ from .discriminate import (
 )
 
 __all__ = [
-    "Fault", "FaultKind", "enumerate_faults", "sample_faults",
-    "inject_fault", "with_fault_control",
+    "Fault", "FaultKind", "enumerate_faults", "inject_fault",
     "CampaignReport", "FaultOutcome", "FormalFaultResult",
     "fault_campaign", "forced_word", "formal_coverage",
     "prove_fault_detected",
     "ProtectedDesign", "duplicate_and_compare", "parity_protect",
     "residue_mod3_net", "residue_protect_adder", "tmr_protect",
-    "GlitchOutcome", "clock_glitch_capture", "guard_band_to_close",
-    "vulnerability_profile",
+    "GlitchOutcome", "clock_glitch_capture",
     "BIT_FAULTS", "DfaAttacker", "DfaResult", "dfa_on_unprotected",
     "last_round_candidates",
     "DetectAndSuppressAES", "InfectiveAES",

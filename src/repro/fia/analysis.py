@@ -19,16 +19,12 @@ from ..netlist import (
     GateType, Netlist, VariantFamily, VariantSpec, get_compiled,
     random_stimulus,
 )
+from ..netlist.engine import FAMILY_CHUNK_BITS
 from .injector import inject_fault
 from .models import Fault, FaultKind
 
-#: Total packed-word budget (faults-per-family x vectors) for the
-#: batched campaign path.  Large on purpose: the batched win comes from
-#: amortizing per-gate dispatch over many variants per word.
-_FAMILY_CHUNK_BITS = 1 << 15
-
 #: A campaign is batched when a family word holds at least this many
-#: faults (``_FAMILY_CHUNK_BITS // width``, so at most 128 vectors).
+#: faults (``FAMILY_CHUNK_BITS // width``, so at most 128 vectors).
 #: Per fault, a family evaluation touches every gate and the serial
 #: path only the fault's cone, so past this width the wider words cost
 #: more than the per-gate dispatch they amortize.  Measured on the AES
@@ -186,7 +182,7 @@ def fault_campaign(netlist: Netlist, faults: Sequence[Fault],
         watched.append(compiled.index[alarm])
     mask = (1 << width) - 1
     report = CampaignReport()
-    chunk = _FAMILY_CHUNK_BITS // max(1, width)
+    chunk = FAMILY_CHUNK_BITS // max(1, width)
     if len(faults) >= _BATCH_THRESHOLD and chunk >= _MIN_FAULTS_PER_WORD:
         for start in range(0, len(faults), chunk):
             group = faults[start:start + chunk]

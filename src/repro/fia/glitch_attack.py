@@ -17,7 +17,7 @@ layer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional
 
 from ..netlist import Netlist, simulate
 from ..netlist.metrics import arrival_times
@@ -70,39 +70,3 @@ def clock_glitch_capture(netlist: Netlist,
         correct={o: fresh[o] for o in netlist.outputs},
         faulted_outputs=faulted,
     )
-
-
-def vulnerability_profile(netlist: Netlist,
-                          periods: Sequence[float],
-                          placement: Optional[Placement] = None
-                          ) -> Dict[float, int]:
-    """Outputs at risk per glitch period (pure STA, no simulation).
-
-    The design-time artifact: how aggressive must the attacker's glitch
-    be to reach 1, 2, ... n output bits — and symmetrically, how much
-    timing margin a guard band must add to push all bits out of reach.
-    """
-    if placement is not None:
-        at = arrival_times_placed(netlist, placement)
-    else:
-        at = arrival_times(netlist)
-    return {
-        period: sum(1 for o in netlist.outputs if at[o] > period)
-        for period in periods
-    }
-
-
-def guard_band_to_close(netlist: Netlist, attacker_min_period: float,
-                        placement: Optional[Placement] = None) -> float:
-    """Extra timing slack needed so no output faults at the attacker's
-    shortest achievable glitch period.
-
-    Returns 0 when the design is already safe.  A positive value is the
-    delay reduction (or clock-period increase) the mitigation must buy.
-    """
-    if placement is not None:
-        at = arrival_times_placed(netlist, placement)
-    else:
-        at = arrival_times(netlist)
-    worst = max((at[o] for o in netlist.outputs), default=0.0)
-    return max(0.0, worst - attacker_min_period)

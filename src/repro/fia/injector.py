@@ -9,7 +9,7 @@ of Table II's logic-synthesis row).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Optional
 
 from ..netlist import GateType, Netlist
 from .models import Fault, FaultKind
@@ -42,37 +42,3 @@ def inject_fault(netlist: Netlist, fault: Fault,
     else:
         raise ValueError(f"unsupported fault kind {fault.kind}")
     return faulty
-
-
-def with_fault_control(netlist: Netlist, faults: Iterable[Fault],
-                       prefix: str = "fault_en",
-                       ) -> Tuple[Netlist, Dict[Fault, str]]:
-    """Instrument the netlist with one enable input per fault.
-
-    A ``BIT_FLIP`` fault on net ``s`` becomes ``s' = s XOR enable``;
-    stuck-at faults become a MUX between the healthy value and the stuck
-    constant.  All downstream consumers see the controlled value.
-    Returns ``(instrumented netlist, fault -> enable input name)``.
-    """
-    inst = netlist.copy(netlist.name + "_fi")
-    enables: Dict[Fault, str] = {}
-    for index, fault in enumerate(faults):
-        enable = f"{prefix}{index}"
-        inst.add_input(enable)
-        healthy = fault.net
-        if fault.kind is FaultKind.BIT_FLIP:
-            controlled = inst.add(GateType.XOR, [healthy, enable],
-                                  prefix="fi_x")
-        else:
-            const = inst.add(
-                GateType.CONST0 if fault.kind is FaultKind.STUCK_AT_0
-                else GateType.CONST1, [], prefix="fi_c")
-            controlled = inst.add(GateType.MUX, [enable, healthy, const],
-                                  prefix="fi_m")
-        inst.rewire_consumers(healthy, controlled, keep_outputs=False)
-        # Undo the self-rewire of the controlled gate's own fanin.
-        g = inst.gate(controlled)
-        g.fanins = [healthy if fi == controlled else fi for fi in g.fanins]
-        inst.invalidate()
-        enables[fault] = enable
-    return inst, enables

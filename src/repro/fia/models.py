@@ -10,7 +10,6 @@ or sample these over a netlist.
 from __future__ import annotations
 
 import enum
-import random
 from dataclasses import dataclass
 from typing import List, Sequence
 
@@ -51,14 +50,3 @@ def enumerate_faults(netlist: Netlist,
         for kind in kinds:
             faults.append(Fault(g.name, kind))
     return faults
-
-
-def sample_faults(netlist: Netlist, count: int,
-                  kinds: Sequence[FaultKind] = (FaultKind.BIT_FLIP,),
-                  seed: int = 0) -> List[Fault]:
-    """Uniform random sample of fault sites (a natural-fault scenario)."""
-    rng = random.Random(seed)
-    population = enumerate_faults(netlist, kinds)
-    if count >= len(population):
-        return population
-    return rng.sample(population, count)

@@ -17,7 +17,6 @@ from .properties import (
     default_checkers,
     fault_detection_check,
     fault_detection_checker,
-    make_equivalence_check,
     masking_check,
     masking_checker,
     no_flow_check,
@@ -86,14 +85,13 @@ from .pipelines import (
     SecurePlacementPass,
     classical_pipeline,
     netlist_design,
-    secure_masking_pipeline,
     secure_pipeline,
 )
 
 __all__ = [
     "ALL_PROPERTIES", "PropertyCheck", "SecurityProperty",
     "default_checkers", "fault_detection_check", "fault_detection_checker",
-    "make_equivalence_check", "masking_check", "masking_checker",
+    "masking_check", "masking_checker",
     "no_flow_check", "scan_leakage_check", "scan_leakage_checker",
     "tvla_check", "tvla_checker",
     "fia_exposure_checker", "layout_checkers",
@@ -114,6 +112,6 @@ __all__ = [
     "BuryCriticalNetsPass", "EcoFillerPass", "RoutingPass",
     "ShieldInsertionPass",
     "SecurePlacementPass",
-    "classical_pipeline", "netlist_design", "secure_masking_pipeline",
+    "classical_pipeline", "netlist_design",
     "secure_pipeline",
 ]

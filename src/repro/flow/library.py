@@ -69,14 +69,16 @@ def _replaced(design: Design, suffix: str, netlist: Netlist,
     """``design`` rebuilt around a pass's new ``netlist``.
 
     Appends ``+suffix`` to the design name and, when ``adapt`` is given,
-    applies it after the design's stimulus adapter; ``fields`` replace
-    any other :class:`~repro.core.composition.Design` field.
+    applies it after the design's stimulus adapter, with the same draw
+    RNG; ``fields`` replace any other
+    :class:`~repro.core.composition.Design` field.
     """
     if adapt is not None:
         previous = design.stimulus_adapter
 
-        def adapter(stimulus: Dict[str, int]) -> Dict[str, int]:
-            return adapt(previous(stimulus))
+        def adapter(stimulus: Dict[str, int],
+                    rng: random.Random) -> Dict[str, int]:
+            return adapt(previous(stimulus, rng), rng)
 
         fields["stimulus_adapter"] = adapter
     return replace(design, name=f"{design.name}+{suffix}", netlist=netlist,
@@ -258,10 +260,8 @@ class MaskInsertionPass(Pass):
 
     def apply(self, netlist, ctx) -> PassResult:
         masked = mask_netlist(netlist)
-        share_rng = random.Random(ctx.seed ^ 0x5EED)
         design = _replaced(
-            ctx.design, "masked", masked.netlist,
-            adapt=lambda stimulus: masked.stimulus(stimulus, share_rng),
+            ctx.design, "masked", masked.netlist, adapt=masked.stimulus,
             alarm=None, payload_outputs=list(masked.netlist.outputs))
         return PassResult(
             self.name, rewrites=len(masked.netlist.gates),
@@ -287,7 +287,8 @@ class WddlPass(Pass):
     def apply(self, netlist, ctx) -> PassResult:
         dual, _ = wddl_transform(netlist)
         design = _replaced(
-            ctx.design, "wddl", dual, adapt=dual_rail_stimulus,
+            ctx.design, "wddl", dual,
+            adapt=lambda stimulus, rng: dual_rail_stimulus(stimulus),
             alarm=None, payload_outputs=list(dual.outputs),
             protected_region_prefix="")
         return PassResult(
@@ -374,7 +375,8 @@ class ScanInsertionPass(Pass):
     def apply(self, netlist, ctx) -> PassResult:
         scan = insert_scan(netlist)
 
-        def adapt(stimulus: Dict[str, int]) -> Dict[str, int]:
+        def adapt(stimulus: Dict[str, int],
+                  rng: random.Random) -> Dict[str, int]:
             adapted = dict(stimulus)
             adapted.setdefault("scan_en", 0)
             adapted.setdefault("scan_in", 0)
@@ -459,7 +461,7 @@ class LogicLockingPass(Pass):
         locked = lock_xor(netlist, self.key_bits, seed=ctx.seed)
         design = _replaced(
             ctx.design, "locked", locked.netlist,
-            adapt=lambda stimulus: {**stimulus, **locked.key},
+            adapt=lambda stimulus, rng: {**stimulus, **locked.key},
             key_bits=ctx.design.key_bits + locked.key_bits)
         return PassResult(
             self.name, rewrites=locked.key_bits,
@@ -493,7 +495,7 @@ class SfllLockPass(Pass):
         locked = sfll.locked
         design = _replaced(
             ctx.design, "sfll", locked.netlist,
-            adapt=lambda stimulus: {**stimulus, **locked.key},
+            adapt=lambda stimulus, rng: {**stimulus, **locked.key},
             key_bits=ctx.design.key_bits + locked.key_bits)
         return PassResult(
             self.name, rewrites=locked.key_bits,

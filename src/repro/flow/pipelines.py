@@ -17,7 +17,6 @@ from ..netlist import Netlist
 from .library import (
     AtpgPass,
     FunctionalValidationPass,
-    MaskInsertionPass,
     PlacementPass,
     SecureSynthesisPass,
     StaSignoffPass,
@@ -97,19 +96,4 @@ def secure_pipeline(transforms: Sequence[Pass] = (),
         SecureSynthesisPass(),
         *transforms,
         SecurePlacementPass(iterations=placement_iterations),
-    ]
-
-
-def secure_masking_pipeline(placement_iterations: int = 2000) -> List[Pass]:
-    """Masking-first secure flow with *declared* effects end to end:
-    mask, clean up (preserving passes — no re-checks), place, sign off.
-    """
-    from .library import BufferSweepPass, DeadGateSweepPass
-
-    return [
-        MaskInsertionPass(),
-        BufferSweepPass(),
-        DeadGateSweepPass(),
-        PlacementPass(iterations=placement_iterations),
-        StaSignoffPass(),
     ]

@@ -261,54 +261,6 @@ def scan_leakage_check(design: "Design",
         "plain scan chain exposes internal state (scan attack applies)")
 
 
-def make_equivalence_check(golden: "Design", max_inputs: int = 12
-                           ) -> Callable:
-    """Checker factory: exhaustive equivalence against ``golden``'s
-    current function, for small combinational netlists.
-
-    Captures the truth tables *now*; the returned checker compares the
-    design-under-flow against them.  Designs whose port interface has
-    changed (masking, WDDL) or that exceed ``max_inputs`` report a
-    skipped-but-passing check, mirroring the classical flow's "trusted
-    certified rewrites" stance.
-    """
-    from ..netlist import exhaustive_truth_table
-
-    netlist = golden.netlist
-    if len(netlist.inputs) > max_inputs or netlist.is_sequential:
-        tables = None
-    else:
-        tables = {out: exhaustive_truth_table(netlist, out)
-                  for out in netlist.outputs}
-    golden_inputs = sorted(netlist.inputs)
-
-    def check(design: "Design",
-              cache: Optional["AnalysisCache"] = None) -> PropertyCheck:
-        del cache
-        current = design.netlist
-        if tables is None:
-            return PropertyCheck(
-                SecurityProperty.FUNCTIONAL_EQUIVALENCE, True, 0.0,
-                "equivalence assumed (design too large for exhaustive "
-                "check)")
-        if (sorted(current.inputs) != golden_inputs
-                or set(tables) - set(current.gates.keys())):
-            return PropertyCheck(
-                SecurityProperty.FUNCTIONAL_EQUIVALENCE, True, 0.0,
-                "port interface changed; equivalence tracked modulo "
-                "re-encoding")
-        mismatches = sum(
-            1 for out, table in tables.items()
-            if exhaustive_truth_table(current, out) != table)
-        return PropertyCheck(
-            SecurityProperty.FUNCTIONAL_EQUIVALENCE, mismatches == 0,
-            float(mismatches),
-            "exhaustive truth tables match" if mismatches == 0 else
-            f"{mismatches} output(s) changed function")
-
-    return check
-
-
 # ----------------------------------------------------------------------
 # Checker factories for the pass manager
 # ----------------------------------------------------------------------

@@ -2,41 +2,20 @@
 
 from .sat import (
     Solver,
-    SolverRegistry,
     lit,
     neg,
-    reset_solver_registry,
-    solver_registry,
     var_of,
     UNASSIGNED,
 )
 from .cnf import CircuitEncoder, solve_circuit
-from .equivalence import EquivalenceResult, build_miter, check_equivalence
-from .glift import (
-    FlowResult,
-    glift_simulate,
-    prove_no_flow,
-    taint_reachable_outputs,
-)
-from .seq_equiv import (
-    SequentialEquivalenceResult,
-    check_sequential_equivalence,
-)
-from .properties import (
-    PropertyResult,
-    bmc_reach,
-    prove_implication,
-    prove_output_constant,
-)
+from .equivalence import EquivalenceResult, check_equivalence
+from .glift import FlowResult, glift_simulate, prove_no_flow
+from .properties import PropertyResult, prove_output_constant
 
 __all__ = [
-    "Solver", "SolverRegistry", "lit", "neg", "var_of", "UNASSIGNED",
-    "solver_registry", "reset_solver_registry",
+    "Solver", "lit", "neg", "var_of", "UNASSIGNED",
     "CircuitEncoder", "solve_circuit",
-    "EquivalenceResult", "build_miter", "check_equivalence",
+    "EquivalenceResult", "check_equivalence",
     "FlowResult", "glift_simulate", "prove_no_flow",
-    "taint_reachable_outputs",
-    "SequentialEquivalenceResult", "check_sequential_equivalence",
-    "PropertyResult", "bmc_reach", "prove_implication",
-    "prove_output_constant",
+    "PropertyResult", "prove_output_constant",
 ]

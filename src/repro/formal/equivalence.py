@@ -96,33 +96,3 @@ def check_equivalence(left: Netlist, right: Netlist,
         # Proven equal: commit the fact so later outputs build on it.
         solver.add_clause([neg(lit(diff))])
     return EquivalenceResult(True, solver_stats=solver.stats())
-
-
-def build_miter(left: Netlist, right: Netlist, name: str = "miter") -> Netlist:
-    """Structural miter netlist: shared inputs, single ``diff`` output.
-
-    Useful when the miter itself should be processed by EDA passes
-    (e.g. for test generation) rather than solved directly.
-    """
-    from ..netlist import GateType
-
-    if set(left.inputs) != set(right.inputs):
-        raise ValueError("miter requires identical input sets")
-    if len(left.outputs) != len(right.outputs):
-        raise ValueError("miter requires matching output counts")
-    miter = Netlist(name)
-    for inp in left.inputs:
-        miter.add_input(inp)
-    identity = {inp: inp for inp in left.inputs}
-    lmap = miter.import_netlist(left, "l_", identity)
-    rmap = miter.import_netlist(right, "r_", identity)
-    xors = [
-        miter.add(GateType.XOR, [lmap[lo], rmap[ro]], prefix="mx")
-        for lo, ro in zip(left.outputs, right.outputs)
-    ]
-    if len(xors) == 1:
-        miter.add_gate("diff", GateType.BUF, xors)
-    else:
-        miter.add_gate("diff", GateType.OR, xors)
-    miter.add_output("diff")
-    return miter

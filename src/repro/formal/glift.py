@@ -20,7 +20,7 @@ Two query styles:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from ..netlist import GateType, Netlist
 from ..netlist.gates import evaluate
@@ -124,13 +124,3 @@ def prove_no_flow(netlist: Netlist, source: str, target: str,
         for name in netlist.inputs
     }
     return FlowResult(True, witness)
-
-
-def taint_reachable_outputs(netlist: Netlist, source: str,
-                            fixed: Optional[Mapping[str, int]] = None
-                            ) -> List[str]:
-    """All primary outputs ``source`` can influence in an environment."""
-    return [
-        out for out in netlist.outputs
-        if prove_no_flow(netlist, source, out, fixed).flows
-    ]

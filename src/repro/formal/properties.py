@@ -1,4 +1,4 @@
-"""Property checking: combinational proofs and bounded model checking.
+"""Property checking: combinational proofs.
 
 Supports the paper's Sec. III-D use cases: proving security properties
 (e.g. "the alarm output cannot be silenced while a fault is present"),
@@ -14,7 +14,6 @@ from typing import Dict, List, Mapping, Optional
 
 from ..netlist import Netlist
 from .cnf import CircuitEncoder
-from .sat import lit
 
 
 @dataclass
@@ -22,7 +21,7 @@ class PropertyResult:
     """Outcome of a property check.
 
     ``holds`` is True when no violating assignment exists.  Otherwise
-    ``witness`` gives violating input values (per frame for BMC).
+    ``witness`` gives violating input values.
     """
 
     holds: bool
@@ -45,89 +44,3 @@ def prove_output_constant(netlist: Netlist, output: str, value: int,
         name: enc.solver.model_value(varmap[name]) for name in netlist.inputs
     }
     return PropertyResult(False, witness=[witness], frames_checked=1)
-
-
-def prove_implication(netlist: Netlist,
-                      antecedent: Mapping[str, int],
-                      consequent: Mapping[str, int]) -> PropertyResult:
-    """Prove: whenever ``antecedent`` net values hold, ``consequent`` holds.
-
-    Searches for a counterexample satisfying the antecedent while
-    violating at least one consequent net.
-    """
-    enc = CircuitEncoder()
-    varmap = enc.encode(netlist)
-    for net, v in antecedent.items():
-        enc.assert_equal(varmap[net], v)
-    # Violation: OR over consequent nets differing from required value.
-    diffs = []
-    for net, v in consequent.items():
-        if v == 1:
-            # violated when net == 0: use NOT net
-            y = enc.solver.new_var()
-            enc.solver.add_clause([lit(y), lit(varmap[net])])
-            enc.solver.add_clause([lit(y, True), lit(varmap[net], True)])
-            diffs.append(y)
-        else:
-            diffs.append(varmap[net])
-    any_violation = enc.or_of(diffs)
-    enc.assert_equal(any_violation, 1)
-    if not enc.solver.solve():
-        return PropertyResult(True, frames_checked=1)
-    witness = {
-        name: enc.solver.model_value(varmap[name]) for name in netlist.inputs
-    }
-    return PropertyResult(False, witness=[witness], frames_checked=1)
-
-
-def bmc_reach(netlist: Netlist, target: str, max_cycles: int,
-              initial_state: Optional[Mapping[str, int]] = None,
-              target_value: int = 1) -> PropertyResult:
-    """Bounded reachability for sequential netlists.
-
-    Unrolls ``max_cycles`` time frames and asks whether the ``target``
-    net can take ``target_value`` in any frame.  ``holds`` is True when
-    the target is *unreachable* within the bound (the property "never
-    target" holds up to ``max_cycles``).
-    """
-    if not netlist.is_sequential:
-        result = prove_output_constant(netlist, target, 1 - target_value)
-        return result
-    initial_state = dict(initial_state or {})
-    enc = CircuitEncoder()
-    flops = netlist.flops
-    # Frame 0 state: constants from initial_state (default 0).
-    state_vars: Dict[str, int] = {}
-    for ff in flops:
-        v = enc.fresh_var()
-        enc.assert_equal(v, initial_state.get(ff, 0))
-        state_vars[ff] = v
-    target_hits: List[int] = []
-    frame_inputs: List[Dict[str, int]] = []
-    for _frame in range(max_cycles):
-        bind = dict(state_vars)
-        varmap = enc.encode(netlist, bind=bind)
-        frame_inputs.append({name: varmap[name] for name in netlist.inputs})
-        target_hits.append(varmap[target])
-        # Next state: D-pin values of this frame.
-        state_vars = {
-            ff: varmap[netlist.gates[ff].fanins[0]] for ff in flops
-        }
-    hit_lits = []
-    for hv in target_hits:
-        if target_value == 1:
-            hit_lits.append(hv)
-        else:
-            y = enc.solver.new_var()
-            enc.solver.add_clause([lit(y), lit(hv)])
-            enc.solver.add_clause([lit(y, True), lit(hv, True)])
-            hit_lits.append(y)
-    any_hit = enc.or_of(hit_lits)
-    enc.assert_equal(any_hit, 1)
-    if not enc.solver.solve():
-        return PropertyResult(True, frames_checked=max_cycles)
-    witness = [
-        {name: enc.solver.model_value(v) for name, v in frame.items()}
-        for frame in frame_inputs
-    ]
-    return PropertyResult(False, witness=witness, frames_checked=max_cycles)

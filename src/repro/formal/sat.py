@@ -610,94 +610,3 @@ class Solver:
             "restarts": self.restarts,
             "reductions": self.reductions,
         }
-
-
-class SolverRegistry:
-    """Process-local registry of long-lived incremental solver state.
-
-    Warm workers (:mod:`repro.service.scheduler`) keep solver engines —
-    e.g. an ATPG engine whose good-circuit CNF is already encoded —
-    alive between jobs, keyed by the transport digest of the netlist
-    they encode.  This registry makes that reuse explicit and bounded:
-    an LRU of caller-chosen string keys to arbitrary solver-backed
-    engines, with hit/miss/eviction counters.
-
-    **Determinism contract.**  Reusing an incremental solver preserves
-    SAT/UNSAT verdicts but not *models*: learned clauses steer the
-    search, so a warm solver may return a different (equally valid)
-    satisfying assignment than a cold one.  Clients must therefore only
-    route results through the registry when the surfaced value is
-    model-independent (verdicts, counts, iteration-bounded failures) —
-    never when concrete test vectors or counterexample assignments are
-    part of the result contract.  The service layer's bit-identical
-    inline/serial/pooled guarantee rests on this rule.
-    """
-
-    def __init__(self, max_entries: int = 8) -> None:
-        self.max_entries = max_entries
-        self._entries: Dict[str, object] = {}
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    def get_or_create(self, key: str, factory):
-        """Engine registered under ``key``; builds via ``factory()``."""
-        cached = self._entries.get(key)
-        if cached is not None:
-            self.hits += 1
-            self._entries[key] = self._entries.pop(key)
-            return cached
-        self.misses += 1
-        engine = factory()
-        self._entries[key] = engine
-        while len(self._entries) > self.max_entries:
-            self._entries.pop(next(iter(self._entries)))
-            self.evictions += 1
-        return engine
-
-    def get(self, key: str):
-        """Engine under ``key`` or ``None`` (no miss counted)."""
-        return self._entries.get(key)
-
-    def discard(self, key: str) -> None:
-        """Drop the engine under ``key`` if present (no error if absent)."""
-        self._entries.pop(key, None)
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._entries
-
-    def stats(self) -> Dict[str, int]:
-        """Registry counters: entry count, hits, misses, evictions."""
-        return {
-            "entries": len(self._entries),
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-        }
-
-    def clear(self) -> None:
-        """Drop every registered engine and reset the counters."""
-        self._entries.clear()
-        self.hits = self.misses = self.evictions = 0
-
-
-#: Process-local singleton, lazily created (fork-safety: workers that
-#: clear their registry never touch the parent's).
-_SOLVER_REGISTRY: Optional[SolverRegistry] = None
-
-
-def solver_registry() -> SolverRegistry:
-    """The process-local :class:`SolverRegistry` singleton."""
-    global _SOLVER_REGISTRY
-    if _SOLVER_REGISTRY is None:
-        _SOLVER_REGISTRY = SolverRegistry()
-    return _SOLVER_REGISTRY
-
-
-def reset_solver_registry() -> None:
-    """Drop the process-local registry (tests; worker recycling)."""
-    global _SOLVER_REGISTRY
-    _SOLVER_REGISTRY = None

@@ -14,7 +14,6 @@ from .binding import (
     Lifetime,
     bind,
     left_edge_allocate,
-    secret_exposure,
     value_lifetimes,
 )
 from .ift import (
@@ -38,7 +37,7 @@ __all__ = [
     "OP_LATENCY", "Schedule", "UNIT_CLASS", "alap_schedule",
     "asap_schedule", "list_schedule",
     "Binding", "Lifetime", "bind", "left_edge_allocate",
-    "secret_exposure", "value_lifetimes",
+    "value_lifetimes",
     "TaintReport", "dfg_output_leakage", "qif_channel_capacity",
     "taint_analysis",
     "HlsLeakageResult", "evaluate_hls_cpa", "flushed_exposure",

@@ -116,17 +116,3 @@ def bind(schedule: Schedule,
         n_registers=(max(registers.values()) + 1) if registers else 0,
         n_units={cls: len(pool) for cls, pool in instances.items()},
     )
-
-
-def secret_exposure(schedule: Schedule,
-                    labels: Mapping[str, Label]) -> int:
-    """Total register-cycles during which secret values are resident.
-
-    The quantitative target of the register-flushing countermeasure:
-    every cycle a secret sits in a register is a cycle it leaks through
-    the register file's power signature.
-    """
-    return sum(
-        lt.span for lt in value_lifetimes(schedule, labels)
-        if lt.label is Label.SECRET
-    )

@@ -24,10 +24,6 @@ class TaintReport:
     tainted_outputs: List[str]
     healed_by_masking: List[str]   # nodes where RANDOM healed SECRET
 
-    @property
-    def any_output_tainted(self) -> bool:
-        return bool(self.tainted_outputs)
-
 
 def taint_analysis(dfg: Dfg, masking_aware: bool = True) -> TaintReport:
     """Forward taint propagation over the DFG.

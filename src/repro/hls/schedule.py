@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional
+from typing import Dict, Mapping, Optional
 
 from .dfg import Dfg, OpType
 
@@ -45,14 +45,6 @@ class Schedule:
             for name in self.start
         ]
         return max(ends) if ends else 0
-
-    def ops_in_cycle(self, cycle: int) -> List[str]:
-        """Operations occupying a functional unit during ``cycle``."""
-        return [
-            name for name, s in self.start.items()
-            if s <= cycle < s + max(1, OP_LATENCY[self.dfg.ops[name].op])
-            and OP_LATENCY[self.dfg.ops[name].op] > 0
-        ]
 
 
 def asap_schedule(dfg: Dfg) -> Schedule:

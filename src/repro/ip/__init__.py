@@ -43,12 +43,6 @@ from .structural import (
     resynthesis_resistance,
     structural_key_attack,
 )
-from .watermark import (
-    Watermark,
-    embed_watermark,
-    extract_watermark,
-    verify_watermark,
-)
 from .metering import (
     MeteredChip,
     MeteringAuthority,
@@ -72,6 +66,5 @@ __all__ = [
     "model_attack_arbiter",
     "StructuralAttackResult", "resynthesis_resistance",
     "structural_key_attack",
-    "Watermark", "embed_watermark", "extract_watermark", "verify_watermark",
     "MeteredChip", "MeteringAuthority", "overbuild_attack",
 ]

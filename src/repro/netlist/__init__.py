@@ -16,21 +16,16 @@ from .simulate import (
     simulate_reference,
     output_values,
     step_sequential,
-    run_sequential,
     pack_patterns,
-    unpack_word,
     random_stimulus,
     encode_int,
     decode_int,
-    toggle_counts,
     exhaustive_truth_table,
 )
 from .bench import load, loads, dump, dumps
 from .serialize import (
     canonical_form,
     canonical_json,
-    dumps_netlist,
-    loads_netlist,
     netlist_from_dict,
     netlist_hash,
     netlist_to_dict,
@@ -42,16 +37,12 @@ from .generators import (
     full_adder,
     ripple_carry_adder,
     array_multiplier,
-    equality_comparator,
     parity_tree,
     random_circuit,
-    from_truth_table,
     from_truth_tables,
 )
 from .verilog import (
-    dump_verilog,
     dumps_verilog,
-    load_verilog,
     loads_verilog,
 )
 from .metrics import (
@@ -62,7 +53,6 @@ from .metrics import (
     arrival_times,
     critical_path_delay,
     leakage_power,
-    count_by_type,
     ppa_report,
 )
 
@@ -71,18 +61,16 @@ __all__ = [
     "Gate", "Netlist", "NetlistError", "cone_extract",
     "CompiledNetlist", "EngineCache", "VariantFamily", "VariantSpec",
     "engine_cache", "get_compiled", "reset_engine_cache",
-    "simulate", "simulate_reference",
-    "output_values", "step_sequential", "run_sequential",
-    "pack_patterns", "unpack_word", "random_stimulus",
-    "encode_int", "decode_int", "toggle_counts", "exhaustive_truth_table",
+    "simulate", "simulate_reference", "output_values", "step_sequential",
+    "pack_patterns", "random_stimulus", "encode_int", "decode_int",
+    "exhaustive_truth_table",
     "load", "loads", "dump", "dumps",
-    "canonical_form", "canonical_json", "dumps_netlist", "loads_netlist",
+    "canonical_form", "canonical_json",
     "netlist_from_dict", "netlist_hash", "netlist_to_dict", "stable_hash",
     "transport_hash",
-    "dump_verilog", "dumps_verilog", "load_verilog", "loads_verilog",
+    "dumps_verilog", "loads_verilog",
     "c17", "full_adder", "ripple_carry_adder", "array_multiplier",
-    "equality_comparator", "parity_tree", "random_circuit",
-    "from_truth_table", "from_truth_tables",
+    "parity_tree", "random_circuit", "from_truth_tables",
     "CellCost", "DEFAULT_COSTS", "PPAReport", "area", "arrival_times",
-    "critical_path_delay", "leakage_power", "count_by_type", "ppa_report",
+    "critical_path_delay", "leakage_power", "ppa_report",
 ]

@@ -678,6 +678,13 @@ class VariantSpec:
                    opcodes=data.get("opcodes"))
 
 
+#: Total packed-word budget (variants x patterns per word) for batched
+#: family evaluation — leakage traces and fault campaigns alike.  Large
+#: on purpose: the batched win comes from amortizing per-gate dispatch
+#: over many variants and patterns per word.
+FAMILY_CHUNK_BITS = 1 << 15
+
+
 class VariantFamily:
     """Many variants of one netlist, evaluated in a single packed pass.
 

@@ -92,22 +92,6 @@ def array_multiplier(width: int) -> Netlist:
     return n
 
 
-def equality_comparator(width: int) -> Netlist:
-    """Outputs eq=1 iff a == b over ``width`` bits."""
-    n = Netlist(f"eq{width}")
-    bits = [
-        n.add_gate(f"x{i}", GateType.XNOR,
-                   [n.add_input(f"a{i}"), n.add_input(f"b{i}")])
-        for i in range(width)
-    ]
-    if width == 1:
-        n.add_gate("eq", GateType.BUF, [bits[0]])
-    else:
-        n.add_gate("eq", GateType.AND, bits)
-    n.add_output("eq")
-    return n
-
-
 def parity_tree(width: int, balanced: bool = True) -> Netlist:
     """XOR parity over ``width`` inputs, as a balanced tree or a chain.
 
@@ -242,9 +226,3 @@ def from_truth_tables(n_inputs: int, tables: Mapping[str, Sequence[int]],
         n.add_output(out)
     n.sweep_dangling()
     return n
-
-
-def from_truth_table(n_inputs: int, table: Sequence[int],
-                     name: str = "lut") -> Netlist:
-    """Single-output convenience wrapper for :func:`from_truth_tables`."""
-    return from_truth_tables(n_inputs, {"f": table}, name=name)

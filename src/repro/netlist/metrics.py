@@ -140,14 +140,6 @@ def leakage_power(netlist: Netlist,
     return sum(costs[g.gate_type].leakage for g in netlist.gates.values())
 
 
-def count_by_type(netlist: Netlist) -> Dict[GateType, int]:
-    """Histogram of gate types in the netlist."""
-    counts: Dict[GateType, int] = {}
-    for g in netlist.gates.values():
-        counts[g.gate_type] = counts.get(g.gate_type, 0) + 1
-    return counts
-
-
 def ppa_report(netlist: Netlist,
                costs: Optional[Mapping[GateType, CellCost]] = None
                ) -> PPAReport:

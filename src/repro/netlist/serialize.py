@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Dict, List, Union
+from typing import Dict
 
 from .gates import GateType
 from .netlist import Netlist
@@ -127,13 +127,3 @@ def transport_hash(netlist: Netlist) -> str:
     data = netlist_to_dict(netlist)
     return stable_hash({"gates": data["gates"],
                         "outputs": data["outputs"]})
-
-
-def dumps_netlist(netlist: Netlist) -> str:
-    """JSON text of the transport form (stored in the artifact store)."""
-    return json.dumps(netlist_to_dict(netlist), separators=(",", ":"))
-
-
-def loads_netlist(text: Union[str, bytes]) -> Netlist:
-    """Inverse of :func:`dumps_netlist`."""
-    return netlist_from_dict(json.loads(text))

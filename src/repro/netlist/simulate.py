@@ -8,6 +8,7 @@ trace generation, SAT-attack oracles, and Trojan activation studies.
 
 from __future__ import annotations
 
+import operator
 import random
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -81,33 +82,33 @@ def step_sequential(netlist: Netlist, inputs: Mapping[str, int],
     return values, next_state
 
 
-def run_sequential(netlist: Netlist,
-                   input_sequence: Sequence[Mapping[str, int]],
-                   initial_state: Optional[Mapping[str, int]] = None,
-                   width: int = 1) -> List[Dict[str, int]]:
-    """Simulate a cycle-by-cycle stimulus; returns per-cycle output values."""
-    state: Dict[str, int] = dict(initial_state or {})
-    trace: List[Dict[str, int]] = []
-    for cycle_inputs in input_sequence:
-        values, state = step_sequential(netlist, cycle_inputs, state, width)
-        trace.append({o: values[o] for o in netlist.outputs})
-    return trace
+#: ``bytes.translate`` table: each byte to the ASCII digit of its low bit.
+_LOW_BIT_DIGITS = bytes(ord("0") + (value & 1) for value in range(256))
 
 
 def pack_patterns(patterns: Sequence[Mapping[str, int]],
                   input_names: Sequence[str]) -> Dict[str, int]:
-    """Pack single-bit pattern dicts into bit-parallel stimulus words."""
-    packed = {name: 0 for name in input_names}
-    for position, pattern in enumerate(patterns):
-        for name in input_names:
-            if pattern.get(name, 0) & 1:
-                packed[name] |= 1 << position
-    return packed
+    """Pack single-bit pattern dicts into bit-parallel stimulus words.
 
-
-def unpack_word(word: int, width: int) -> List[int]:
-    """Split a packed word back into ``width`` single-bit values."""
-    return [(word >> i) & 1 for i in range(width)]
+    Bit ``p`` of an input's word is the low bit of
+    ``patterns[p].get(name, 0)``.  Each input's column is gathered into
+    one ``bytes`` object and read as a binary numeral, so packing costs
+    a few C calls per input instead of one bigint OR per bit.
+    """
+    names = list(input_names)
+    if not patterns or not names:
+        return {name: 0 for name in names}
+    try:
+        getter = operator.itemgetter(*names)
+        rows = [getter(pattern) for pattern in patterns]
+        columns = [bytes(rows)] if len(names) == 1 else \
+            [bytes(column) for column in zip(*rows)]
+    except (KeyError, ValueError):
+        # A missing input, or a value outside 0..255: mask explicitly.
+        columns = [bytes(pattern.get(name, 0) & 1 for pattern in patterns)
+                   for name in names]
+    return {name: int(column.translate(_LOW_BIT_DIGITS)[::-1], 2)
+            for name, column in zip(names, columns)}
 
 
 def random_stimulus(input_names: Sequence[str], width: int,
@@ -135,31 +136,6 @@ def decode_int(values: Mapping[str, int], bit_names: Sequence[str],
     for i, name in enumerate(bit_names):
         out |= ((values[name] >> pattern) & 1) << i
     return out
-
-
-def toggle_counts(netlist: Netlist,
-                  stimulus: Sequence[Mapping[str, int]],
-                  width: int = 1) -> List[Dict[str, int]]:
-    """Per-transition toggle activity of every net.
-
-    For consecutive stimulus vectors, counts — per net — how many of the
-    packed patterns toggled.  This is the switching-activity basis of the
-    gate-level power model used for SCA and IDDQ analyses.
-    """
-    if len(stimulus) < 2:
-        return []
-    compiled = get_compiled(netlist)
-    names = compiled.names
-    previous = compiled.eval_words(stimulus[0], width)
-    transitions: List[Dict[str, int]] = []
-    for vec in stimulus[1:]:
-        current = compiled.eval_words(vec, width)
-        transitions.append({
-            net: (before ^ after).bit_count()
-            for net, before, after in zip(names, previous, current)
-        })
-        previous = current
-    return transitions
 
 
 def exhaustive_truth_table(netlist: Netlist,

@@ -10,8 +10,7 @@ files.
 from __future__ import annotations
 
 import re
-from pathlib import Path
-from typing import List, Union
+from typing import List
 
 from .gates import GateType
 from .netlist import Netlist, NetlistError
@@ -186,13 +185,3 @@ def loads_verilog(text: str) -> Netlist:
         netlist.add_output(out)
     netlist.validate()
     return netlist
-
-
-def dump_verilog(netlist: Netlist, path: Union[str, Path]) -> None:
-    """Write structural Verilog to a file."""
-    Path(path).write_text(dumps_verilog(netlist))
-
-
-def load_verilog(path: Union[str, Path]) -> Netlist:
-    """Read the structural-Verilog subset from a file."""
-    return loads_verilog(Path(path).read_text())

@@ -13,7 +13,6 @@ from .timing import (
     WIRE_DELAY_PER_UNIT,
     arrival_times_placed,
     critical_path_placed,
-    ir_drop_ok,
     output_path_delays,
     power_density_map,
     wire_delay,
@@ -58,7 +57,7 @@ __all__ = [
     "Placement", "PlacementResult", "annealing_placement", "hpwl",
     "nets_for_wirelength", "random_placement",
     "PathDelayReport", "WIRE_DELAY_PER_UNIT", "arrival_times_placed",
-    "critical_path_placed", "ir_drop_ok", "output_path_delays",
+    "critical_path_placed", "output_path_delays",
     "power_density_map", "wire_delay",
     "DEFAULT_THRESHOLDS", "Wire", "assign_layers", "layer_histogram",
     "split_wires",

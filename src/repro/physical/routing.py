@@ -219,24 +219,7 @@ class RoutedLayout:
         if not self.site_height:
             self.site_height = self.height
 
-    def site_node(self, site: Point, layer: int = 1) -> Node:
-        """The routing-grid node of a placement site's pin."""
-        return (site[0] * self.scale, site[1] * self.scale, layer)
-
     # -- geometry queries ---------------------------------------------
-
-    def occupancy(self, layer: int) -> np.ndarray:
-        """Boolean ``(width, height)`` map of nodes with geometry on
-        ``layer`` (net wires and shield cells)."""
-        grid = np.zeros((self.width, self.height), dtype=bool)
-        for routed in self.nets.values():
-            for x, y, l in routed.nodes():
-                if l == layer:
-                    grid[x, y] = True
-        for x, y, l in self.shields:
-            if l == layer:
-                grid[x, y] = True
-        return grid
 
     def occupancy_stack(self) -> np.ndarray:
         """Boolean ``(num_layers, width, height)`` geometry tensor

@@ -117,10 +117,3 @@ def power_density_map(netlist: Netlist, placement: Placement,
         by = min(bins - 1, int(y * bins / max(1, placement.height)))
         grid[by, bx] += DEFAULT_COSTS[g.gate_type].leakage
     return grid
-
-
-def ir_drop_ok(netlist: Netlist, placement: Placement,
-               limit_per_bin: float, bins: int = 8) -> bool:
-    """Vectorless check that no region exceeds the power-density limit."""
-    return bool(power_density_map(netlist, placement, bins).max()
-                <= limit_per_bin)

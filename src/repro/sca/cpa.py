@@ -53,11 +53,6 @@ def _pearson_rows(hypotheses: np.ndarray, traces: np.ndarray) -> np.ndarray:
 _SBOX_HW = HW8[np.asarray(SBOX, dtype=np.int64)]
 
 
-def aes_sbox_hypothesis(plaintexts: np.ndarray, key_guess: int) -> np.ndarray:
-    """HW(SBOX[pt ^ k]) leakage hypothesis for one key byte."""
-    return _SBOX_HW[np.bitwise_xor(plaintexts, key_guess)]
-
-
 def _key_hypotheses(traces: np.ndarray, plaintexts: Sequence[int],
                     hypothesis: Optional[Callable[[np.ndarray, int],
                                                   np.ndarray]],

@@ -119,33 +119,3 @@ def glitch_simulate(netlist: Netlist,
                 and values[net] != v:
             raise AssertionError(f"event simulation diverged on {net!r}")
     return report
-
-
-def glitch_energy_traces(netlist: Netlist,
-                         stimulus_pairs: List[Tuple[Mapping[str, int],
-                                                    Mapping[str, int]]],
-                         bin_width: float = 25.0,
-                         noise_sigma: float = 0.0,
-                         seed: int = 0) -> np.ndarray:
-    """Glitch-accurate power traces for a batch of input transitions.
-
-    More faithful (and far slower) than the levelized model of
-    :func:`repro.sca.power_model.leakage_traces`; used to study how
-    delay imbalance re-introduces leakage into masked logic.
-    """
-    horizon = 0.0
-    reports = []
-    for before, after in stimulus_pairs:
-        rep = glitch_simulate(netlist, before, after)
-        reports.append(rep)
-        if rep.events:
-            horizon = max(horizon, max(t for t, _, _ in rep.events))
-    n_bins = int(horizon / bin_width) + 1
-    traces = np.zeros((len(reports), n_bins))
-    for i, rep in enumerate(reports):
-        wave = rep.power_waveform(bin_width, horizon)
-        traces[i, :len(wave)] = wave
-    if noise_sigma > 0:
-        rng = np.random.default_rng(seed)
-        traces = traces + rng.normal(0.0, noise_sigma, traces.shape)
-    return traces

@@ -70,19 +70,6 @@ class GadgetTrace:
     intermediates: List[int] = field(default_factory=list)
 
 
-def masked_xor(a_shares: Sequence[int], b_shares: Sequence[int]
-               ) -> GadgetTrace:
-    """Share-wise XOR (linear; needs no randomness)."""
-    if len(a_shares) != len(b_shares):
-        raise ValueError("share counts must match")
-    trace = GadgetTrace(shares=[])
-    for a, b in zip(a_shares, b_shares):
-        c = a ^ b
-        trace.intermediates.append(c)
-        trace.shares.append(c)
-    return trace
-
-
 def isw_and(a_shares: Sequence[int], b_shares: Sequence[int],
             randomness: Sequence[int],
             order: str = "secure") -> GadgetTrace:

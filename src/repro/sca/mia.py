@@ -121,18 +121,3 @@ def mia_attack(traces: np.ndarray, plaintexts: Sequence[int],
         best_key=ranking[0],
         best_mi=float(scores[ranking[0]]),
     )
-
-
-def perceived_information_gap(traces: np.ndarray,
-                              plaintexts: Sequence[int],
-                              true_key: int,
-                              n_bins: int = 9) -> float:
-    """MI(trace; true-key model) minus the mean over wrong keys.
-
-    A direct information-theoretic leakage certificate: positive gap =
-    the traces carry key-dependent information an attacker can exploit;
-    ~zero = no first-order information at this estimator resolution.
-    """
-    result = mia_attack(traces, plaintexts, n_bins=n_bins)
-    wrong = [result.scores[k] for k in range(256) if k != true_key]
-    return float(result.scores[true_key] - np.mean(wrong))

@@ -27,12 +27,13 @@ product.  Wide batches are split into cache-friendly chunks of
 
 from __future__ import annotations
 
-import operator
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from ..netlist import Netlist, VariantFamily, VariantSpec, get_compiled
+from ..netlist import (Netlist, VariantFamily, VariantSpec, get_compiled,
+                       pack_patterns)
+from ..netlist.engine import FAMILY_CHUNK_BITS
 
 #: Hamming-weight lookup for bytes.
 HW8 = np.array([x.bit_count() for x in range(256)], dtype=np.int64)
@@ -40,49 +41,9 @@ HW8 = np.array([x.bit_count() for x in range(256)], dtype=np.int64)
 #: Patterns per packed simulation chunk.  Bounds a one-variant call's
 #: Python-int words at ``PACK_CHUNK`` bits so bigint ops stay in the
 #: small, cache-friendly regime even for multi-thousand-trace campaigns.
+#: Families use the wider :data:`~repro.netlist.engine.FAMILY_CHUNK_BITS`,
+#: so families of 16 or more variants run in the large-word regime.
 PACK_CHUNK = 2048
-
-#: Total word width (variants x patterns-per-chunk) for wide families.
-#: Wider than :data:`PACK_CHUNK`: the batched win comes from amortizing
-#: per-statement dispatch over more patterns per word, so families of
-#: 16 or more variants deliberately run in the large-word regime.
-FAMILY_CHUNK_BITS = 1 << 15
-
-
-def hamming_weight(value: int) -> int:
-    """Population count of an arbitrary-width integer."""
-    return int(value).bit_count()
-
-
-def popcounts(words: Sequence[int], width: Optional[int] = None) -> np.ndarray:
-    """Population count of each word, vectorized over byte planes.
-
-    Bit-exact replacement for ``[hamming_weight(w) for w in words]`` on
-    non-negative words: the words are laid out as a bytes matrix and
-    counted with one vectorized pass instead of per-word Python calls.
-    """
-    values = [int(w) for w in words]
-    if not values:
-        return np.zeros(0, dtype=np.int64)
-    if min(values) < 0:
-        # Popcount of a negative int is ill-defined byte-wise; keep the
-        # exact Python semantics for this (unused in hot paths) case.
-        return np.array([hamming_weight(w) for w in values], dtype=np.int64)
-    if width is None:
-        width = max(1, max(w.bit_length() for w in values))
-    n_bytes = (width + 7) // 8
-    buffer = b"".join(w.to_bytes(n_bytes, "little") for w in values)
-    raw = np.frombuffer(buffer, dtype=np.uint8).reshape(len(values), n_bytes)
-    if hasattr(np, "bitwise_count"):
-        return np.bitwise_count(raw).sum(axis=1, dtype=np.int64)
-    return HW8[raw].sum(axis=1)
-
-
-def _word_to_bits(word: int, width: int) -> np.ndarray:
-    """Unpack a packed simulation word into a width-length 0/1 array."""
-    n_bytes = (width + 7) // 8
-    raw = np.frombuffer(word.to_bytes(n_bytes, "little"), dtype=np.uint8)
-    return np.unpackbits(raw, bitorder="little")[:width].astype(np.int64)
 
 
 def _words_to_bit_matrix(words: Sequence[int], width: int) -> np.ndarray:
@@ -95,38 +56,6 @@ def _words_to_bit_matrix(words: Sequence[int], width: int) -> np.ndarray:
     buffer = b"".join(w.to_bytes(n_bytes, "little") for w in words)
     raw = np.frombuffer(buffer, dtype=np.uint8).reshape(len(words), n_bytes)
     return np.unpackbits(raw, axis=1, bitorder="little")[:, :width]
-
-
-def _pack_stimuli(stimuli: Sequence[Mapping[str, int]],
-                  input_names: Sequence[str]) -> Dict[str, int]:
-    """Pack single-bit stimulus dicts into bit-parallel words.
-
-    Bits are gathered into a ``(traces, inputs)`` matrix and packed per
-    input with one :func:`numpy.packbits` call — building each word
-    bit-by-bit with bigint ORs is quadratic in the pattern count.
-    """
-    if not input_names:
-        return {}
-    try:
-        # C-speed gather when every stimulus provides every input (the
-        # overwhelmingly common case); missing keys or oversized values
-        # fall back to the generic path.
-        getter = operator.itemgetter(*input_names)
-        if len(input_names) == 1:
-            rows = [(getter(stim),) for stim in stimuli]
-        else:
-            rows = [getter(stim) for stim in stimuli]
-        matrix = (np.array(rows, dtype=np.int64) & 1).astype(np.uint8)
-    except (KeyError, OverflowError):
-        matrix = np.array(
-            [[stim.get(name, 0) & 1 for name in input_names]
-             for stim in stimuli], dtype=np.uint8)
-    return {
-        name: int.from_bytes(
-            np.packbits(matrix[:, col], bitorder="little").tobytes(),
-            "little")
-        for col, name in enumerate(input_names)
-    }
 
 
 def net_bit_matrix(netlist: Netlist,
@@ -237,7 +166,7 @@ def family_net_bit_matrix(family: VariantFamily,
                     dtype=np.uint8)
     for start in range(0, n_traces, chunk):
         batch = stimuli[start:start + chunk]
-        packed = _pack_stimuli(batch, shared_names)
+        packed = pack_patterns(batch, shared_names)
         words = family.eval_words(packed, len(batch))
         t = len(batch)
         flat = _words_to_bit_matrix(words, n_variants * t)
@@ -273,44 +202,3 @@ def family_leakage_traces(family: VariantFamily,
         bits = toggled
     return bits_to_traces(get_compiled(family.netlist), bits, noise_sigma,
                           seed, weights)
-
-
-def intermediate_value_trace(values: Sequence[int],
-                             noise_sigma: float = 0.0,
-                             rng: Optional[np.random.Generator] = None,
-                             ) -> np.ndarray:
-    """Leakage trace of a *software-modeled* computation.
-
-    Each intermediate value contributes one sample equal to its Hamming
-    weight — the standard model for the paper's private-circuit example
-    where the order of evaluation determines which intermediates exist.
-    """
-    trace = popcounts(values).astype(float)
-    if noise_sigma > 0:
-        rng = rng or np.random.default_rng()
-        trace = trace + rng.normal(0.0, noise_sigma, trace.shape)
-    return trace
-
-
-def hd_model(before: int, after: int) -> int:
-    """Hamming-distance leakage between two register states."""
-    return int(before ^ after).bit_count()
-
-
-def signal_to_noise_ratio(traces: np.ndarray,
-                          labels: np.ndarray) -> np.ndarray:
-    """Per-sample SNR: Var_groups(mean) / mean_groups(Var).
-
-    ``labels`` assigns each trace to a group (e.g. an intermediate
-    value); high SNR samples are exploitable leakage points.  A sample
-    with no noise scores inf if its group means differ, else 0.
-    """
-    groups = np.unique(labels)
-    means = np.stack([traces[labels == g].mean(axis=0) for g in groups])
-    variances = np.stack([traces[labels == g].var(axis=0) for g in groups])
-    noise = variances.mean(axis=0)
-    signal = means.var(axis=0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        snr = np.where(noise > 0, signal / noise,
-                       np.where(signal > 0, np.inf, 0.0))
-    return snr

@@ -16,38 +16,12 @@ netlist evaluations instead of 3,300.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from ..netlist import Netlist, get_compiled, step_sequential
+from ..netlist import Netlist, get_compiled
 from .power_model import PACK_CHUNK, _words_to_bit_matrix
-
-
-def sequential_power_trace(netlist: Netlist,
-                           input_sequence: Sequence[Mapping[str, int]],
-                           hd_weight: float = 1.0,
-                           hw_weight: float = 0.2,
-                           initial_state: Optional[Mapping[str, int]]
-                           = None) -> np.ndarray:
-    """Noise-free per-cycle power of one run.
-
-    Sample ``t`` covers the clock edge ending cycle ``t``:
-    ``hd_weight * HD(state_t, state_{t+1}) + hw_weight * HW(state_{t+1})``.
-    """
-    state: Dict[str, int] = dict(initial_state or {})
-    flops = netlist.flops
-    samples: List[float] = []
-    for stimulus in input_sequence:
-        _, next_state = step_sequential(netlist, stimulus, state)
-        hd = sum(
-            1 for ff in flops
-            if (state.get(ff, 0) ^ next_state[ff]) & 1
-        )
-        hw = sum(next_state[ff] & 1 for ff in flops)
-        samples.append(hd_weight * hd + hw_weight * hw)
-        state = next_state
-    return np.array(samples)
 
 
 def _batched_traces(netlist: Netlist,
@@ -101,7 +75,8 @@ def sequential_leakage_traces(netlist: Netlist,
     Runs are simulated bit-parallel (run r occupies pattern bit r of
     one packed sequential simulation); campaigns wider than
     :data:`~repro.sca.power_model.PACK_CHUNK` runs are split into
-    chunks.  Results match the run-at-a-time reference exactly.
+    chunks.  Sample ``t`` covers the clock edge ending cycle ``t``:
+    ``hd_weight * HD(state_t, state_{t+1}) + hw_weight * HW(state_{t+1})``.
     """
     if not runs:
         return np.zeros((0, 0))

@@ -30,7 +30,7 @@ into a job-serving layer:
   ``serve``.
 """
 
-from .store import ArtifactStore, GcReport, result_key, validate_digest
+from .store import ArtifactStore, GcReport, validate_digest
 from .rundb import (
     RunDatabase,
     RunRecord,
@@ -82,7 +82,7 @@ from .tenants import (
 )
 
 __all__ = [
-    "ArtifactStore", "GcReport", "result_key", "validate_digest",
+    "ArtifactStore", "GcReport", "validate_digest",
     "RunDatabase", "SqliteRunDatabase",
     "RunRecord", "render_records", "migrate_jsonl",
     "JobContext", "JobSpec", "JobType", "evaluate_variants",

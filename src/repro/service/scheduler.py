@@ -10,8 +10,7 @@ dependencies forming a DAG.  :meth:`Scheduler.run` drains it:
   keeps ``workers`` long-lived processes (:class:`WorkerPool`) that pull
   jobs over duplex pipes.  Workers stay warm between jobs: the
   process-local :func:`repro.netlist.engine_cache` (compiled gate
-  programs, parsed netlists) and :func:`repro.formal.solver_registry`
-  (incremental SAT state) persist for the worker's lifetime, so a
+  programs, parsed netlists) persists for the worker's lifetime, so a
   campaign re-evaluating the same design stops paying cold-start
   costs.  Each worker runs a heartbeat thread; the parent detects
   crashes (pipe EOF, process sentinel) *and* wedged-but-alive workers
@@ -29,9 +28,8 @@ dependencies forming a DAG.  :meth:`Scheduler.run` drains it:
 
 Serial, inline, and pooled execution are bit-identical on the
 result-bearing fields: warm caches are keyed by content (transport
-digests, generated source) and the solver registry's determinism
-contract (:class:`repro.formal.SolverRegistry`) keeps model-dependent
-state out of surfaced results.
+digests, generated source), and no SAT solver outlives its job, so
+model-dependent solver state never reaches a surfaced result.
 
 The scheduler is deliberately *not* a thread pool around shared
 memory: worker isolation is the point.  The paper's campaign shape —
@@ -48,7 +46,7 @@ import os
 import time
 import traceback
 import uuid
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .events import EventBus, JobEvent

@@ -40,21 +40,8 @@ from ..netlist import (
     Netlist,
     netlist_from_dict,
     netlist_to_dict,
-    stable_hash,
     transport_hash,
 )
-
-
-def result_key(input_hash: str, pipeline_hash: str, seed: int) -> str:
-    """Digest addressing one flow result.
-
-    ``input_hash`` is a structural netlist digest (or another
-    artifact's digest), ``pipeline_hash`` a :func:`~repro.netlist.
-    stable_hash` of the job/pipeline spec, ``seed`` the run seed —
-    together the complete causal key of a deterministic flow result.
-    """
-    return stable_hash({"input": input_hash, "pipeline": pipeline_hash,
-                        "seed": seed})
 
 
 #: Anything that looks like a store digest inside a payload: the JSON

@@ -11,7 +11,7 @@ library.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, Tuple
 
 from ..netlist import GateType
 
@@ -41,10 +41,6 @@ class CellLibrary:
         if gate_type in (GateType.INPUT, GateType.CONST0, GateType.CONST1):
             return True
         return (gate_type, fanin) in self.cells
-
-    def cell_for(self, gate_type: GateType, fanin: int) -> Optional[Cell]:
-        """The implementing cell, or None when unsupported."""
-        return self.cells.get((gate_type, fanin))
 
     @property
     def gate_types(self) -> FrozenSet[GateType]:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Set, Tuple
 
 from ..netlist import GateType, Netlist
 from ..netlist.metrics import arrival_times, gate_delay
@@ -117,15 +117,6 @@ def _rebuild_balanced(netlist: Netlist, tree: XorTree) -> str:
             nxt.append(nets[-1])
         nets = nxt
     return nets[0]
-
-
-def _rebuild_chain(netlist: Netlist, tree: XorTree,
-                   order: Sequence[str]) -> str:
-    """Left-to-right chain in a caller-specified order (security-aware)."""
-    acc = order[0]
-    for leaf in order[1:]:
-        acc = netlist.add(tree.base, [acc, leaf], prefix="rc")
-    return acc
 
 
 def _splice(netlist: Netlist, tree: XorTree, new_root: str) -> str:

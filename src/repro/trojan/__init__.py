@@ -1,18 +1,10 @@
-"""Hardware Trojans: taxonomy, insertion, MERO, fingerprinting, monitors."""
+"""Hardware Trojans: insertion, MERO, fingerprinting, monitors."""
 
-from .taxonomy import (
-    AbstractionLevel,
-    Activation,
-    CATALOGUE,
-    TrojanClass,
-    TrojanIntent,
-)
 from .insert import (
     TrojanInstance,
     insert_rare_trigger_trojan,
     rare_nodes,
     signal_probabilities,
-    trigger_activations,
 )
 from .mero import (
     DetectionOutcome,
@@ -48,10 +40,8 @@ from .monitors import (
 )
 
 __all__ = [
-    "AbstractionLevel", "Activation", "CATALOGUE", "TrojanClass",
-    "TrojanIntent",
     "TrojanInstance", "insert_rare_trigger_trojan", "rare_nodes",
-    "signal_probabilities", "trigger_activations",
+    "signal_probabilities",
     "DetectionOutcome", "MeroTestSet", "apply_test_set", "detection_rate",
     "generate_mero_tests", "pair_trigger_coverage", "random_test_set",
     "DelayFingerprint", "build_fingerprint", "golden_population_delays",

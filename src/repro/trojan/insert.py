@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..netlist import GateType, Netlist, random_stimulus, simulate
 
@@ -59,11 +59,6 @@ class TrojanInstance:
     trigger_net: str
     victim_net: str
     trigger_probability: float            # estimated activation prob
-
-    def is_triggered(self, values: Mapping[str, int], pattern: int = 0
-                     ) -> bool:
-        """Did the trigger fire in simulated ``values`` (one pattern)?"""
-        return bool((values[self.trigger_net] >> pattern) & 1)
 
 
 def _conjunction_satisfiable(netlist: Netlist,
@@ -163,11 +158,3 @@ def insert_rare_trigger_trojan(netlist: Netlist,
         victim_net=victim_net,
         trigger_probability=probability,
     )
-
-
-def trigger_activations(trojan: TrojanInstance,
-                        stimuli_word: Mapping[str, int],
-                        width: int) -> int:
-    """How many of the packed patterns fire the trigger."""
-    values = simulate(trojan.netlist, stimuli_word, width)
-    return values[trojan.trigger_net].bit_count()

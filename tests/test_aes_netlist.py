@@ -1,4 +1,4 @@
-"""Tests for the gate-level AES-128: round netlist, datapath, scan attack."""
+"""Tests for the gate-level AES-128: datapath and scan attack."""
 
 import random
 
@@ -6,82 +6,16 @@ import pytest
 
 from repro.crypto import (
     AES128,
-    add_round_key,
     aes_datapath_netlist,
-    aes_round_netlist,
-    decode_state,
-    encode_state,
     expand_key,
-    mix_columns,
     run_aes_datapath,
-    shift_rows,
-    sub_bytes,
 )
 from repro.dft import insert_scan, netlist_scan_attack
-from repro.netlist import simulate
-
-
-@pytest.fixture(scope="module")
-def round_netlist():
-    return aes_round_netlist()
 
 
 @pytest.fixture(scope="module")
 def datapath():
     return aes_datapath_netlist()
-
-
-class TestRoundNetlist:
-    def test_structure(self, round_netlist):
-        round_netlist.validate()
-        assert len(round_netlist.inputs) == 256   # state + round key
-        assert len(round_netlist.outputs) == 128
-
-    def test_matches_software_round(self, round_netlist):
-        rng = random.Random(1)
-        for _ in range(4):
-            state = [rng.randrange(256) for _ in range(16)]
-            key = [rng.randrange(256) for _ in range(16)]
-            stim = {}
-            stim.update(encode_state(state, "s"))
-            stim.update(encode_state(key, "k"))
-            got = decode_state(simulate(round_netlist, stim), "o")
-            want = add_round_key(
-                mix_columns(shift_rows(sub_bytes(state))), key)
-            assert got == want
-
-    def test_last_round_variant(self):
-        last = aes_round_netlist(last_round=True)
-        rng = random.Random(2)
-        state = [rng.randrange(256) for _ in range(16)]
-        key = [rng.randrange(256) for _ in range(16)]
-        stim = {}
-        stim.update(encode_state(state, "s"))
-        stim.update(encode_state(key, "k"))
-        got = decode_state(simulate(last, stim), "o")
-        assert got == add_round_key(shift_rows(sub_bytes(state)), key)
-
-    def test_bit_parallel_round(self, round_netlist):
-        """Two independent states evaluated in one packed simulation."""
-        rng = random.Random(3)
-        states = [[rng.randrange(256) for _ in range(16)]
-                  for _ in range(2)]
-        key = [rng.randrange(256) for _ in range(16)]
-        stim = {}
-        for i in range(16):
-            for b in range(8):
-                word = 0
-                for p, st in enumerate(states):
-                    if (st[i] >> b) & 1:
-                        word |= 1 << p
-                stim[f"s{i}_{b}"] = word
-        stim.update(encode_state(key, "k", width=2))
-        values = simulate(round_netlist, stim, width=2)
-        for p, st in enumerate(states):
-            got = decode_state(values, "o", pattern=p)
-            want = add_round_key(mix_columns(shift_rows(sub_bytes(st))),
-                                 key)
-            assert got == want
 
 
 class TestDatapath:

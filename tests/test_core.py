@@ -11,18 +11,14 @@ from repro.core import (
     Design,
     DesignStage,
     EdaRole,
-    MetricRegistry,
     STACK_PASSES,
     SecureFlow,
-    SecurityMetric,
     StepFunctionMetric,
     THREAT_CATALOG,
     ThreatVector,
-    Direction,
     build_stack,
     locking_candidates,
     masked_and_design,
-    masking_order_steps,
     no_leaky_net_requirement,
     pareto_front,
     render_table,
@@ -100,24 +96,6 @@ class TestClassicalFlow:
 
 
 class TestMetrics:
-    def test_registry(self):
-        registry = MetricRegistry()
-        metric = SecurityMetric(
-            "m1", ThreatVector.SIDE_CHANNEL,
-            Direction.LOWER_IS_BETTER, lambda d: 1.0, target=4.5)
-        registry.register(metric)
-        assert "m1" in registry
-        assert registry.for_threat(ThreatVector.SIDE_CHANNEL) == [metric]
-        with pytest.raises(ValueError):
-            registry.register(metric)
-
-    def test_metric_result_satisfaction(self):
-        metric = SecurityMetric(
-            "tvla", ThreatVector.SIDE_CHANNEL,
-            Direction.LOWER_IS_BETTER, lambda d: d, target=4.5)
-        assert metric.evaluate(2.0).satisfied
-        assert not metric.evaluate(9.0).satisfied
-
     def test_step_function_flat_segments(self):
         steps = sat_attack_resistance_steps()
         assert steps.level(0) == 0
@@ -127,9 +105,9 @@ class TestMetrics:
         assert steps.marginal_gain(9, 10) == 1
 
     def test_step_level_names(self):
-        steps = masking_order_steps()
-        assert steps.level_name(1) == "unprotected"
-        assert steps.level_name(2) == "1st-order"
+        steps = sat_attack_resistance_steps()
+        assert steps.level_name(1) == "none"
+        assert steps.level_name(8) == "stops-brute-force"
 
     def test_efficient_efforts_are_thresholds(self):
         steps = sat_attack_resistance_steps()

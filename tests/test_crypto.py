@@ -1,4 +1,4 @@
-"""Tests for the cryptographic substrate: AES-128, PRESENT-80, GF(2^8)."""
+"""Tests for the cryptographic substrate: AES-128, S-boxes, GF(2^8)."""
 
 import random
 
@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from repro.crypto import (
     AES128,
     INV_SBOX,
-    Present80,
     SBOX,
     SBOX4,
     aes_sbox_netlist,
@@ -129,32 +128,8 @@ class TestAes:
 
 
 class TestPresent:
-    def test_paper_vectors(self):
-        assert Present80(0).encrypt(0) == 0x5579C1387B228445
-        assert Present80(0).encrypt((1 << 64) - 1) == 0xA112FFC72F68417B
-        assert Present80((1 << 80) - 1).encrypt(0) == 0xE72C46C0F5945049
-        assert (Present80((1 << 80) - 1).encrypt((1 << 64) - 1)
-                == 0x3333DCD3213210D2)
-
-    def test_decrypt_inverts(self):
-        rng = random.Random(2)
-        cipher = Present80(rng.getrandbits(80))
-        for _ in range(10):
-            pt = rng.getrandbits(64)
-            assert cipher.decrypt(cipher.encrypt(pt)) == pt
-
-    def test_traced(self):
-        trace = Present80(0).encrypt_traced(0)
-        assert len(trace.round_states) == 32
-
     def test_sbox_is_permutation(self):
         assert sorted(SBOX4) == list(range(16))
-
-    def test_block_bounds(self):
-        with pytest.raises(ValueError):
-            Present80(1 << 81)
-        with pytest.raises(ValueError):
-            Present80(0).encrypt(1 << 64)
 
 
 class TestSboxNetlists:

@@ -13,33 +13,41 @@ from repro.dft import (
     Lfsr,
     Misr,
     ScanChipModel,
-    bist_detects_fault,
-    compact_vectors,
     detection_words,
-    generate_test_for_fault,
     grade_vectors,
     insert_scan,
     run_atpg,
     run_bist,
     scan_attack,
-    scan_capture,
     scan_load,
     scan_unload,
 )
 from repro.dft import test_access_still_works as scan_test_access
+from repro.dft.atpg import _reverse_greedy
 from repro.fia import Fault, FaultKind, attack_fault_stream, \
     enumerate_faults, inject_fault, natural_fault_stream
 from repro.netlist import (
     GateType,
     Netlist,
     c17,
+    pack_patterns,
     random_circuit,
     random_stimulus,
     ripple_carry_adder,
     simulate_reference,
+    step_sequential,
 )
 
 STUCK_AT = (FaultKind.STUCK_AT_0, FaultKind.STUCK_AT_1)
+
+
+def run_cycles(netlist, stimuli, state=None):
+    """Per-cycle net values of a clocked run from ``state`` (reset)."""
+    state, trace = dict(state or {}), []
+    for stim in stimuli:
+        values, state = step_sequential(netlist, stim, state)
+        trace.append(values)
+    return trace, state
 
 
 def sequential_example():
@@ -77,7 +85,9 @@ class TestScan:
     def test_capture_computes_functional_state(self):
         design = insert_scan(sequential_example())
         state = scan_load(design, [1, 1, 0])
-        captured = scan_capture(design, {"a": 1, "b": 1}, state)
+        # One functional (capture) cycle: scan_en = 0.
+        _, captured = run_cycles(design.netlist, [
+            {"a": 1, "b": 1, "scan_en": 0, "scan_in": 0}], state)
         # d0 = a ^ q2 = 1 ^ 0; d1 = q0 & b = 1 & 1; d2 = q1 | a = 1 | 1
         assert captured[design.chain[0]] == 1
         assert captured[design.chain[1]] == 1
@@ -86,11 +96,10 @@ class TestScan:
     def test_functional_mode_unaffected(self):
         base = sequential_example()
         design = insert_scan(base)
-        from repro.netlist import run_sequential
         stim = [{"a": 1, "b": 1}, {"a": 0, "b": 1}, {"a": 1, "b": 0}]
         scan_stim = [dict(s, scan_en=0, scan_in=0) for s in stim]
-        base_out = run_sequential(base, stim)
-        scan_out = run_sequential(design.netlist, scan_stim)
+        base_out, _ = run_cycles(base, stim)
+        scan_out, _ = run_cycles(design.netlist, scan_stim)
         for bo, so in zip(base_out, scan_out):
             assert bo["y"] == so["y"]
 
@@ -155,7 +164,7 @@ class TestDetectionWords:
 
 
 def _compact_by_regrading(netlist, vectors, faults=None):
-    """The per-vector re-grading loop ``compact_vectors`` used to run."""
+    """The per-vector re-grading loop static compaction used to run."""
     kept = [dict(v) for v in vectors]
     baseline = grade_vectors(netlist, kept, faults).coverage
     index = len(kept) - 1
@@ -179,6 +188,19 @@ def _and_tree(width):
     return n
 
 
+def compact(netlist, vectors, faults=None):
+    """Static compaction through ``run_atpg``'s kernel: one
+    :func:`detection_words` pass, then the reverse-order greedy."""
+    fault_list = (list(faults) if faults is not None
+                  else enumerate_faults(netlist, kinds=STUCK_AT))
+    width = len(vectors)
+    words = detection_words(netlist,
+                            pack_patterns(vectors, netlist.inputs),
+                            width, fault_list)
+    kept = _reverse_greedy([w for w in words if w], (1 << width) - 1)
+    return [dict(v) for p, v in enumerate(vectors) if kept >> p & 1]
+
+
 class TestCompaction:
     @pytest.mark.parametrize("make", [
         c17, partial(ripple_carry_adder, 8), aes_sbox_netlist,
@@ -190,20 +212,20 @@ class TestCompaction:
         rng = random.Random(11)
         vectors = [{name: rng.randint(0, 1) for name in n.inputs}
                    for _ in range(48)]
-        assert compact_vectors(n, vectors) == \
+        assert compact(n, vectors) == \
             _compact_by_regrading(n, vectors)
 
     def test_matches_regrading_loop_on_fault_subset(self):
         n = ripple_carry_adder(8)
         faults = enumerate_faults(n, kinds=STUCK_AT)[::3]
         vectors = run_atpg(n, random_budget=64, seed=2).vectors
-        assert compact_vectors(n, vectors, faults) == \
+        assert compact(n, vectors, faults) == \
             _compact_by_regrading(n, vectors, faults)
 
     def test_empty_and_faultless(self):
-        assert compact_vectors(c17(), []) == []
+        assert compact(c17(), []) == []
         vectors = [{name: 1 for name in c17().inputs}]
-        assert compact_vectors(c17(), vectors, faults=[]) == []
+        assert compact(c17(), vectors, faults=[]) == []
 
 
 class TestAtpg:
@@ -219,14 +241,14 @@ class TestAtpg:
         n.add_gate("o", GateType.OR, ["x", "inv"])   # constant 1
         n.add_gate("y", GateType.AND, ["o", "x"])
         n.add_output("y")
-        test, status = generate_test_for_fault(
-            n, Fault("o", FaultKind.STUCK_AT_1))
+        test, status = IncrementalAtpg(n).test_for_fault(
+            Fault("o", FaultKind.STUCK_AT_1))
         assert status == "untestable" and test is None
 
     def test_generated_test_detects(self):
         n = random_circuit(8, 50, 3, seed=3)
         fault = Fault(sorted(n.gates)[10], FaultKind.STUCK_AT_0)
-        test, status = generate_test_for_fault(n, fault)
+        test, status = IncrementalAtpg(n).test_for_fault(fault)
         if status == "detected":
             report = grade_vectors(n, [test], [fault])
             assert report.coverage == 1.0
@@ -275,12 +297,12 @@ class TestAtpg:
         # Only first detectors survive: far fewer than the 1024 graded.
         assert len(result.vectors) < 128
         assert grade_vectors(n, result.vectors).coverage == 1.0
-        assert compact_vectors(n, result.vectors) == result.vectors
+        assert compact(n, result.vectors) == result.vectors
 
     def test_compaction_keeps_coverage(self):
         n = c17()
         result = run_atpg(n, random_budget=16, seed=4)
-        compacted = compact_vectors(n, result.vectors)
+        compacted = compact(n, result.vectors)
         assert len(compacted) <= len(result.vectors)
         assert grade_vectors(n, compacted).coverage == \
             grade_vectors(n, result.vectors).coverage
@@ -313,7 +335,9 @@ class TestBist:
     def test_bist_detects_stuck_fault(self):
         n = c17()
         faulty = inject_fault(n, Fault("G16", FaultKind.STUCK_AT_0))
-        assert bist_detects_fault(n, faulty, 128)
+        golden = run_bist(n, 128)
+        assert not run_bist(faulty, 128,
+                            golden_signature=golden.signature).passed
 
     def test_bist_golden_signature_reuse(self):
         n = random_circuit(8, 50, 4, seed=5)
@@ -386,32 +410,3 @@ class TestDfx:
         for event in events:
             controller.handle_alarm(event)
         assert len(controller.log) == 4
-
-
-class TestSharedAtpgEngine:
-    def test_same_structure_reuses_one_engine(self):
-        from repro.dft import shared_atpg_engine
-        from repro.formal import reset_solver_registry
-
-        reset_solver_registry()
-        engine = shared_atpg_engine(c17())
-        assert shared_atpg_engine(c17()) is engine      # warm reuse
-        other = random_circuit(4, 12, 2, seed=5)
-        assert shared_atpg_engine(other) is not engine  # keyed by content
-        reset_solver_registry()
-
-    def test_warm_engine_verdicts_match_cold(self):
-        # The registry's determinism contract: detectability verdicts
-        # (not vectors) are what warm clients may surface.
-        from repro.dft import shared_atpg_engine
-        from repro.formal import reset_solver_registry
-
-        reset_solver_registry()
-        netlist = c17()
-        fault = Fault("G10", FaultKind.STUCK_AT_0)
-        cold = generate_test_for_fault(netlist, fault) is not None
-        warm_engine = shared_atpg_engine(netlist)
-        warm = warm_engine.test_for_fault(fault) is not None
-        rewarm = warm_engine.test_for_fault(fault) is not None
-        assert cold == warm == rewarm
-        reset_solver_registry()

@@ -10,8 +10,6 @@ from hypothesis import given, settings, strategies as st
 from repro.crypto import sbox_with_key_netlist
 from repro.fia import (
     clock_glitch_capture,
-    guard_band_to_close,
-    vulnerability_profile,
 )
 from repro.ip import (
     lock_xor,
@@ -35,7 +33,6 @@ from repro.sca import (
     leakage_traces,
     mia_attack,
     mutual_information,
-    perceived_information_gap,
 )
 
 
@@ -128,7 +125,9 @@ class TestMia:
             s.update(encode_int(true_key, [f"k{i}" for i in range(8)]))
             stims.append(s)
         traces = leakage_traces(net, stims, noise_sigma=1.5, seed=5)
-        assert perceived_information_gap(traces, pts, true_key) > 0.0
+        # The true key carries more information than the average guess.
+        scores = mia_attack(traces, pts).scores
+        assert scores[true_key] > np.delete(scores, true_key).mean()
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
@@ -192,20 +191,6 @@ class TestClockGlitch:
         assert out.fault_count > 0
         for name in out.faulted_outputs:
             assert out.captured[name] != out.correct[name]
-
-    def test_vulnerability_monotone_in_period(self):
-        periods = [0.2 * self.critical, 0.6 * self.critical,
-                   1.1 * self.critical]
-        profile = vulnerability_profile(self.adder, periods)
-        counts = [profile[p] for p in periods]
-        assert counts == sorted(counts, reverse=True)
-        assert counts[-1] == 0
-
-    def test_guard_band(self):
-        assert guard_band_to_close(self.adder,
-                                   0.5 * self.critical) > 0
-        assert guard_band_to_close(self.adder,
-                                   2.0 * self.critical) == 0.0
 
     def test_glitch_feeds_dfa_model(self):
         # A captured stale byte is exactly the XOR-differential DFA

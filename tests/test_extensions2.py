@@ -24,7 +24,7 @@ from repro.ip import (
     verify_recovered_key,
 )
 from repro.netlist import GateType, Netlist, random_circuit
-from repro.sca import sequential_leakage_traces, sequential_power_trace
+from repro.sca import sequential_leakage_traces
 
 from key_oracle import key_is_correct
 
@@ -102,16 +102,16 @@ class TestSequentialLeakage:
             {f"d{i}": 1 for i in range(4)},   # 1111 -> 1111: HD 0
             {f"d{i}": 0 for i in range(4)},   # 1111 -> 0000: HD 4
         ]
-        trace = sequential_power_trace(n, seq, hd_weight=1.0,
-                                       hw_weight=0.0)
-        assert list(trace) == [4.0, 0.0, 4.0]
+        trace = sequential_leakage_traces(n, [seq], noise_sigma=0.0,
+                                          hd_weight=1.0, hw_weight=0.0)
+        assert list(trace[0]) == [4.0, 0.0, 4.0]
 
     def test_hw_term(self):
         n = self.build_register()
         seq = [{f"d{i}": 1 for i in range(4)}]
-        trace = sequential_power_trace(n, seq, hd_weight=0.0,
-                                       hw_weight=1.0)
-        assert list(trace) == [4.0]
+        trace = sequential_leakage_traces(n, [seq], noise_sigma=0.0,
+                                          hd_weight=0.0, hw_weight=1.0)
+        assert list(trace[0]) == [4.0]
 
     def test_batch_shape_and_noise(self):
         n = self.build_register()

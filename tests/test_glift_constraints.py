@@ -12,11 +12,7 @@ from repro.core import (
     masked_and_design,
 )
 from repro.flow import DuplicationDetectPass, ParityDetectPass, PassManager
-from repro.formal import (
-    glift_simulate,
-    prove_no_flow,
-    taint_reachable_outputs,
-)
+from repro.formal import glift_simulate, prove_no_flow
 from repro.netlist import GateType, Netlist, c17, random_circuit
 
 
@@ -91,13 +87,6 @@ class TestNoFlowProof:
                                fixed={"debug_en": 1})
         assert result.flows
         assert result.witness is not None
-
-    def test_reachable_outputs(self):
-        n = gated_leak_circuit()
-        assert taint_reachable_outputs(
-            n, "key", fixed={"debug_en": 0}) == ["ct"]
-        assert set(taint_reachable_outputs(n, "key")) == \
-            {"debug_out", "ct"}
 
     def test_nonexistent_source_rejected(self):
         with pytest.raises(ValueError):

@@ -20,7 +20,6 @@ from repro.hls import (
     mask_sbox_kernel,
     multi_byte_kernel,
     qif_channel_capacity,
-    secret_exposure,
     taint_analysis,
     value_lifetimes,
 )
@@ -143,12 +142,6 @@ class TestBinding:
         g = multi_byte_kernel(3)
         for lt in value_lifetimes(list_schedule(g, RESOURCES)):
             assert lt.death >= lt.birth
-
-    def test_secret_exposure_counts_secret_only(self):
-        g = aes_first_round_dfg()
-        labels = taint_analysis(g).labels
-        exposure = secret_exposure(list_schedule(g, RESOURCES), labels)
-        assert exposure >= 0
 
 
 class TestIft:

@@ -16,10 +16,8 @@ from repro.ip import (
     build_feol_view,
     camouflage,
     decamouflage_to_locked,
-    embed_watermark,
     evaluate_arbiter_population,
     evaluate_ro_population,
-    extract_watermark,
     lift_critical_nets,
     lock_xor,
     model_attack_arbiter,
@@ -29,13 +27,12 @@ from repro.ip import (
     reconstruction_error_rate,
     sfll_hd_lock,
     verify_recovered_key,
-    verify_watermark,
     wrong_key_error_rate,
 )
 from repro.ip.split import high_fanout_nets
 from repro.netlist import GateType, random_circuit, ripple_carry_adder
 from repro.physical import annealing_placement
-from repro.synth import synthesize, to_nand_inv
+from repro.synth import to_nand_inv
 
 from key_oracle import key_is_correct
 
@@ -257,32 +254,6 @@ class TestPuf:
         puf = ArbiterPuf(16, seed=5)
         response = puf.respond(np.zeros(16, dtype=int))
         assert response.shape == (1,)
-
-
-class TestWatermark:
-    def test_embed_extract_roundtrip(self):
-        netlist = random_circuit(8, 80, 4, seed=30)
-        golden = {o: None for o in netlist.outputs}
-        from repro.netlist import exhaustive_truth_table
-        golden = {o: exhaustive_truth_table(netlist, o)
-                  for o in netlist.outputs}
-        embed_watermark(netlist, "acme-ip", n_bits=12)
-        # function unchanged
-        for out, table in golden.items():
-            assert exhaustive_truth_table(netlist, out) == table
-        assert verify_watermark(netlist, "acme-ip", 12)
-        assert not verify_watermark(netlist, "mallory", 12)
-
-    def test_resynthesis_destroys_watermark(self):
-        netlist = random_circuit(8, 80, 4, seed=31)
-        embed_watermark(netlist, "acme-ip", n_bits=12)
-        resynthesized = synthesize(netlist)
-        assert extract_watermark(resynthesized, 12) is None
-
-    def test_not_enough_sites(self):
-        from repro.netlist import c17
-        with pytest.raises(ValueError):
-            embed_watermark(c17(), "sig", n_bits=100)
 
 
 class TestMetering:

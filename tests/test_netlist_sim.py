@@ -12,14 +12,11 @@ from repro.netlist import (
     area,
     arrival_times,
     c17,
-    count_by_type,
     critical_path_delay,
     decode_int,
     dumps,
     encode_int,
-    equality_comparator,
     exhaustive_truth_table,
-    from_truth_table,
     from_truth_tables,
     loads,
     output_values,
@@ -29,11 +26,8 @@ from repro.netlist import (
     random_circuit,
     random_stimulus,
     ripple_carry_adder,
-    run_sequential,
     simulate,
     step_sequential,
-    toggle_counts,
-    unpack_word,
 )
 
 
@@ -64,8 +58,37 @@ class TestSimulate:
     def test_pack_unpack_roundtrip(self):
         patterns = [{"a": 1, "b": 0}, {"a": 0, "b": 1}, {"a": 1, "b": 1}]
         packed = pack_patterns(patterns, ["a", "b"])
-        assert unpack_word(packed["a"], 3) == [1, 0, 1]
-        assert unpack_word(packed["b"], 3) == [0, 1, 1]
+        assert [packed["a"] >> i & 1 for i in range(3)] == [1, 0, 1]
+        assert [packed["b"] >> i & 1 for i in range(3)] == [0, 1, 1]
+
+    @staticmethod
+    def pack_by_bits(patterns, names):
+        """The per-bit bigint loop ``pack_patterns`` used to run."""
+        packed = {name: 0 for name in names}
+        for position, pattern in enumerate(patterns):
+            for name in names:
+                if pattern.get(name, 0) & 1:
+                    packed[name] |= 1 << position
+        return packed
+
+    def test_pack_matches_per_bit_loop(self):
+        names = ["a", "b", "c"]
+        assert pack_patterns([], names) == {"a": 0, "b": 0, "c": 0}
+        assert pack_patterns([{"a": 1}], []) == {}
+        cases = [[{"a": 1}, {"b": 1, "c": 0}, {}],              # missing
+                 [{"a": 2, "b": 3, "c": 255}, {"a": 7}],      # above 1
+                 [{"a": 256, "b": -1, "c": 1 << 70}] * 3]     # > a byte
+        rng = random.Random(5)
+        for _ in range(200):
+            n_names = rng.randint(1, 6)
+            batch = [{name: rng.randint(0, 3) for name in names[:n_names]
+                      if rng.random() > 0.1}
+                     for _ in range(rng.randint(0, 70))]
+            cases.append(batch)
+        for patterns in cases:
+            for subset in (names, names[:1], names[::-1]):
+                assert pack_patterns(patterns, subset) == \
+                    self.pack_by_bits(patterns, subset)
 
     def test_encode_decode_roundtrip(self):
         bits = [f"b{i}" for i in range(8)]
@@ -87,15 +110,19 @@ class TestSequential:
         n.add_output("q")
         return n
 
+    def run_cycles(self, n, enables):
+        """Per-cycle ``q`` of the toggle flop from reset."""
+        state, trace = {}, []
+        for en in enables:
+            values, state = step_sequential(n, {"en": en}, state)
+            trace.append(values["q"])
+        return trace
+
     def test_toggle_flop(self):
-        n = self.build_counter()
-        outs = run_sequential(n, [{"en": 1}] * 4)
-        assert [o["q"] for o in outs] == [0, 1, 0, 1]
+        assert self.run_cycles(self.build_counter(), [1] * 4) == [0, 1, 0, 1]
 
     def test_hold_when_disabled(self):
-        n = self.build_counter()
-        outs = run_sequential(n, [{"en": 1}, {"en": 0}, {"en": 0}])
-        assert [o["q"] for o in outs] == [0, 1, 1]
+        assert self.run_cycles(self.build_counter(), [1, 0, 0]) == [0, 1, 1]
 
     def test_initial_state(self):
         n = self.build_counter()
@@ -178,14 +205,6 @@ class TestGenerators:
         vals = simulate(n, stim)
         assert decode_int(vals, [f"s{i}" for i in range(4)] + ["cout"]) == 16
 
-    def test_equality_comparator(self):
-        n = equality_comparator(4)
-        for a, b, want in [(5, 5, 1), (5, 6, 0), (0, 0, 1), (15, 14, 0)]:
-            stim = {}
-            stim.update(encode_int(a, [f"a{i}" for i in range(4)]))
-            stim.update(encode_int(b, [f"b{i}" for i in range(4)]))
-            assert output_values(n, stim)["eq"] == want
-
     @pytest.mark.parametrize("balanced", [True, False])
     def test_parity(self, balanced):
         n = parity_tree(5, balanced=balanced)
@@ -211,16 +230,16 @@ class TestGenerators:
 
     def test_from_truth_table_wrong_size(self):
         with pytest.raises(ValueError):
-            from_truth_table(3, [0, 1])
+            from_truth_tables(3, {"f": [0, 1]})
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(2, 5), st.data())
 def test_truth_table_synthesis_property(n_inputs, data):
-    """from_truth_table() realizes exactly the requested function."""
+    """from_truth_tables() realizes exactly the requested function."""
     size = 1 << n_inputs
     table = data.draw(st.lists(st.integers(0, 1), min_size=size, max_size=size))
-    netlist = from_truth_table(n_inputs, table)
+    netlist = from_truth_tables(n_inputs, {"f": table})
     assert exhaustive_truth_table(netlist) == table
 
 
@@ -255,25 +274,8 @@ class TestMetrics:
         at = arrival_times(n)
         assert critical_path_delay(n) == max(at[o] for o in n.outputs)
 
-    def test_count_by_type(self):
-        counts = count_by_type(c17())
-        assert counts[GateType.NAND] == 6
-        assert counts[GateType.INPUT] == 5
-
     def test_ppa_report_fields(self):
         rep = ppa_report(ripple_carry_adder(4))
         d = rep.as_dict()
         assert d["area"] > 0 and d["delay"] > 0 and d["cell_count"] > 0
         assert rep.flop_count == 0
-
-    def test_toggle_counts(self):
-        n = c17()
-        stim = [
-            {k: 0 for k in n.inputs},
-            {k: 1 for k in n.inputs},
-            {k: 1 for k in n.inputs},
-        ]
-        tc = toggle_counts(n, stim)
-        assert len(tc) == 2
-        assert sum(tc[0].values()) > 0       # everything switched
-        assert sum(tc[1].values()) == 0      # steady state

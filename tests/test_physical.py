@@ -12,7 +12,6 @@ from repro.physical import (
     assign_layers,
     critical_path_placed,
     hpwl,
-    ir_drop_ok,
     layer_histogram,
     nets_for_wirelength,
     output_path_delays,
@@ -102,12 +101,6 @@ class TestTiming:
         p = random_placement(n, seed=5)
         grid = power_density_map(n, p, bins=4)
         assert grid.sum() == pytest.approx(leakage_power(n), rel=0.01)
-
-    def test_ir_drop_check(self):
-        n = ripple_carry_adder(4)
-        p = random_placement(n, seed=5)
-        assert ir_drop_ok(n, p, limit_per_bin=1e9)
-        assert not ir_drop_ok(n, p, limit_per_bin=0.0)
 
 
 class TestLayers:

@@ -25,7 +25,7 @@ from repro.netlist import (
     simulate,
     transport_hash,
 )
-from repro.service import ArtifactStore, result_key
+from repro.service import ArtifactStore
 
 
 class TestCanonicalJson:
@@ -177,9 +177,9 @@ class TestArtifactStore:
         # The same spec computed in another "process" (fresh objects)
         # addresses the same artifact.
         store = ArtifactStore(tmp_path)
-        key = result_key(netlist_hash(c17()), "p" * 8, seed=3)
+        key = stable_hash({"input": netlist_hash(c17()), "seed": 3})
         store.put(key, {"result": 42})
-        assert result_key(netlist_hash(c17()), "p" * 8, seed=3) == key
+        assert stable_hash({"input": netlist_hash(c17()), "seed": 3}) == key
         assert ArtifactStore(tmp_path).get(key) == {"result": 42}
 
     def test_torn_write_is_a_miss(self, tmp_path):

@@ -31,8 +31,10 @@ from repro.core import (
     register_from_composition,
     tvla_requirement,
 )
+from repro.crypto import present_sbox_netlist
 from repro.flow import (
     AnalysisCache,
+    MaskInsertionPass,
     ParityDetectPass,
     PassManager,
     SecurePlacementPass,
@@ -40,6 +42,7 @@ from repro.flow import (
     default_checkers,
     masking_check,
     masking_checker,
+    netlist_design,
     tvla_check,
 )
 from repro.netlist import get_compiled
@@ -275,6 +278,29 @@ class TestSimulationCost:
         assert simulations == [1200, 1200]    # baseline only
         placement = result.trace.passes[0]
         assert (placement.cache_hits, placement.cache_misses) == (1, 0)
+
+
+class TestStimuliArePure:
+    """A trace set is a function of ``(n, fixed, seed)``: a masked
+    design's share draws come from the draw's own seeded RNG, not from
+    state the design keeps between draws."""
+
+    @pytest.fixture(scope="class")
+    def masked_present(self):
+        return PassManager(seed=0).run(
+            netlist_design(present_sbox_netlist()),
+            [MaskInsertionPass()]).design
+
+    def test_equal_calls_give_equal_stimuli(self, masked_present):
+        first = masked_present.make_stimuli(50, False, 5)
+        assert masked_present.make_stimuli(50, False, 5) == first
+        assert masked_present.make_stimuli(50, True, 5) != first
+
+    def test_tvla_check_ignores_earlier_draws(self, masked_present):
+        fresh = tvla_check(masked_present, n_traces=500, seed=5).value
+        masked_present.make_stimuli(100, True, 9)
+        assert tvla_check(masked_present, n_traces=500, seed=5).value \
+            == fresh
 
 
 class TestOneVerdictEverywhere:
