@@ -11,20 +11,23 @@ threat after each step:
   TVLA fails, and the engine flags the cross-effect (ref [61]);
 * masking + security-unaware timing optimization -> the Fig. 2 break.
 
+The same obligations, stated once as security requirements, are then
+checked inside the secure flow's re-verification loop and on each
+composed design as it stands.
+
 Run:  python examples/composition_audit.py
 """
 
 from repro.core import (
     CompositionEngine,
-    DetectionConstraint,
-    LeakageConstraint,
-    MaskingConstraint,
     SecureFlow,
     compile_and_check,
+    fault_detection_requirement,
     masked_and_design,
+    no_flow_requirement,
+    no_leaky_net_requirement,
     register_from_composition,
     tvla_requirement,
-    no_leaky_net_requirement,
 )
 from repro.flow import (
     DuplicationDetectPass,
@@ -64,18 +67,24 @@ def main() -> None:
           f"{'signoff BLOCKED' if result.failures else 'signoff clean'}")
 
     print("\n##### constraint compilation down to the bare metal #####")
-    constraints = [
-        LeakageConstraint(n_traces=2500),
-        MaskingConstraint(n_traces=2000),
-        DetectionConstraint(),
-    ]
     for name, countermeasure in (
             ("duplication", DuplicationDetectPass()),
             ("parity", ParityDetectPass())):
         design = PassManager().run(masked_and_design(),
                                    [countermeasure]).design
+        # The detector must not become a channel: no input (share or
+        # gadget randomness) may reach its alarm.
+        requirements = [
+            tvla_requirement(n_traces=2500),
+            no_leaky_net_requirement(n_traces=2000),
+            fault_detection_requirement(),
+        ] + [no_flow_requirement(net, design.alarm)
+             for net in design.netlist.inputs]
         print(f"\n--- constraints vs masking + {name} ---")
-        print(compile_and_check(design, constraints).render())
+        result = compile_and_check(design, requirements)
+        print(result.trace.render())
+        print(f">>> "
+              f"{'signoff BLOCKED' if result.failures else 'signoff clean'}")
 
     print("\n##### risk register hand-off #####")
     engine = CompositionEngine(n_traces=3000, seed=9)

@@ -11,17 +11,18 @@ on any checkout) and fails on:
   ``perfbench/`` references outside its own definition and the
   package ``__init__``'s re-export — an export only tests reach — unless
   :data:`ALLOWLIST` names it with one of the :data:`REASONS`;
-* (b) a function or method under ``src/`` whose name occurs nowhere
-  else in those directories or in ``tests/``;
+* (b) a function or method under ``src/`` that nothing references
+  outside its own definition, in those directories or in ``tests/``;
 * (c) an :data:`ALLOWLIST` entry whose name is reached after all, is
   no longer exported, or gives no known reason.
 
-A *reference* is the name as a whole word anywhere in a file — code,
-strings (``getattr(obj, "name")``, registry keys) and prose alike, as a
-word grep sees it.  The audit is therefore a floor: a name mentioned
-only in a docstring passes.  Imports and ``__all__`` lists in a
-package ``__init__`` are re-exports, not references.  Dunder methods
-and definitions under a registering decorator (``@register_pass``,
+A *reference* is the name as a code token anywhere in a file: a
+name, an attribute, a field of an f-string, or a string literal that is
+the name exactly (``getattr(obj, "name")``, registry keys).  Comments,
+docstrings and other prose are not code, so a name mentioned only there
+reaches nothing.  Imports and ``__all__`` lists in a package
+``__init__`` are re-exports, not references.  Dunder methods and
+definitions under a registering decorator (``@register_pass``,
 ``@register_job_type``, a Table II ``@_demo`` cell, …) are reached
 through their registry and are exempt.
 
@@ -35,8 +36,10 @@ Usage::
 from __future__ import annotations
 
 import ast
+import io
 import re
 import sys
+import tokenize
 from collections import defaultdict
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Set, Tuple
@@ -62,6 +65,9 @@ REASONS = {
 ALLOWLIST: Dict[str, Tuple[str, str]] = {
     "repro.netlist.reset_engine_cache": (
         "reset-hook", "drops the process-local compiled-netlist cache"),
+    "repro.netlist.simulate_reference": (
+        "reference", "the interpreted semantics tests/test_engine.py "
+        "property-tests the compiled engine against"),
     "repro.formal.var_of": (
         "reference", "literal decoding in tests/reference_sat.py, the "
         "reference solver the CDCL solver is checked against"),
@@ -70,8 +76,6 @@ ALLOWLIST: Dict[str, Tuple[str, str]] = {
     "repro.netlist.step_sequential": (
         "api-helper", "clocks a sequential netlist through simulate()'s "
         "state argument, as scan and sequential-leakage paths do"),
-    "repro.netlist.loads_verilog": (
-        "api-helper", "parses dumps_verilog's text back for round trips"),
     "repro.dft.scan_load": (
         "api-helper", "shifts a state into insert_scan's chain, the "
         "inverse of scan_unload that netlist_scan_attack runs"),
@@ -102,7 +106,7 @@ TRANSPARENT_DECORATORS = frozenset({
     "property", "setter", "staticmethod", "total_ordering", "wraps",
 })
 
-_IDENT = re.compile(r"\b[A-Za-z_][A-Za-z0-9_]*\b")
+_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 Span = Tuple[int, int]
 
@@ -128,11 +132,51 @@ class _Index:
                 if not (p == path and span[0] <= line <= span[1])]
 
 
-def _words(source: str) -> List[Tuple[str, int]]:
-    """``(word, line)`` for every identifier-shaped word in the text."""
-    return [(word, number)
-            for number, text in enumerate(source.splitlines(), 1)
-            for word in _IDENT.findall(text)]
+def _prose(tree: ast.Module, lines: List[str]) -> Dict[Tuple[int, int],
+                                                  Tuple[int, int]]:
+    """Start -> end token position of every string that is a statement
+    of its own: docstrings and other strings nothing reads."""
+    def position(line: int, byte_col: int) -> Tuple[int, int]:
+        text = lines[line - 1].encode("utf-8")[:byte_col]
+        return line, len(text.decode("utf-8"))
+
+    return {position(node.lineno, node.col_offset):
+            position(node.end_lineno, node.end_col_offset)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Expr)
+            and isinstance(node.value, ast.Constant)
+            and isinstance(node.value.value, str)}
+
+
+def _string_words(token: tokenize.TokenInfo) -> List[Tuple[str, int]]:
+    """Code words of one string token: the fields of an f-string, or
+    the literal itself when it is exactly an identifier."""
+    line = token.start[0]
+    prefix = token.string[:token.string.index(token.string[-1])].lower()
+    if "f" in prefix:
+        return [(node.id if isinstance(node, ast.Name) else node.attr,
+                 line + node.lineno - 1)
+                for node in ast.walk(ast.parse(token.string, mode="eval"))
+                if isinstance(node, (ast.Name, ast.Attribute))]
+    value = ast.literal_eval(token.string)
+    if isinstance(value, str) and _IDENT.fullmatch(value):
+        return [(value, line)]
+    return []
+
+
+def _words(source: str, tree: ast.Module) -> List[Tuple[str, int]]:
+    """``(word, line)`` for every code token that names something."""
+    prose = _prose(tree, source.splitlines())
+    words: List[Tuple[str, int]] = []
+    prose_end = (0, 0)
+    for token in tokenize.generate_tokens(io.StringIO(source).readline):
+        if token.type == tokenize.NAME:
+            words.append((token.string, token.start[0]))
+        elif token.type == tokenize.STRING:
+            prose_end = prose.get(token.start, prose_end)
+            if token.end > prose_end:
+                words.extend(_string_words(token))
+    return words
 
 
 def _span(node: ast.AST) -> Span:
@@ -184,9 +228,10 @@ class _Tree:
                 if path.relative_to(root) == SELF:
                     continue
                 source = path.read_text()
-                self.words[path] = _words(source)
+                tree = ast.parse(source, str(path))
+                self.words[path] = _words(source, tree)
                 if top == "src":
-                    self.trees[path] = ast.parse(source, str(path))
+                    self.trees[path] = tree
 
     def files(self, dirs: Iterable[str]) -> List[Path]:
         return [p for p in self.words

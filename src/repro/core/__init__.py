@@ -3,9 +3,10 @@
 Threat models (Table I), the design stages of Table II and an
 executable Table II, security metrics with step-function semantics
 (Sec. IV), the composition engine with cross-effect detection (Sec. IV,
-ref [61]), the security-centric flow with its re-verification loop, and
-security-aware design-space exploration.  The classical flow of Fig. 1
-is a pass pipeline, :func:`repro.flow.classical_pipeline`.
+ref [61]), security requirements and the security-centric flow that
+re-checks them after every change, and security-aware design-space
+exploration.  The classical flow of Fig. 1 is a pass pipeline,
+:func:`repro.flow.classical_pipeline`.
 """
 
 from .threats import (
@@ -43,6 +44,9 @@ from .designs import (
 from .flow import (
     SecureFlow,
     SecurityRequirement,
+    compile_and_check,
+    fault_detection_requirement,
+    no_flow_requirement,
     no_leaky_net_requirement,
     tvla_requirement,
 )
@@ -61,16 +65,6 @@ from .table2 import (
     render_table,
     run_all,
     run_cell,
-)
-from .constraints import (
-    CompilationReport,
-    DetectionConstraint,
-    LeakageConstraint,
-    MaskingConstraint,
-    NoFlowConstraint,
-    Obligation,
-    SecurityConstraint,
-    compile_and_check,
 )
 from .risk import (
     MODEL_LIMITS,
@@ -91,14 +85,12 @@ __all__ = [
     "EvaluationSnapshot",
     "DESIGN_FACTORIES", "STACK_PASSES", "build_design", "build_stack",
     "masked_and_design", "register_design",
-    "SecureFlow", "SecurityRequirement",
+    "SecureFlow", "SecurityRequirement", "compile_and_check",
+    "fault_detection_requirement", "no_flow_requirement",
     "no_leaky_net_requirement", "tvla_requirement",
     "Candidate", "LockingSweepPoint", "dominates", "locking_candidates",
     "measure_locking_point", "pareto_front", "sweep_locking",
     "CellResult", "all_demos", "render_table", "run_all", "run_cell",
-    "CompilationReport", "DetectionConstraint", "LeakageConstraint",
-    "MaskingConstraint", "NoFlowConstraint", "Obligation",
-    "SecurityConstraint", "compile_and_check",
     "MODEL_LIMITS", "RiskEntry", "RiskRegister", "Severity",
     "register_from_composition",
     "TableIRow", "render_table_i", "table_i",

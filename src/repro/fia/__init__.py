@@ -19,10 +19,6 @@ from .codes import (
     residue_protect_adder,
     tmr_protect,
 )
-from .glitch_attack import (
-    GlitchOutcome,
-    clock_glitch_capture,
-)
 from .dfa import (
     BIT_FAULTS,
     DfaAttacker,
@@ -54,7 +50,6 @@ __all__ = [
     "prove_fault_detected",
     "ProtectedDesign", "duplicate_and_compare", "parity_protect",
     "residue_mod3_net", "residue_protect_adder", "tmr_protect",
-    "GlitchOutcome", "clock_glitch_capture",
     "BIT_FAULTS", "DfaAttacker", "DfaResult", "dfa_on_unprotected",
     "last_round_candidates",
     "DetectAndSuppressAES", "InfectiveAES",

@@ -8,8 +8,10 @@ the ``*_check`` functions in this module are the **single**
 implementation of each property's measurement, shared by
 
 * the pass manager's re-verification loop (:mod:`repro.flow.manager`),
-* the :class:`repro.core.flow.SecureFlow` requirements,
-* the constraint compiler (:mod:`repro.core.constraints`), and
+  through the checker factories below,
+* the security requirements of :mod:`repro.core.flow`, which
+  :class:`~repro.core.flow.SecureFlow` and
+  :func:`~repro.core.flow.compile_and_check` hand to that manager, and
 * the composition engine (:mod:`repro.core.composition`), whose
   snapshots the risk register grades,
 
@@ -203,12 +205,10 @@ def masking_check(design: "Design", n_traces: int = 2500,
 
 
 def no_flow_check(design: "Design", source: str, target: str,
-                  when: Optional[Dict[str, int]] = None,
-                  cache: Optional["AnalysisCache"] = None) -> PropertyCheck:
+                  when: Optional[Dict[str, int]] = None) -> PropertyCheck:
     """Two-copy SAT proof that ``source`` cannot influence ``target``."""
     from ..formal.glift import prove_no_flow
 
-    del cache
     result = prove_no_flow(design.netlist, source, target,
                            fixed=dict(when or {}))
     if result.isolated:
@@ -221,13 +221,11 @@ def no_flow_check(design: "Design", source: str, target: str,
 
 
 def fault_detection_check(design: "Design", min_coverage: float = 0.99,
-                          n_vectors: int = 64, seed: int = 0,
-                          cache: Optional["AnalysisCache"] = None
+                          n_vectors: int = 64, seed: int = 0
                           ) -> PropertyCheck:
     """Fault campaign over the protected region against a coverage floor."""
     from ..fia import fault_campaign
 
-    del cache
     if design.alarm is None:
         return PropertyCheck(SecurityProperty.FAULT_DETECTION, False, 0.0,
                              "design has no alarm output")
@@ -243,16 +241,13 @@ def fault_detection_check(design: "Design", min_coverage: float = 0.99,
                          report.coverage, report.summary())
 
 
-def scan_leakage_check(design: "Design",
-                       cache: Optional["AnalysisCache"] = None
-                       ) -> PropertyCheck:
+def scan_leakage_check(design: "Design") -> PropertyCheck:
     """Scan access must not expose internal state to an attacker.
 
     Structural: a design with no scan chain trivially satisfies the
     property; one with a plain (non-secured) chain fails it, since the
     scan attack of :mod:`repro.dft.scan_attack` reads state directly.
     """
-    del cache
     if "scan_en" not in design.netlist:
         return PropertyCheck(SecurityProperty.SCAN_LEAKAGE, True, 0.0,
                              "no scan access present")
@@ -295,15 +290,14 @@ def fault_detection_checker(min_coverage: float = 0.99,
     """Manager checker for :data:`SecurityProperty.FAULT_DETECTION`."""
     def check(ctx) -> PropertyCheck:
         return fault_detection_check(ctx.design, min_coverage=min_coverage,
-                                     n_vectors=n_vectors, seed=ctx.seed,
-                                     cache=ctx.cache)
+                                     n_vectors=n_vectors, seed=ctx.seed)
     return check
 
 
 def scan_leakage_checker() -> Callable:
     """Manager checker for :data:`SecurityProperty.SCAN_LEAKAGE`."""
     def check(ctx) -> PropertyCheck:
-        return scan_leakage_check(ctx.design, cache=ctx.cache)
+        return scan_leakage_check(ctx.design)
     return check
 
 

@@ -54,8 +54,7 @@ def camouflage(netlist: Netlist, n_cells: int,
     """Camouflage ``n_cells`` two-input cells of candidate-compatible type.
 
     Cells whose current function is in the candidate set are eligible
-    (real flows would constrain synthesis to produce such cells — cf.
-    :func:`repro.synth.camouflage_library`).
+    (real flows would constrain synthesis to produce such cells).
     """
     rng = random.Random(seed)
     eligible = [

@@ -24,10 +24,8 @@ from .simulate import (
 )
 from .bench import load, loads, dump, dumps
 from .serialize import (
-    canonical_form,
     canonical_json,
     netlist_from_dict,
-    netlist_hash,
     netlist_to_dict,
     stable_hash,
     transport_hash,
@@ -40,10 +38,6 @@ from .generators import (
     parity_tree,
     random_circuit,
     from_truth_tables,
-)
-from .verilog import (
-    dumps_verilog,
-    loads_verilog,
 )
 from .metrics import (
     CellCost,
@@ -65,10 +59,8 @@ __all__ = [
     "pack_patterns", "random_stimulus", "encode_int", "decode_int",
     "exhaustive_truth_table",
     "load", "loads", "dump", "dumps",
-    "canonical_form", "canonical_json",
-    "netlist_from_dict", "netlist_hash", "netlist_to_dict", "stable_hash",
-    "transport_hash",
-    "dumps_verilog", "loads_verilog",
+    "canonical_json", "netlist_from_dict", "netlist_to_dict",
+    "stable_hash", "transport_hash",
     "c17", "full_adder", "ripple_carry_adder", "array_multiplier",
     "parity_tree", "random_circuit", "from_truth_tables",
     "CellCost", "DEFAULT_COSTS", "PPAReport", "area", "arrival_times",

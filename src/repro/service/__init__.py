@@ -68,7 +68,6 @@ from .campaigns import (
     composition_matrix_campaign,
     locking_sweep_campaign,
     security_closure_campaign,
-    variant_sweep_campaign,
 )
 from .events import EventBus, JobEvent, Subscription, format_event
 from .tenants import (
@@ -92,7 +91,7 @@ __all__ = [
     "CANCELLED", "SKIPPED",
     "BENCH_CIRCUITS", "DEFAULT_STACKS", "CampaignError",
     "composition_matrix_campaign", "locking_sweep_campaign",
-    "security_closure_campaign", "variant_sweep_campaign",
+    "security_closure_campaign",
     "EventBus", "JobEvent", "Subscription", "format_event",
     "Tenant", "TenantRegistry", "TokenBucket",
     "NamespacedRunDatabase", "namespace_run_id", "split_run_id",

@@ -324,76 +324,6 @@ def security_closure_campaign(netlists: Sequence[Netlist],
             for netlist, job in zip(netlists, jobs)}
 
 
-def variant_sweep_campaign(netlist: Netlist,
-                           variants: Sequence[object],
-                           n_vectors: int = 64,
-                           seed: int = 0,
-                           workers: int = 0,
-                           store: Optional[ArtifactStore] = None,
-                           rundb: Optional[RunDatabase] = None,
-                           timeout: Optional[float] = None,
-                           retries: int = 1,
-                           pool: Optional[WorkerPool] = None,
-                           bus: Optional[EventBus] = None
-                           ) -> List[Dict[str, object]]:
-    """Score a family of design variants through the service.
-
-    Every variant's artifact-cache key is its individual
-    ``variant-eval`` spec hash — batching is an execution detail, not
-    part of the addressed computation.  The campaign first serves
-    variants already cached (whether an earlier run scored them
-    serially or batched), then submits only the misses: two or more
-    become one ``variant-batch`` job (which publishes each per-variant
-    result under its ``variant-eval`` hash), a single one stays one
-    ``variant-eval`` job.  Results come back in variant order and are
-    bit-identical across strategies, worker counts, and cache states.
-
-    ``variants`` may hold :class:`~repro.netlist.VariantSpec` objects
-    or their dict form.
-    """
-    from ..netlist import VariantSpec
-
-    store = _campaign_store(store)
-    input_hash = store.put_netlist(netlist)
-    canonical = [
-        (v if isinstance(v, VariantSpec)
-         else VariantSpec.from_dict(v)).to_dict()
-        for v in variants
-    ]
-    eval_specs = [
-        JobSpec("variant-eval",
-                params={"netlist": input_hash, "variant": variant,
-                        "n_vectors": int(n_vectors)},
-                seed=seed, timeout=timeout, retries=retries)
-        for variant in canonical
-    ]
-    results: List[Optional[Dict[str, object]]] = [None] * len(canonical)
-    misses = []
-    for i, spec in enumerate(eval_specs):
-        payload = store.get(spec.spec_hash)
-        if isinstance(payload, dict) and "result" in payload:
-            results[i] = payload["result"]
-        else:
-            misses.append(i)
-    if len(misses) > 1:
-        spec = JobSpec(
-            "variant-batch",
-            params={"netlist": input_hash,
-                    "variants": [canonical[i] for i in misses],
-                    "n_vectors": int(n_vectors)},
-            seed=seed, timeout=timeout, retries=retries)
-        (job,) = _run(([spec], [input_hash]), "variant sweep", store,
-                      workers, rundb, pool, bus)
-        for i, result in zip(misses, job.result["results"]):
-            results[i] = result
-    elif misses:
-        jobs = _run(([eval_specs[i] for i in misses], [input_hash]),
-                    "variant sweep", store, workers, rundb, pool, bus)
-        for i, job in zip(misses, jobs):
-            results[i] = job.result
-    return results
-
-
 def composition_matrix_campaign(
         *,
         stacks: Union[None, Sequence[str],

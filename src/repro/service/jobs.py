@@ -431,9 +431,7 @@ def _variant_eval_job(params: Dict[str, object], ctx: JobContext):
 def _variant_batch_job(params: Dict[str, object], ctx: JobContext):
     """Score a whole variant family in one batched evaluation.
 
-    The execution detail behind
-    :func:`repro.service.variant_sweep_campaign`: all variants share
-    one lowering of the stored netlist
+    All variants share one lowering of the stored netlist
     (:class:`~repro.netlist.VariantFamily`), and each per-variant
     result is also published to the store under the spec hash of the
     equivalent ``variant-eval`` job — later per-variant resubmissions
@@ -480,10 +478,13 @@ def _pass_pipeline_job(params: Dict[str, object], ctx: JobContext):
     wall times (:func:`~repro.flow.manager.strip_wall_times`), so the
     result is a pure function of ``(params, seed)``;
     ``FlowTrace.from_dict`` reconstructs the trace client-side.
-    Version 1: wall times stripped.  Version 2: the ``atpg`` pass keeps
-    only first-detecting patterns of a 1024-pattern block and reports
-    their count, and ``mask-insertion`` draws one RNG word per masked
-    stimulus, so its TVLA re-checks read other values.  Version 3:
+    The manager gets no checker and no goal, so the trace holds no
+    property re-check: a pass's declared effects are recorded, not
+    measured.  Version 1: wall times stripped.  Version 2: the ``atpg``
+    pass keeps only first-detecting patterns of a 1024-pattern block
+    and reports their count.  (``mask-insertion`` drawing one RNG word
+    per masked stimulus, from the same change, moves nothing here: no
+    trace set is drawn in this job.)  Version 3:
     :meth:`~repro.netlist.Netlist.sweep_dangling` bumps the mutation
     epoch once per call, not once per removal wave, so trace epochs
     after sweeping passes read lower.

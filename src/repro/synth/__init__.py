@@ -18,7 +18,6 @@ from .restructure import (
 from .library import (
     Cell,
     CellLibrary,
-    camouflage_library,
     nand_inv_library,
     standard_library,
 )
@@ -35,8 +34,7 @@ __all__ = [
     "DoubleInversionElimination", "PassReport", "StructuralHashing",
     "SynthesisPass",
     "XorTree", "balance_trees", "collect_trees", "reassociate_for_timing",
-    "Cell", "CellLibrary", "camouflage_library", "nand_inv_library",
-    "standard_library",
+    "Cell", "CellLibrary", "nand_inv_library", "standard_library",
     "decompose_variadic", "map_to_library", "to_nand_inv",
     "SynthesisFlow", "SynthesisResult", "default_passes", "synthesize",
 ]

@@ -1,11 +1,8 @@
 """Standard-cell libraries for technology mapping.
 
 A :class:`CellLibrary` states which gate functions (and fanin widths)
-exist as physical cells.  Camouflaging (:mod:`repro.ip.camouflage`)
-constrains synthesis to the functions covered by the obfuscated
-primitives — exactly the "regular but constrained synthesis" the paper
-describes in Sec. III-B — which is modeled here as mapping to a reduced
-library.
+exist as physical cells; technology mapping rewrites a netlist into
+them.
 """
 
 from __future__ import annotations
@@ -72,22 +69,5 @@ def nand_inv_library() -> CellLibrary:
         Cell("INV", GateType.NOT, 1, 0.7, 20.0),
         Cell("NAND2", GateType.NAND, 2, 1.0, 30.0),
         Cell("BUF", GateType.BUF, 1, 1.0, 35.0),
-        Cell("DFF", GateType.DFF, 1, 4.5, 90.0),
-    ])
-
-
-def camouflage_library() -> CellLibrary:
-    """Cells realizable by the multi-functional camouflaged primitive.
-
-    The camouflaged cell of :mod:`repro.ip.camouflage` can implement
-    NAND/NOR/XNOR (looking identical under imaging), so constrained
-    synthesis may use only those plus inverters and buffers.
-    """
-    return CellLibrary("camo", [
-        Cell("INV", GateType.NOT, 1, 0.7, 20.0),
-        Cell("BUF", GateType.BUF, 1, 1.0, 35.0),
-        Cell("CAMO_NAND", GateType.NAND, 2, 4.0, 80.0),
-        Cell("CAMO_NOR", GateType.NOR, 2, 4.0, 80.0),
-        Cell("CAMO_XNOR", GateType.XNOR, 2, 4.0, 80.0),
         Cell("DFF", GateType.DFF, 1, 4.5, 90.0),
     ])

@@ -26,16 +26,19 @@ def write(root, relative, text):
 
 def fake_tree(root):
     """A package with one planted case of each kind the audit fails on,
-    next to exempt and reached look-alikes."""
+    next to exempt and reached look-alikes (an export reached only
+    through a string literal or an f-string field)."""
     write(root, "src/repro/__init__.py", '"""Top."""\n')
     write(root, "src/repro/pkg/__init__.py", '''\
         """Package."""
 
         from .mod import (
-            Registered, helper, only_tested, used, allowed_hook)
+            Registered, helper, only_tested, used, allowed_hook,
+            only_in_prose, by_string, by_fstring)
 
         __all__ = ["Registered", "helper", "only_tested", "used",
-                   "allowed_hook"]
+                   "allowed_hook", "only_in_prose", "by_string",
+                   "by_fstring"]
         ''')
     write(root, "src/repro/pkg/mod.py", '''\
         """Module."""
@@ -77,14 +80,36 @@ def fake_tree(root):
 
         def never_named():
             """Nothing anywhere calls or names this."""
+
+
+        def only_in_prose():
+            """Another module's docstring and a comment name this."""
+
+
+        def by_string():
+            """Reached through an identifier-shaped string literal."""
+
+
+        def by_fstring():
+            """Reached through an f-string field."""
         ''')
-    write(root, "scripts/run.py", "from repro.pkg import used\nused()\n")
+    write(root, "scripts/run.py", '''\
+        """Calls used(); only_in_prose is named here, in prose only."""
+
+        import repro.pkg
+        from repro.pkg import used
+
+        used()  # only_in_prose() would be called here
+        getattr(repro.pkg, "by_string")()
+        print(f"{repro.pkg.by_fstring()}")
+        ''')
     write(root, "tests/test_pkg.py", '''\
-        from repro.pkg import allowed_hook, only_tested
+        from repro.pkg import allowed_hook, only_in_prose, only_tested
 
 
         def test_it():
             allowed_hook()
+            only_in_prose()
             assert only_tested() == 3
         ''')
 
@@ -113,12 +138,14 @@ class TestSurfaceAudit:
         assert "repro.pkg.only_tested: exported, but no file" in text
         # (b) a function nothing names
         assert "never_named is never called" in text
+        # (a) again: a docstring and a comment are prose, not code
+        assert "repro.pkg.only_in_prose: exported, but no file" in text
         # (c) allowlist entries for a reached and a gone name, and one
         # giving no known reason
         assert "repro.pkg.used: allowlisted, but scripts/run.py" in text
         assert "repro.pkg.gone: allowlisted, but no package" in text
         assert "allowlist reason 'handy' is not one of" in text
-        assert len(problems) == 5, problems
+        assert len(problems) == 6, problems
 
     def test_exempt_and_allowlisted_cases_pass(self, tmp_path):
         check_surface = load_check_surface()
@@ -129,5 +156,6 @@ class TestSurfaceAudit:
         allowlist = {
             "repro.pkg.allowed_hook": ("reset-hook", "isolation"),
             "repro.pkg.only_tested": ("api-helper", "reads used()"),
+            "repro.pkg.only_in_prose": ("api-helper", "reads used()"),
         }
         assert check_surface.audit(tmp_path, allowlist) == []

@@ -1,88 +1,22 @@
-"""Tests for extension modules: Verilog I/O, MIA, structural attack,
-clock-glitch fault modeling."""
+"""Tests for extension modules: MIA and the structural key attack."""
 
 import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.crypto import sbox_with_key_netlist
-from repro.fia import (
-    clock_glitch_capture,
-)
 from repro.ip import (
     lock_xor,
     resynthesis_resistance,
     structural_key_attack,
 )
-from repro.netlist import (
-    GateType,
-    Netlist,
-    NetlistError,
-    c17,
-    dumps_verilog,
-    encode_int,
-    exhaustive_truth_table,
-    loads_verilog,
-    random_circuit,
-    ripple_carry_adder,
-)
-from repro.netlist.metrics import critical_path_delay
+from repro.netlist import encode_int, random_circuit
 from repro.sca import (
     leakage_traces,
     mia_attack,
     mutual_information,
 )
-
-
-class TestVerilog:
-    @pytest.mark.parametrize("factory", [
-        c17,
-        lambda: ripple_carry_adder(4),
-        lambda: random_circuit(6, 40, 3, seed=7),
-    ])
-    def test_roundtrip_preserves_function(self, factory):
-        n = factory()
-        m = loads_verilog(dumps_verilog(n))
-        for o in n.outputs:
-            assert exhaustive_truth_table(m, o) == \
-                exhaustive_truth_table(n, o)
-
-    def test_mux_const_dff_roundtrip(self):
-        n = Netlist("mix")
-        n.add_input("s")
-        n.add_input("a")
-        n.add_input("b")
-        n.add_gate("one", GateType.CONST1)
-        n.add_gate("m", GateType.MUX, ["s", "a", "b"])
-        n.add_gate("q", GateType.DFF, ["m"])
-        n.add_gate("y", GateType.AND, ["m", "one"])
-        n.add_output("y")
-        n.add_output("q")
-        m = loads_verilog(dumps_verilog(n))
-        assert m.is_sequential
-        assert set(m.outputs) == {"y", "q"}
-
-    def test_emits_module_header(self):
-        text = dumps_verilog(c17())
-        assert text.startswith("module c17")
-        assert text.rstrip().endswith("endmodule")
-
-    def test_sanitizes_names(self):
-        n = Netlist("weird")
-        n.add_input("in")  # legal
-        n.add_gate("a.b[3]", GateType.NOT, ["in"])
-        n.add_output("a.b[3]")
-        text = dumps_verilog(n)
-        assert "a.b[3]" not in text
-        m = loads_verilog(text)
-        assert exhaustive_truth_table(m) == [1, 0]
-
-    def test_unknown_primitive_rejected(self):
-        with pytest.raises(NetlistError):
-            loads_verilog("module t (a);\n  input a;\n"
-                          "  frobnicate u0 (a, a);\nendmodule\n")
 
 
 class TestMia:
@@ -166,48 +100,3 @@ class TestStructuralAttack:
         result = structural_key_attack(locked.netlist,
                                        locked.key_inputs)
         assert result.accuracy(locked.key) > 0.75
-
-
-class TestClockGlitch:
-    def setup_method(self):
-        self.adder = ripple_carry_adder(8)
-        self.prev = {}
-        self.prev.update(encode_int(0, [f"a{i}" for i in range(8)]))
-        self.prev.update(encode_int(0, [f"b{i}" for i in range(8)]))
-        self.cur = {}
-        self.cur.update(encode_int(255, [f"a{i}" for i in range(8)]))
-        self.cur.update(encode_int(1, [f"b{i}" for i in range(8)]))
-        self.critical = critical_path_delay(self.adder)
-
-    def test_full_period_is_safe(self):
-        out = clock_glitch_capture(self.adder, self.prev, self.cur,
-                                   period=1.05 * self.critical)
-        assert out.fault_count == 0
-        assert out.captured == out.correct
-
-    def test_short_period_faults_late_outputs(self):
-        out = clock_glitch_capture(self.adder, self.prev, self.cur,
-                                   period=0.4 * self.critical)
-        assert out.fault_count > 0
-        for name in out.faulted_outputs:
-            assert out.captured[name] != out.correct[name]
-
-    def test_glitch_feeds_dfa_model(self):
-        # A captured stale byte is exactly the XOR-differential DFA
-        # consumes: differential = stale ^ fresh on the faulted bits.
-        out = clock_glitch_capture(self.adder, self.prev, self.cur,
-                                   period=0.5 * self.critical)
-        differential = {
-            o: out.captured[o] ^ out.correct[o]
-            for o in out.faulted_outputs
-        }
-        assert all(v == 1 for v in differential.values())
-
-
-@settings(max_examples=10, deadline=None)
-@given(st.integers(0, 2000))
-def test_verilog_roundtrip_property(seed):
-    n = random_circuit(5, 30, 3, seed=seed)
-    m = loads_verilog(dumps_verilog(n))
-    for o in n.outputs:
-        assert exhaustive_truth_table(m, o) == exhaustive_truth_table(n, o)

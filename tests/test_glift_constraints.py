@@ -1,19 +1,29 @@
-"""Tests for GLIFT and the security-constraint compiler."""
+"""Tests for the GLIFT no-flow proof and for security requirements
+checked on a design as it stands (``compile_and_check``)."""
 
 import pytest
 
 from repro.core import (
-    CompilationReport,
-    DetectionConstraint,
-    LeakageConstraint,
-    MaskingConstraint,
-    NoFlowConstraint,
+    SecureFlow,
     compile_and_check,
+    fault_detection_requirement,
     masked_and_design,
+    no_flow_requirement,
+    no_leaky_net_requirement,
+    tvla_requirement,
 )
-from repro.flow import DuplicationDetectPass, ParityDetectPass, PassManager
-from repro.formal import glift_simulate, prove_no_flow
-from repro.netlist import GateType, Netlist, c17, random_circuit
+from repro.core.composition import Design
+from repro.flow import (
+    DuplicationDetectPass,
+    ParityDetectPass,
+    PassManager,
+    fault_detection_check,
+    masking_check,
+    no_flow_check,
+    tvla_check,
+)
+from repro.formal import prove_no_flow
+from repro.netlist import GateType, Netlist, c17
 
 
 def gated_leak_circuit():
@@ -30,52 +40,15 @@ def gated_leak_circuit():
     return n
 
 
-class TestGliftDynamic:
-    def test_controlling_value_blocks_taint(self):
-        n = Netlist()
-        n.add_input("s")
-        n.add_input("g")
-        n.add_gate("y", GateType.AND, ["s", "g"])
-        n.add_output("y")
-        _, taints = glift_simulate(n, {"s": 1, "g": 0}, ["s"])
-        assert taints["y"] == 0
-        _, taints = glift_simulate(n, {"s": 1, "g": 1}, ["s"])
-        assert taints["y"] == 1
-
-    def test_or_controlling_one(self):
-        n = Netlist()
-        n.add_input("s")
-        n.add_input("g")
-        n.add_gate("y", GateType.OR, ["s", "g"])
-        n.add_output("y")
-        _, taints = glift_simulate(n, {"s": 0, "g": 1}, ["s"])
-        assert taints["y"] == 0  # the 1 dominates
-
-    def test_xor_always_propagates(self):
-        n = Netlist()
-        n.add_input("s")
-        n.add_input("g")
-        n.add_gate("y", GateType.XOR, ["s", "g"])
-        n.add_output("y")
-        for g in (0, 1):
-            _, taints = glift_simulate(n, {"s": 0, "g": g}, ["s"])
-            assert taints["y"] == 1
-
-    def test_two_tainted_inputs_can_cancel(self):
-        # y = AND(s1, s2) with s1=0, s2=0: flipping either alone or
-        # both can change y -> tainted.
-        n = Netlist()
-        n.add_input("s1")
-        n.add_input("s2")
-        n.add_gate("y", GateType.AND, ["s1", "s2"])
-        n.add_output("y")
-        _, taints = glift_simulate(n, {"s1": 0, "s2": 0}, ["s1", "s2"])
-        assert taints["y"] == 1
-
-    def test_untainted_run_clean(self):
-        n = c17()
-        _, taints = glift_simulate(n, {k: 1 for k in n.inputs}, [])
-        assert all(t == 0 for t in taints.values())
+def gated_leak_design():
+    return Design(
+        name="dbg",
+        netlist=gated_leak_circuit(),
+        tvla_fixed=lambda rng: {"key": 1, "data": 1, "debug_en": 0},
+        tvla_random=lambda rng: {
+            "key": rng.randint(0, 1), "data": rng.randint(0, 1),
+            "debug_en": 0},
+    )
 
 
 class TestNoFlowProof:
@@ -102,52 +75,93 @@ class TestNoFlowProof:
 
 
 class TestConstraintCompiler:
+    """Requirements measured once on a design as it stands."""
+
     def test_safe_stack_signs_off(self):
         design = PassManager().run(masked_and_design(),
                                    [DuplicationDetectPass()]).design
-        report = compile_and_check(design, [
-            LeakageConstraint(n_traces=2000),
-            MaskingConstraint(n_traces=2000),
-            DetectionConstraint(),
+        result = compile_and_check(design, [
+            tvla_requirement(n_traces=2000),
+            no_leaky_net_requirement(n_traces=2000),
+            fault_detection_requirement(),
         ])
-        assert report.satisfied
-        assert "signoff clean" in report.render()
+        assert result.all_passed
+        assert [r.key for r in result.trace.final] == [
+            "tvla-first-order", "no-leaky-wire", "fault-detection"]
 
     def test_unsafe_stack_blocked(self):
         design = PassManager().run(masked_and_design(),
                                    [ParityDetectPass()]).design
-        report = compile_and_check(design, [
-            LeakageConstraint(n_traces=2000),
-            MaskingConstraint(n_traces=2000),
+        result = compile_and_check(design, [
+            tvla_requirement(n_traces=2000),
+            no_leaky_net_requirement(n_traces=2000),
         ])
-        assert not report.satisfied
-        text = report.render()
-        assert "VIOLATED" in text and "signoff BLOCKED" in text
+        assert not result.all_passed
+        assert [r.key for r in result.trace.final if not r.passed] == [
+            "tvla-first-order", "no-leaky-wire"]
+        assert "=== FAIL: 2 failing check(s)" in result.trace.render()
 
     def test_detection_requires_alarm(self):
         design = masked_and_design()   # no alarm yet
-        report = compile_and_check(design, [DetectionConstraint()])
-        assert not report.satisfied
-        assert "no alarm" in report.obligations[0].evidence
+        result = compile_and_check(design, [fault_detection_requirement()])
+        assert not result.all_passed
+        assert "no alarm" in result.trace.final[0].message
 
     def test_noflow_constraint(self):
-        from repro.core.composition import Design
-        import random
-
-        n = gated_leak_circuit()
-        design = Design(
-            name="dbg",
-            netlist=n,
-            tvla_fixed=lambda rng: {"key": 1, "data": 1, "debug_en": 0},
-            tvla_random=lambda rng: {
-                "key": rng.randint(0, 1), "data": rng.randint(0, 1),
-                "debug_en": 0},
-        )
+        design = gated_leak_design()
         good = compile_and_check(design, [
-            NoFlowConstraint("key", "debug_out", when={"debug_en": 0}),
+            no_flow_requirement("key", "debug_out", when={"debug_en": 0}),
         ])
-        assert good.satisfied
+        assert good.all_passed
         bad = compile_and_check(design, [
-            NoFlowConstraint("key", "debug_out"),
+            no_flow_requirement("key", "debug_out"),
         ])
-        assert not bad.satisfied
+        assert not bad.all_passed
+
+    def test_matches_direct_checks(self):
+        """Oracle: each final re-check is the shared checker's verdict,
+        called directly on the same design (the two leakage checks
+        share one trace set inside the run)."""
+        for countermeasure in (DuplicationDetectPass(), ParityDetectPass()):
+            design = PassManager().run(masked_and_design(),
+                                       [countermeasure]).design
+            result = compile_and_check(design, [
+                tvla_requirement(n_traces=1500, seed=3),
+                no_leaky_net_requirement(n_traces=1500, seed=3),
+                fault_detection_requirement(n_vectors=32, seed=7),
+                no_flow_requirement("a0", design.alarm),
+            ])
+            direct = [
+                tvla_check(design, n_traces=1500, seed=3),
+                masking_check(design, n_traces=1500, seed=3),
+                fault_detection_check(design, n_vectors=32, seed=7),
+                no_flow_check(design, "a0", design.alarm),
+            ]
+            assert [(r.passed, r.value, r.message)
+                    for r in result.trace.final] == \
+                [(c.passed, c.value, c.message) for c in direct]
+            assert not result.trace.baseline and not result.trace.passes
+
+
+class TestRequirementNames:
+    """The pass manager tracks a requirement by its name."""
+
+    def test_duplicate_name_is_rejected(self):
+        twins = [tvla_requirement(n_traces=400),
+                 tvla_requirement(n_traces=800, seed=5)]
+        with pytest.raises(ValueError, match="tvla-first-order"):
+            SecureFlow(twins, placement_iterations=200) \
+                .run(masked_and_design())
+        with pytest.raises(ValueError, match="tvla-first-order"):
+            compile_and_check(masked_and_design(), twins)
+
+    def test_no_flow_names_carry_their_ports(self):
+        design = gated_leak_design()
+        result = compile_and_check(design, [
+            no_flow_requirement("key", "debug_out", when={"debug_en": 0}),
+            no_flow_requirement("key", "debug_out"),
+            no_flow_requirement("data", "ct"),
+        ])
+        assert [r.passed for r in result.trace.final] == \
+            [True, False, False]
+        assert len({r.key for r in result.trace.final}) == 3

@@ -20,7 +20,6 @@ from repro.synth import (
     StructuralHashing,
     SynthesisFlow,
     balance_trees,
-    camouflage_library,
     collect_trees,
     decompose_variadic,
     map_to_library,
@@ -227,7 +226,7 @@ class TestTechmap:
         assert exhaustive_truth_table(n, "y") == golden
 
     @pytest.mark.parametrize("library_factory", [
-        standard_library, nand_inv_library, camouflage_library,
+        standard_library, nand_inv_library,
     ])
     def test_mapping_preserves_function(self, library_factory):
         n = random_circuit(6, 50, 3, seed=21)

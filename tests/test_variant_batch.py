@@ -509,36 +509,47 @@ def test_family_leakage_traces_match_serial_sweep(data):
         assert got.leaking_sample == want.leaking_sample
 
 
-def test_service_variant_hashes_and_cache_hits(tmp_path, monkeypatch):
-    """Per-variant cache keys are served on resubmission, batched or not."""
+def test_service_variant_hashes_and_cache_hits(tmp_path):
+    """A ``variant-batch`` job's rows equal the one-variant kernel, and
+    each is published under its ``variant-eval`` spec hash, so a
+    per-variant resubmission is served from the cache."""
     from repro.service import (
         ArtifactStore,
+        JobSpec,
+        Scheduler,
+        SUCCEEDED,
         evaluate_variants,
-        variant_sweep_campaign,
     )
-    import repro.service.campaigns as campaigns
 
     netlist = c17()
-    variants = [
+    variants = [VariantSpec.from_dict(v).to_dict() for v in (
         {"flips": ["G10"]},
         {"forces": {"G16": 1}},
         {"inputs": {"G1": 3}},
         {},
-    ]
+    )]
     store = ArtifactStore(str(tmp_path / "store"))
-    first = variant_sweep_campaign(netlist, variants, n_vectors=16,
-                                   seed=3, store=store)
-    # Each batch entry equals the one-variant serial kernel (hash incl.)
-    for variant, row in zip(variants, first):
-        solo = evaluate_variants(netlist, [variant], n_vectors=16,
-                                 seed=3)[0]
-        assert row == solo
-    # Resubmission must not schedule anything: every per-variant spec
-    # hash is already in the store.
-    def _no_scheduler(*args, **kwargs):
-        raise AssertionError("cache miss: scheduler constructed")
-
-    monkeypatch.setattr(campaigns, "Scheduler", _no_scheduler)
-    again = variant_sweep_campaign(netlist, variants, n_vectors=16,
-                                   seed=3, store=store)
-    assert again == first
+    digest = store.put_netlist(netlist)
+    scheduler = Scheduler(workers=0, store=store)
+    batch_id = scheduler.submit(JobSpec(
+        "variant-batch", params={"netlist": digest, "variants": variants,
+                                 "n_vectors": 16}, seed=3))
+    batch = scheduler.run()[batch_id]
+    assert batch.status == SUCCEEDED
+    eval_specs = [
+        JobSpec("variant-eval", params={"netlist": digest,
+                                        "variant": variant,
+                                        "n_vectors": 16}, seed=3)
+        for variant in variants]
+    assert batch.result["variant_hashes"] == \
+        [spec.spec_hash for spec in eval_specs]
+    for variant, row in zip(variants, batch.result["results"]):
+        assert row == evaluate_variants(netlist, [variant], n_vectors=16,
+                                        seed=3)[0]
+    # Resubmitting each variant alone runs nothing: every per-variant
+    # spec hash is already in the store.
+    again = Scheduler(workers=0, store=store)
+    ids = [again.submit(spec) for spec in eval_specs]
+    jobs = again.run()
+    assert all(jobs[i].cache_hit for i in ids)
+    assert [jobs[i].result for i in ids] == batch.result["results"]

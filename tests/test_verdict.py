@@ -1,5 +1,5 @@
-"""One leakage verdict for the flow, SecureFlow, constraints, composition
-and the risk register.
+"""One leakage verdict for the flow, SecureFlow, compiled requirements,
+composition and the risk register.
 
 ``tvla_check`` and ``masking_check`` (``repro.flow.properties``) are the
 only TVLA verdict.  A check that crosses the threshold on its first
@@ -21,11 +21,10 @@ import pytest
 
 from repro.core import (
     CompositionEngine,
-    LeakageConstraint,
-    MaskingConstraint,
     SecureFlow,
     Severity,
     ThreatVector,
+    compile_and_check,
     masked_and_design,
     no_leaky_net_requirement,
     register_from_composition,
@@ -304,7 +303,8 @@ class TestStimuliArePure:
 
 
 class TestOneVerdictEverywhere:
-    """Flow requirements and constraints get the confirmation as is."""
+    """Requirements get the confirmation as is, in a flow run or
+    checked on a design as it stands."""
 
     def test_secure_flow_passes_unconfirmed_first_set(self):
         flow = SecureFlow([tvla_requirement(n_traces=2000,
@@ -328,12 +328,12 @@ class TestOneVerdictEverywhere:
         assert calls and len(calls) == len(result.trace.all_rechecks())
 
     def test_constraints_confirm(self):
-        design = masked_and_design()
-        leakage = LeakageConstraint(n_traces=2000, seed=FALSE_POSITIVE_SEED)
-        obligation = leakage.discharge(design)
-        assert obligation.satisfied
-        assert "not confirmed by a second trace set" in obligation.evidence
-        masking = MaskingConstraint(n_traces=2000, seed=FALSE_POSITIVE_SEED)
-        assert masking.discharge(design).satisfied
-        assert not masking.discharge(parity_design()).satisfied
-        assert not leakage.discharge(parity_design()).satisfied
+        leakage = tvla_requirement(n_traces=2000, seed=FALSE_POSITIVE_SEED)
+        masking = no_leaky_net_requirement(n_traces=2000,
+                                           seed=FALSE_POSITIVE_SEED)
+        safe = compile_and_check(masked_and_design(), [leakage, masking])
+        assert safe.all_passed
+        assert "not confirmed by a second trace set" in \
+            safe.trace.final[0].message
+        broken = compile_and_check(parity_design(), [leakage, masking])
+        assert [r.passed for r in broken.trace.final] == [False, False]
