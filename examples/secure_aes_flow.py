@@ -120,12 +120,13 @@ def stage_testing() -> None:
 def stage_pipeline() -> None:
     print("== the secure flow as a pass pipeline (FlowTrace provenance) ==")
     design = netlist_design(sbox_with_key_netlist(), name="secure-aes")
-    design.tvla_fixed = lambda rng: dict(
-        encode_int(0x3C, [f"p{i}" for i in range(8)]),
-        **encode_int(TRUE_KEY, [f"k{i}" for i in range(8)]))
-    design.tvla_random = lambda rng: dict(
-        encode_int(rng.randrange(256), [f"p{i}" for i in range(8)]),
-        **encode_int(TRUE_KEY, [f"k{i}" for i in range(8)]))
+    # Each TVLA class is drawn as packed columns: input -> n-bit word.
+    design.tvla_fixed = lambda n, rng: dict(
+        encode_int(0x3C, [f"p{i}" for i in range(8)], n),
+        **encode_int(TRUE_KEY, [f"k{i}" for i in range(8)], n))
+    design.tvla_random = lambda n, rng: dict(
+        {f"p{i}": rng.getrandbits(n) for i in range(8)},
+        **encode_int(TRUE_KEY, [f"k{i}" for i in range(8)], n))
 
     manager = PassManager(
         checkers={SecurityProperty.TVLA_BOUND: tvla_checker(n_traces=500)},

@@ -38,30 +38,36 @@ from ..sca import TVLA_THRESHOLD
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     from ..flow.passes import Pass
 
-#: A stimulus transformer: adapts base-circuit stimuli to the current
-#: (possibly wrapped/transformed) netlist's input names.  Randomness it
-#: needs (fresh mask shares) comes from the ``random.Random`` of the
-#: draw it serves, so stimuli stay a function of their seed.
-StimulusAdapter = Callable[[Dict[str, int], random.Random], Dict[str, int]]
+#: A stimulus transformer: maps the columns of ``n`` base-circuit traces,
+#: ``adapter(columns, n, rng)``, to columns of the current (possibly
+#: wrapped/transformed) netlist's inputs.  Randomness it needs (fresh
+#: mask shares) comes from the ``random.Random`` of the draw it serves,
+#: so stimuli stay a function of their seed.
+StimulusAdapter = Callable[[Dict[str, int], int, random.Random],
+                           Dict[str, int]]
 
 
 @dataclass
 class Design:
     """A netlist plus its security evaluation interface.
 
-    ``tvla_fixed`` / ``tvla_random`` generate single-bit stimulus dicts
-    for the *original* primary inputs; ``stimulus_adapter`` rewrites
-    them for the current netlist (identity until a transform like WDDL
-    renames ports).  ``protected_region_prefix`` marks which gates the
-    FIA campaign faults (the functional core, not the checker).
+    ``tvla_fixed(n, rng)`` / ``tvla_random(n, rng)`` draw a TVLA class
+    of ``n`` traces for the *original* primary inputs as packed columns
+    (input -> ``n``-bit word, bit ``p`` = trace ``p``) from the draw's
+    ``random.Random``; ``stimulus_adapter`` maps those columns to the
+    current netlist's inputs (identity until a transform like masking
+    or WDDL replaces ports).  ``protected_region_prefix`` marks which
+    gates the FIA campaign faults (the functional core, not the
+    checker).
     """
 
     name: str
     netlist: Netlist
-    tvla_fixed: Callable[[random.Random], Dict[str, int]]
-    tvla_random: Callable[[random.Random], Dict[str, int]]
-    #: Rewrites base-circuit stimuli for the current netlist's ports.
-    stimulus_adapter: StimulusAdapter = staticmethod(lambda s, rng: s)
+    tvla_fixed: Callable[[int, random.Random], Dict[str, int]]
+    tvla_random: Callable[[int, random.Random], Dict[str, int]]
+    #: Maps base-circuit columns to the current netlist's inputs.
+    stimulus_adapter: StimulusAdapter = staticmethod(
+        lambda columns, n, rng: columns)
     alarm: Optional[str] = None
     payload_outputs: Optional[List[str]] = None
     protected_region_prefix: str = ""
@@ -82,16 +88,18 @@ class Design:
         return sites
 
     def make_stimuli(self, n: int, fixed: bool,
-                     seed: int) -> List[Dict[str, int]]:
-        """Generate adapted TVLA-class stimuli for the current netlist.
+                     seed: int) -> Dict[str, int]:
+        """``n`` adapted traces of one TVLA class as packed columns.
 
-        One ``random.Random(seed)`` feeds the class generator and the
-        stimulus adapter, so equal arguments give equal stimuli.
+        Returns one ``n``-bit word per input of the current netlist
+        (bit ``p`` = trace ``p``), the form
+        :func:`~repro.sca.power_model.net_bit_matrix` simulates.  One
+        ``random.Random(seed)`` feeds the class generator and the
+        stimulus adapter, so equal arguments give equal columns.
         """
         rng = random.Random(seed)
         generator = self.tvla_fixed if fixed else self.tvla_random
-        return [self.stimulus_adapter(generator(rng), rng)
-                for _ in range(n)]
+        return self.stimulus_adapter(generator(n, rng), n, rng)
 
 
 @dataclass

@@ -22,7 +22,7 @@ from __future__ import annotations
 import random
 from typing import TYPE_CHECKING, Callable, Dict, List, Sequence
 
-from ..sca import isw_and_netlist, random_share_stimulus
+from ..sca import isw_and_netlist, random_share_columns
 from .composition import Design
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
@@ -80,16 +80,18 @@ def masked_and_design(n_shares: int = 3) -> Design:
     """First-order masked AND gadget as a composition-study baseline.
 
     TVLA classes: fixed secrets (a=1, b=1) vs random secrets, with
-    shares and gadget randomness fresh per trace either way.
+    shares and gadget randomness fresh per trace either way; each class
+    is drawn as packed columns.
     """
     netlist = isw_and_netlist(n_shares)
 
-    def fixed(rng: random.Random) -> Dict[str, int]:
-        return random_share_stimulus(1, 1, n_shares, rng)
+    def fixed(n: int, rng: random.Random) -> Dict[str, int]:
+        ones = (1 << n) - 1
+        return random_share_columns(ones, ones, n_shares, n, rng)
 
-    def rand(rng: random.Random) -> Dict[str, int]:
-        return random_share_stimulus(
-            rng.randint(0, 1), rng.randint(0, 1), n_shares, rng)
+    def rand(n: int, rng: random.Random) -> Dict[str, int]:
+        return random_share_columns(rng.getrandbits(n), rng.getrandbits(n),
+                                    n_shares, n, rng)
 
     return Design(
         name="masked-and",

@@ -69,16 +69,16 @@ def _replaced(design: Design, suffix: str, netlist: Netlist,
     """``design`` rebuilt around a pass's new ``netlist``.
 
     Appends ``+suffix`` to the design name and, when ``adapt`` is given,
-    applies it after the design's stimulus adapter, with the same draw
-    RNG; ``fields`` replace any other
+    applies it after the design's stimulus adapter, with the same trace
+    count and draw RNG; ``fields`` replace any other
     :class:`~repro.core.composition.Design` field.
     """
     if adapt is not None:
         previous = design.stimulus_adapter
 
-        def adapter(stimulus: Dict[str, int],
+        def adapter(columns: Dict[str, int], n: int,
                     rng: random.Random) -> Dict[str, int]:
-            return adapt(previous(stimulus, rng), rng)
+            return adapt(previous(columns, n, rng), n, rng)
 
         fields["stimulus_adapter"] = adapter
     return replace(design, name=f"{design.name}+{suffix}", netlist=netlist,
@@ -261,7 +261,8 @@ class MaskInsertionPass(Pass):
     def apply(self, netlist, ctx) -> PassResult:
         masked = mask_netlist(netlist)
         design = _replaced(
-            ctx.design, "masked", masked.netlist, adapt=masked.stimulus,
+            ctx.design, "masked", masked.netlist,
+            adapt=masked.stimulus_columns,
             alarm=None, payload_outputs=list(masked.netlist.outputs))
         return PassResult(
             self.name, rewrites=len(masked.netlist.gates),
@@ -288,7 +289,7 @@ class WddlPass(Pass):
         dual, _ = wddl_transform(netlist)
         design = _replaced(
             ctx.design, "wddl", dual,
-            adapt=lambda stimulus, rng: dual_rail_stimulus(stimulus),
+            adapt=lambda columns, n, rng: dual_rail_stimulus(columns, n),
             alarm=None, payload_outputs=list(dual.outputs),
             protected_region_prefix="")
         return PassResult(
@@ -375,12 +376,9 @@ class ScanInsertionPass(Pass):
     def apply(self, netlist, ctx) -> PassResult:
         scan = insert_scan(netlist)
 
-        def adapt(stimulus: Dict[str, int],
+        def adapt(columns: Dict[str, int], n: int,
                   rng: random.Random) -> Dict[str, int]:
-            adapted = dict(stimulus)
-            adapted.setdefault("scan_en", 0)
-            adapted.setdefault("scan_in", 0)
-            return adapted
+            return {"scan_en": 0, "scan_in": 0, **columns}
 
         design = _replaced(ctx.design, "scan", scan.netlist, adapt=adapt)
         return PassResult(
@@ -438,6 +436,17 @@ class AtpgPass(Pass):
 # IP protection (repro.ip)
 # ----------------------------------------------------------------------
 
+def _with_key(key: Dict[str, int]) -> StimulusAdapter:
+    """Stimulus adapter driving every key input with its correct bit,
+    one constant column per key input."""
+    def adapt(columns: Dict[str, int], n: int,
+              rng: random.Random) -> Dict[str, int]:
+        ones = (1 << n) - 1
+        return {**columns,
+                **{name: ones if bit & 1 else 0 for name, bit in key.items()}}
+    return adapt
+
+
 @register_pass
 class LogicLockingPass(Pass):
     """EPIC-style XOR/XNOR locking.
@@ -461,7 +470,7 @@ class LogicLockingPass(Pass):
         locked = lock_xor(netlist, self.key_bits, seed=ctx.seed)
         design = _replaced(
             ctx.design, "locked", locked.netlist,
-            adapt=lambda stimulus, rng: {**stimulus, **locked.key},
+            adapt=_with_key(locked.key),
             key_bits=ctx.design.key_bits + locked.key_bits)
         return PassResult(
             self.name, rewrites=locked.key_bits,
@@ -495,7 +504,7 @@ class SfllLockPass(Pass):
         locked = sfll.locked
         design = _replaced(
             ctx.design, "sfll", locked.netlist,
-            adapt=lambda stimulus, rng: {**stimulus, **locked.key},
+            adapt=_with_key(locked.key),
             key_bits=ctx.design.key_bits + locked.key_bits)
         return PassResult(
             self.name, rewrites=locked.key_bits,

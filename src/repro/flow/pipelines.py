@@ -13,7 +13,7 @@ import random
 from typing import Dict, List, Optional, Sequence
 
 from ..core.composition import Design
-from ..netlist import Netlist
+from ..netlist import Netlist, random_stimulus
 from .library import (
     AtpgPass,
     FunctionalValidationPass,
@@ -32,18 +32,17 @@ def netlist_design(netlist: Netlist, name: Optional[str] = None,
     For flows that never run leakage checks (the classical pipeline)
     the classes are irrelevant; for quick experiments, "fixed" pins
     every input to the seed-derived constant and "random" draws fresh
-    bits per trace.
+    bits per trace, one ``getrandbits(n)`` column per input.
     """
     inputs = list(netlist.inputs)
-    pinned = {name_: random.Random(seed).randint(0, 1)
-              for name_ in inputs}
+    pinned = random.Random(seed).randint(0, 1)
 
-    def fixed(rng: random.Random) -> Dict[str, int]:
+    def fixed(n: int, rng: random.Random) -> Dict[str, int]:
         del rng
-        return dict(pinned)
+        return dict.fromkeys(inputs, (1 << n) - 1 if pinned else 0)
 
-    def rand(rng: random.Random) -> Dict[str, int]:
-        return {name_: rng.randint(0, 1) for name_ in inputs}
+    def rand(n: int, rng: random.Random) -> Dict[str, int]:
+        return random_stimulus(inputs, n, rng)
 
     return Design(name=name or netlist.name, netlist=netlist,
                   tvla_fixed=fixed, tvla_random=rand,

@@ -96,15 +96,19 @@ def _class_bits(design: "Design", fixed: bool, n_traces: int, seed: int,
                 cache: "AnalysisCache") -> np.ndarray:
     """``(nets, traces)`` bit matrix of one TVLA class, simulated once.
 
-    Keyed on the stimulus parameters and validated against the design
-    object and the netlist mutation epoch: the TVLA and per-net checks
-    of one trace set share the simulation, and a re-check on an
-    unmutated netlist simulates nothing.
+    The design draws the class as packed columns
+    (:meth:`~repro.core.composition.Design.make_stimuli`), which the
+    kernel simulates as they are.  Keyed on the stimulus parameters and
+    validated against the design object and the netlist mutation
+    epoch: the TVLA and per-net checks of one trace set share the
+    simulation, and a re-check on an unmutated netlist simulates
+    nothing.
     """
     return cache.get(
         "class-bits", design.netlist,
         lambda: net_bit_matrix(design.netlist,
-                               design.make_stimuli(n_traces, fixed, seed)),
+                               design.make_stimuli(n_traces, fixed, seed),
+                               n_traces),
         key=(design, fixed, n_traces, seed))
 
 
@@ -206,11 +210,21 @@ def masking_check(design: "Design", n_traces: int = 2500,
 
 def no_flow_check(design: "Design", source: str, target: str,
                   when: Optional[Dict[str, int]] = None) -> PropertyCheck:
-    """Two-copy SAT proof that ``source`` cannot influence ``target``."""
-    from ..formal.glift import prove_no_flow
+    """Two-copy SAT proof that ``source`` cannot influence ``target``.
 
-    result = prove_no_flow(design.netlist, source, target,
-                           fixed=dict(when or {}))
+    A query naming a port the netlist lacks (a misspelled net, or
+    ``target=design.alarm`` on a design without an alarm) fails with
+    the reason instead of raising.
+    """
+    from ..formal.glift import port_error, prove_no_flow
+
+    fixed = dict(when or {})
+    problem = port_error(design.netlist, source, target, fixed)
+    if problem is not None:
+        return PropertyCheck(
+            SecurityProperty.NO_FLOW, False, 1.0,
+            f"no-flow {source} -/-> {target} not checkable: {problem}")
+    result = prove_no_flow(design.netlist, source, target, fixed=fixed)
     if result.isolated:
         return PropertyCheck(
             SecurityProperty.NO_FLOW, True, 0.0,

@@ -30,6 +30,19 @@ class FlowResult:
         return not self.flows
 
 
+def port_error(netlist: Netlist, source: str, target: Optional[str],
+               fixed: Mapping[str, int]) -> Optional[str]:
+    """Why a no-flow query does not name ports of ``netlist``, or
+    ``None`` when ``source`` is a primary input and ``target`` and
+    every key of ``fixed`` are nets."""
+    if source not in netlist.inputs:
+        return f"{source!r} is not a primary input"
+    for net in (target, *fixed):
+        if net not in netlist:
+            return f"{net!r} is not a net of {netlist.name!r}"
+    return None
+
+
 def prove_no_flow(netlist: Netlist, source: str, target: str,
                   fixed: Optional[Mapping[str, int]] = None
                   ) -> FlowResult:
@@ -38,13 +51,15 @@ def prove_no_flow(netlist: Netlist, source: str, target: str,
     Encodes two copies differing only in the ``source`` input (all
     other inputs shared, ``fixed`` pins control inputs) and asks for an
     assignment where ``target`` differs.  UNSAT = non-interference
-    holds in that environment.
+    holds in that environment.  Raises ``ValueError`` when
+    :func:`port_error` finds a port that is not in the netlist.
     """
     from .cnf import CircuitEncoder
 
     fixed = dict(fixed or {})
-    if source not in netlist.inputs:
-        raise ValueError(f"{source!r} is not a primary input")
+    problem = port_error(netlist, source, target, fixed)
+    if problem is not None:
+        raise ValueError(problem)
     enc = CircuitEncoder()
     left = enc.encode(netlist)
     for net, value in fixed.items():

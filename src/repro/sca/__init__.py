@@ -20,6 +20,7 @@ from .masking import (
     isw_and,
     isw_and_netlist,
     probing_security_first_order,
+    random_share_columns,
     random_share_stimulus,
 )
 from .masked_synthesis import MaskedCircuit, mask_netlist
@@ -48,7 +49,7 @@ __all__ = [
     "CpaResult", "cpa_attack", "traces_to_disclosure",
     "GadgetTrace", "decode_shares", "encode_shares", "isw_and",
     "isw_and_netlist", "probing_security_first_order",
-    "random_share_stimulus",
+    "random_share_columns", "random_share_stimulus",
     "MaskedCircuit", "mask_netlist",
     "dual_rail_stimulus", "to_and_or_not", "wddl_transform",
     "GlitchReport", "glitch_simulate", "sequential_leakage_traces",

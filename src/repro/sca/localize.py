@@ -15,7 +15,7 @@ from typing import List, Mapping, Sequence
 
 import numpy as np
 
-from ..netlist import Netlist, get_compiled
+from ..netlist import Netlist, get_compiled, pack_patterns
 from .power_model import net_bit_matrix
 from .tvla import TVLA_THRESHOLD, welch_t
 
@@ -69,10 +69,19 @@ def locate_leaking_nets(netlist: Netlist,
                         random_stimuli: Sequence[Mapping[str, int]],
                         noise_sigma: float = 0.01,
                         seed: int = 0) -> List[NetLeakage]:
-    """Per-net fixed-vs-random t-test, most leaky nets first."""
-    t = net_t_statistics(netlist, net_bit_matrix(netlist, fixed_stimuli),
-                         net_bit_matrix(netlist, random_stimuli),
-                         noise_sigma, seed)
+    """Per-net fixed-vs-random t-test, most leaky nets first.
+
+    Each class's per-trace dicts are packed once
+    (:func:`~repro.netlist.pack_patterns`) and simulated by
+    :func:`~repro.sca.power_model.net_bit_matrix`.
+    """
+    def bits(stimuli: Sequence[Mapping[str, int]]) -> np.ndarray:
+        return net_bit_matrix(netlist, pack_patterns(stimuli,
+                                                     netlist.inputs),
+                              len(stimuli))
+
+    t = net_t_statistics(netlist, bits(fixed_stimuli),
+                         bits(random_stimuli), noise_sigma, seed)
     levels = netlist.levels()
     results = [NetLeakage(net=net, t_statistic=float(value),
                           level=levels[net])

@@ -65,7 +65,7 @@ class MaskedCircuit:
 
     def stimulus(self, plain_inputs: Mapping[str, int],
                  rng: random.Random) -> Dict[str, int]:
-        """Randomly share a plain stimulus and draw gadget randomness.
+        """Randomly share one plain stimulus and draw gadget randomness.
 
         One ``rng.getrandbits(k)`` per call, ``k`` = shared inputs +
         random inputs: its top bits are the first shares, the rest the
@@ -81,6 +81,23 @@ class MaskedCircuit:
             bits = (bits << 1) | (plain_inputs.get(name, 0) & 1)
         word = (word << n_shared) | ((word >> n_random) ^ bits)
         return dict(zip(slots, format(word, spec).encode().translate(_BITS)))
+
+    def stimulus_columns(self, plain: Mapping[str, int], n: int,
+                         rng: random.Random) -> Dict[str, int]:
+        """Randomly share ``n`` plain stimuli given as packed columns.
+
+        ``plain`` maps each plain input to an ``n``-bit word (bit ``p``
+        = trace ``p``).  Each first share, then each gadget randomness
+        input, is one ``rng.getrandbits(n)``; each second share is its
+        first share XOR the plain column.
+        """
+        columns: Dict[str, int] = {}
+        for name, (s0, s1) in self.input_shares.items():
+            share = columns[s0] = rng.getrandbits(n)
+            columns[s1] = share ^ plain[name]
+        for name in self.random_inputs:
+            columns[name] = rng.getrandbits(n)
+        return columns
 
     def decode_outputs(self, values: Mapping[str, int],
                        pattern: int = 0) -> Dict[str, int]:

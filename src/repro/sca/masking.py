@@ -256,13 +256,13 @@ _STIM_FNS: Dict[int, Callable[..., Dict[str, int]]] = {}
 
 
 def _stimulus_fn(n_shares: int) -> Callable[..., Dict[str, int]]:
-    """Generated stimulus builder for one share count.
+    """Generated per-trace stimulus builder for one share count.
 
-    Stimulus generation sits on the hot path of every masking campaign
-    (tens of thousands of calls per TVLA run), so — in the spirit of the
-    compiled simulation engine — each share count gets one generated
-    function drawing all randomness in a single RNG word and building
-    the dict as one literal.
+    Serves callers that build per-trace dicts (benchmarks, examples);
+    a design's TVLA trace sets are drawn as columns by
+    :func:`random_share_columns` instead.  Each share count gets one
+    generated function drawing all randomness of a trace in a single
+    RNG word and building the dict as one literal.
     """
     fn = _STIM_FNS.get(n_shares)
     if fn is not None:
@@ -299,3 +299,26 @@ def random_share_stimulus(secret_a: int, secret_b: int, n_shares: int,
                           rng: random.Random) -> Dict[str, int]:
     """One random masked stimulus for :func:`isw_and_netlist`."""
     return _stimulus_fn(n_shares)(secret_a, secret_b, rng.getrandbits)
+
+
+def random_share_columns(secret_a: int, secret_b: int, n_shares: int,
+                         n: int, rng: random.Random) -> Dict[str, int]:
+    """``n`` random masked stimuli for :func:`isw_and_netlist` as packed
+    columns (bit ``p`` of each word is trace ``p``).
+
+    ``secret_a`` / ``secret_b`` are the secrets' ``n``-bit columns.
+    Every share but the last of each secret, then every gadget
+    randomness input, is one ``rng.getrandbits(n)``; the last share is
+    the secret XOR the others.
+    """
+    columns: Dict[str, int] = {}
+    for name, secret in (("a", secret_a), ("b", secret_b)):
+        last = secret
+        for i in range(n_shares - 1):
+            share = columns[f"{name}{i}"] = rng.getrandbits(n)
+            last ^= share
+        columns[f"{name}{n_shares - 1}"] = last
+    for i in range(n_shares):
+        for j in range(i + 1, n_shares):
+            columns[f"r_{i}_{j}"] = rng.getrandbits(n)
+    return columns

@@ -17,22 +17,26 @@ Two classical CMOS leakage models are provided:
 Gaussian measurement noise is added on top, so TVLA/CPA operate under
 realistic trace statistics.
 
-Trace generation is fully vectorized: the whole stimulus batch is
-simulated as packed words on the compiled engine
-(:mod:`repro.netlist.engine`), unpacked into one ``(nets, traces)``
-bit-matrix, and aggregated into per-level samples with a single matrix
-product.  Wide batches are split into cache-friendly chunks of
-:data:`PACK_CHUNK` patterns so the packed words stay small.
+Trace generation is fully vectorized.  A trace set is one packed
+column per input (bit ``p`` = trace ``p``), the form a
+:class:`~repro.core.composition.Design` draws it in;
+:func:`family_net_bit_matrix` simulates it on the compiled engine
+(:mod:`repro.netlist.engine`), unpacks one ``(nets, traces)``
+bit-matrix, and :func:`bits_to_traces` aggregates per-level samples
+with a single matrix product.  Wide sets are split into cache-friendly
+chunks of :data:`PACK_CHUNK` traces so the packed words stay small.
+Callers holding per-trace dicts go through :func:`leakage_traces`,
+which packs them once.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Optional, Sequence
+from typing import List, Mapping, Optional, Sequence
 
 import numpy as np
 
-from ..netlist import (Netlist, VariantFamily, VariantSpec, get_compiled,
-                       pack_patterns)
+from ..netlist import (Netlist, NetlistError, VariantFamily, VariantSpec,
+                       get_compiled, pack_patterns)
 from ..netlist.engine import FAMILY_CHUNK_BITS
 
 #: Hamming-weight lookup for bytes.
@@ -58,16 +62,17 @@ def _words_to_bit_matrix(words: Sequence[int], width: int) -> np.ndarray:
     return np.unpackbits(raw, axis=1, bitorder="little")[:, :width]
 
 
-def net_bit_matrix(netlist: Netlist,
-                   stimuli: Sequence[Mapping[str, int]]) -> np.ndarray:
-    """Value of every net for every stimulus as a ``(nets, traces)`` matrix.
+def net_bit_matrix(netlist: Netlist, columns: Mapping[str, int],
+                   n_traces: int) -> np.ndarray:
+    """Value of every net for every trace as a ``(nets, traces)`` matrix.
 
-    Rows follow the compiled topological order
-    (``get_compiled(netlist).names``).  The one-variant call of
-    :func:`family_net_bit_matrix`.
+    ``columns`` maps each primary input to an ``n_traces``-bit word
+    whose bit ``p`` is trace ``p``.  Rows follow the compiled
+    topological order (``get_compiled(netlist).names``).  The
+    one-variant call of :func:`family_net_bit_matrix`.
     """
     return family_net_bit_matrix(
-        VariantFamily(netlist, [VariantSpec()]), stimuli)[0]
+        VariantFamily(netlist, [VariantSpec()]), columns, n_traces)[0]
 
 
 def leakage_traces(netlist: Netlist,
@@ -79,9 +84,12 @@ def leakage_traces(netlist: Netlist,
                    ) -> np.ndarray:
     """Simulate power traces for a batch of single-bit stimulus dicts.
 
-    Returns an array of shape ``(len(stimuli), depth+1)``: one trace per
-    stimulus, one sample per logic level.  ``weights`` optionally scales
-    each net's contribution (e.g. per-cell switching energy); default 1.
+    The dicts are packed once (:func:`~repro.netlist.pack_patterns`,
+    which reads a missing input as 0) and simulated by
+    :func:`family_net_bit_matrix`.  Returns an array of shape
+    ``(len(stimuli), depth+1)``: one trace per stimulus, one sample per
+    logic level.  ``weights`` optionally scales each net's contribution
+    (e.g. per-cell switching energy); default 1.
 
     For ``model="toggle"``, each trace covers the transition from the
     previous stimulus to the current one (the first trace uses an
@@ -141,34 +149,44 @@ def bits_to_traces(compiled, bits: np.ndarray, noise_sigma: float = 1.0,
     return out.reshape(bits.shape[:-2] + out.shape[1:])
 
 
+def _stimulus_inputs(family: VariantFamily) -> List[str]:
+    """Inputs a trace set must drive: all but those every variant
+    overrides."""
+    n_variants = len(family.variants)
+    return [name for name in get_compiled(family.netlist).input_names
+            if len(family._input_over.get(name, ())) < n_variants]
+
+
 def family_net_bit_matrix(family: VariantFamily,
-                          stimuli: Sequence[Mapping[str, int]]
-                          ) -> np.ndarray:
+                          columns: Mapping[str, int],
+                          n_traces: int) -> np.ndarray:
     """Every net's value per variant as ``(variants, nets, traces)``.
 
-    The whole family is simulated in one packed pass per chunk of
-    ``min(PACK_CHUNK, FAMILY_CHUNK_BITS // variants)`` patterns; the
-    full ``variants * chunk``-bit words are unpacked with a single
-    ``unpackbits`` and reshaped, so no per-variant slicing happens in
-    Python.  Variant ``v``'s plane is bit-identical to
+    The one simulation of a trace set.  ``columns`` maps each input to
+    an ``n_traces``-bit word (bit ``p`` = trace ``p``); an input that
+    every variant overrides needs none, and any other missing input
+    raises :class:`~repro.netlist.NetlistError`.  The whole family is
+    simulated in one packed pass per chunk of ``min(PACK_CHUNK,
+    FAMILY_CHUNK_BITS // variants)`` traces, sliced out of the
+    columns; the full ``variants * chunk``-bit words are unpacked with
+    a single ``unpackbits`` and reshaped, so no per-variant slicing
+    happens in Python.  Variant ``v``'s plane is bit-identical to
     :func:`net_bit_matrix` on that variant alone.
     """
     compiled = get_compiled(family.netlist)
     n_variants = len(family.variants)
-    n_traces = len(stimuli)
-    # Inputs overridden by *every* variant need no shared stimulus.
-    shared_names = [
-        name for name in compiled.input_names
-        if len(family._input_over.get(name, ())) < n_variants
-    ]
+    names = _stimulus_inputs(family)
+    missing = [name for name in names if name not in columns]
+    if missing:
+        raise NetlistError(f"missing stimulus for input {missing[0]!r}")
     chunk = max(1, min(PACK_CHUNK, FAMILY_CHUNK_BITS // n_variants))
     bits = np.empty((n_variants, len(compiled.names), n_traces),
                     dtype=np.uint8)
     for start in range(0, n_traces, chunk):
-        batch = stimuli[start:start + chunk]
-        packed = pack_patterns(batch, shared_names)
-        words = family.eval_words(packed, len(batch))
-        t = len(batch)
+        t = min(chunk, n_traces - start)
+        mask = (1 << t) - 1
+        words = family.eval_words(
+            {name: (columns[name] >> start) & mask for name in names}, t)
         flat = _words_to_bit_matrix(words, n_variants * t)
         bits[:, :, start:start + t] = \
             flat.reshape(len(words), n_variants, t).transpose(1, 0, 2)
@@ -184,18 +202,21 @@ def family_leakage_traces(family: VariantFamily,
                           ) -> np.ndarray:
     """Leakage traces for every variant in one batched simulation pass.
 
-    Returns ``(variants, len(stimuli), depth+1)``.  Variant ``v``'s
-    plane is bit-identical to :func:`leakage_traces` on that variant
-    alone with ``seed + v`` — noise is drawn from a fresh
-    ``default_rng(seed + v)`` per variant — so a serial per-variant
-    sweep and one batched call produce byte-equal traces (and hence
-    identical TVLA verdicts).
+    ``stimuli`` are per-trace dicts, packed once into columns for
+    :func:`family_net_bit_matrix`.  Returns ``(variants, len(stimuli),
+    depth+1)``.  Variant ``v``'s plane is bit-identical to
+    :func:`leakage_traces` on that variant alone with ``seed + v`` —
+    noise is drawn from a fresh ``default_rng(seed + v)`` per variant —
+    so a serial per-variant sweep and one batched call produce
+    byte-equal traces (and hence identical TVLA verdicts).
     """
     if model not in ("value", "toggle"):
         raise ValueError(f"unknown leakage model {model!r}")
     if len(stimuli) == 0:
         return np.zeros((len(family.variants), 0, 0))
-    bits = family_net_bit_matrix(family, stimuli)
+    bits = family_net_bit_matrix(
+        family, pack_patterns(stimuli, _stimulus_inputs(family)),
+        len(stimuli))
     if model == "toggle":
         toggled = bits.copy()
         toggled[:, :, 1:] = bits[:, :, 1:] ^ bits[:, :, :-1]

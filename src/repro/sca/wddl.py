@@ -142,10 +142,17 @@ def wddl_transform(netlist: Netlist) -> Tuple[Netlist, Dict[str, Tuple[str, str]
     return dual, rails
 
 
-def dual_rail_stimulus(stimulus: Dict[str, int]) -> Dict[str, int]:
-    """Encode a single-rail stimulus into complementary rail pairs."""
+def dual_rail_stimulus(stimulus: Dict[str, int],
+                       width: int = 1) -> Dict[str, int]:
+    """Encode a single-rail stimulus into complementary rail pairs.
+
+    ``stimulus`` maps each input to a ``width``-bit packed word (a
+    per-trace dict at the default width 1); each false rail is the
+    complement of its true rail over those ``width`` bits.
+    """
+    mask = (1 << width) - 1
     out: Dict[str, int] = {}
     for name, value in stimulus.items():
-        out[f"{name}_t"] = value & 1
-        out[f"{name}_f"] = 1 - (value & 1)
+        out[f"{name}_t"] = value & mask
+        out[f"{name}_f"] = ~value & mask
     return out

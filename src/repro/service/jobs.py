@@ -217,18 +217,18 @@ def _locking_point_job(params: Dict[str, object], ctx: JobContext):
     "engine": {"n_traces": 400, "noise_sigma": 0.25,
                "n_fault_vectors": 16}}, sample_result={
     "design": "masked-and", "stack": ["duplication"],
-    "baseline": {"tvla_max_t": 1.09, "tvla_leaks": 0.0,
+    "baseline": {"tvla_max_t": 2.12, "tvla_leaks": 0.0,
                  "leaky_nets": 0.0, "fia_coverage": 0.0,
                  "fia_silent": 48.0, "area": 41.1, "delay": 340.0,
                  "key_bits": 0.0},
-    "final": {"tvla_max_t": 2.15, "tvla_leaks": 0.0, "leaky_nets": 0.0,
+    "final": {"tvla_max_t": 1.57, "tvla_leaks": 0.0, "leaky_nets": 0.0,
               "fia_coverage": 1.0, "fia_silent": 0.0, "area": 94.45,
               "delay": 502.0, "key_bits": 0.0},
     "area_factor": 2.3, "flagged": False, "notes": [],
     "cross_effects": [{"countermeasure": "duplication-detect",
-                       "metric": "tvla_max_t", "before": 1.09,
-                       "after": 2.15, "harmful": False, "note": ""}]},
-    version=2)
+                       "metric": "tvla_max_t", "before": 2.12,
+                       "after": 1.57, "harmful": False, "note": ""}]},
+    version=3)
 def _composition_stack_job(params: Dict[str, object], ctx: JobContext):
     """One cross-effect matrix row: compose a named stack, re-verify.
 
@@ -239,7 +239,9 @@ def _composition_stack_job(params: Dict[str, object], ctx: JobContext):
     nets.  Version 2: each stack entry is a registered flow pass
     (:data:`~repro.core.designs.STACK_PASSES`), so cross effects carry
     the pass name — ``timing-reassociation`` reads ``reassoc-timing``;
-    all other values are unchanged.
+    all other values are unchanged.  Version 3: a design draws each
+    TVLA trace set as packed columns from another RNG stream, so the
+    TVLA and masking values of rows move.
     """
     from ..core import CompositionEngine
 

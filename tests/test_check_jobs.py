@@ -158,7 +158,7 @@ class TestJobResultVersion:
     def test_composition_stack_hash_is_versioned(self):
         from repro.service import JobSpec, registered_job_types
 
-        assert registered_job_types()["composition-stack"].version == 2
+        assert registered_job_types()["composition-stack"].version == 3
         params = {"design": "masked-and", "stack": ["parity"],
                   "engine": {"n_traces": 2000}}
         spec = JobSpec("composition-stack", params=params, seed=1)
@@ -204,7 +204,7 @@ class TestJobResultVersion:
         problems = check_jobs.audit()
         assert problems == [
             f"{name}: version {version} does not change the spec hash"
-            for name, version in (("composition-stack", 2),
+            for name, version in (("composition-stack", 3),
                                   ("locking-point", 1),
                                   ("pass-pipeline", 3))]
 

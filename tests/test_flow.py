@@ -33,7 +33,7 @@ from repro.flow import (
     registered_passes,
     tvla_checker,
 )
-from repro.netlist import GateType, Netlist
+from repro.netlist import GateType, Netlist, encode_int, random_stimulus
 
 
 def small_checkers(n_traces=1200):
@@ -49,9 +49,9 @@ def plain_and_design():
     n.add_output("y")
     return Design(
         name="plain-and", netlist=n,
-        tvla_fixed=lambda rng: {"a": 1, "b": 1},
-        tvla_random=lambda rng: {"a": rng.randint(0, 1),
-                                 "b": rng.randint(0, 1)},
+        tvla_fixed=lambda traces, rng: encode_int(3, ["a", "b"], traces),
+        tvla_random=lambda traces, rng: random_stimulus(["a", "b"], traces,
+                                                        rng),
         payload_outputs=["y"])
 
 
@@ -202,10 +202,9 @@ class TestSecureAesProvenance:
         pm = PassManager(
             checkers={P.TVLA_BOUND: tvla_checker(n_traces=400)}, seed=0)
         design = netlist_design(aes_sbox_netlist(), name="aes-sbox")
-        design.tvla_fixed = lambda rng: {f"x{i}": (0x53 >> i) & 1
-                                         for i in range(8)}
-        design.tvla_random = lambda rng: {f"x{i}": rng.randint(0, 1)
-                                          for i in range(8)}
+        names = [f"x{i}" for i in range(8)]
+        design.tvla_fixed = lambda n, rng: encode_int(0x53, names, n)
+        design.tvla_random = lambda n, rng: random_stimulus(names, n, rng)
         pipeline = [MaskInsertionPass(), BufferSweepPass(),
                     PlacementPass(iterations=300), StaSignoffPass()]
         return pm.run(design, pipeline, goals=[P.TVLA_BOUND])

@@ -44,9 +44,10 @@ def gated_leak_design():
     return Design(
         name="dbg",
         netlist=gated_leak_circuit(),
-        tvla_fixed=lambda rng: {"key": 1, "data": 1, "debug_en": 0},
-        tvla_random=lambda rng: {
-            "key": rng.randint(0, 1), "data": rng.randint(0, 1),
+        tvla_fixed=lambda n, rng: {"key": (1 << n) - 1,
+                                   "data": (1 << n) - 1, "debug_en": 0},
+        tvla_random=lambda n, rng: {
+            "key": rng.getrandbits(n), "data": rng.getrandbits(n),
             "debug_en": 0},
     )
 
@@ -72,6 +73,35 @@ class TestNoFlowProof:
         n.add_gate("y", GateType.BUF, ["a"])
         n.add_output("y")
         assert prove_no_flow(n, "s", "y").isolated
+
+
+class TestMissingPorts:
+    """A no-flow query on a net the netlist lacks is rejected by name;
+    as a requirement it is a failing verdict, not an exception."""
+
+    @pytest.mark.parametrize("target,fixed", [
+        (None, {}), ("nope", {}), ("debug_out", {"nope": 0})])
+    def test_proof_names_the_missing_net(self, target, fixed):
+        with pytest.raises(ValueError, match="is not a net"):
+            prove_no_flow(gated_leak_circuit(), "key", target, fixed=fixed)
+
+    @pytest.mark.parametrize("source,target,when,missing", [
+        ("a0", "nope", None, "'nope' is not a net"),
+        ("a0", "c0", {"nope": 1}, "'nope' is not a net"),
+        ("nope", "c0", None, "'nope' is not a primary input")])
+    def test_check_fails_with_the_reason(self, source, target, when,
+                                         missing):
+        check = no_flow_check(masked_and_design(), source, target,
+                              when=when)
+        assert not check.passed
+        assert missing in check.message
+
+    def test_requirement_into_a_missing_alarm_fails(self):
+        design = masked_and_design()   # no alarm yet
+        result = compile_and_check(
+            design, [no_flow_requirement("a0", design.alarm)])
+        assert not result.all_passed
+        assert "None is not a net" in result.trace.final[0].message
 
 
 class TestConstraintCompiler:

@@ -122,6 +122,22 @@ class TestStimulus:
         # 0.5 +- 0.05 is over six standard errors at 4000 draws.
         assert np.all(np.abs(means - 0.5) < 0.05), means
 
+    def test_columns_draw_one_word_per_first_share_and_random_input(self):
+        masked = mask_netlist(present_sbox_netlist())
+        n = 4000
+        plain_rng = random.Random(7)
+        plain = {f"x{i}": plain_rng.getrandbits(n) for i in range(4)}
+        rng = CountingRandom(3)
+        columns = masked.stimulus_columns(plain, n, rng)
+        assert rng.calls == {"getrandbits": len(masked.input_shares)
+                             + masked.randomness_bits}
+        assert sorted(columns) == sorted(masked.netlist.inputs)
+        for name, (s0, s1) in masked.input_shares.items():
+            assert columns[s0] ^ columns[s1] == plain[name]
+        means = np.array([word.bit_count() for word in columns.values()]) / n
+        # 0.5 +- 0.05 is over six standard errors at 4000 traces.
+        assert np.all(np.abs(means - 0.5) < 0.05), means
+
     def test_missing_plain_inputs_read_as_zero(self):
         masked = mask_netlist(c17())
         stim = masked.stimulus({}, random.Random(0))

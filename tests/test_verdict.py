@@ -7,14 +7,19 @@ trace set draws a second one and reports a leak only where both sets
 cross at the same sample (TVLA) or net (per-net test) — standard TVLA
 practice.  These tests pin:
 
-* the composition false negative a one-set verdict gives at seed
-  403413014, a seed range fixed in advance, and the risk register's
-  grading;
-* oracles: the first set's statistics equal the pre-existing
-  ``tvla(leakage_traces(...))`` and per-net loop on the same stimuli;
+* the composition false negative a one-set verdict gives where the
+  masked baseline's first set crosses by chance, a seed range fixed in
+  advance, and the risk register's grading;
+* oracles: the first set's statistics equal ``tvla(leakage_traces(...))``
+  and the per-net loop on the design's columns unpacked trace by trace;
 * cost: one simulation per TVLA class and trace set, shared by both
-  checks, and none on a re-check of an unmutated netlist.
+  checks, and none on a re-check of an unmutated netlist;
+* the draw contract: a design draws each class as packed columns from
+  its own seeded RNG, one column per input, for every registered pass
+  that returns a design.
 """
+
+import random
 
 import numpy as np
 import pytest
@@ -38,13 +43,19 @@ from repro.flow import (
     PassManager,
     SecurePlacementPass,
     SecurityProperty as P,
+    create_pass,
     default_checkers,
     masking_check,
     masking_checker,
     netlist_design,
+    registered_passes,
     tvla_check,
 )
-from repro.netlist import get_compiled
+from repro.netlist import (
+    pack_patterns,
+    ripple_carry_adder,
+    simulate_reference,
+)
 from repro.sca import (
     TVLA_THRESHOLD,
     assessed_nets,
@@ -57,9 +68,15 @@ from repro.sca import (
 from repro.sca import power_model
 from repro.sca.power_model import net_bit_matrix
 
-#: The first set alone reads the masked baseline at max|t| 4.89 here,
+#: The smallest seed (scanning up from 0) whose first set alone reads
+#: the masked baseline above 4.5, at 5.03 with 2000 traces per class,
 #: so a one-set verdict sees no pass-to-fail flip on masked-and+parity.
-FALSE_POSITIVE_SEED = 403413014
+#: A second set does not confirm it.
+FALSE_POSITIVE_SEED = 68517
+
+#: Oracle seeds: small and large ones fixed in advance, plus
+#: FALSE_POSITIVE_SEED, where the second set decides the masked verdict.
+ORACLE_SEEDS = [0, 7, 403413014, FALSE_POSITIVE_SEED]
 
 #: Fixed in advance; not chosen by outcome.
 SWEEP_SEEDS = range(20)
@@ -70,16 +87,25 @@ def parity_design():
                              [ParityDetectPass()]).design
 
 
+def unpack(columns, n):
+    """Per-trace dicts of packed columns: trace ``p`` reads bit ``p``."""
+    return [{name: (word >> p) & 1 for name, word in columns.items()}
+            for p in range(n)]
+
+
 def reference_per_net_loop(netlist, fixed_stimuli, random_stimuli,
                            noise_sigma=0.01, seed=0):
     """The per-net loop ``locate_leaking_nets`` ran before it was
     vectorized, kept verbatim as the oracle: ``(net, t, level)``, most
-    leaky first."""
+    leaky first.  Net values come from the interpreted reference
+    simulator over each class's packed columns."""
     def per_net_values(stimuli):
-        compiled = get_compiled(netlist)
-        bits = net_bit_matrix(netlist, stimuli)
-        return {net: bits[i].astype(np.int64)
-                for i, net in enumerate(compiled.names)}
+        n = len(stimuli)
+        values = simulate_reference(
+            netlist, pack_patterns(stimuli, netlist.inputs), width=n)
+        return {net: np.array([(word >> p) & 1 for p in range(n)],
+                              dtype=np.int64)
+                for net, word in values.items()}
 
     rng = np.random.default_rng(seed)
     fixed_bits = per_net_values(fixed_stimuli)
@@ -100,10 +126,16 @@ def reference_per_net_loop(netlist, fixed_stimuli, random_stimuli,
     return results
 
 
+def class_stimuli(design, n_traces, fixed, seed):
+    """One TVLA class of ``design`` unpacked into per-trace dicts."""
+    return unpack(design.make_stimuli(n_traces, fixed, seed), n_traces)
+
+
 def reference_first_set_t(design, n_traces, noise_sigma, seed):
-    """Whole-trace max|t| of one set, as ``tvla_check`` computed it."""
-    fixed = design.make_stimuli(n_traces, True, seed)
-    rand = design.make_stimuli(n_traces, False, seed + 1)
+    """Whole-trace TVLA of one set: the design's columns unpacked trace
+    by trace and run through ``leakage_traces``."""
+    fixed = class_stimuli(design, n_traces, True, seed)
+    rand = class_stimuli(design, n_traces, False, seed + 1)
     return tvla(leakage_traces(design.netlist, fixed,
                                noise_sigma=noise_sigma, seed=seed),
                 leakage_traces(design.netlist, rand,
@@ -112,13 +144,13 @@ def reference_first_set_t(design, n_traces, noise_sigma, seed):
 
 @pytest.fixture
 def simulations(monkeypatch):
-    """Counts packed simulations of a stimulus batch."""
+    """Counts the kernel's simulations of a trace set, by trace count."""
     calls = []
     real = power_model.family_net_bit_matrix
 
-    def counted(family, stimuli):
-        calls.append(len(stimuli))
-        return real(family, stimuli)
+    def counted(family, columns, n_traces):
+        calls.append(n_traces)
+        return real(family, columns, n_traces)
 
     monkeypatch.setattr(power_model, "family_net_bit_matrix", counted)
     return calls
@@ -150,8 +182,8 @@ class TestCompositionVerdict:
     def test_seed_one_keeps_first_set_values(self):
         row = CompositionEngine(seed=1, n_traces=2000) \
             .evaluate_stack_row("masked-and", ["parity"])
-        assert round(row["baseline"]["tvla_max_t"], 4) == 1.2635
-        assert round(row["final"]["tvla_max_t"], 2) == 49.43
+        assert round(row["baseline"]["tvla_max_t"], 4) == 3.2376
+        assert round(row["final"]["tvla_max_t"], 2) == 48.46
         assert row["flagged"]
 
     def test_more_confirmed_leaking_nets_are_flagged(self):
@@ -186,7 +218,7 @@ class TestRiskRegisterVerdict:
 
 
 class TestOracles:
-    @pytest.mark.parametrize("seed", [0, 7, FALSE_POSITIVE_SEED])
+    @pytest.mark.parametrize("seed", ORACLE_SEEDS)
     @pytest.mark.parametrize("make", [masked_and_design, parity_design])
     def test_first_set_max_t_is_tvla_on_leakage_traces(self, make, seed):
         design = make()
@@ -195,12 +227,12 @@ class TestOracles:
         assert check.value == reference_first_set_t(
             design, 1500, 0.25, seed).max_abs_t
 
-    @pytest.mark.parametrize("seed", [0, 7, FALSE_POSITIVE_SEED])
+    @pytest.mark.parametrize("seed", ORACLE_SEEDS)
     @pytest.mark.parametrize("make", [masked_and_design, parity_design])
     def test_per_net_t_is_the_per_net_loop(self, make, seed):
         design = make()
-        fixed = design.make_stimuli(1500, True, seed)
-        rand = design.make_stimuli(1500, False, seed + 1)
+        fixed = class_stimuli(design, 1500, True, seed)
+        rand = class_stimuli(design, 1500, False, seed + 1)
         got = [(e.net, e.t_statistic, e.level) for e in
                locate_leaking_nets(design.netlist, fixed, rand, seed=seed)]
         assert got == reference_per_net_loop(design.netlist, fixed, rand,
@@ -211,15 +243,17 @@ class TestOracles:
         fixed = design.make_stimuli(800, True, 3)
         rand = design.make_stimuli(800, False, 4)
         t = net_t_statistics(design.netlist,
-                             net_bit_matrix(design.netlist, fixed),
-                             net_bit_matrix(design.netlist, rand), seed=3)
+                             net_bit_matrix(design.netlist, fixed, 800),
+                             net_bit_matrix(design.netlist, rand, 800),
+                             seed=3)
         reference = {net: value for net, value, _ in
-                     reference_per_net_loop(design.netlist, fixed, rand,
-                                            seed=3)}
+                     reference_per_net_loop(design.netlist,
+                                            unpack(fixed, 800),
+                                            unpack(rand, 800), seed=3)}
         assert list(t) == [reference[net]
                            for net in assessed_nets(design.netlist)]
 
-    @pytest.mark.parametrize("seed", [1, FALSE_POSITIVE_SEED])
+    @pytest.mark.parametrize("seed", [1, 403413014, FALSE_POSITIVE_SEED])
     def test_verdicts_confirm_on_the_second_set(self, seed):
         # Set k draws stimulus seeds seed+2k / seed+2k+1; a point leaks
         # when both sets cross the threshold there.
@@ -233,8 +267,8 @@ class TestOracles:
 
             nets = {}
             for k in (0, 1):
-                fixed = design.make_stimuli(2000, True, seed + 2 * k)
-                rand = design.make_stimuli(2000, False, seed + 2 * k + 1)
+                fixed = class_stimuli(design, 2000, True, seed + 2 * k)
+                rand = class_stimuli(design, 2000, False, seed + 2 * k + 1)
                 nets[k] = {net for net, t, _ in reference_per_net_loop(
                     design.netlist, fixed, rand, seed=seed + 2 * k)
                     if abs(t) > TVLA_THRESHOLD}
@@ -280,9 +314,10 @@ class TestSimulationCost:
 
 
 class TestStimuliArePure:
-    """A trace set is a function of ``(n, fixed, seed)``: a masked
-    design's share draws come from the draw's own seeded RNG, not from
-    state the design keeps between draws."""
+    """A trace set is a function of ``(n, fixed, seed)``: a design draws
+    each class as packed columns, and a masked design's share draws
+    come from the draw's own seeded RNG, not from state the design
+    keeps between draws."""
 
     @pytest.fixture(scope="class")
     def masked_present(self):
@@ -292,14 +327,113 @@ class TestStimuliArePure:
 
     def test_equal_calls_give_equal_stimuli(self, masked_present):
         first = masked_present.make_stimuli(50, False, 5)
+        masked_present.make_stimuli(100, True, 9)
         assert masked_present.make_stimuli(50, False, 5) == first
         assert masked_present.make_stimuli(50, True, 5) != first
+        assert all(isinstance(word, int) for word in first.values())
 
     def test_tvla_check_ignores_earlier_draws(self, masked_present):
         fresh = tvla_check(masked_present, n_traces=500, seed=5).value
         masked_present.make_stimuli(100, True, 9)
         assert tvla_check(masked_present, n_traces=500, seed=5).value \
             == fresh
+
+
+#: Traces per class in the draw-contract checks; not a multiple of 8.
+N_DRAW = 333
+ONES = (1 << N_DRAW) - 1
+
+
+def base_designs():
+    return {"masked-and": masked_and_design(),
+            "present": netlist_design(present_sbox_netlist()),
+            "rca4": netlist_design(ripple_carry_adder(4))}
+
+
+def pass_designs(name):
+    """The designs pass ``name`` returns on each base design.  Passes
+    that need a prior placement or route, flops or camouflage
+    candidates raise ``ValueError`` on these bases; in-place passes
+    keep the base design."""
+    out = []
+    for design in base_designs().values():
+        try:
+            result = PassManager(seed=0).run(design, [create_pass(name)])
+        except ValueError:
+            continue
+        if result.design is not design:
+            out.append(result.design)
+    return out
+
+
+#: Every registered pass that returns a design on some base.
+DESIGN_PASSES = [name for name in sorted(registered_passes())
+                 if pass_designs(name)]
+
+
+class TestDrawContract:
+    """Every design a registered pass returns draws one ``N_DRAW``-bit
+    column per input of its netlist, and its adapter keeps each trace's
+    plain value: shares XOR to it, WDDL rails carry it and its
+    complement, key inputs are constant."""
+
+    def test_every_base_and_design_pass_is_covered(self):
+        assert {"mask-insertion", "wddl-hiding", "duplication-detect",
+                "parity-detect", "logic-locking", "sfll-lock"} \
+            <= set(DESIGN_PASSES)
+
+    @pytest.mark.parametrize("name", DESIGN_PASSES)
+    def test_columns_drive_exactly_the_inputs(self, name):
+        for design in pass_designs(name):
+            for fixed in (True, False):
+                columns = design.make_stimuli(N_DRAW, fixed, 5)
+                assert sorted(columns) == sorted(design.netlist.inputs)
+                assert all(0 <= word <= ONES for word in columns.values())
+
+    @pytest.mark.parametrize("name", DESIGN_PASSES)
+    def test_adapters_keep_each_trace_plain(self, name):
+        for design in pass_designs(name):
+            for fixed in (True, False):
+                # make_stimuli runs the class generator first, then the
+                # adapter, on one random.Random(seed).
+                generator = design.tvla_fixed if fixed \
+                    else design.tvla_random
+                plain = generator(N_DRAW, random.Random(5))
+                columns = design.make_stimuli(N_DRAW, fixed, 5)
+                derived = set()
+                for x, word in plain.items():
+                    if f"{x}_s0" in columns:
+                        assert columns[f"{x}_s0"] ^ columns[f"{x}_s1"] \
+                            == word
+                        derived |= {f"{x}_s0", f"{x}_s1"}
+                    elif f"{x}_t" in columns:
+                        assert columns[f"{x}_t"] == word
+                        assert columns[f"{x}_f"] == word ^ ONES
+                        derived |= {f"{x}_t", f"{x}_f"}
+                    else:
+                        assert columns[x] == word
+                        derived.add(x)
+                for x in set(columns) - derived:
+                    if not x.startswith("rnd"):   # key inputs
+                        assert columns[x] in (0, ONES), x
+
+    def test_fixed_classes_of_the_bases_are_constant(self):
+        for base, design in base_designs().items():
+            columns = design.make_stimuli(N_DRAW, True, 5)
+            if base == "masked-and":
+                for secret in "ab":
+                    assert columns[f"{secret}0"] ^ columns[f"{secret}1"] \
+                        ^ columns[f"{secret}2"] == ONES
+            else:
+                assert set(columns.values()) <= {0, ONES}
+
+    @pytest.mark.parametrize("name", DESIGN_PASSES)
+    def test_first_set_t_is_leakage_traces_of_unpacked_columns(self, name):
+        for design in pass_designs(name):
+            check = tvla_check(design, n_traces=N_DRAW, noise_sigma=0.25,
+                               seed=5)
+            assert check.value == reference_first_set_t(
+                design, N_DRAW, 0.25, 5).max_abs_t
 
 
 class TestOneVerdictEverywhere:
