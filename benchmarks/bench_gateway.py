@@ -28,7 +28,7 @@ import threading
 import time
 
 from repro.netlist import c17, netlist_to_dict
-from repro.service import ArtifactStore, JobSpec, SqliteRunDatabase
+from repro.service import ArtifactStore, JobSpec, RunDatabase
 from repro.service.client import GatewayClient
 from repro.service.gateway import Gateway
 from repro.service.tenants import Tenant, TenantRegistry
@@ -95,7 +95,7 @@ def run_gateway_load():
         "bench", "bench-token", rate=10_000.0, burst=10_000,
         max_in_flight=4096)])
     gateway = Gateway(store, registry,
-                      rundb=SqliteRunDatabase(f"{root}/runs.sqlite"),
+                      rundb=RunDatabase(f"{root}/runs.sqlite"),
                       workers=WORKERS)
     host, port = gateway.start()
     try:

@@ -68,6 +68,10 @@ ALLOWLIST: Dict[str, Tuple[str, str]] = {
     "repro.netlist.simulate_reference": (
         "reference", "the interpreted semantics tests/test_engine.py "
         "property-tests the compiled engine against"),
+    "repro.netlist.exhaustive_truth_table": (
+        "reference", "the exhaustive function of a small netlist that "
+        "tests and tests/key_oracle.py compare rewrites, mappings and "
+        "recovered keys against"),
     "repro.formal.var_of": (
         "reference", "literal decoding in tests/reference_sat.py, the "
         "reference solver the CDCL solver is checked against"),
@@ -88,8 +92,6 @@ ALLOWLIST: Dict[str, Tuple[str, str]] = {
     "repro.sca.mutual_information": (
         "api-helper", "one-column call of _mi_table, the kernel "
         "mia_attack runs"),
-    "repro.synth.synthesize": (
-        "api-helper", "one-call SynthesisFlow run"),
     "repro.hls.multi_byte_kernel": (
         "api-helper", "multi-lane DFGs for list_schedule and binding, "
         "which the HLS Table II cells run"),

@@ -1,9 +1,7 @@
 """Epoch-keyed analysis cache for the pass manager.
 
-Every expensive derived view of a netlist — topological order,
-levelization, PPA, the compiled simulation program, the simulated net
-bits of a TVLA class and the leakage statistics computed from them —
-is an *analysis*.  :class:`AnalysisCache` stores one entry per
+Every expensive derived view of a netlist is an *analysis*.
+:class:`AnalysisCache` stores one entry per
 ``(analysis name, extra key)`` pair, validated against the identity of
 the netlist it was computed from **and** the netlist's
 :attr:`~repro.netlist.Netlist.mutation_epoch` at computation time.
@@ -15,10 +13,9 @@ get their analyses back for free.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Tuple
 
-from ..netlist import Netlist, ppa_report
-from ..netlist.engine import get_compiled
+from ..netlist import Netlist
 
 
 class AnalysisCache:
@@ -54,37 +51,3 @@ class AnalysisCache:
                                    netlist, value)
         return value
 
-    def invalidate(self, name: Optional[str] = None) -> None:
-        """Drop entries for one analysis name, or everything."""
-        if name is None:
-            self._entries.clear()
-            return
-        for full_key in [k for k in self._entries if k[0] == name]:
-            del self._entries[full_key]
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    # -- stock analyses ------------------------------------------------
-
-    def topo_order(self, netlist: Netlist):
-        """Cached topological order."""
-        return self.get("topo-order", netlist, netlist.topological_order)
-
-    def levels(self, netlist: Netlist):
-        """Cached logic levelization."""
-        return self.get("levels", netlist, netlist.levels)
-
-    def ppa(self, netlist: Netlist):
-        """Cached PPA report."""
-        return self.get("ppa", netlist, lambda: ppa_report(netlist))
-
-    def compiled(self, netlist: Netlist):
-        """Cached compiled simulation program.
-
-        ``get_compiled`` already keeps one program per netlist keyed on
-        topo-list identity; routing it through the cache also counts
-        hits/misses into the flow provenance.
-        """
-        return self.get("compiled-engine", netlist,
-                        lambda: get_compiled(netlist))

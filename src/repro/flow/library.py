@@ -29,7 +29,7 @@ from ..core.stages import DesignStage
 from ..dft import insert_scan, run_atpg, run_bist
 from ..fia import duplicate_and_compare, parity_protect
 from ..ip import camouflage, lock_xor, sfll_hd_lock
-from ..netlist import Netlist
+from ..netlist import Netlist, ppa_report
 from ..physical import (
     annealing_placement,
     critical_path_placed,
@@ -38,14 +38,14 @@ from ..physical import (
 from ..sca.masked_synthesis import mask_netlist
 from ..sca.wddl import dual_rail_stimulus, wddl_transform
 from ..synth import (
-    BufferSweep,
-    ConstantPropagation,
-    DeadGateSweep,
-    DoubleInversionElimination,
-    StructuralHashing,
-    SynthesisFlow,
+    buffer_sweep,
+    constant_propagation,
+    dead_gate_sweep,
+    double_inversion_elimination,
+    map_to_library,
     reassociate_for_timing,
     standard_library,
+    structural_hashing,
 )
 from .passes import (
     Pass,
@@ -93,16 +93,17 @@ class _SynthRewritePass(Pass):
     """Shared apply() for single synthesis-rewrite wrappers."""
 
     stage = DesignStage.LOGIC_SYNTHESIS
-    rewrite_cls = None
+    rewrite = None
 
     def apply(self, netlist, ctx) -> PassResult:
-        report = self.rewrite_cls()(netlist)
+        before = netlist.num_cells()
+        rewrites = self.rewrite(netlist)
+        after = netlist.num_cells()
         return PassResult(
-            self.name, rewrites=report.rewrites,
-            summary=f"{report.pass_name}: {report.rewrites} rewrites, "
-                    f"{report.cells_before} -> {report.cells_after} cells",
-            details={"cells_removed":
-                     report.cells_before - report.cells_after})
+            self.name, rewrites=rewrites,
+            summary=f"{self.name}: {rewrites} rewrites, "
+                    f"{before} -> {after} cells",
+            details={"cells_removed": before - after})
 
 
 @register_pass
@@ -110,7 +111,7 @@ class ConstantPropagationPass(_SynthRewritePass):
     """Constant folding can collapse a share onto a constant wire."""
 
     name = "constprop"
-    rewrite_cls = ConstantPropagation
+    rewrite = staticmethod(constant_propagation)
     effects = effects(
         preserves=[P.FUNCTIONAL_EQUIVALENCE, P.NO_FLOW, P.SCAN_LEAKAGE,
                    P.FAULT_DETECTION],
@@ -123,7 +124,7 @@ class StructuralHashingPass(_SynthRewritePass):
     checker logic also voids duplication-based detection."""
 
     name = "strash"
-    rewrite_cls = StructuralHashing
+    rewrite = staticmethod(structural_hashing)
     effects = effects(
         preserves=[P.FUNCTIONAL_EQUIVALENCE, P.NO_FLOW, P.SCAN_LEAKAGE],
         invalidates=[P.MASKING, P.TVLA_BOUND, P.FAULT_DETECTION,
@@ -135,7 +136,7 @@ class DoubleInversionPass(_SynthRewritePass):
     """Dropping inverter pairs is local and value-preserving per wire."""
 
     name = "inv2"
-    rewrite_cls = DoubleInversionElimination
+    rewrite = staticmethod(double_inversion_elimination)
     effects = preserves_all(invalidates=_LAYOUT)
 
 
@@ -144,7 +145,7 @@ class BufferSweepPass(_SynthRewritePass):
     """Buffers carry the same value as their fanin; removal is inert."""
 
     name = "bufsweep"
-    rewrite_cls = BufferSweep
+    rewrite = staticmethod(buffer_sweep)
     effects = preserves_all(invalidates=_LAYOUT)
 
 
@@ -153,8 +154,13 @@ class DeadGateSweepPass(_SynthRewritePass):
     """Dead logic is unobservable by construction."""
 
     name = "sweep"
-    rewrite_cls = DeadGateSweep
+    rewrite = staticmethod(dead_gate_sweep)
     effects = preserves_all(invalidates=_LAYOUT)
+
+
+#: The ``synthesis`` pass's rewrite order, run ``iterations`` times.
+_SYNTHESIS_ORDER = (constant_propagation, double_inversion_elimination,
+                    buffer_sweep, structural_hashing, dead_gate_sweep)
 
 
 @register_pass
@@ -176,18 +182,19 @@ class SynthesisStagePass(Pass):
         self.map_library = map_library
 
     def apply(self, netlist, ctx) -> PassResult:
-        flow = SynthesisFlow(
-            library=standard_library() if self.map_library else None,
-            iterations=self.iterations)
-        result = flow.run(netlist, in_place=True)
+        before = ppa_report(netlist)
+        rewrites = sum(rewrite(netlist) for _ in range(self.iterations)
+                       for rewrite in _SYNTHESIS_ORDER)
+        if self.map_library:
+            map_to_library(netlist, standard_library())
+        after = ppa_report(netlist)
         return PassResult(
-            self.name,
-            rewrites=sum(r.rewrites for r in result.pass_reports),
-            summary=f"optimized {result.ppa_before.cell_count} -> "
-                    f"{result.ppa_after.cell_count} cells, mapped to "
-                    f"std library",
-            details={"area": result.ppa_after.area,
-                     "area_reduction": result.area_reduction})
+            self.name, rewrites=rewrites,
+            summary=f"optimized {before.cell_count} -> "
+                    f"{after.cell_count} cells, mapped to std library",
+            details={"area": after.area,
+                     "area_reduction": 1.0 - after.area / before.area
+                     if before.area else 0.0})
 
 
 @register_pass

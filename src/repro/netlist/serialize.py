@@ -55,22 +55,22 @@ def netlist_to_dict(netlist: Netlist) -> Dict[str, object]:
     }
 
 
-def netlist_from_dict(data: Dict[str, object],
-                      validate: bool = False) -> Netlist:
+def netlist_from_dict(data: Dict[str, object]) -> Netlist:
     """Rebuild a :class:`Netlist` from :func:`netlist_to_dict` output.
 
     ``add_gate`` tolerates forward references in fanins, so gates are
-    replayed in their stored (insertion) order directly.  Pass
-    ``validate=True`` to re-run full structural validation on data
-    from outside the artifact store.
+    replayed in their stored (insertion) order directly, and the result
+    is then validated: an undriven fanin, a bad arity or a
+    combinational cycle raises :class:`~repro.netlist.NetlistError`.
+    The topological order that check computes is the one the engine
+    compiles from, so a valid netlist pays for it once.
     """
     netlist = Netlist(str(data["name"]))
     for name, type_value, fanins in data["gates"]:
         netlist.add_gate(name, GateType(type_value), list(fanins))
     for net in data["outputs"]:
         netlist.add_output(net)
-    if validate:
-        netlist.validate()
+    netlist.validate()
     return netlist
 
 

@@ -34,7 +34,6 @@ from .store import ArtifactStore, GcReport, validate_digest
 from .rundb import (
     RunDatabase,
     RunRecord,
-    SqliteRunDatabase,
     migrate_jsonl,
     render_records,
 )
@@ -82,7 +81,7 @@ from .tenants import (
 
 __all__ = [
     "ArtifactStore", "GcReport", "validate_digest",
-    "RunDatabase", "SqliteRunDatabase",
+    "RunDatabase",
     "RunRecord", "render_records", "migrate_jsonl",
     "JobContext", "JobSpec", "JobType", "evaluate_variants",
     "job_function", "register_job_type", "registered_job_types", "run_job",

@@ -474,7 +474,10 @@ async def handle_publish_netlist(gw: "Gateway", tenant: Tenant,
     visible to — only — the publishing tenant.
 
     Errors:
-        400 bad_request     body is not a valid netlist transport dict
+        400 bad_request     body is not a valid netlist transport dict,
+                            or its netlist does not validate (an
+                            undriven fanin, a combinational cycle);
+                            nothing is stored or pinned
     """
     del params, query
     try:

@@ -236,10 +236,6 @@ class RunDatabase:
         }
 
 
-#: Alias of :class:`RunDatabase` for code that names the SQLite backend.
-SqliteRunDatabase = RunDatabase
-
-
 def migrate_jsonl(src: Union[str, Path],
                   dest: Union[str, Path]) -> int:
     """Copy a legacy JSON-lines run log into a SQLite database.

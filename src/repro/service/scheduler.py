@@ -101,8 +101,8 @@ def _worker_loop(conn, heartbeat_interval: float) -> None:
       from a daemon thread (send-locked — the pipe is shared).
 
     Warm state lives in the process, not this function: the engine
-    cache and solver registry are module-level singletons that survive
-    between tasks, and :class:`~repro.service.store.ArtifactStore`
+    cache is a module-level singleton that survives between tasks,
+    and :class:`~repro.service.store.ArtifactStore`
     handles are kept per root so store counters accumulate.  A task id
     travels with every result so the parent can discard output from a
     task it has already written off (timeout, cancellation) — though
@@ -198,9 +198,9 @@ class WorkerPool:
 
     Standalone so it can outlive any one :class:`Scheduler`: pass the
     same pool to successive schedulers (``Scheduler(pool=...)``) and
-    the workers' process-local caches — compiled netlist programs,
-    parsed netlists, incremental SAT engines — stay warm across
-    campaign resubmissions.  Context-manager friendly::
+    the workers' process-local caches — compiled netlist programs and
+    parsed netlists — stay warm across campaign resubmissions (no SAT
+    solver outlives its job).  Context-manager friendly::
 
         with WorkerPool(4) as pool:
             Scheduler(pool=pool, store=store).run_campaign_a()
@@ -326,8 +326,10 @@ class Scheduler:
     ``workers`` bounds concurrent worker processes (0 = in-process).
     ``store`` (optional) enables the content-addressed result cache;
     ``rundb`` (optional) records every outcome.  ``on_event`` is
-    called as ``on_event(job)`` at each status transition — the CLI's
-    watch mode.
+    called as ``on_event(job)`` at each status transition.  ``bus``
+    (optional) publishes each transition as a
+    :class:`~repro.service.events.JobEvent`; the CLI's watch mode and
+    the gateway's event streams subscribe to it.
 
     With ``workers >= 1`` jobs execute on a :class:`WorkerPool` of
     long-lived workers; pass an existing ``pool`` to share warm

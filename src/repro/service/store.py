@@ -180,6 +180,11 @@ class ArtifactStore:
                     cache: bool = True) -> Optional[Netlist]:
         """Load a netlist artifact back into a :class:`Netlist`.
 
+        The parse validates the netlist
+        (:func:`~repro.netlist.netlist_from_dict`), so a malformed
+        artifact raises :class:`~repro.netlist.NetlistError` on load,
+        not a ``KeyError`` in whatever reads it later.
+
         Served through the process-local
         :func:`~repro.netlist.engine_cache` by default: a warm worker
         re-loading the design it just evaluated skips the parse *and*

@@ -1,13 +1,16 @@
-"""Logic synthesis: optimization passes, restructuring, technology mapping."""
+"""Logic synthesis: rewrite functions, restructuring, technology mapping.
+
+The rewrites mutate a netlist in place and return their rewrite count;
+the flow's registered passes (:mod:`repro.flow.library`) are what run
+them, one per pass or all five in the ``synthesis`` pass.
+"""
 
 from .passes import (
-    BufferSweep,
-    ConstantPropagation,
-    DeadGateSweep,
-    DoubleInversionElimination,
-    PassReport,
-    StructuralHashing,
-    SynthesisPass,
+    buffer_sweep,
+    constant_propagation,
+    dead_gate_sweep,
+    double_inversion_elimination,
+    structural_hashing,
 )
 from .restructure import (
     XorTree,
@@ -22,19 +25,11 @@ from .library import (
     standard_library,
 )
 from .techmap import decompose_variadic, map_to_library, to_nand_inv
-from .optimizer import (
-    SynthesisFlow,
-    SynthesisResult,
-    default_passes,
-    synthesize,
-)
 
 __all__ = [
-    "BufferSweep", "ConstantPropagation", "DeadGateSweep",
-    "DoubleInversionElimination", "PassReport", "StructuralHashing",
-    "SynthesisPass",
+    "buffer_sweep", "constant_propagation", "dead_gate_sweep",
+    "double_inversion_elimination", "structural_hashing",
     "XorTree", "balance_trees", "collect_trees", "reassociate_for_timing",
     "Cell", "CellLibrary", "nand_inv_library", "standard_library",
     "decompose_variadic", "map_to_library", "to_nand_inv",
-    "SynthesisFlow", "SynthesisResult", "default_passes", "synthesize",
 ]

@@ -286,19 +286,6 @@ class TestAnalysisCacheKeys:
         assert (a, b) == ("lo", "hi")
         assert cache.get("x", n, lambda: "??", key=(n, 1)) == "lo"
 
-    def test_named_invalidation(self):
-        cache = AnalysisCache()
-        n = Netlist("k")
-        n.add_input("a")
-        n.add_gate("y", GateType.BUF, ["a"])
-        n.add_output("y")
-        cache.topo_order(n)
-        cache.levels(n)
-        cache.invalidate("topo-order")
-        assert len(cache) == 1
-        cache.invalidate()
-        assert len(cache) == 0
-
 
 class TestLegacyWrappers:
     def test_secure_flow_exposes_trace(self):

@@ -15,6 +15,7 @@ from repro.formal import (
     prove_output_constant,
     solve_circuit,
 )
+from repro.flow import PassManager, SynthesisStagePass, netlist_design
 from repro.netlist import (
     GateType,
     Netlist,
@@ -23,7 +24,14 @@ from repro.netlist import (
     output_values,
     random_circuit,
 )
-from repro.synth import synthesize, to_nand_inv
+from repro.synth import to_nand_inv
+
+
+def synthesized(netlist):
+    """A copy of ``netlist`` after the ``synthesis`` pass, unmapped."""
+    design = netlist_design(netlist.copy())
+    passes = [SynthesisStagePass(map_library=False)]
+    return PassManager().run(design, passes).design.netlist
 
 
 def brute_force_sat(n_vars, clauses):
@@ -187,7 +195,7 @@ class TestEquivalence:
     def test_equivalent_after_synthesis(self):
         for seed in (1, 2):
             n = random_circuit(7, 60, 3, seed=seed)
-            m = synthesize(n)
+            m = synthesized(n)
             assert check_equivalence(n, m).equivalent
 
     def test_equivalent_after_techmap(self):
@@ -241,7 +249,7 @@ class TestEquivalence:
         # SAT/UNSAT verdicts.  Re-prove equivalence through one warm
         # encoder-backed check and a cold one.
         n = random_circuit(4, 15, 2, seed=11)
-        m = synthesize(n)
+        m = synthesized(n)
         cold = check_equivalence(n, m).equivalent
         warm = check_equivalence(n, m).equivalent
         assert cold == warm is True
@@ -269,5 +277,5 @@ class TestProperties:
 @given(st.integers(0, 1000))
 def test_equivalence_random_property(seed):
     n = random_circuit(5, 30, 2, seed=seed)
-    m = synthesize(n)
+    m = synthesized(n)
     assert check_equivalence(n, m).equivalent

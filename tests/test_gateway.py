@@ -45,7 +45,7 @@ from repro.service.campaigns import (
 from repro.service.client import GatewayClient, GatewayClientError
 from repro.service.gateway import Gateway, GatewayError, spec_from_body
 from repro.service.jobs import JobSpec
-from repro.service.rundb import SqliteRunDatabase
+from repro.service.rundb import RunDatabase
 from repro.service.scheduler import Scheduler
 from repro.service.store import ArtifactStore
 from repro.service.tenants import Tenant, TenantRegistry
@@ -53,13 +53,14 @@ from repro.service.tenants import Tenant, TenantRegistry
 from test_service_scheduler import (  # noqa: F401  registers t-* jobs
     _kill_when_pid_appears,
 )
+from test_service_store import MALFORMED_CYCLE, MALFORMED_UNDRIVEN
 
 TERMINAL = ("succeeded", "failed", "timeout", "cancelled", "skipped")
 
 
 def _gateway(tmp_path, tenants=None, workers=2):
     store = ArtifactStore(tmp_path / "store")
-    rundb = SqliteRunDatabase(tmp_path / "runs.sqlite")
+    rundb = RunDatabase(tmp_path / "runs.sqlite")
     registry = TenantRegistry(tenants or [
         Tenant("alice", "tok-a"), Tenant("bob", "tok-b")])
     gw = Gateway(store, registry, rundb=rundb, workers=workers)
@@ -395,7 +396,7 @@ class TestTransportParity:
         locking_sweep_campaign(c17(), [0, 2], seed=0,
                                max_iterations=50, store=store)
         gw = Gateway(store, TenantRegistry([Tenant("alice", "tok-a")]),
-                     rundb=SqliteRunDatabase(tmp_path / "runs.sqlite"),
+                     rundb=RunDatabase(tmp_path / "runs.sqlite"),
                      workers=1)
         gw.start()
         try:
@@ -557,6 +558,24 @@ class TestInputHygiene:
             conn.request("GET", "/v1/status", headers=headers)
             assert conn.getresponse().status == 200
             conn.close()
+        finally:
+            gw.shutdown()
+
+    @pytest.mark.parametrize("body", [MALFORMED_UNDRIVEN, MALFORMED_CYCLE],
+                             ids=["undriven-fanin", "cycle"])
+    def test_malformed_netlist_is_400_and_not_stored(self, tmp_path, body):
+        gw = _gateway(tmp_path, workers=1)
+        try:
+            client = GatewayClient(gw.host, gw.port, "tok-a")
+            client.publish_netlist(netlist_to_dict(c17()))
+            digests = set(gw.store.digests())
+            pinned = gw.store.pinned_digests()
+            with pytest.raises(GatewayClientError) as err:
+                client.publish_netlist(body)
+            assert err.value.status == 400
+            assert err.value.code == "bad_request"
+            assert set(gw.store.digests()) == digests
+            assert gw.store.pinned_digests() == pinned
         finally:
             gw.shutdown()
 

@@ -163,10 +163,11 @@ class TestAnalysisCacheInvalidation:
 
         n = fresh()
         cache = AnalysisCache()
-        first = cache.topo_order(n)
-        assert cache.topo_order(n) is first and cache.hits == 1
+        first = cache.get("topo-order", n, n.topological_order)
+        assert cache.get("topo-order", n, n.topological_order) is first
+        assert cache.hits == 1
         n.add_gate("z", GateType.NOT, ["y"])
-        second = cache.topo_order(n)
+        second = cache.get("topo-order", n, n.topological_order)
         assert "z" in second
         assert cache.misses == 2
 
@@ -175,8 +176,8 @@ class TestAnalysisCacheInvalidation:
 
         cache = AnalysisCache()
         a, b = fresh(), fresh()
-        cache.topo_order(a)
-        cache.topo_order(b)
+        cache.get("topo-order", a, a.topological_order)
+        cache.get("topo-order", b, b.topological_order)
         assert cache.misses == 2  # same epoch, different identity
 
 

@@ -14,7 +14,6 @@ import pytest
 from repro.service import (
     RunDatabase,
     RunRecord,
-    SqliteRunDatabase,
     migrate_jsonl,
     render_records,
 )
@@ -53,7 +52,7 @@ def _make_records():
 
 class TestBackendDispatch:
     def test_sqlite_is_indexed(self, tmp_path):
-        db = SqliteRunDatabase(tmp_path / "runs.db")
+        db = RunDatabase(tmp_path / "runs.db")
         names = {row[0] for row in db._conn.execute(
             "SELECT name FROM sqlite_master WHERE type = 'index'")}
         for column in ("run_id", "spec_hash", "status", "job_type"):
@@ -206,15 +205,15 @@ class TestJsonlTailCaching:
 class TestSqliteDurability:
     def test_second_connection_sees_committed_writes(self, tmp_path):
         path = tmp_path / "runs.db"
-        writer = SqliteRunDatabase(path)
+        writer = RunDatabase(path)
         writer.record_many(_make_records())
-        reader = SqliteRunDatabase(path)
+        reader = RunDatabase(path)
         assert reader.records() == _make_records()
         writer.close()
         reader.close()
 
     def test_wal_mode_is_active(self, tmp_path):
-        db = SqliteRunDatabase(tmp_path / "runs.db")
+        db = RunDatabase(tmp_path / "runs.db")
         (mode,) = db._conn.execute("PRAGMA journal_mode").fetchone()
         assert mode == "wal"
         db.close()
@@ -224,11 +223,11 @@ class TestSqliteDurability:
         path = tmp_path / "runs.db"
         path.write_bytes(b"SQLite format 3\x00" + b"\xff" * 64)
         with pytest.raises(sqlite3.DatabaseError):
-            SqliteRunDatabase(path)
+            RunDatabase(path)
 
 
 class TestSqliteConcurrency:
-    # One SqliteRunDatabase instance may be shared by gateway threads
+    # One RunDatabase instance may be shared by gateway threads
     # and inherited across fork() by pool workers; every statement is
     # serialized behind a lock and connections are pid-checked.
 
@@ -236,7 +235,7 @@ class TestSqliteConcurrency:
             self, tmp_path):
         import threading
 
-        db = SqliteRunDatabase(tmp_path / "runs.db")
+        db = RunDatabase(tmp_path / "runs.db")
         errors = []
 
         def hammer(thread_id):
@@ -268,7 +267,7 @@ class TestSqliteConcurrency:
         if "fork" not in multiprocessing.get_all_start_methods():
             pytest.skip("fork start method unavailable")
         ctx = multiprocessing.get_context("fork")
-        db = SqliteRunDatabase(tmp_path / "runs.db")
+        db = RunDatabase(tmp_path / "runs.db")
         db.record(_make_records()[0])
         parent_conn = db._conn
 

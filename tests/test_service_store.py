@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from repro.netlist import (
     GateType,
     Netlist,
+    NetlistError,
     c17,
     canonical_json,
     netlist_from_dict,
@@ -42,6 +43,16 @@ class TestCanonicalJson:
             canonical_json({"x": float("nan")})
 
 
+#: Transport dicts that ``add_gate`` accepts but that are no netlist:
+#: a gate reading a net nothing drives, and a two-gate combinational
+#: cycle.
+MALFORMED_UNDRIVEN = {"name": "x", "gates": [
+    ["a", "input", []], ["g", "and", ["a", "ghost"]]], "outputs": ["g"]}
+MALFORMED_CYCLE = {"name": "x", "gates": [
+    ["a", "input", []], ["c1", "xor", ["c2", "a"]],
+    ["c2", "xor", ["c1", "a"]]], "outputs": ["c1"]}
+
+
 class TestNetlistRoundTrip:
     @pytest.mark.parametrize("make", [c17,
                                       lambda: ripple_carry_adder(4)])
@@ -61,6 +72,19 @@ class TestNetlistRoundTrip:
         clone = netlist_from_dict(netlist_to_dict(netlist))
         stim = {name: 0b1010 for name in netlist.inputs}
         assert simulate(clone, stim) == simulate(netlist, stim)
+
+    @pytest.mark.parametrize("data", [MALFORMED_UNDRIVEN, MALFORMED_CYCLE],
+                             ids=["undriven-fanin", "cycle"])
+    def test_malformed_dict_raises(self, data):
+        with pytest.raises(NetlistError):
+            netlist_from_dict(data)
+
+    def test_malformed_artifact_raises_on_load(self, tmp_path):
+        store = ArtifactStore(tmp_path)
+        digest = stable_hash(MALFORMED_UNDRIVEN)
+        store.put(digest, MALFORMED_UNDRIVEN)
+        with pytest.raises(NetlistError):
+            store.get_netlist(digest, cache=False)
 
 
 def _permuted_clone(netlist: Netlist, order) -> Netlist:
