@@ -188,10 +188,11 @@ class SynthesisStagePass(Pass):
         if self.map_library:
             map_to_library(netlist, standard_library())
         after = ppa_report(netlist)
+        mapped = ", mapped to std library" if self.map_library else ""
         return PassResult(
             self.name, rewrites=rewrites,
             summary=f"optimized {before.cell_count} -> "
-                    f"{after.cell_count} cells, mapped to std library",
+                    f"{after.cell_count} cells{mapped}",
             details={"area": after.area,
                      "area_reduction": 1.0 - after.area / before.area
                      if before.area else 0.0})

@@ -7,6 +7,12 @@ wirelength (HPWL) objective and a simulated-annealing placer — the
 classical PnR core, deliberately security-unaware so the security
 passes in :mod:`repro.ip.split` have realistic layout hints to attack
 and to dissolve.
+
+Incremental cost evaluation keeps the placer fast: a move re-prices
+only the nets whose bounding box it can change, which leaves out most
+moves' high-fanout nets (a pin strictly inside a box that lands inside
+it cannot move the box), and gives the same placement as re-pricing
+every net of the moved cells.
 """
 
 from __future__ import annotations
@@ -14,6 +20,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..netlist import GateType, Netlist
@@ -137,8 +144,15 @@ def annealing_placement(netlist: Netlist,
     """Simulated-annealing placement minimizing HPWL.
 
     Moves are cell swaps / relocations to empty sites; temperature
-    follows a geometric schedule.  Incremental cost evaluation keeps
-    this fast enough for a few thousand cells.
+    follows a geometric schedule.  Each net's bounding box is kept
+    beside its cost, and a move re-prices only the moved cells' nets
+    whose box it can change.  The skip is exact: a pin strictly inside
+    its net's box that lands inside the box leaves every min and max
+    unchanged, so a net whose moved pins all do that keeps its cost.
+    A two-pin net's pins are both on its box, so it is always
+    re-priced.  Costs are integers, so the move's summed delta is the
+    same in any order, and the RNG draws the same sequence as a placer
+    that re-prices every net: the result does not depend on the skip.
     """
     rng = random.Random(seed)
     # One site enumeration serves both the initial placement and the
@@ -151,68 +165,95 @@ def annealing_placement(netlist: Netlist,
     nets = nets_for_wirelength(netlist)
     cells = list(placement.positions)
     positions = placement.positions
-    # Per-cell net membership for incremental evaluation.
-    nets_of: Dict[str, List[int]] = {c: [] for c in cells}
-    for idx, net in enumerate(nets):
-        for c in net:
-            if c in nets_of:
-                nets_of[c].append(idx)
+    # Cells and sites are indices: cell k sits at (cell_x[k], cell_y[k]),
+    # which is site x * height + y of all_sites; occupant[s] is the cell
+    # at site s, or -1.
+    index = {c: k for k, c in enumerate(cells)}
+    cell_x = [x for x, _ in positions.values()]
+    cell_y = [y for _, y in positions.values()]
+    occupant = [-1] * len(all_sites)
+    for k, (x, y) in enumerate(positions.values()):
+        occupant[x * height + y] = k
+    # Per-cell net membership for incremental evaluation, split into
+    # two-pin nets (always re-priced) and the rest (box-tested).  A
+    # cell that is a pin of one net twice (a gate reading a net twice)
+    # lists that net twice, so a move to an empty site counts the net's
+    # change twice and a swap counts it once, as the placer always has.
+    pair_nets: List[List[int]] = [[] for _ in cells]
+    multi_nets: List[List[int]] = [[] for _ in cells]
+    gathers = []
+    boxes = []
+    for i, net in enumerate(nets):
+        pins = [index[c] for c in net]
+        get = itemgetter(*pins)
+        gathers.append(get)
+        xs, ys = get(cell_x), get(cell_y)
+        boxes.append((min(xs), max(xs), min(ys), max(ys)))
+        member = pair_nets if len(pins) == 2 else multi_nets
+        for k in pins:
+            member[k].append(i)
+    net_costs = [(x1 - x0) + (y1 - y0) for x0, x1, y0, y1 in boxes]
 
-    def one_net_cost(i: int) -> float:
-        xs = []
-        ys = []
-        for c in nets[i]:
-            x, y = positions[c]
-            xs.append(x)
-            ys.append(y)
-        return (max(xs) - min(xs)) + (max(ys) - min(ys))
+    def stale(k: int, px: int, py: int, qx: int, qy: int) -> List[int]:
+        """Nets of cell ``k`` whose box can change when it moves from
+        ``(px, py)`` to ``(qx, qy)``."""
+        out = list(pair_nets[k])
+        for i in multi_nets[k]:
+            x0, x1, y0, y1 = boxes[i]
+            if not (x0 < px < x1 and y0 < py < y1
+                    and x0 <= qx <= x1 and y0 <= qy <= y1):
+                out.append(i)
+        return out
 
-    # Cached per-net HPWL: each move only re-evaluates the moved cells'
-    # nets and reads everything else from the cache, instead of
-    # recomputing the affected bounding boxes twice per move.
-    net_costs = [one_net_cost(i) for i in range(len(nets))]
-    occupied: Dict[Point, str] = {p: c for c, p in positions.items()}
     initial = sum(net_costs)
     temperature = initial_temperature
     cooling = 0.995 ** (20000 / max(1, iterations))
     accepted = 0
+    # Draw indices from ranges as long as the cell and site lists, so
+    # ``choice`` consumes exactly the draws it would on the lists.
+    cell_ids = range(len(cells))
+    site_ids = range(len(all_sites))
     for _ in range(iterations):
-        cell = rng.choice(cells)
-        target = rng.choice(all_sites)
-        if target == positions[cell]:
+        k = rng.choice(cell_ids)
+        target = rng.choice(site_ids)
+        px, py = cell_x[k], cell_y[k]
+        source = px * height + py
+        if target == source:
             # No-op move: nothing to evaluate, just keep cooling.
             temperature *= cooling
             continue
-        other = occupied.get(target)
-        if other is None:
-            affected = nets_of[cell]
+        other = occupant[target]
+        qx, qy = all_sites[target]
+        cell_x[k], cell_y[k] = qx, qy
+        if other < 0:
+            affected = stale(k, px, py, qx, qy)
         else:
-            affected = set(nets_of[cell])
-            affected.update(nets_of[other])
-        old_pos = positions[cell]
-        positions[cell] = target
-        if other is not None:
-            positions[other] = old_pos
-        delta = 0.0
+            cell_x[other], cell_y[other] = px, py
+            affected = {*stale(k, px, py, qx, qy),
+                        *stale(other, qx, qy, px, py)}
+        delta = 0
         updates = []
         for i in affected:
-            cost = one_net_cost(i)
+            get = gathers[i]
+            xs, ys = get(cell_x), get(cell_y)
+            x0, x1, y0, y1 = min(xs), max(xs), min(ys), max(ys)
+            cost = (x1 - x0) + (y1 - y0)
             delta += cost - net_costs[i]
-            updates.append((i, cost))
+            updates.append((i, (x0, x1, y0, y1), cost))
         if delta <= 0 or rng.random() < math.exp(-delta / max(temperature,
                                                               1e-9)):
             accepted += 1
-            for i, cost in updates:
+            for i, box, cost in updates:
+                boxes[i] = box
                 net_costs[i] = cost
-            occupied[target] = cell
-            if other is not None:
-                occupied[old_pos] = other
-            else:
-                del occupied[old_pos]
+            occupant[target] = k
+            occupant[source] = other
         else:
-            positions[cell] = old_pos
-            if other is not None:
-                positions[other] = target
+            cell_x[k], cell_y[k] = px, py
+            if other >= 0:
+                cell_x[other], cell_y[other] = qx, qy
         temperature *= cooling
+    for cell, x, y in zip(cells, cell_x, cell_y):
+        positions[cell] = (x, y)
     final = hpwl(placement, nets)
     return PlacementResult(placement, initial, final, accepted)

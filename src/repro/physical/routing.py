@@ -457,6 +457,13 @@ class _GridSearch:
         full-window Dijkstra flood.  Paths may be a constant factor
         off shortest — irrelevant for a router, and still
         deterministic.
+
+        A strict search whose target no strict step can enter
+        (:meth:`_enterable`) returns ``None`` before it pushes a
+        node: the flood would drain the whole window and fail.  It
+        draws no tie-break values either, which shifts every later
+        search's ties by a constant and so leaves every heap order,
+        and every path, as it was.
         """
         layout = self.layout
         tx, ty, _tl = target
@@ -465,6 +472,10 @@ class _GridSearch:
             x_hi, y_hi = layout.width - 1, layout.height - 1
         else:
             x_lo, y_lo, x_hi, y_hi = window
+        if not (permissive or target in sources
+                or self._enterable(net, sources, target, limit,
+                                   (x_lo, y_lo, x_hi, y_hi))):
+            return None
         via_cost = self.via_cost
         weight = _H_WEIGHT
         owner_of = layout.edge_owner
@@ -528,6 +539,49 @@ class _GridSearch:
                                        + via_cost * (nl - 1))
                     heappush(heap, (f, next(counter), ng, nxt))
         return None
+
+    def _enterable(self, net: str, sources: Set[Node], target: Node,
+                   limit: int, window: Tuple[int, int, int, int]) -> bool:
+        """False when no strict flood from ``sources`` can reach
+        ``target`` (a target not among the sources).
+
+        The flood enters the target only by one step from a node it
+        popped.  Such a node lies in the window and is a source or a
+        node it pushed, and it never pushes a shield; the step obeys
+        the flood's neighbour rules and crosses no foreign-owned edge.
+        So the target is out of reach when it is a shield, or when
+        every neighbour those rules allow is a shield that is not a
+        source or sits behind an edge another net owns.  The flood
+        climbs no higher than ``limit``, so the node above the target
+        can pop only if its layer is within ``limit`` or some source
+        lies at or above that layer.
+        """
+        layout = self.layout
+        shields = layout.shields
+        if target in shields:
+            return False
+        x_lo, y_lo, x_hi, y_hi = window
+        x, y, l = target
+        neighbours = []
+        if x < x_hi:
+            neighbours.append((x + 1, y, l))
+        if x > x_lo:
+            neighbours.append((x - 1, y, l))
+        if y < y_hi:
+            neighbours.append((x, y + 1, l))
+        if y > y_lo:
+            neighbours.append((x, y - 1, l))
+        if l < limit or any(s[2] > l for s in sources):
+            neighbours.append((x, y, l + 1))
+        if l > 1:
+            neighbours.append((x, y, l - 1))
+        owner_get = layout.edge_owner.get
+        for nxt in neighbours:
+            if nxt in shields and nxt not in sources:
+                continue
+            if owner_get(_edge(target, nxt)) in (None, net):
+                return True
+        return False
 
 
 _WINDOW_MARGIN = 8

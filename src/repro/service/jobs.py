@@ -469,7 +469,7 @@ def _variant_batch_job(params: Dict[str, object], ctx: JobContext):
     "netlist": "0" * 64,
     "passes": [["synthesis", {}]]}, sample_result={
     "trace": {"passes": []}, "result_netlist": "0" * 64},
-    version=3)
+    version=4)
 def _pass_pipeline_job(params: Dict[str, object], ctx: JobContext):
     """Run a named pass pipeline over a stored netlist.
 
@@ -489,7 +489,9 @@ def _pass_pipeline_job(params: Dict[str, object], ctx: JobContext):
     trace set is drawn in this job.)  Version 3:
     :meth:`~repro.netlist.Netlist.sweep_dangling` bumps the mutation
     epoch once per call, not once per removal wave, so trace epochs
-    after sweeping passes read lower.
+    after sweeping passes read lower.  Version 4: the ``synthesis``
+    pass's summary says "mapped to std library" only when it maps, so
+    its summary with ``map_library=False`` changed.
     """
     from ..flow import (PassManager, create_pass, netlist_design,
                         strip_wall_times)

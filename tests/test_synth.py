@@ -11,6 +11,7 @@ from repro.netlist import (
     GateType,
     Netlist,
     arrival_times,
+    c17,
     exhaustive_truth_table,
     parity_tree,
     ppa_report,
@@ -267,6 +268,16 @@ class TestTechmap:
         map_to_library(n, nand_inv_library())
         assert exhaustive_truth_table(n, "y") == golden
         assert not any(g.gate_type is GateType.MUX for g in n.gates.values())
+
+    @pytest.mark.parametrize("map_library", [True, False])
+    def test_synthesis_summary_says_mapped_only_when_it_maps(
+            self, map_library):
+        design = netlist_design(c17())
+        result = PassManager().run(
+            design, [SynthesisStagePass(map_library=map_library)])
+        summary = result.trace.passes[0].summary
+        assert summary.startswith("optimized 6 -> ")
+        assert ("mapped to std library" in summary) is map_library
 
 
 @settings(max_examples=15, deadline=None)
