@@ -345,23 +345,19 @@ def validation_sca() -> CellResult:
 @_demo(DesignStage.FUNCTIONAL_VALIDATION, ThreatVector.FAULT_INJECTION,
        "validation of error-detection properties [32]")
 def validation_fia() -> CellResult:
-    from ..fia import Fault, FaultKind, parity_protect, prove_fault_detected
+    from ..fia import Fault, FaultKind, formal_coverage, parity_protect
     from ..netlist import ripple_carry_adder
     protected = parity_protect(ripple_carry_adder(3))
     faults = [
         Fault(name, FaultKind.STUCK_AT_1)
         for name in protected.netlist.gates if name.startswith("m_")
     ][:10]
-    proven = sum(
-        1 for f in faults
-        if prove_fault_detected(protected.netlist, f, "alarm")
-        .provably_detected)
+    proven, missed = formal_coverage(protected.netlist, faults, "alarm")
     return _result(
         DesignStage.FUNCTIONAL_VALIDATION, ThreatVector.FAULT_INJECTION,
-        "bounded robustness proof", "parity_proven_fraction",
-        proven / len(faults),
+        "bounded robustness proof", "parity_proven_fraction", proven,
         "formal analysis exposes parity's even-weight blind spot "
-        f"({len(faults) - proven}/{len(faults)} faults escape)")
+        f"({len(missed)}/{len(faults)} faults escape)")
 
 
 @_demo(DesignStage.FUNCTIONAL_VALIDATION, ThreatVector.IP_PIRACY,

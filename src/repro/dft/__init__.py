@@ -10,11 +10,7 @@ from .scan import (
     scan_unload,
 )
 from .faultsim import CoverageReport, detection_words, grade_vectors
-from .atpg import (
-    AtpgResult,
-    IncrementalAtpg,
-    run_atpg,
-)
+from .atpg import AtpgResult, run_atpg
 from .bist import BistResult, Lfsr, Misr, run_bist
 from .scan_attack import (
     ScanAttackResult,
@@ -29,7 +25,7 @@ __all__ = [
     "SCAN_ENABLE", "SCAN_IN", "SCAN_OUT", "ScanDesign", "insert_scan",
     "scan_load", "scan_unload",
     "CoverageReport", "detection_words", "grade_vectors",
-    "AtpgResult", "IncrementalAtpg", "run_atpg",
+    "AtpgResult", "run_atpg",
     "BistResult", "Lfsr", "Misr", "run_bist",
     "ScanAttackResult", "ScanChipModel", "netlist_scan_attack",
     "scan_attack",

@@ -1,32 +1,37 @@
 """Automatic test pattern generation (ATPG) for stuck-at faults.
 
-Two-phase industrial recipe.  The random phase grades one packed block
-of random patterns in a single fault-simulation pass
-(:func:`~repro.dft.faultsim.detection_words`), keeps only each
-detected fault's first detecting pattern and statically compacts that
-set; the SAT phase then asks the solver, for each fault the block
-missed, for an input that distinguishes the faulty circuit from the
-good one (the D-algorithm's job).  Faults the solver proves untestable
-are *redundant* — which is itself useful feedback, and
-security-relevant: redundant logic is where Trojans and locking key
-gates hide from testing.
+Two-phase industrial recipe on :mod:`repro.fia`'s two fault engines.
+The random phase grades one packed block of random patterns in one
+pass of the fault-simulation kernel (:func:`~repro.dft.faultsim.
+detection_words`), keeps only each detected fault's first detecting
+pattern and statically compacts that set; the SAT phase then asks the
+SAT fault miter (:class:`~repro.fia.FaultMiter`) for an input that
+distinguishes each remaining faulty circuit from the good one (the
+D-algorithm's job).  Both see a fault at an output through the net of
+that name.  Faults the solver proves untestable are *redundant* — which
+is itself useful feedback, and security-relevant: redundant logic is
+where Trojans and locking key gates hide from testing.  The one
+exception is a stuck-at on a primary input that is also an output:
+the port carries the stuck value, but the net named after it is the
+healthy input, so when no reader exposes the fault it is not
+redundant, only unseen, and gets no verdict.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
-from ..fia import Fault, FaultKind, enumerate_faults, inject_fault
-from ..formal import CircuitEncoder, lit, neg
-from ..netlist import GateType, Netlist, random_stimulus
+from ..fia import Fault, FaultKind, FaultMiter, enumerate_faults
+from ..netlist import Netlist, random_stimulus
 from .faultsim import detected_by_vectors, detection_words
 
 
 @dataclass
 class AtpgResult:
-    """Vectors plus per-fault classification."""
+    """Vectors plus per-fault classification (see the module docstring
+    for the one fault that gets none)."""
 
     vectors: List[Dict[str, int]]
     detected: List[Fault] = field(default_factory=list)
@@ -43,95 +48,6 @@ class AtpgResult:
         return len(self.detected) / testable if testable else 1.0
 
 
-class IncrementalAtpg:
-    """Assumption-based deterministic test generation over one solver.
-
-    The fault-free circuit is Tseitin-encoded exactly once; every
-    stuck-at query then encodes only the fault's *output cone* (a
-    faulty copy of the nets structurally downstream of the fault site,
-    reading all other values from the base encoding) and asks the
-    solver, under a single activation assumption, for an input on which
-    a cone output diverges.  Learned clauses accumulate across faults
-    in the shared database, so each successive query starts from
-    everything the solver already proved about the circuit — the
-    MiniSat-style incremental recipe, replacing the previous
-    two-full-copies re-encode per fault.
-
-    DFF outputs are treated as shared pseudo-primary inputs (the
-    full-scan view), so cones stop at state elements.
-    """
-
-    def __init__(self, netlist: Netlist) -> None:
-        self.netlist = netlist
-        self.encoder = CircuitEncoder()
-        self.good_vars = self.encoder.encode(netlist)
-        self._fanout = netlist.fanout_map()
-        self._output_set = set(netlist.outputs)
-
-    def _fault_cone(self, net: str) -> set:
-        """Transitive fanout of ``net``, stopping at DFF boundaries."""
-        gates = self.netlist.gates
-        cone = {net}
-        stack = [net]
-        fanout = self._fanout
-        while stack:
-            for consumer in fanout.get(stack.pop(), ()):
-                if consumer in cone:
-                    continue
-                if gates[consumer].gate_type is GateType.DFF:
-                    continue
-                cone.add(consumer)
-                stack.append(consumer)
-        return cone
-
-    def test_for_fault(self, fault: Fault,
-                       conflict_budget: Optional[int] = 50_000
-                       ) -> Tuple[Optional[Dict[str, int]], str]:
-        """SAT query for an input that exposes ``fault``.
-
-        Returns ``(test, "detected")``, ``(None, "untestable")`` when
-        the fault is provably redundant, or ``(None, "aborted")`` when
-        the conflict budget ran out.
-        """
-        cone = self._fault_cone(fault.net)
-        faulty = inject_fault(self.netlist, fault)
-        # Only nets the fault can reach are re-encoded; primary inputs
-        # and DFF outputs stay shared with the base circuit, and nets
-        # introduced by the injection itself (e.g. the stuck driver for
-        # an input fault) are encoded fresh.
-        good_vars = self.good_vars
-        within = set()
-        bind: Dict[str, int] = {}
-        for net, gate in faulty.gates.items():
-            if (net in cone or net not in good_vars) and \
-                    gate.gate_type not in (GateType.INPUT, GateType.DFF):
-                within.add(net)
-            else:
-                bind[net] = good_vars[net]
-        observed = [o for o in faulty.outputs if o in within]
-        if not observed:
-            return None, "untestable"
-        enc = self.encoder
-        bad_vars = enc.encode(faulty, bind=bind, within=within)
-        diffs = [enc.xor_of(good_vars[o], bad_vars[o]) for o in observed]
-        miter = diffs[0] if len(diffs) == 1 else enc.or_of(diffs)
-        result = enc.solver.solve(assumptions=[lit(miter)],
-                                  conflict_budget=conflict_budget)
-        if result is False:
-            # The cone miter is proven quiet; committing that as a unit
-            # clause lets later queries reuse the proof.
-            enc.solver.add_clause([neg(lit(miter))])
-            return None, "untestable"
-        if result is None:
-            return None, "aborted"
-        solver = enc.solver
-        test = {
-            name: solver.model_value(good_vars[name])
-            for name in self.netlist.inputs
-        }
-        return test, "detected"
-
-
 def run_atpg(netlist: Netlist,
              faults: Optional[Sequence[Fault]] = None,
              random_budget: int = 1024,
@@ -145,7 +61,8 @@ def run_atpg(netlist: Netlist,
     that set is compacted by a reverse-order greedy (classic static
     compaction, :func:`_reverse_greedy`), so the kept count follows the
     faults, not the budget.  The faults the block missed go to one
-    :class:`IncrementalAtpg` engine.
+    :class:`~repro.fia.FaultMiter` over all outputs, each query with a
+    50,000-conflict budget.
 
     The SAT phase drops faults too: every deterministically generated
     test is fault-simulated against the remaining undetected faults, so
@@ -168,12 +85,14 @@ def run_atpg(netlist: Netlist,
                  for p in range(random_budget) if kept >> p & 1],
         detected=[f for f, w in zip(fault_list, words) if w])
     remaining = [f for f, w in zip(fault_list, words) if not w]
-    engine = IncrementalAtpg(netlist) if remaining else None
+    engine = FaultMiter(netlist, netlist.outputs) if remaining else None
+    ports = set(netlist.inputs).intersection(netlist.outputs)
     while remaining:
         fault = remaining.pop(0)
-        test, status = engine.test_for_fault(fault)
-        if status == "untestable":
-            result.untestable.append(fault)
+        status, test = engine.expose(fault, conflict_budget=50_000)
+        if status == "masked":
+            if fault.net not in ports:
+                result.untestable.append(fault)
         elif status == "aborted":
             result.aborted.append(fault)
         else:
@@ -187,7 +106,7 @@ def run_atpg(netlist: Netlist,
                 remaining = [f for f, hit in zip(remaining, flags)
                              if not hit]
     if engine is not None:
-        # The whole point of the incremental port: one base encode per
+        # The whole point of the incremental miter: one base encode per
         # ATPG run, however many faults the SAT phase has to visit.
         assert engine.encoder.encode_calls == 1, (
             f"base circuit encoded {engine.encoder.encode_calls} times; "

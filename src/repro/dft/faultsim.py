@@ -1,13 +1,12 @@
-"""Stuck-at fault simulation for test-coverage grading.
+"""Stuck-at fault grading for test coverage.
 
-Grades a pattern block against the single-stuck-at model using the
-compiled bit-parallel simulator: one fault-free simulation covers the
-whole block, then each fault is propagated *incrementally* through its
-fanout cone over the compiled gate program — no per-fault netlist
-copy, no full re-simulation.  :func:`detection_words` is the one
-kernel: it keeps, per fault, *which* patterns detect it, so coverage,
-first detectors and static compaction are all bit operations on its
-result.
+Grades a pattern block against the single-stuck-at model through
+:func:`repro.fia.fault_effects`, the one fault-simulation kernel (each
+fault propagated through its cone, or many faults on a narrow block
+scored as one variant family).  :func:`detection_words` reduces its
+result to, per fault, *which* patterns detect it, so coverage, first
+detectors and static compaction are all bit operations on one result.
+A fault is seen at an output through the net of that name.
 """
 
 from __future__ import annotations
@@ -15,7 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Mapping, Optional, Sequence
 
-from ..fia import Fault, FaultKind, enumerate_faults, forced_word
+from ..fia import (Fault, FaultKind, corrupted_patterns, enumerate_faults,
+                   fault_effects)
 from ..netlist import Netlist, get_compiled, pack_patterns
 
 
@@ -41,27 +41,15 @@ def detection_words(netlist: Netlist, columns: Mapping[str, int],
     ``columns`` maps every primary input to its packed word (pattern
     ``p`` in bit ``p``, as :func:`~repro.netlist.random_stimulus` and
     :func:`~repro.netlist.pack_patterns` build it).  Bit ``p`` of a
-    fault's word is set when pattern ``p`` flips some primary output
-    under the fault: the output diff of
-    :meth:`~repro.netlist.CompiledNetlist.propagate_force` against one
-    fault-free evaluation of the block.  Flop state reads as zero.
+    fault's word is set when pattern ``p`` flips some primary output,
+    read by name, under the fault: the OR over the outputs of
+    :func:`~repro.fia.fault_effects`' diffs.  Flop state reads as zero.
     """
-    compiled = get_compiled(netlist)
-    mask = (1 << width) - 1
-    golden = compiled.eval_words(columns, width)
-    outputs = [compiled.index[o] for o in netlist.outputs]
-    words: List[int] = []
-    for fault in faults:
-        site = compiled.index[fault.net]
-        changed = compiled.propagate_force(
-            golden, site, forced_word(fault, golden[site], mask), width)
-        word = 0
-        for o in outputs:
-            new = changed.get(o)
-            if new is not None:
-                word |= golden[o] ^ new
-        words.append(word)
-    return words
+    outputs = [get_compiled(netlist).index[o] for o in netlist.outputs]
+    # Most faults change nothing on ATPG's one-pattern drop blocks.
+    return [corrupted_patterns(golden, changed, outputs) if changed else 0
+            for golden, changed in fault_effects(netlist, columns, width,
+                                                 faults, outputs)]
 
 
 def detected_by_vectors(netlist: Netlist,

@@ -4,12 +4,13 @@ from .models import Fault, FaultKind, enumerate_faults
 from .injector import inject_fault
 from .analysis import (
     CampaignReport,
+    FaultMiter,
     FaultOutcome,
     FormalFaultResult,
+    corrupted_patterns,
     fault_campaign,
-    forced_word,
+    fault_effects,
     formal_coverage,
-    prove_fault_detected,
 )
 from .codes import (
     ProtectedDesign,
@@ -45,9 +46,9 @@ from .discriminate import (
 
 __all__ = [
     "Fault", "FaultKind", "enumerate_faults", "inject_fault",
-    "CampaignReport", "FaultOutcome", "FormalFaultResult",
-    "fault_campaign", "forced_word", "formal_coverage",
-    "prove_fault_detected",
+    "CampaignReport", "FaultMiter", "FaultOutcome", "FormalFaultResult",
+    "corrupted_patterns", "fault_campaign", "fault_effects",
+    "formal_coverage",
     "ProtectedDesign", "duplicate_and_compare", "parity_protect",
     "residue_mod3_net", "residue_protect_adder", "tmr_protect",
     "BIT_FAULTS", "DfaAttacker", "DfaResult", "dfa_on_unprotected",

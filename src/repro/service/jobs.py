@@ -469,7 +469,7 @@ def _variant_batch_job(params: Dict[str, object], ctx: JobContext):
     "netlist": "0" * 64,
     "passes": [["synthesis", {}]]}, sample_result={
     "trace": {"passes": []}, "result_netlist": "0" * 64},
-    version=4)
+    version=5)
 def _pass_pipeline_job(params: Dict[str, object], ctx: JobContext):
     """Run a named pass pipeline over a stored netlist.
 
@@ -491,7 +491,12 @@ def _pass_pipeline_job(params: Dict[str, object], ctx: JobContext):
     epoch once per call, not once per removal wave, so trace epochs
     after sweeping passes read lower.  Version 4: the ``synthesis``
     pass's summary says "mapped to std library" only when it maps, so
-    its summary with ``map_library=False`` changed.
+    its summary with ``map_library=False`` changed.  Version 5: ATPG
+    observes a fault at an output through the net of that name, so
+    ``atpg`` answers changed for netlists whose input is also an
+    output: such a netlist no longer raises ``KeyError``, the stuck
+    input is seen only through its readers, and when none exposes it
+    the fault is counted neither detected nor redundant.
     """
     from ..flow import (PassManager, create_pass, netlist_design,
                         strip_wall_times)

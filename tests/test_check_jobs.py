@@ -206,7 +206,7 @@ class TestJobResultVersion:
             f"{name}: version {version} does not change the spec hash"
             for name, version in (("composition-stack", 3),
                                   ("locking-point", 1),
-                                  ("pass-pipeline", 4))]
+                                  ("pass-pipeline", 5))]
 
     def test_composition_sample_result_has_a_real_rows_shape(self):
         from repro.service import (

@@ -9,7 +9,6 @@ from repro.crypto import aes_sbox_netlist
 from repro.dft import (
     ChipState,
     DfxController,
-    IncrementalAtpg,
     Lfsr,
     Misr,
     ScanChipModel,
@@ -24,8 +23,8 @@ from repro.dft import (
 )
 from repro.dft import test_access_still_works as scan_test_access
 from repro.dft.atpg import _reverse_greedy
-from repro.fia import Fault, FaultKind, attack_fault_stream, \
-    enumerate_faults, inject_fault, natural_fault_stream
+from repro.fia import Fault, FaultKind, FaultMiter, attack_fault_stream, \
+    enumerate_faults, fault_campaign, inject_fault, natural_fault_stream
 from repro.netlist import (
     GateType,
     Netlist,
@@ -241,15 +240,15 @@ class TestAtpg:
         n.add_gate("o", GateType.OR, ["x", "inv"])   # constant 1
         n.add_gate("y", GateType.AND, ["o", "x"])
         n.add_output("y")
-        test, status = IncrementalAtpg(n).test_for_fault(
+        status, test = FaultMiter(n, n.outputs).expose(
             Fault("o", FaultKind.STUCK_AT_1))
-        assert status == "untestable" and test is None
+        assert status == "masked" and test is None
 
     def test_generated_test_detects(self):
         n = random_circuit(8, 50, 3, seed=3)
         fault = Fault(sorted(n.gates)[10], FaultKind.STUCK_AT_0)
-        test, status = IncrementalAtpg(n).test_for_fault(fault)
-        if status == "detected":
+        status, test = FaultMiter(n, n.outputs).expose(fault)
+        if status == "exposed":
             report = grade_vectors(n, [test], [fault])
             assert report.coverage == 1.0
 
@@ -259,13 +258,13 @@ class TestAtpg:
         # 1024-pattern block almost never holds it, so SAT must.
         n = _and_tree(16)
         engines = []
-        init = IncrementalAtpg.__init__
+        init = FaultMiter.__init__
 
-        def spy(self, netlist):
-            init(self, netlist)
+        def spy(self, *args, **kwargs):
+            init(self, *args, **kwargs)
             engines.append(self)
 
-        monkeypatch.setattr(IncrementalAtpg, "__init__", spy)
+        monkeypatch.setattr(FaultMiter, "__init__", spy)
         root = Fault("y", FaultKind.STUCK_AT_0)
         block = random_stimulus(n.inputs, 1024, random.Random(0))
         assert detection_words(n, block, 1024, [root]) == [0]
@@ -289,6 +288,38 @@ class TestAtpg:
         assert Fault("o", FaultKind.STUCK_AT_1) in result.untestable
         assert not result.aborted
         assert result.coverage == 1.0
+
+    @pytest.mark.parametrize("port, testable", [("G1", True),
+                                                ("P", False)])
+    def test_input_that_is_also_an_output_is_seen_through_readers(
+            self, port, testable):
+        """A stuck-at on a primary input that is also an output is seen
+        only through the input's readers, as the net named after the
+        output keeps its healthy value: ``G1`` drives c17's logic, a
+        pass-through input ``P`` drives nothing.  ATPG, detection words
+        and the campaign agree on both stuck-ats, and ATPG does not call
+        ``P``'s stuck-ats redundant: its port carries them, so they get
+        no verdict."""
+        n = c17()
+        if port == "P":
+            n.add_input("P")
+        n.add_output(port)
+        faults = [Fault(port, kind) for kind in STUCK_AT]
+        width = 1 << len(n.inputs)
+        exhaustive = {name: sum(((p >> i) & 1) << p for p in range(width))
+                      for i, name in enumerate(n.inputs)}
+        words = detection_words(n, exhaustive, width, faults)
+        assert [w != 0 for w in words] == [testable, testable]
+        result = run_atpg(n, random_budget=1, seed=0)
+        assert [f in result.detected for f in faults] == [testable] * 2
+        assert not any(f in result.untestable or f in result.aborted
+                       for f in faults)
+        assert grade_vectors(n, result.vectors, faults).coverage == \
+            (1.0 if testable else 0.0)
+        block = random_stimulus(n.inputs, 64, random.Random(5))
+        report = fault_campaign(n, faults, n_vectors=64, seed=5)
+        assert [o.propagated for o in report.outcomes] == \
+            [w != 0 for w in detection_words(n, block, 64, faults)]
 
     def test_budget_counts_patterns_graded_not_kept(self):
         n = aes_sbox_netlist()

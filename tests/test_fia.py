@@ -28,18 +28,19 @@ from repro.fia import (
     last_round_candidates,
     natural_fault_stream,
     parity_protect,
-    prove_fault_detected,
     residue_protect_adder,
     tmr_protect,
 )
 from repro.netlist import (
     GateType,
+    Netlist,
     c17,
     decode_int,
     encode_int,
     output_values,
     ripple_carry_adder,
     simulate,
+    step_sequential,
 )
 
 
@@ -153,27 +154,90 @@ class TestFormalFaultAnalysis:
         fault = Fault(next(g for g in protected.netlist.gates
                            if g.startswith("m_fa0")),
                       FaultKind.STUCK_AT_0)
-        assert prove_fault_detected(
-            protected.netlist, fault, "alarm").provably_detected
+        assert formal_coverage(protected.netlist, [fault], "alarm") == \
+            (1.0, [])
 
     def test_witness_is_real_silent_corruption(self):
         protected = parity_protect(ripple_carry_adder(3))
         faults = [Fault(g, FaultKind.STUCK_AT_1)
                   for g in protected.netlist.gates if g.startswith("m_")]
-        missed = None
-        for fault in faults:
-            result = prove_fault_detected(protected.netlist, fault, "alarm")
-            if not result.provably_detected:
-                missed = (fault, result)
-                break
-        assert missed is not None
-        fault, result = missed
-        faulty = inject_fault(protected.netlist, fault)
+        _, missed = formal_coverage(protected.netlist, faults, "alarm")
+        assert missed
+        result = missed[0]
+        faulty = inject_fault(protected.netlist, result.fault)
         good = output_values(protected.netlist, result.witness)
         bad = output_values(faulty, result.witness)
         corrupted = any(
             good[o] != bad[o] for o in protected.payload_outputs)
         assert corrupted and bad["alarm"] == 0
+
+    def test_flop_outputs_are_shared_on_sequential_designs(self):
+        """Duplicating ``q = DFF(a)``, ``y = q XOR a``: the shadow copy,
+        the comparator and the alarm cannot reach the payload output
+        ``o_y``, so their stuck-at-0 faults are harmless once the faulty
+        copy reads the fault-free copy's flop state, instead of a free
+        state of its own."""
+        payload = Netlist("one_flop")
+        payload.add_input("a")
+        payload.add_gate("q", GateType.DFF, ["a"])
+        payload.add_gate("y", GateType.XOR, ["q", "a"])
+        payload.add_output("y")
+        protected = duplicate_and_compare(payload)
+        assert protected.payload_outputs == ["o_y"]
+        harmless = ["s_q", "s_y", "cmp0", "alarm"]
+        faults = [Fault(net, FaultKind.STUCK_AT_0) for net in harmless]
+        assert formal_coverage(protected.netlist, faults, "alarm") == \
+            (1.0, [])
+        # A redundant fault whose cone reads a flop: ``g`` is constant
+        # 1, so stuck-at-1 on it is harmless when both copies read one
+        # state of ``q``.
+        n = Netlist("flop_in_cone")
+        n.add_input("a")
+        n.add_gate("q", GateType.DFF, ["a"])
+        n.add_gate("na", GateType.NOT, ["a"])
+        n.add_gate("g", GateType.OR, ["a", "na"])
+        n.add_gate("y", GateType.XOR, ["q", "g"])
+        n.add_gate("alarm", GateType.AND, ["a", "na"])
+        n.add_output("y")
+        n.add_output("alarm")
+        assert formal_coverage(n, [Fault("g", FaultKind.STUCK_AT_1)],
+                               "alarm") == (1.0, [])
+
+    def test_fault_that_only_corrupts_the_next_state_is_missed(self):
+        """Duplicating ``q = DFF(a)``, ``y = BUF(q)``: stuck-at-0 on ``a``
+        reaches no output in the cycle it strikes, only both copies'
+        flops, so their shared outputs never disagree and the alarm
+        stays low.  The miter must count the changed next state as a
+        silent corruption: from reset, ``a = 1`` then leaves ``o_y``
+        at 0 instead of 1 one cycle later, alarm still low."""
+        payload = Netlist("one_flop_buf")
+        payload.add_input("a")
+        payload.add_gate("q", GateType.DFF, ["a"])
+        payload.add_gate("y", GateType.BUF, ["q"])
+        payload.add_output("y")
+        protected = duplicate_and_compare(payload)
+        fault = Fault("a", FaultKind.STUCK_AT_0)
+        coverage, missed = formal_coverage(protected.netlist, [fault],
+                                           "alarm")
+        assert coverage == 0.0 and [m.fault for m in missed] == [fault]
+        assert missed[0].witness == {"a": 1}
+        runs = []
+        for netlist in (protected.netlist,
+                        inject_fault(protected.netlist, fault)):
+            state = {ff: 0 for ff in netlist.flops}
+            values = []
+            for a in (1, 0):
+                v, state = step_sequential(netlist, {"a": a}, state)
+                values.append((v["o_y"], v["alarm"]))
+            runs.append(values)
+        good, bad = runs
+        assert good == [(0, 0), (1, 0)] and bad == [(0, 0), (0, 0)]
+        # The four faults that cannot reach the payload or the state
+        # stay proved harmless.
+        assert formal_coverage(protected.netlist, [
+            Fault(net, FaultKind.STUCK_AT_0)
+            for net in ("s_q", "s_y", "cmp0", "alarm")], "alarm") == \
+            (1.0, [])
 
     def test_formal_coverage_matches_simulation(self):
         protected = duplicate_and_compare(ripple_carry_adder(2))

@@ -190,6 +190,43 @@ class TestIncrementalReverification:
         assert pm.cache.hits == 1      # the re-check: one cached t
         assert pm.cache.misses == 3    # two class matrices + their t
 
+    def test_scan_insertion_invalidates_scan_leakage(self):
+        """The stock ``scan-leakage`` checker on a 2-flop design whose
+        TVLA classes draw one distribution: it holds without scan
+        access and fails after ``scan-insertion``, while the
+        ``tvla-bound`` re-check draws through the pass's stimulus
+        adapter (scan pins held at 0) and still passes."""
+        n = Netlist("two-flop")
+        n.add_input("a")
+        n.add_input("b")
+        n.add_gate("q0", GateType.DFF, ["d0"])
+        n.add_gate("q1", GateType.DFF, ["d1"])
+        n.add_gate("d0", GateType.XOR, ["a", "q1"])
+        n.add_gate("d1", GateType.AND, ["b", "q0"])
+        n.add_gate("y", GateType.OR, ["d0", "d1"])
+        n.add_output("y")
+
+        def draw(traces, rng):
+            return random_stimulus(["a", "b"], traces, rng)
+
+        design = Design(name="two-flop", netlist=n, tvla_fixed=draw,
+                        tvla_random=draw)
+        pm = PassManager(checkers=small_checkers(), seed=0)
+        result = pm.run(design, [create_pass("scan-insertion")],
+                        assume=[P.SCAN_LEAKAGE, P.TVLA_BOUND])
+        baseline = {r.key: r for r in result.trace.baseline}
+        assert baseline["scan-leakage"].passed
+        assert baseline["scan-leakage"].message == "no scan access present"
+        assert baseline["tvla-bound"].passed
+        after = {r.key: r for r in result.trace.passes[0].rechecks}
+        assert not after["scan-leakage"].passed
+        assert after["scan-leakage"].reason == "invalidates"
+        assert after["tvla-bound"].reason == "invalidates"
+        assert after["tvla-bound"].passed
+        columns = result.design.make_stimuli(8, fixed=True, seed=0)
+        assert set(columns) == set(result.design.netlist.inputs)
+        assert columns["scan_en"] == columns["scan_in"] == 0
+
     def test_missing_checker_rejected(self):
         pm = PassManager(checkers={}, seed=0)
         with pytest.raises(KeyError):

@@ -23,6 +23,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.crypto import aes_sbox_netlist
+from repro.dft import run_atpg
 from repro.fia import FaultKind, enumerate_faults, fault_campaign, inject_fault
 from repro.fia.analysis import _BATCH_THRESHOLD
 from repro.netlist import (
@@ -396,8 +398,9 @@ def _check_campaign(netlist: Netlist, n_vectors: int, seed: int,
                     alarm=None) -> None:
     """Both strategies vs the oracle on every fault.
 
-    The full list runs batched; windows shorter than the threshold run
-    serially.
+    The full list runs batched from 2 to 128 patterns (a one-pattern
+    block always runs serially); windows shorter than the threshold
+    run serially.
     """
     faults = enumerate_faults(
         netlist, kinds=(FaultKind.STUCK_AT_0, FaultKind.STUCK_AT_1,
@@ -423,7 +426,8 @@ def test_fault_campaign_matches_inject_then_simulate(data):
         alarm = data.draw(st.sampled_from(
             [g for g in netlist.gates if g not in netlist.outputs]))
         netlist.add_output(alarm)
-    _check_campaign(netlist, n_vectors=data.draw(st.sampled_from([1, 7, 32])),
+    _check_campaign(netlist,
+                    n_vectors=data.draw(st.sampled_from([1, 2, 7, 32])),
                     seed=data.draw(st.integers(min_value=0, max_value=2**16)),
                     alarm=alarm)
 
@@ -444,7 +448,7 @@ def test_fault_campaign_both_strategies_match_oracle(build, with_alarm):
                      if netlist.gates[g].gate_type is not GateType.INPUT
                      and fanout[g])
         netlist.add_output(alarm)
-    for n_vectors, seed in ((1, 0), (1, 1), (48, 2)):
+    for n_vectors, seed in ((1, 0), (1, 1), (2, 0), (2, 1), (48, 2)):
         _check_campaign(netlist, n_vectors, seed, alarm)
 
 
@@ -468,6 +472,37 @@ def test_fault_campaign_strategy_follows_faults_per_word(
     assert bool(families) is batched
     assert (_campaign_rows(report)
             == reference_campaign(netlist, faults, n_vectors, 3))
+
+
+def test_atpg_batches_its_random_block_but_not_its_drop_calls(monkeypatch):
+    """The kernel's strategy rule seen through ``run_atpg`` on the AES
+    S-box: the 32-pattern random block grades every fault in one
+    family, and each one-pattern drop call after a SAT test runs
+    serially, however many faults it grades."""
+    import repro.dft.atpg as atpg
+    import repro.fia.analysis as analysis
+
+    families = []
+
+    def spy(*args, **kwargs):
+        families.append(args)
+        return VariantFamily(*args, **kwargs)
+
+    drops = []
+    detected_by_vectors = atpg.detected_by_vectors
+
+    def drop_spy(netlist, vectors, faults):
+        drops.append((len(vectors), len(faults)))
+        return detected_by_vectors(netlist, vectors, faults)
+
+    monkeypatch.setattr(analysis, "VariantFamily", spy)
+    monkeypatch.setattr(atpg, "detected_by_vectors", drop_spy)
+    netlist = aes_sbox_netlist()
+    run_atpg(netlist, random_budget=32, seed=0)
+    assert len(families) == 1
+    assert len(enumerate_faults(netlist)) >= _BATCH_THRESHOLD
+    assert drops and all(width == 1 for width, _ in drops)
+    assert max(n for _, n in drops) >= _BATCH_THRESHOLD
 
 
 @settings(max_examples=10, deadline=None)
