@@ -22,9 +22,11 @@ from repro.netlist import ripple_carry_adder
 from repro.physical import (
     annealing_placement,
     default_critical_nets,
+    fia_exposure,
     maze_route,
-    measure_attack_surface,
+    probing_exposure,
     security_closure,
+    trojan_insertability,
 )
 
 
@@ -36,15 +38,17 @@ def _placed(netlist, seed=2, iterations=3000):
 def run_routing(netlist, placement):
     """Route one placed design; return the layout summary."""
     layout = maze_route(netlist, placement)
-    metrics = measure_attack_surface(
-        layout, placement.positions.values(),
-        default_critical_nets(netlist))
+    critical = default_critical_nets(netlist)
     return {
         "nets": len(layout.nets),
         "failed": list(layout.failed),
         "wirelength": layout.total_wirelength,
         "vias": layout.total_vias,
-        "initial": metrics.as_dict(),
+        "initial": {
+            "probing": probing_exposure(layout, critical).exposure,
+            "fia": fia_exposure(layout, critical).exposure,
+            "trojan": trojan_insertability(
+                layout, placement.positions.values()).exposure},
     }
 
 

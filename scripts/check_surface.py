@@ -14,7 +14,17 @@ on any checkout) and fails on:
 * (b) a function or method under ``src/`` that nothing references
   outside its own definition, in those directories or in ``tests/``;
 * (c) an :data:`ALLOWLIST` entry whose name is reached after all, is
-  no longer exported, or gives no known reason.
+  no longer exported, or gives no known reason;
+* (d) a defaulted parameter of a public function, method or
+  constructor under ``src/repro`` that no call site in those
+  directories or in ``tests/`` sets — an option nothing ever runs with
+  a value other than its default.  A call sets a parameter by keyword,
+  by position, or through ``*args``/``**kwargs`` forwarded to a callee
+  of that name; a call to a subclass that inherits a constructor, a
+  ``super().__init__`` call and a ``cls(...)`` call inside the class
+  count for that constructor.  Constructors of ``@register_pass``
+  classes are exempt: ``create_pass`` sets them from ``pass-pipeline``
+  job params.
 
 A *reference* is the name as a code token anywhere in a file: a
 name, an attribute, a field of an f-string, or a string literal that is
@@ -25,6 +35,11 @@ reaches nothing.  Imports and ``__all__`` lists in a package
 definitions under a registering decorator (``@register_pass``,
 ``@register_job_type``, a Table II ``@_demo`` cell, …) are reached
 through their registry and are exempt.
+
+Calls are matched by the callee's name alone (``f(...)``,
+``obj.f(...)``), so a call to any function or method of that name
+counts: the rule can miss an unset option, never flag a set one that is
+called by name.
 
 Run directly (exit 1 on problems) or import :func:`audit` from a test.
 
@@ -42,7 +57,7 @@ import sys
 import tokenize
 from collections import defaultdict
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Set, Tuple
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 #: This file: its allowlist names exports without reaching them.
@@ -219,7 +234,7 @@ def _exports(tree: ast.Module) -> List[str]:
 
 
 class _Tree:
-    """The ``.py`` files of one checkout; those under ``src/`` parsed."""
+    """The ``.py`` files of one checkout, tokenized and parsed."""
 
     def __init__(self, root: Path) -> None:
         self.root = root
@@ -232,8 +247,7 @@ class _Tree:
                 source = path.read_text()
                 tree = ast.parse(source, str(path))
                 self.words[path] = _words(source, tree)
-                if top == "src":
-                    self.trees[path] = tree
+                self.trees[path] = tree
 
     def files(self, dirs: Iterable[str]) -> List[Path]:
         return [p for p in self.words
@@ -302,8 +316,14 @@ def audit(root: Path = REPO_ROOT,
           allowlist: Optional[Dict[str, Tuple[str, str]]] = None
           ) -> List[str]:
     """Return one problem string per surface violation (empty = clean)."""
-    allowlist = ALLOWLIST if allowlist is None else allowlist
     tree = _Tree(Path(root))
+    return (_surface(tree, ALLOWLIST if allowlist is None else allowlist)
+            + _options(tree).problems)
+
+
+def _surface(tree: _Tree, allowlist: Dict[str, Tuple[str, str]]
+             ) -> List[str]:
+    """Rules (a) to (c)."""
     reach = _index(tree, REACH_DIRS)
     everywhere = _index(tree, REACH_DIRS + TEST_DIRS)
     problems: List[str] = []
@@ -366,8 +386,207 @@ def _functions(node: ast.AST):
             yield from _functions(child)
 
 
+class _Signature(NamedTuple):
+    """One public function, method or constructor with defaults."""
+
+    path: Path
+    line: int
+    label: str               # "f", "Class" or "Class.method"
+    positional: List[str]    # positional parameters, less self/cls
+    defaults: List[str]      # the defaulted parameters
+
+
+class _Call:
+    """What one call site sets: ``count`` leading positional arguments
+    (or all, through ``*args``) and named ones (or all, through
+    ``**kwargs``)."""
+
+    def __init__(self, node: ast.Call, offset: int) -> None:
+        args = node.args
+        starred = [i for i, a in enumerate(args)
+                   if isinstance(a, ast.Starred)]
+        self.all_positional = bool(starred)
+        self.count = (starred[0] if starred else len(args)) - offset
+        self.keywords = {k.arg for k in node.keywords if k.arg}
+        self.all_keywords = any(k.arg is None for k in node.keywords)
+
+    def sets(self, signature: _Signature, name: str) -> bool:
+        if self.all_keywords or name in self.keywords:
+            return True
+        if name not in signature.positional:
+            return False
+        return (self.all_positional
+                or signature.positional.index(name) < self.count)
+
+
+def _arguments(node: ast.FunctionDef, method: bool
+               ) -> Tuple[List[str], List[str]]:
+    """Positional parameter names (less ``self``/``cls``) and the names
+    of the defaulted ones."""
+    a = node.args
+    positional = [p.arg for p in a.posonlyargs + a.args]
+    if method and not _decorated(node, "staticmethod"):
+        positional = positional[1:]
+    defaults = positional[len(positional) - len(a.defaults):] \
+        if a.defaults else []
+    defaults += [p.arg for p, d in zip(a.kwonlyargs, a.kw_defaults)
+                 if d is not None]
+    return positional, defaults
+
+
+def _decorated(node: ast.AST, name: str) -> bool:
+    return any(_decorator_name(d) == name
+               for d in getattr(node, "decorator_list", ()))
+
+
+def _signatures(tree: _Tree) -> Dict[str, List[_Signature]]:
+    """Call name -> the public signatures with defaults it reaches."""
+    classes: Dict[str, ast.ClassDef] = {}
+    where: Dict[str, Path] = {}
+    for path in tree.files(("src",)):
+        for node in tree.trees[path].body:
+            if isinstance(node, ast.ClassDef):
+                classes[node.name] = node
+                where[node.name] = path
+
+    def bases(node: ast.ClassDef) -> List[str]:
+        return [b.id if isinstance(b, ast.Name) else
+                b.attr if isinstance(b, ast.Attribute) else ""
+                for b in node.bases]
+
+    def own_init(node: ast.ClassDef) -> Optional[ast.FunctionDef]:
+        return next((f for f in node.body
+                     if isinstance(f, ast.FunctionDef)
+                     and f.name == "__init__"), None)
+
+    def defines(name: str) -> str:
+        """The class whose ``__init__`` a call to ``name`` runs."""
+        node = classes[name]
+        if own_init(node) is not None or _decorated(node, "dataclass"):
+            return name
+        for base in bases(node):
+            if base in classes:
+                return defines(base)
+        return name
+
+    out: Dict[str, List[_Signature]] = defaultdict(list)
+    for name, node in classes.items():
+        if name.startswith("_") or _decorated(node, "register_pass"):
+            continue
+        path = where[name]
+        init = own_init(node)
+        if init is not None:
+            positional, defaults = _arguments(init, method=True)
+            if defaults:
+                out[name].append(_Signature(
+                    path, init.lineno, name, positional, defaults))
+        for method in node.body:
+            if (isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not method.name.startswith("_")):
+                positional, defaults = _arguments(method, method=True)
+                if defaults:
+                    out[method.name].append(_Signature(
+                        path, method.lineno, f"{name}.{method.name}",
+                        positional, defaults))
+    for path in tree.files(("src",)):
+        for node in tree.trees[path].body:
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not node.name.startswith("_")):
+                positional, defaults = _arguments(node, method=False)
+                if defaults:
+                    out[node.name].append(_Signature(
+                        path, node.lineno, node.name, positional, defaults))
+
+    # A call to a subclass that inherits a constructor calls it too.
+    for name in classes:
+        target = defines(name)
+        if target != name:
+            out[name].extend(s for s in out.get(target, ())
+                             if s.label == target)
+    return out
+
+
+def _calls(node: ast.AST, aliases: Dict[str, str],
+           scope: Optional[ast.ClassDef] = None):
+    """``(callee name, _Call)`` of every call under ``node``; an
+    imported alias resolves to the imported name, ``cls`` and
+    ``super().__init__`` to the enclosing class."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.ClassDef):
+            yield from _calls(child, aliases, child)
+            continue
+        if isinstance(child, ast.Call):
+            func = child.func
+            if isinstance(func, ast.Name):
+                if func.id == "cls" and scope is not None:
+                    yield scope.name, _Call(child, 0)
+                else:
+                    yield aliases.get(func.id, func.id), _Call(child, 0)
+            elif isinstance(func, ast.Attribute):
+                if func.attr != "__init__":
+                    yield func.attr, _Call(child, 0)
+                elif (isinstance(func.value, ast.Call)
+                      and _decorator_name(func.value) == "super"
+                      and scope is not None):
+                    for base in scope.bases:
+                        yield _decorator_name(base), _Call(child, 0)
+                elif isinstance(func.value, ast.Name):
+                    yield func.value.id, _Call(child, 1)
+        yield from _calls(child, aliases, scope)
+
+
+def _aliases(tree: ast.Module) -> Dict[str, str]:
+    """``as`` name -> imported name, for every import in a file."""
+    return {a.asname: a.name.rpartition(".")[2]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for a in node.names if a.asname}
+
+
+class _Options(NamedTuple):
+    """Rule (d) on one tree."""
+
+    total: int          # defaulted public parameters
+    tests_only: int     # of those, set by tests alone
+    problems: List[str]
+
+
+def _options(tree: _Tree) -> _Options:
+    """Rule (d): every defaulted public parameter and who sets it."""
+    signatures = _signatures(tree)
+    set_by: Dict[Tuple[int, str], Set[str]] = defaultdict(set)
+    for path in tree.files(REACH_DIRS + TEST_DIRS):
+        top = path.relative_to(tree.root).parts[0]
+        module = tree.trees[path]
+        for name, call in _calls(module, _aliases(module)):
+            for signature in signatures.get(name, ()):
+                for param in signature.defaults:
+                    if call.sets(signature, param):
+                        set_by[id(signature), param].add(top)
+    unique = {id(s): s for group in signatures.values() for s in group}
+    total, tests_only, problems = 0, 0, []
+    for signature in sorted(unique.values(),
+                            key=lambda s: (s.path, s.line, s.label)):
+        for param in signature.defaults:
+            total += 1
+            dirs = set_by.get((id(signature), param), set())
+            if not dirs:
+                problems.append(
+                    f"{tree.rel(signature.path)}:{signature.line}: "
+                    f"{signature.label}({param}) is set by no call site "
+                    f"— inline its default")
+            elif dirs <= set(TEST_DIRS):
+                tests_only += 1
+    return _Options(total, tests_only, problems)
+
+
 def main() -> int:
-    problems = audit()
+    tree = _Tree(REPO_ROOT)
+    options = _options(tree)
+    problems = _surface(tree, ALLOWLIST) + options.problems
+    print(f"surface audit: {options.total} defaulted public parameters, "
+          f"{options.total - len(options.problems)} set by a call site "
+          f"({options.tests_only} only by tests)")
     if problems:
         print(f"surface audit: {len(problems)} problem(s)")
         for problem in problems:

@@ -73,9 +73,9 @@ class Design:
     protected_region_prefix: str = ""
     key_bits: int = 0
 
-    def fault_sites(self, kinds=(FaultKind.STUCK_AT_0,
-                                 FaultKind.STUCK_AT_1)) -> List[Fault]:
-        """Single-fault list over the protected functional region."""
+    def fault_sites(self) -> List[Fault]:
+        """Single stuck-at faults over the protected functional
+        region."""
         sites = []
         for g in self.netlist.gates.values():
             if not g.gate_type.is_combinational or g.gate_type.is_source:
@@ -83,7 +83,7 @@ class Design:
             if (self.protected_region_prefix
                     and not g.name.startswith(self.protected_region_prefix)):
                 continue
-            for kind in kinds:
+            for kind in (FaultKind.STUCK_AT_0, FaultKind.STUCK_AT_1):
                 sites.append(Fault(g.name, kind))
         return sites
 

@@ -76,13 +76,15 @@ def build_stack(names: Sequence[str]) -> List["Pass"]:
 
 
 @register_design("masked-and")
-def masked_and_design(n_shares: int = 3) -> Design:
-    """First-order masked AND gadget as a composition-study baseline.
+def masked_and_design() -> Design:
+    """First-order masked AND gadget (three shares) as a
+    composition-study baseline.
 
     TVLA classes: fixed secrets (a=1, b=1) vs random secrets, with
     shares and gadget randomness fresh per trace either way; each class
     is drawn as packed columns.
     """
+    n_shares = 3
     netlist = isw_and_netlist(n_shares)
 
     def fixed(n: int, rng: random.Random) -> Dict[str, int]:

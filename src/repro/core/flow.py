@@ -38,7 +38,6 @@ from dataclasses import dataclass
 from typing import (TYPE_CHECKING, Callable, Dict, Mapping, Optional,
                     Sequence)
 
-from ..sca import TVLA_THRESHOLD
 from ..flow.properties import (
     PropertyCheck,
     fault_detection_check,
@@ -64,43 +63,39 @@ class SecurityRequirement:
     check: Callable[[FlowContext], PropertyCheck]
 
 
-def tvla_requirement(n_traces: int = 4000, noise_sigma: float = 0.25,
-                     threshold: float = TVLA_THRESHOLD,
+def tvla_requirement(n_traces: int = 4000,
                      seed: int = 0) -> SecurityRequirement:
-    """Fixed-vs-random leakage must stay below the TVLA threshold."""
+    """Fixed-vs-random leakage (noise sigma 0.25) must stay below the
+    TVLA threshold."""
 
     def check(ctx: FlowContext) -> PropertyCheck:
-        return tvla_check(ctx.design, n_traces=n_traces,
-                          noise_sigma=noise_sigma, threshold=threshold,
-                          seed=seed, cache=ctx.cache)
+        return tvla_check(ctx.design, n_traces=n_traces, seed=seed,
+                          cache=ctx.cache)
 
     return SecurityRequirement("tvla-first-order", check)
 
 
 def no_leaky_net_requirement(n_traces: int = 3000,
-                             threshold: float = TVLA_THRESHOLD,
                              seed: int = 0) -> SecurityRequirement:
     """No individual wire may pass the per-net leakage test — the
     observable definition of intact share encoding."""
 
     def check(ctx: FlowContext) -> PropertyCheck:
-        return masking_check(ctx.design, n_traces=n_traces,
-                             threshold=threshold, seed=seed,
+        return masking_check(ctx.design, n_traces=n_traces, seed=seed,
                              cache=ctx.cache)
 
     return SecurityRequirement("no-leaky-wire", check)
 
 
-def fault_detection_requirement(min_coverage: float = 0.99,
-                                n_vectors: int = 64,
+def fault_detection_requirement(n_vectors: int = 64,
                                 seed: int = 0) -> SecurityRequirement:
-    """A fault campaign over the protected region must reach
-    ``min_coverage`` against the design's alarm with zero silent
+    """A fault campaign over the protected region must reach 99%
+    coverage against the design's alarm with zero silent
     corruptions."""
 
     def check(ctx: FlowContext) -> PropertyCheck:
-        return fault_detection_check(ctx.design, min_coverage=min_coverage,
-                                     n_vectors=n_vectors, seed=seed)
+        return fault_detection_check(ctx.design, n_vectors=n_vectors,
+                                     seed=seed)
 
     return SecurityRequirement("fault-detection", check)
 

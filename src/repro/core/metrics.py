@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 
 @dataclass
@@ -56,18 +56,18 @@ class StepFunctionMetric:
         return list(self.thresholds)
 
 
-def sat_attack_resistance_steps(key_bits_thresholds: Sequence[float] = (
-        8, 16, 32, 64)) -> StepFunctionMetric:
+def sat_attack_resistance_steps() -> StepFunctionMetric:
     """Canonical example: locking strength vs key bits.
 
-    Below ~8 bits brute force wins instantly; each threshold marks the
+    Below ~8 bits brute force wins instantly; each threshold (8, 16, 32
+    and 64 key bits) marks the
     point where a distinct attacker class (brute force, plain SAT,
     budgeted SAT, none) is priced out.  Between thresholds, extra key
     bits cost area but buy no new attacker exclusion.
     """
     return StepFunctionMetric(
         name="locking-resistance",
-        thresholds=list(key_bits_thresholds),
+        thresholds=[8, 16, 32, 64],
         level_names=[
             "none", "stops-brute-force", "slows-sat", "stops-budgeted-sat",
             "stops-all-modeled",

@@ -74,7 +74,7 @@ def encode_state(value_bytes: Sequence[int], prefix: str,
     return stimulus
 
 
-def aes_datapath_netlist(name: str = "aes_datapath") -> Netlist:
+def aes_datapath_netlist() -> Netlist:
     """Round-serial AES-128 datapath with a 128-bit state register.
 
     Inputs: plaintext ``pt{i}_{b}``, per-cycle round key ``k{i}_{b}``,
@@ -86,7 +86,7 @@ def aes_datapath_netlist(name: str = "aes_datapath") -> Netlist:
     the expanded key schedule to compute a full encryption — see
     :func:`run_aes_datapath`.
     """
-    host = Netlist(name)
+    host = Netlist("aes_datapath")
     host.add_input("load")
     host.add_input("final")
     for i in range(16):

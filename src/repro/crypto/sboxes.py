@@ -7,7 +7,7 @@ camouflaging studies protect it, and MERO hunts Trojans inside it.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, Sequence
 
 from ..netlist import Netlist, from_truth_tables
 from .aes import SBOX
@@ -17,17 +17,15 @@ from .present import SBOX4
 #: so callers can mutate freely while repeat construction (benchmarks
 #: rebuild these constantly) costs one deep copy instead of a fresh
 #: Shannon decomposition.
-_MEMO: Dict[Tuple, Netlist] = {}
+_MEMO: Dict[str, Netlist] = {}
 
 
-def _memoized(key: Tuple, build, name: str) -> Netlist:
-    master = _MEMO.get(key)
+def _memoized(name: str, build: Callable[[], Netlist]) -> Netlist:
+    master = _MEMO.get(name)
     if master is None:
         master = build()
-        if len(_MEMO) >= 32:
-            _MEMO.pop(next(iter(_MEMO)))
-        _MEMO[key] = master
-    return master.copy(name)
+        _MEMO[name] = master
+    return master.copy()
 
 
 def _tables_for(sbox: Sequence[int], out_bits: int) -> dict:
@@ -37,46 +35,39 @@ def _tables_for(sbox: Sequence[int], out_bits: int) -> dict:
     }
 
 
-def aes_sbox_netlist(name: str = "aes_sbox") -> Netlist:
+def aes_sbox_netlist() -> Netlist:
     """8-bit AES S-box as a multiplexer-tree netlist (inputs x0..x7 LSB
     first, outputs y0..y7)."""
     return _memoized(
-        ("aes_sbox",),
+        "aes_sbox",
         lambda: from_truth_tables(8, _tables_for(SBOX, 8), name="aes_sbox",
-                                  input_names=[f"x{i}" for i in range(8)]),
-        name)
+                                  input_names=[f"x{i}" for i in range(8)]))
 
 
-def present_sbox_netlist(name: str = "present_sbox") -> Netlist:
+def present_sbox_netlist() -> Netlist:
     """4-bit PRESENT S-box netlist (inputs x0..x3, outputs y0..y3)."""
     return _memoized(
-        ("present_sbox",),
+        "present_sbox",
         lambda: from_truth_tables(4, _tables_for(SBOX4, 4),
                                   name="present_sbox",
-                                  input_names=[f"x{i}" for i in range(4)]),
-        name)
+                                  input_names=[f"x{i}" for i in range(4)]))
 
 
-def sbox_with_key_netlist(sbox: Optional[Sequence[int]] = None,
-                          bits: int = 8,
-                          name: str = "keyed_sbox") -> Netlist:
-    """``y = Sbox(p XOR k)`` — the first-round AES leakage target.
+def sbox_with_key_netlist() -> Netlist:
+    """``y = Sbox(p XOR k)`` over the 8-bit AES S-box — the first-round
+    AES leakage target.
 
-    Inputs ``p0..`` (plaintext) and ``k0..`` (key); the XOR layer feeds
-    the S-box cone.  This is the canonical circuit for CPA/TVLA
+    Inputs ``p0..p7`` (plaintext) and ``k0..k7`` (key); the XOR layer
+    feeds the S-box cone.  This is the canonical circuit for CPA/TVLA
     experiments and for scan-attack demonstrations.
     """
-    table = list(sbox) if sbox is not None else list(SBOX)
-
-    def build() -> Netlist:
-        return _build_sbox_with_key(table, bits)
-
-    return _memoized(("keyed_sbox", tuple(table), bits), build, name)
+    return _memoized("keyed_sbox", _build_sbox_with_key)
 
 
-def _build_sbox_with_key(table: Sequence[int], bits: int) -> Netlist:
+def _build_sbox_with_key() -> Netlist:
+    bits = 8
     base = from_truth_tables(
-        bits, _tables_for(table, bits), name="_sb",
+        bits, _tables_for(SBOX, bits), name="_sb",
         input_names=[f"x{i}" for i in range(bits)],
     )
     n = Netlist("keyed_sbox")

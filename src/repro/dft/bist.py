@@ -11,7 +11,7 @@ scan attacks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 from ..netlist import Netlist, simulate
 
@@ -28,13 +28,12 @@ _DEFAULT_TAPS = {
 class Lfsr:
     """Fibonacci LFSR over ``width`` bits."""
 
-    def __init__(self, width: int, seed: int = 1,
-                 taps: Optional[Sequence[int]] = None) -> None:
+    def __init__(self, width: int, seed: int = 1) -> None:
         if seed == 0:
             raise ValueError("LFSR seed must be non-zero")
         self.width = width
         self.state = seed & ((1 << width) - 1)
-        chosen = taps or _DEFAULT_TAPS.get(width)
+        chosen = _DEFAULT_TAPS.get(width)
         if chosen is None:
             raise ValueError(f"no default taps for width {width}")
         self.taps = tuple(chosen)
@@ -51,11 +50,10 @@ class Lfsr:
 class Misr:
     """Multiple-input signature register compacting response words."""
 
-    def __init__(self, width: int, taps: Optional[Sequence[int]] = None
-                 ) -> None:
+    def __init__(self, width: int) -> None:
         self.width = width
         self.state = 0
-        chosen = taps or _DEFAULT_TAPS.get(width)
+        chosen = _DEFAULT_TAPS.get(width)
         if chosen is None:
             raise ValueError(f"no default taps for width {width}")
         self.taps = tuple(chosen)
@@ -87,9 +85,9 @@ class BistResult:
 
 
 def run_bist(netlist: Netlist, n_patterns: int = 256,
-             lfsr_seed: int = 0xACE1,
              golden_signature: Optional[int] = None) -> BistResult:
-    """Run LFSR/MISR BIST over a combinational netlist.
+    """Run LFSR/MISR BIST over a combinational netlist, the LFSR seeded
+    with ``0xACE1``.
 
     With ``golden_signature=None`` the run *characterizes* the design
     (returns its own signature as golden); pass the characterized value
@@ -99,7 +97,7 @@ def run_bist(netlist: Netlist, n_patterns: int = 256,
     outputs = netlist.outputs
     lfsr_width = max(8, min(32, ((len(inputs) + 7) // 8) * 8))
     misr_width = max(8, min(32, ((len(outputs) + 7) // 8) * 8))
-    lfsr = Lfsr(lfsr_width, seed=lfsr_seed)
+    lfsr = Lfsr(lfsr_width, seed=0xACE1)
     misr = Misr(misr_width)
     for _ in range(n_patterns):
         pattern = lfsr.step()

@@ -58,15 +58,14 @@ def insert_scan(netlist: Netlist) -> ScanDesign:
     return ScanDesign(scan, chain)
 
 
-def scan_load(design: ScanDesign, bits: Sequence[int],
-              functional_inputs: Optional[Mapping[str, int]] = None,
-              state: Optional[Dict[str, int]] = None) -> Dict[str, int]:
-    """Shift a bit sequence into the chain (last element enters first
-    flop last, i.e. ``bits[i]`` ends up in ``chain[i]``)."""
+def scan_load(design: ScanDesign, bits: Sequence[int]) -> Dict[str, int]:
+    """Shift a bit sequence into the chain from the all-zero state with
+    functional inputs at 0 (last element enters first flop last, i.e.
+    ``bits[i]`` ends up in ``chain[i]``)."""
     if len(bits) != design.length:
         raise ValueError("bit count must equal chain length")
-    compiled, stim, regs = _scan_cycle_setup(design, functional_inputs,
-                                             state, scan_enable=1)
+    compiled, stim, regs = _scan_cycle_setup(design, None, None,
+                                             scan_enable=1)
     scan_in_pos = compiled.input_names.index(SCAN_IN)
     # Shift in reversed so bits[0] lands in chain[0].
     for bit in reversed(list(bits)):

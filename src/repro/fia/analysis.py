@@ -344,20 +344,19 @@ class FormalFaultResult:
     witness: Dict[str, int]
 
 
-def formal_coverage(netlist: Netlist, faults: Sequence[Fault], alarm: str,
-                    payload_outputs: Optional[Sequence[str]] = None,
+def formal_coverage(netlist: Netlist, faults: Sequence[Fault], alarm: str
                     ) -> Tuple[float, List[FormalFaultResult]]:
     """Exhaustive formal detection coverage over a fault list.
 
-    One :class:`FaultMiter` over the payload outputs (default: all
-    outputs except the alarm) with the alarm held low; on a sequential
+    One :class:`FaultMiter` over the payload outputs (all outputs
+    except the alarm) with the alarm held low; on a sequential
     design a fault that can change the next state with the alarm low
     is a miss too.  Faults that cannot propagate at all count as
     covered (they are harmless).  Returns (coverage, per-fault results
     for the misses).
     """
-    miter = FaultMiter(netlist, payload_outputs or [
-        o for o in netlist.outputs if o != alarm], alarm)
+    miter = FaultMiter(netlist, [o for o in netlist.outputs if o != alarm],
+                       alarm)
     missed: List[FormalFaultResult] = []
     for fault in faults:
         status, witness = miter.expose(fault)

@@ -25,19 +25,18 @@ from ..crypto import AES128, INV_SBOX, SHIFT_ROWS, recover_master_key
 BIT_FAULTS = tuple(1 << b for b in range(8))
 
 
-def last_round_candidates(correct_byte: int, faulty_byte: int,
-                          fault_set: Sequence[int] = BIT_FAULTS
-                          ) -> Set[int]:
+def last_round_candidates(correct_byte: int, faulty_byte: int) -> Set[int]:
     """Key-byte candidates from one (correct, faulty) ciphertext byte.
 
     A fault ``delta`` before the last SubBytes satisfies
     ``INV_SBOX[c ^ k] ^ INV_SBOX[c* ^ k] = delta``; every key guess
-    consistent with some allowed ``delta`` survives.
+    consistent with some single-bit ``delta`` (:data:`BIT_FAULTS`)
+    survives.
     """
     candidates: Set[int] = set()
     for k in range(256):
         delta = INV_SBOX[correct_byte ^ k] ^ INV_SBOX[faulty_byte ^ k]
-        if delta in fault_set:
+        if delta in BIT_FAULTS:
             candidates.add(k)
     return candidates
 
@@ -62,7 +61,8 @@ class DfaAttacker:
     The oracle is any callable ``(plaintext, byte_index, fault_value) ->
     ciphertext`` (normally ``AES128.encrypt_with_fault`` bound to round
     10); countermeasures replace the oracle with a protected
-    implementation that suppresses or infects faulty outputs.
+    implementation that suppresses or infects faulty outputs.  Each
+    injected fault value is a single-bit flip from :data:`BIT_FAULTS`.
 
     ``batch_oracle``, if given, is a callable taking a list of
     ``(plaintext, byte_index, fault_value)`` queries and returning the
@@ -75,11 +75,9 @@ class DfaAttacker:
     """
 
     def __init__(self, encrypt, encrypt_with_fault,
-                 fault_set: Sequence[int] = BIT_FAULTS,
                  seed: int = 0, batch_oracle=None) -> None:
         self.encrypt = encrypt
         self.encrypt_with_fault = encrypt_with_fault
-        self.fault_set = tuple(fault_set)
         self.rng = random.Random(seed)
         self.batch_oracle = batch_oracle
 
@@ -94,7 +92,7 @@ class DfaAttacker:
         # oracle paths return bit-identical results.
         attempts = [
             [([self.rng.randrange(256) for _ in range(16)],
-              self.rng.choice(self.fault_set))
+              self.rng.choice(BIT_FAULTS))
              for _ in range(max_faults_per_byte)]
             for _ in range(16)
         ]
@@ -124,8 +122,7 @@ class DfaAttacker:
                     continue  # countermeasure suppressed the fault
                 if bad[ct_pos] == good[ct_pos]:
                     continue  # fault did not reach this byte (infected?)
-                new = last_round_candidates(good[ct_pos], bad[ct_pos],
-                                            self.fault_set)
+                new = last_round_candidates(good[ct_pos], bad[ct_pos])
                 candidates = new if candidates is None else candidates & new
                 if candidates is not None and len(candidates) <= 1:
                     break

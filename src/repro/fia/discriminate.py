@@ -52,24 +52,21 @@ class Assessment:
     reasons: List[str] = field(default_factory=list)
 
 
+#: Thresholds of :class:`FaultDiscriminator`.  They mirror the
+#: engineering trade-off the paper describes: a paranoid threshold
+#: re-keys on every cosmic ray (availability loss); a lax one lets a
+#: patient attacker through.
+_WINDOW = 1000.0             # time span of the assessed event window
+_RATE_THRESHOLD = 3.0        # events in the window that score as a burst
+_LOCALITY_THRESHOLD = 0.6    # share of events on one location
+_PHASE_THRESHOLD = 0.7       # share of events in sensitive phases
+_MALICIOUS_SCORE = 0.5       # score from which a stream is malicious
+
+
 class FaultDiscriminator:
-    """Heuristic classifier over a sliding window of fault events.
+    """Heuristic classifier over a sliding window of fault events."""
 
-    Tunables mirror the engineering trade-off the paper describes:
-    a paranoid threshold re-keys on every cosmic ray (availability
-    loss); a lax one lets a patient attacker through.
-    """
-
-    def __init__(self, window: float = 1000.0,
-                 rate_threshold: float = 3.0,
-                 locality_threshold: float = 0.6,
-                 phase_threshold: float = 0.7,
-                 malicious_score: float = 0.5) -> None:
-        self.window = window
-        self.rate_threshold = rate_threshold
-        self.locality_threshold = locality_threshold
-        self.phase_threshold = phase_threshold
-        self.malicious_score = malicious_score
+    def __init__(self) -> None:
         self.events: List[FaultEvent] = []
 
     def observe(self, event: FaultEvent) -> Assessment:
@@ -79,25 +76,25 @@ class FaultDiscriminator:
 
     def assess(self, now: float) -> Assessment:
         """Classify the recent event window at time ``now``."""
-        recent = [e for e in self.events if now - e.time <= self.window]
+        recent = [e for e in self.events if now - e.time <= _WINDOW]
         reasons: List[str] = []
         score = 0.0
         if not recent:
             return Assessment(Verdict.NATURAL,
                               Response.RECOVER_AND_RESUME, 0.0)
         # Rate: events per window vs expected natural rate.
-        if len(recent) >= self.rate_threshold:
+        if len(recent) >= _RATE_THRESHOLD:
             score += 0.4
             reasons.append(
                 f"{len(recent)} faults within window (>= "
-                f"{self.rate_threshold})"
+                f"{_RATE_THRESHOLD})"
             )
         # Locality: repeated hits on one location.
         counts: Dict[str, int] = {}
         for e in recent:
             counts[e.location] = counts.get(e.location, 0) + 1
         top_fraction = max(counts.values()) / len(recent)
-        if len(recent) >= 2 and top_fraction >= self.locality_threshold:
+        if len(recent) >= 2 and top_fraction >= _LOCALITY_THRESHOLD:
             score += 0.35
             reasons.append(
                 f"{top_fraction:.0%} of recent faults hit one location"
@@ -105,12 +102,12 @@ class FaultDiscriminator:
         # Phase alignment: faults timed at sensitive operations.
         phase_fraction = (sum(1 for e in recent if e.sensitive_phase)
                           / len(recent))
-        if len(recent) >= 2 and phase_fraction >= self.phase_threshold:
+        if len(recent) >= 2 and phase_fraction >= _PHASE_THRESHOLD:
             score += 0.25
             reasons.append(
                 f"{phase_fraction:.0%} of recent faults hit sensitive phases"
             )
-        if score >= self.malicious_score:
+        if score >= _MALICIOUS_SCORE:
             verdict = Verdict.MALICIOUS
             response = (Response.DISCONTINUE if score >= 0.9
                         else Response.REKEY)
@@ -134,12 +131,12 @@ def natural_fault_stream(n_events: int, duration: float,
 
 
 def attack_fault_stream(n_events: int, start: float, target: str,
-                        interval: float = 50.0,
                         seed: int = 0) -> List[FaultEvent]:
-    """Repeated, targeted, phase-aligned injections (the DFA scenario)."""
+    """Repeated, targeted, phase-aligned injections (the DFA scenario),
+    one every 50 time units."""
     rng = random.Random(seed)
     return [
-        FaultEvent(start + i * interval + rng.uniform(0, 5), target,
+        FaultEvent(start + i * 50.0 + rng.uniform(0, 5), target,
                    sensitive_phase=True)
         for i in range(n_events)
     ]

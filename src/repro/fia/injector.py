@@ -9,16 +9,14 @@ of Table II's logic-synthesis row).
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..netlist import GateType, Netlist
 from .models import Fault, FaultKind
 
 
-def inject_fault(netlist: Netlist, fault: Fault,
-                 name: Optional[str] = None) -> Netlist:
-    """Return a copy of ``netlist`` with ``fault`` permanently applied."""
-    faulty = netlist.copy(name or f"{netlist.name}_{fault.describe()}")
+def inject_fault(netlist: Netlist, fault: Fault) -> Netlist:
+    """Return a copy of ``netlist`` with ``fault`` permanently applied,
+    named ``<netlist>_<fault>``."""
+    faulty = netlist.copy(f"{netlist.name}_{fault.describe()}")
     victim = faulty.gate(fault.net)
     if fault.kind in (FaultKind.STUCK_AT_0, FaultKind.STUCK_AT_1):
         const = (GateType.CONST0 if fault.kind is FaultKind.STUCK_AT_0

@@ -38,13 +38,12 @@ class Fault:
 
 def enumerate_faults(netlist: Netlist,
                      kinds: Sequence[FaultKind] = (
-                         FaultKind.STUCK_AT_0, FaultKind.STUCK_AT_1),
-                     include_inputs: bool = True) -> List[Fault]:
-    """All single faults of the given kinds over the netlist's nets."""
+                         FaultKind.STUCK_AT_0, FaultKind.STUCK_AT_1)
+                     ) -> List[Fault]:
+    """All single faults of the given kinds over the netlist's nets,
+    primary inputs included."""
     faults: List[Fault] = []
     for g in netlist.gates.values():
-        if g.gate_type is GateType.INPUT and not include_inputs:
-            continue
         if g.gate_type in (GateType.CONST0, GateType.CONST1):
             continue
         for kind in kinds:

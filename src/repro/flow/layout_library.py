@@ -134,7 +134,6 @@ class ShieldInsertionPass(Pass):
         layout = _require_routing(ctx, self.name)
         critical = list(ctx.notes.get("critical-nets", []))
         added = insert_shields(layout, critical)
-        ctx.notes["shields-added"] = added
         return PassResult(
             self.name, rewrites=added,
             summary=f"inserted {added} shield cell(s) over exposed "
@@ -168,7 +167,6 @@ class EcoFillerPass(Pass):
         added = insert_fillers(layout, ctx.placement.positions.values(),
                                min_sites=self.min_sites,
                                min_free_capacity=self.min_free_capacity)
-        ctx.notes["filler-sites"] = added
         return PassResult(
             self.name, rewrites=added,
             summary=f"filled {added} free site(s) with ECO fillers",

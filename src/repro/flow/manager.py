@@ -55,8 +55,7 @@ class FlowContext:
     ``cache``, and derive determinism from ``seed``.  Later passes and
     checkers read what earlier ones publish: ``placement`` and
     ``routing``, and in ``notes`` the security-closure loop's
-    ``critical-nets`` plus its ECOs' ``buried-nets``, ``shields-added``
-    and ``filler-sites``.
+    ``critical-nets`` plus the ``buried-nets`` of its burying ECO.
     """
 
     def __init__(self, design: Design, cache: Optional[AnalysisCache] = None,
@@ -382,11 +381,11 @@ class PassManager:
     ``SecureFlow``'s re-run-everything loop.
     """
 
-    def __init__(self, checkers: Optional[Mapping] = None, seed: int = 0,
-                 cache: Optional[AnalysisCache] = None) -> None:
+    def __init__(self, checkers: Optional[Mapping] = None,
+                 seed: int = 0) -> None:
         self.checkers: Dict[object, Callable] = dict(checkers or {})
         self.seed = seed
-        self.cache = cache if cache is not None else AnalysisCache()
+        self.cache = AnalysisCache()
 
     def _tracked(self, goals: Iterable, assume: Iterable) -> List:
         wanted = list(assume) + [g for g in goals if g not in set(assume)]

@@ -104,14 +104,13 @@ def preserves_all(establishes: Iterable = (),
                    _propset(establishes), _propset(invalidates))
 
 
-def conservative(establishes: Iterable = (),
-                 preserves: Iterable = ()) -> Effects:
-    """Everything not named is declared invalidated — the paper's
+def conservative(establishes: Iterable = ()) -> Effects:
+    """Everything not established is declared invalidated — the paper's
     non-incremental "re-run everything" loop, used for transforms
     nobody has proven anything about."""
-    named = _propset(establishes) | _propset(preserves)
-    return Effects(_propset(preserves), _propset(establishes),
-                   frozenset(ALL_PROPERTIES) - named)
+    established = _propset(establishes)
+    return Effects(frozenset(), established,
+                   frozenset(ALL_PROPERTIES) - established)
 
 
 @dataclass

@@ -234,10 +234,10 @@ def no_flow_check(design: "Design", source: str, target: str,
         f"flow witness found for {source} -> {target}: {result.witness}")
 
 
-def fault_detection_check(design: "Design", min_coverage: float = 0.99,
-                          n_vectors: int = 64, seed: int = 0
-                          ) -> PropertyCheck:
-    """Fault campaign over the protected region against a coverage floor."""
+def fault_detection_check(design: "Design", n_vectors: int = 64,
+                          seed: int = 0) -> PropertyCheck:
+    """Fault campaign over the protected region against a 99% coverage
+    floor, with no silent corruption allowed."""
     from ..fia import fault_campaign
 
     if design.alarm is None:
@@ -250,7 +250,7 @@ def fault_detection_check(design: "Design", min_coverage: float = 0.99,
     report = fault_campaign(
         design.netlist, faults, n_vectors=n_vectors, alarm=design.alarm,
         payload_outputs=design.payload_outputs, seed=seed)
-    ok = report.coverage >= min_coverage and report.silent == 0
+    ok = report.coverage >= 0.99 and report.silent == 0
     return PropertyCheck(SecurityProperty.FAULT_DETECTION, ok,
                          report.coverage, report.summary())
 
@@ -279,32 +279,26 @@ def scan_leakage_check(design: "Design") -> PropertyCheck:
 # FlowContext` (``ctx.design``, ``ctx.cache``, ``ctx.seed``).  The
 # factories below bind measurement budgets once and close over them.
 
-def tvla_checker(n_traces: int = 3000, noise_sigma: float = 0.25,
-                 threshold: float = TVLA_THRESHOLD) -> Callable:
+def tvla_checker(n_traces: int = 3000) -> Callable:
     """Manager checker for :data:`SecurityProperty.TVLA_BOUND`."""
     def check(ctx) -> PropertyCheck:
-        return tvla_check(ctx.design, n_traces=n_traces,
-                          noise_sigma=noise_sigma, threshold=threshold,
-                          seed=ctx.seed, cache=ctx.cache)
+        return tvla_check(ctx.design, n_traces=n_traces, seed=ctx.seed,
+                          cache=ctx.cache)
     return check
 
 
-def masking_checker(n_traces: int = 2500,
-                    threshold: float = TVLA_THRESHOLD) -> Callable:
+def masking_checker(n_traces: int = 2500) -> Callable:
     """Manager checker for :data:`SecurityProperty.MASKING`."""
     def check(ctx) -> PropertyCheck:
-        return masking_check(ctx.design, n_traces=n_traces,
-                             threshold=threshold, seed=ctx.seed,
+        return masking_check(ctx.design, n_traces=n_traces, seed=ctx.seed,
                              cache=ctx.cache)
     return check
 
 
-def fault_detection_checker(min_coverage: float = 0.99,
-                            n_vectors: int = 64) -> Callable:
+def fault_detection_checker() -> Callable:
     """Manager checker for :data:`SecurityProperty.FAULT_DETECTION`."""
     def check(ctx) -> PropertyCheck:
-        return fault_detection_check(ctx.design, min_coverage=min_coverage,
-                                     n_vectors=n_vectors, seed=ctx.seed)
+        return fault_detection_check(ctx.design, seed=ctx.seed)
     return check
 
 
@@ -320,9 +314,9 @@ def _routing_of(ctx) -> Optional[object]:
     return getattr(ctx, "routing", None)
 
 
-def probing_exposure_checker(threshold: float = 0.05,
-                             probe_layers: int = 2) -> Callable:
-    """Manager checker for :data:`SecurityProperty.PROBING_EXPOSURE`.
+def probing_exposure_checker(threshold: float = 0.05) -> Callable:
+    """Manager checker for :data:`SecurityProperty.PROBING_EXPOSURE`
+    (the top two metal layers probe-reachable).
 
     Reads the routed layout from ``ctx.routing`` and the critical-net
     list from ``ctx.notes['critical-nets']`` (published by the route /
@@ -337,8 +331,7 @@ def probing_exposure_checker(threshold: float = 0.05,
                 SecurityProperty.PROBING_EXPOSURE, False, 1.0,
                 "no routed layout (run the 'route' pass first)")
         report = probing_exposure(layout,
-                                  ctx.notes.get("critical-nets", []),
-                                  probe_layers=probe_layers)
+                                  ctx.notes.get("critical-nets", []))
         return PropertyCheck(
             SecurityProperty.PROBING_EXPOSURE,
             report.exposure <= threshold, report.exposure,
@@ -346,9 +339,9 @@ def probing_exposure_checker(threshold: float = 0.05,
     return check
 
 
-def fia_exposure_checker(threshold: float = 0.30,
-                         spot_radius: int = 2) -> Callable:
-    """Manager checker for :data:`SecurityProperty.FIA_EXPOSURE`."""
+def fia_exposure_checker(threshold: float = 0.30) -> Callable:
+    """Manager checker for :data:`SecurityProperty.FIA_EXPOSURE`
+    (laser spot radius 2)."""
     def check(ctx) -> PropertyCheck:
         from ..physical.attack_surface import fia_exposure
 
@@ -357,8 +350,7 @@ def fia_exposure_checker(threshold: float = 0.30,
             return PropertyCheck(
                 SecurityProperty.FIA_EXPOSURE, False, 1.0,
                 "no routed layout (run the 'route' pass first)")
-        report = fia_exposure(layout, ctx.notes.get("critical-nets", []),
-                              spot_radius=spot_radius)
+        report = fia_exposure(layout, ctx.notes.get("critical-nets", []))
         return PropertyCheck(
             SecurityProperty.FIA_EXPOSURE,
             report.exposure <= threshold, report.exposure,
@@ -366,11 +358,10 @@ def fia_exposure_checker(threshold: float = 0.30,
     return check
 
 
-def trojan_insertability_checker(threshold: float = 0.05,
-                                 min_trojan_sites: int = 4,
-                                 min_free_capacity: float = 0.2
-                                 ) -> Callable:
-    """Manager checker for :data:`SecurityProperty.TROJAN_INSERTABILITY`.
+def trojan_insertability_checker(threshold: float = 0.05) -> Callable:
+    """Manager checker for :data:`SecurityProperty.TROJAN_INSERTABILITY`
+    (regions of at least 4 free sites with at least 20% free routing
+    capacity).
 
     Needs ``ctx.placement`` in addition to ``ctx.routing`` — occupied
     standard-cell sites bound the free regions a Trojan could claim.
@@ -383,10 +374,8 @@ def trojan_insertability_checker(threshold: float = 0.05,
             return PropertyCheck(
                 SecurityProperty.TROJAN_INSERTABILITY, False, 1.0,
                 "no routed layout/placement (run placement + route)")
-        report = trojan_insertability(
-            layout, ctx.placement.positions.values(),
-            min_sites=min_trojan_sites,
-            min_free_capacity=min_free_capacity)
+        report = trojan_insertability(layout,
+                                      ctx.placement.positions.values())
         return PropertyCheck(
             SecurityProperty.TROJAN_INSERTABILITY,
             report.exposure <= threshold, report.exposure,
@@ -396,30 +385,24 @@ def trojan_insertability_checker(threshold: float = 0.05,
 
 def layout_checkers(probing_threshold: float = 0.05,
                     fia_threshold: float = 0.30,
-                    trojan_threshold: float = 0.05,
-                    probe_layers: int = 2, spot_radius: int = 2,
-                    min_trojan_sites: int = 4,
-                    min_free_capacity: float = 0.2
+                    trojan_threshold: float = 0.05
                     ) -> Dict[SecurityProperty, Callable]:
     """The stock checker set for the three layout properties."""
     return {
         SecurityProperty.PROBING_EXPOSURE:
-            probing_exposure_checker(probing_threshold, probe_layers),
+            probing_exposure_checker(probing_threshold),
         SecurityProperty.FIA_EXPOSURE:
-            fia_exposure_checker(fia_threshold, spot_radius),
+            fia_exposure_checker(fia_threshold),
         SecurityProperty.TROJAN_INSERTABILITY:
-            trojan_insertability_checker(trojan_threshold,
-                                         min_trojan_sites,
-                                         min_free_capacity),
+            trojan_insertability_checker(trojan_threshold),
     }
 
 
-def default_checkers(n_traces: int = 3000,
-                     noise_sigma: float = 0.25) -> Dict[SecurityProperty,
-                                                        Callable]:
+def default_checkers(n_traces: int = 3000) -> Dict[SecurityProperty,
+                                                   Callable]:
     """The stock checker set for pipelines over masked designs."""
     return {
-        SecurityProperty.TVLA_BOUND: tvla_checker(n_traces, noise_sigma),
+        SecurityProperty.TVLA_BOUND: tvla_checker(n_traces),
         SecurityProperty.MASKING: masking_checker(n_traces),
         SecurityProperty.FAULT_DETECTION: fault_detection_checker(),
         SecurityProperty.SCAN_LEAKAGE: scan_leakage_checker(),

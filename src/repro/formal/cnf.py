@@ -56,8 +56,8 @@ class CircuitEncoder:
     encoded once.
     """
 
-    def __init__(self, solver: Optional[Solver] = None) -> None:
-        self.solver = solver or Solver()
+    def __init__(self) -> None:
+        self.solver = Solver()
         #: Full-netlist :meth:`encode` calls (``within=None``).  The
         #: incremental clients assert on this: ATPG must encode its base
         #: circuit exactly once per run, not once per fault.
@@ -90,10 +90,10 @@ class CircuitEncoder:
             self._const_of[cached] = value
         return cached
 
-    def encode(self, netlist: Netlist, prefix: str = "",
+    def encode(self, netlist: Netlist,
                bind: Optional[Mapping[str, int]] = None,
                within: Optional[AbstractSet[str]] = None) -> Dict[str, int]:
-        """Encode every net; returns map ``prefix+net -> variable``.
+        """Encode every net; returns map ``net -> variable``.
 
         Two nets may share a variable (a BUF, or logic equal to logic
         already encoded by this encoder), and a net may map to a
@@ -147,8 +147,6 @@ class CircuitEncoder:
                 else:
                     raise ValueError(f"cannot encode gate type {t.name}")
             varmap[net] = v
-        if prefix:
-            return {prefix + net: v for net, v in varmap.items()}
         return varmap
 
     # ------------------------------------------------------------------

@@ -28,22 +28,17 @@ class EquivalenceResult:
 
 
 def check_equivalence(left: Netlist, right: Netlist,
-                      input_map: Optional[Mapping[str, str]] = None,
-                      output_map: Optional[Mapping[str, str]] = None,
                       left_fixed: Optional[Mapping[str, int]] = None,
                       right_fixed: Optional[Mapping[str, int]] = None,
                       ) -> EquivalenceResult:
     """SAT-based combinational equivalence of two netlists.
 
-    ``input_map``/``output_map`` translate ``left`` port names to
-    ``right`` names (default: identity).  ``left_fixed``/``right_fixed``
-    pin selected inputs (e.g. key inputs of a locked design) to
-    constants before comparing.
+    Ports match by name.  ``left_fixed``/``right_fixed`` pin selected
+    inputs (e.g. key inputs of a locked design) to constants before
+    comparing.
 
     Returns a counterexample input assignment on inequivalence.
     """
-    input_map = dict(input_map or {})
-    output_map = dict(output_map or {})
     left_fixed = dict(left_fixed or {})
     right_fixed = dict(right_fixed or {})
 
@@ -55,10 +50,7 @@ def check_equivalence(left: Netlist, right: Netlist,
     shared_inputs = [
         name for name in left.inputs if name not in left_fixed
     ]
-    bind = {}
-    for name in shared_inputs:
-        right_name = input_map.get(name, name)
-        bind[right_name] = left_vars[name]
+    bind = {name: left_vars[name] for name in shared_inputs}
     right_vars = enc.encode(right, bind=bind)
     for net, value in right_fixed.items():
         enc.assert_equal(right_vars[net], value)
@@ -81,7 +73,7 @@ def check_equivalence(left: Netlist, right: Netlist,
     solver = enc.solver
     for out in left.outputs:
         left_var = left_vars[out]
-        right_var = right_vars[output_map.get(out, out)]
+        right_var = right_vars[out]
         if left_var == right_var:
             continue
         diff = enc.xor_of(left_var, right_var)

@@ -10,7 +10,7 @@ properties next to the design.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional
+from typing import Dict, List, Optional
 
 from ..netlist import Netlist
 from .cnf import CircuitEncoder
@@ -29,14 +29,11 @@ class PropertyResult:
     frames_checked: int = 0
 
 
-def prove_output_constant(netlist: Netlist, output: str, value: int,
-                          fixed: Optional[Mapping[str, int]] = None
+def prove_output_constant(netlist: Netlist, output: str, value: int
                           ) -> PropertyResult:
     """Prove a combinational output equals ``value`` for all inputs."""
     enc = CircuitEncoder()
     varmap = enc.encode(netlist)
-    for net, v in (fixed or {}).items():
-        enc.assert_equal(varmap[net], v)
     enc.assert_equal(varmap[output], 1 - value)
     if not enc.solver.solve():
         return PropertyResult(True, frames_checked=1)

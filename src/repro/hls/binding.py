@@ -10,7 +10,7 @@ in a register is exactly the exposure the register-flushing pass of
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from .dfg import Label, OpType
 from .schedule import OP_LATENCY, Schedule, UNIT_CLASS
@@ -30,14 +30,9 @@ class Lifetime:
         return max(0, self.death - self.birth)
 
 
-def value_lifetimes(schedule: Schedule,
-                    labels: Optional[Mapping[str, Label]] = None
-                    ) -> List[Lifetime]:
-    """Birth/death intervals for every produced value.
-
-    ``labels`` (e.g. from taint analysis) attaches security labels;
-    default is each op's own source label.
-    """
+def value_lifetimes(schedule: Schedule) -> List[Lifetime]:
+    """Birth/death intervals for every produced value, each labelled
+    with its op's own source label."""
     dfg = schedule.dfg
     consumers = dfg.consumers()
     lifetimes: List[Lifetime] = []
@@ -51,8 +46,7 @@ def value_lifetimes(schedule: Schedule,
         else:
             death = max(schedule.start[u] for u in uses)
             # A FLUSH consumer *ends* the lifetime at its own cycle.
-        label = (labels or {}).get(name, op.label)
-        lifetimes.append(Lifetime(name, birth, death, label))
+        lifetimes.append(Lifetime(name, birth, death, op.label))
     return lifetimes
 
 
@@ -85,8 +79,7 @@ class Binding:
     n_units: Dict[str, int]
 
 
-def bind(schedule: Schedule,
-         labels: Optional[Mapping[str, Label]] = None) -> Binding:
+def bind(schedule: Schedule) -> Binding:
     """Greedy unit binding + left-edge register allocation."""
     dfg = schedule.dfg
     unit_of: Dict[str, Tuple[str, int]] = {}
@@ -108,7 +101,7 @@ def bind(schedule: Schedule,
         else:
             unit_of[name] = (unit_class, len(pool))
             pool.append(end)
-    lifetimes = value_lifetimes(schedule, labels)
+    lifetimes = value_lifetimes(schedule)
     registers = left_edge_allocate(lifetimes)
     return Binding(
         unit_of=unit_of,

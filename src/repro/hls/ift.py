@@ -80,17 +80,17 @@ def taint_analysis(dfg: Dfg, masking_aware: bool = True) -> TaintReport:
 
 
 def qif_channel_capacity(channel: Callable[[int, int], int],
-                         secret_bits: int, public_bits: int,
-                         max_enumeration: int = 1 << 20) -> float:
+                         secret_bits: int, public_bits: int) -> float:
     """Min-entropy leakage of ``output = channel(secret, public)``.
 
     For a deterministic channel and uniform secret, the multiplicative
     leakage equals the maximum (over public inputs) number of distinct
     outputs; leakage in bits is its log2.  Exhaustive over the declared
-    bit widths (use small widths — this is the approximate-model-
-    counting use case of [49] writ small).
+    bit widths, at most ``2**20`` channel evaluations (use small widths
+    — this is the approximate-model-counting use case of [49] writ
+    small).
     """
-    if (1 << (secret_bits + public_bits)) > max_enumeration:
+    if (1 << (secret_bits + public_bits)) > 1 << 20:
         raise ValueError("enumeration bound exceeded; reduce bit widths")
     worst = 1
     for pub in range(1 << public_bits):
@@ -102,12 +102,11 @@ def qif_channel_capacity(channel: Callable[[int, int], int],
 
 
 def dfg_output_leakage(dfg: Dfg, output: str,
-                       secret_input: str, public_input: str,
-                       bits: int = 8,
-                       randoms_zero: bool = True) -> float:
-    """QIF of one DFG output w.r.t. one secret input (others fixed 0).
+                       secret_input: str, public_input: str) -> float:
+    """QIF of one DFG output w.r.t. one 8-bit secret input (public input
+    8 bits, others fixed 0).
 
-    With ``randoms_zero`` the RNG is modeled as an attacker-known
+    Fixing the RNG inputs to 0 models the RNG as an attacker-known
     constant — the *worst case* for masked designs (masking's security
     collapses if the RNG is frozen), which is exactly the situation a
     verification flow must flag.
@@ -122,4 +121,4 @@ def dfg_output_leakage(dfg: Dfg, output: str,
         values = dfg.evaluate(stim)
         return values[output]
 
-    return qif_channel_capacity(channel, bits, bits)
+    return qif_channel_capacity(channel, 8, 8)

@@ -60,10 +60,9 @@ def asap_schedule(dfg: Dfg) -> Schedule:
     return Schedule(start, dfg)
 
 
-def alap_schedule(dfg: Dfg, deadline: Optional[int] = None) -> Schedule:
-    """As-late-as-possible schedule against a deadline (default: ASAP latency)."""
-    asap = asap_schedule(dfg)
-    horizon = deadline if deadline is not None else asap.latency
+def alap_schedule(dfg: Dfg) -> Schedule:
+    """As-late-as-possible schedule against the ASAP latency."""
+    horizon = asap_schedule(dfg).latency
     consumers = dfg.consumers()
     start: Dict[str, int] = {}
     for name in reversed(dfg.topological_order()):

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -112,8 +112,8 @@ def mask_sbox_kernel() -> Dfg:
     return g
 
 
-def multi_byte_kernel(n_bytes: int = 4, masked: bool = False) -> Dfg:
-    """``n_bytes`` independent first-round S-box lanes.
+def multi_byte_kernel(n_bytes: int = 4) -> Dfg:
+    """``n_bytes`` independent, unmasked first-round S-box lanes.
 
     Sharing one S-box unit across lanes gives the scheduler real
     freedom, which is what the shuffling countermeasure exploits: with
@@ -122,21 +122,13 @@ def multi_byte_kernel(n_bytes: int = 4, masked: bool = False) -> Dfg:
     time samples.  Inputs are ``pt``/``key`` (the attacked lane 0) and
     ``pt1..``/``key1..``.
     """
-    g = Dfg(f"aes_round1_x{n_bytes}" + ("_masked" if masked else ""))
+    g = Dfg(f"aes_round1_x{n_bytes}")
     for lane in range(n_bytes):
         suffix = "" if lane == 0 else str(lane)
         g.add(f"pt{suffix}", OpType.INPUT, label=Label.PUBLIC)
         g.add(f"key{suffix}", OpType.INPUT, label=Label.SECRET)
         g.add(f"ark{suffix}", OpType.XOR, [f"pt{suffix}", f"key{suffix}"])
-        if masked:
-            g.add(f"mi{suffix}", OpType.RAND)
-            g.add(f"mo{suffix}", OpType.RAND)
-            g.add(f"arkm{suffix}", OpType.XOR,
-                  [f"ark{suffix}", f"mi{suffix}"])
-            g.add(f"sb{suffix}", OpType.MSBOX,
-                  [f"arkm{suffix}", f"mi{suffix}", f"mo{suffix}"])
-        else:
-            g.add(f"sb{suffix}", OpType.SBOX, [f"ark{suffix}"])
+        g.add(f"sb{suffix}", OpType.SBOX, [f"ark{suffix}"])
         g.add(f"ct{suffix}", OpType.OUTPUT, [f"sb{suffix}"])
     return g
 
@@ -170,12 +162,12 @@ def hls_power_trace(dfg: Dfg, schedule: Schedule,
 
 
 def evaluate_hls_cpa(dfg: Dfg, true_key: int,
-                     resources: Optional[Dict[str, int]] = None,
                      n_traces: int = 1500,
                      noise_sigma: float = 1.0,
                      shuffle: bool = False,
                      seed: int = 0) -> HlsLeakageResult:
-    """CPA against the HLS-level power model of a kernel.
+    """CPA against the HLS-level power model of a kernel, scheduled on
+    one unit of each class.
 
     The kernel must expose inputs ``pt`` and ``key``.  With
     ``shuffle=True`` each trace is scheduled with a fresh random
@@ -183,7 +175,7 @@ def evaluate_hls_cpa(dfg: Dfg, true_key: int,
     """
     from ..sca import cpa_attack
 
-    resources = resources or {"alu": 1, "sbox": 1, "mul": 1, "rng": 1}
+    resources = {"alu": 1, "sbox": 1, "mul": 1, "rng": 1}
     rng_np = np.random.default_rng(seed)
     rng_py = random.Random(seed)
     base_schedule = list_schedule(dfg, resources)

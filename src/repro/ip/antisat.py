@@ -14,20 +14,19 @@ locking implies.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from ..netlist import GateType, Netlist
 from .locking import LockedCircuit
 
 
 def antisat_lock(netlist: Netlist, width: int = 4,
-                 seed: int = 0,
-                 victim: Optional[str] = None) -> LockedCircuit:
+                 seed: int = 0) -> LockedCircuit:
     """Attach an Anti-SAT block of ``width`` taps to a netlist.
 
     Inserts ``2 * width`` key inputs; the correct key is any pair with
-    ``K1 == K2`` — we fix a random one.  The block's output flips
-    ``victim`` (default: a random internal net in an output cone).
+    ``K1 == K2`` — we fix a random one.  The block's output flips a
+    random internal net in an output cone.
     """
     rng = random.Random(seed)
     locked = netlist.copy(netlist.name + "_antisat")
@@ -62,7 +61,7 @@ def antisat_lock(netlist: Netlist, width: int = 4,
                 if width == 1
                 else locked.add(GateType.NAND, gbar_terms, prefix="as_hb_"))
     y = locked.add(GateType.AND, [g_out, gbar_out], prefix="as_y_")
-    victim_net = victim or rng.choice(internal)
+    victim_net = rng.choice(internal)
     payload = locked.add(GateType.XOR, [victim_net, y], prefix="as_pay_")
     locked.rewire_consumers(victim_net, payload, keep_outputs=False)
     gate = locked.gate(payload)

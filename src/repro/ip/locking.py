@@ -49,9 +49,10 @@ def _key_index(name: str) -> int:
     return int(digits) if digits else 0
 
 
-def lock_xor(netlist: Netlist, key_bits: int, seed: int = 0,
-             key_prefix: str = "keyin") -> LockedCircuit:
-    """Insert ``key_bits`` random XOR/XNOR key gates.
+def lock_xor(netlist: Netlist, key_bits: int,
+             seed: int = 0) -> LockedCircuit:
+    """Insert ``key_bits`` random XOR/XNOR key gates on key inputs
+    ``keyin0..``.
 
     Candidate sites are internal combinational nets (not key gates
     themselves).  For each site a key bit is drawn; bit 0 inserts a
@@ -81,7 +82,7 @@ def lock_xor(netlist: Netlist, key_bits: int, seed: int = 0,
     sites = rng.sample(candidates, key_bits)
     key: Dict[str, int] = {}
     for index, site in enumerate(sites):
-        key_name = f"{key_prefix}{index}"
+        key_name = f"keyin{index}"
         locked.add_input(key_name)
         bit = rng.randint(0, 1)
         key[key_name] = bit
@@ -198,8 +199,9 @@ def score_candidate_keys(locked: LockedCircuit,
 
 
 def wrong_key_error_rate(locked: LockedCircuit, trials: int = 32,
-                         vectors: int = 64, seed: int = 0) -> float:
-    """Fraction of (wrong key, input) pairs with corrupted outputs.
+                         vectors: int = 64) -> float:
+    """Fraction of (wrong key, input) pairs with corrupted outputs,
+    keys and inputs drawn from ``random.Random(0)``.
 
     A good locking scheme shows high corruption for random wrong keys —
     the basic functional-impact metric before any attack modeling.
@@ -207,7 +209,7 @@ def wrong_key_error_rate(locked: LockedCircuit, trials: int = 32,
     the result is bit-identical to simulating each wrong key on its
     own (the random key draws are unchanged).
     """
-    rng = random.Random(seed)
+    rng = random.Random(0)
     net = locked.netlist
     data_inputs = [i for i in net.inputs if i not in locked.key]
     from ..netlist import random_stimulus

@@ -36,8 +36,8 @@ class MeteredChip:
     unlocked: bool = False
     failed_attempts: int = 0
 
-    def chip_id(self, n_challenge_bits: int = 64) -> int:
-        """Self-identification: PUF responses to a public challenge set."""
+    def chip_id(self) -> int:
+        """Self-identification: PUF responses to 64 public challenges."""
         rng = np.random.default_rng(12345)  # public, fixed challenges
         challenges = rng.integers(0, 2, (64, self.puf.n_stages))
         bits = self.puf.respond(challenges)
@@ -72,12 +72,12 @@ def _unlock_word(chip_id: int, owner_secret: bytes, step: int) -> int:
 
 
 class MeteringAuthority:
-    """The IP owner: fabricates chips and issues unlock sequences."""
+    """The IP owner: fabricates chips and issues unlock sequences of
+    four words."""
 
-    def __init__(self, owner_secret: bytes = b"ip-owner-secret",
-                 sequence_length: int = 4) -> None:
-        self.owner_secret = owner_secret
-        self.sequence_length = sequence_length
+    def __init__(self) -> None:
+        self.owner_secret = b"ip-owner-secret"
+        self.sequence_length = 4
         self.activated: List[int] = []
 
     def fabricate(self, n_chips: int, seed: int = 0) -> List[MeteredChip]:

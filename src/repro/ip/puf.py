@@ -40,15 +40,15 @@ class ArbiterPuf:
     """
 
     def __init__(self, n_stages: int = 64, seed: int = 0,
-                 variation_sigma: float = 1.0,
                  asymmetry: float = 0.0) -> None:
         rng = np.random.default_rng(seed)
-        # Per-stage delay-difference weights; layout asymmetry ([30])
-        # deliberately enlarges element mismatch, increasing entropy.
-        sigma = variation_sigma * (1.0 + asymmetry)
+        # Per-stage delay-difference weights of unit process variation;
+        # layout asymmetry ([30]) deliberately enlarges element
+        # mismatch, increasing entropy.
+        sigma = 1.0 + asymmetry
         self.weights = rng.normal(0.0, sigma, n_stages + 1)
         self.n_stages = n_stages
-        self.noise_sigma = 0.05 * variation_sigma
+        self.noise_sigma = 0.05
 
     def _features(self, challenges: np.ndarray) -> np.ndarray:
         """Parity transform: phi_i = prod_{j>=i} (1 - 2 c_j)."""
@@ -75,11 +75,11 @@ class ArbiterPuf:
 class RingOscillatorPuf:
     """RO-pair PUF: response bit = which of two ROs oscillates faster."""
 
-    def __init__(self, n_rings: int = 64, seed: int = 0,
-                 variation_sigma: float = 1.0) -> None:
+    def __init__(self, n_rings: int = 64, seed: int = 0) -> None:
         rng = np.random.default_rng(seed)
-        self.frequencies = 100.0 + rng.normal(0.0, variation_sigma, n_rings)
-        self.noise_sigma = 0.05 * variation_sigma
+        # Unit process variation around a nominal frequency of 100.
+        self.frequencies = 100.0 + rng.normal(0.0, 1.0, n_rings)
+        self.noise_sigma = 0.05
         self.n_rings = n_rings
 
     def respond_pairs(self, pairs: Sequence[Tuple[int, int]],
@@ -96,12 +96,14 @@ class RingOscillatorPuf:
         return np.array(out, dtype=np.int64)
 
 
-def evaluate_arbiter_population(n_chips: int = 20, n_stages: int = 64,
+def evaluate_arbiter_population(n_chips: int = 20,
                                 n_challenges: int = 500,
                                 n_repeats: int = 11,
                                 asymmetry: float = 0.0,
                                 seed: int = 0) -> PufMetrics:
-    """Monte-Carlo fab run: uniformity / reliability / uniqueness."""
+    """Monte-Carlo fab run of 64-stage arbiter PUFs: uniformity /
+    reliability / uniqueness."""
+    n_stages = 64
     rng = np.random.default_rng(seed)
     challenges = rng.integers(0, 2, (n_challenges, n_stages))
     chips = [
@@ -128,9 +130,9 @@ def evaluate_arbiter_population(n_chips: int = 20, n_stages: int = 64,
 
 
 def model_attack_arbiter(puf: ArbiterPuf, n_train: int = 2000,
-                         n_test: int = 500, seed: int = 0,
-                         epochs: int = 200, lr: float = 0.05) -> float:
-    """Logistic-regression modeling attack; returns test accuracy.
+                         seed: int = 0) -> float:
+    """Logistic-regression modeling attack; returns the accuracy on 500
+    held-out CRPs after 200 epochs of gradient descent.
 
     The additive arbiter PUF is linearly separable in the parity
     features, so a software clone reaches ~99% accuracy from a few
@@ -139,17 +141,17 @@ def model_attack_arbiter(puf: ArbiterPuf, n_train: int = 2000,
     """
     rng = np.random.default_rng(seed)
     train_c = rng.integers(0, 2, (n_train, puf.n_stages))
-    test_c = rng.integers(0, 2, (n_test, puf.n_stages))
+    test_c = rng.integers(0, 2, (500, puf.n_stages))
     train_r = puf.respond(train_c)
     test_r = puf.respond(test_c)
     phi_train = puf._features(train_c)
     phi_test = puf._features(test_c)
     w = np.zeros(phi_train.shape[1])
     y = train_r.astype(float)
-    for _ in range(epochs):
+    for _ in range(200):
         p = 1.0 / (1.0 + np.exp(-(phi_train @ w)))
         gradient = phi_train.T @ (p - y) / len(y)
-        w -= lr * gradient * 10.0
+        w -= 0.05 * gradient * 10.0
     predictions = (phi_test @ w > 0).astype(np.int64)
     return float(np.mean(predictions == test_r))
 

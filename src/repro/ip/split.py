@@ -33,7 +33,9 @@ Point = Tuple[float, float]
 
 #: How far along its path a hidden wire routes on lower metals before
 #: rising above the split layer (0.0 = rises at the pin, no hint).
-DEFAULT_ROUTE_FRACTION = 0.48
+ROUTE_FRACTION = 0.48
+#: Uniform jitter (in sites, per axis) of a heuristic dangling via.
+VIA_JITTER = 0.4
 
 
 @dataclass
@@ -71,9 +73,6 @@ def _via_points(driver_pos: Point, sink_pos: Point, fraction: float,
 def build_feol_view(netlist: Netlist, placement: Placement,
                     split_layer: int,
                     lifted: Optional[Set[str]] = None,
-                    route_fraction: float = DEFAULT_ROUTE_FRACTION,
-                    via_jitter: float = 0.4,
-                    seed: int = 0,
                     routing: Optional["RoutedLayout"] = None) -> FeolView:
     """Partition the routed design at ``split_layer``.
 
@@ -81,13 +80,14 @@ def build_feol_view(netlist: Netlist, placement: Placement,
     defense): they are always hidden and expose no stub direction.
 
     Without ``routing`` the dangling-via positions come from the
-    stub-fraction heuristic (plus jitter).  With a
+    stub-fraction heuristic (:data:`ROUTE_FRACTION`, plus
+    :data:`VIA_JITTER` drawn from ``random.Random(0)``).  With a
     :class:`~repro.physical.routing.RoutedLayout` they are the *exact*
     points where each routed branch crosses the split layer — no
     jitter, no randomness — which is what the foundry actually sees.
     """
     lifted = lifted or set()
-    rng = random.Random(seed)
+    rng = random.Random(0)
     scale = max(1, routing.scale) if routing is not None else 1
     wires = assign_layers(netlist, placement, lifted=lifted,
                           routing=routing)
@@ -115,9 +115,9 @@ def build_feol_view(netlist: Netlist, placement: Placement,
             d_via = (dvx / scale, dvy / scale)
             s_via = (svx / scale, svy / scale)
         else:
-            fraction = 0.0 if w.driver in lifted else route_fraction
+            fraction = 0.0 if w.driver in lifted else ROUTE_FRACTION
             d_via, s_via = _via_points(driver_pos, sink_pos, fraction,
-                                       rng, via_jitter)
+                                       rng, VIA_JITTER)
         for position, fi in enumerate(sink_gate.fanins):
             if fi != w.driver:
                 continue
@@ -153,9 +153,10 @@ def _distance(a: Point, b: Point) -> float:
     return abs(a[0] - b[0]) + abs(a[1] - b[1])
 
 
-def proximity_attack(view: FeolView, mode: str = "via",
-                     seed: int = 0) -> ProximityAttackResult:
-    """Match every dangling sink to a dangling driver.
+def proximity_attack(view: FeolView, mode: str = "via"
+                     ) -> ProximityAttackResult:
+    """Match every dangling sink to a dangling driver, in an order
+    shuffled by ``random.Random(0)``.
 
     ``mode="via"`` uses the dangling-via positions (strong when wires
     stub toward their partner); ``mode="cell"`` uses raw cell placement
@@ -164,7 +165,7 @@ def proximity_attack(view: FeolView, mode: str = "via",
     """
     if mode not in ("via", "cell"):
         raise ValueError(f"unknown attack mode {mode!r}")
-    rng = random.Random(seed)
+    rng = random.Random(0)
     netlist = view.netlist
     placement = view.placement
     guesses: Dict[Tuple[str, int], str] = {}
@@ -206,11 +207,11 @@ def proximity_attack(view: FeolView, mode: str = "via",
 
 
 def reconstruction_error_rate(view: FeolView,
-                              result: ProximityAttackResult,
-                              n_vectors: int = 128,
-                              seed: int = 0) -> float:
+                              result: ProximityAttackResult) -> float:
     """Functional damage of the attacker's netlist: fraction of output
-    bits differing from the true design over random vectors."""
+    bits differing from the true design over 128 random vectors drawn
+    from ``random.Random(0)``."""
+    n_vectors = 128
     from ..netlist import random_stimulus, simulate
 
     reconstructed = view.netlist.copy(view.netlist.name + "_rec")
@@ -218,7 +219,7 @@ def reconstruction_error_rate(view: FeolView,
         g = reconstructed.gates[sink_gate]
         g.fanins[position] = driver
     reconstructed.invalidate()
-    rng = random.Random(seed)
+    rng = random.Random(0)
     stim = random_stimulus(view.netlist.inputs, n_vectors, rng)
     golden = simulate(view.netlist, stim, n_vectors)
     try:

@@ -73,33 +73,27 @@ class PPAReport:
         }
 
 
-def gate_area(gate_type: GateType, n_fanins: int,
-              costs: Optional[Mapping[GateType, CellCost]] = None) -> float:
-    costs = costs or DEFAULT_COSTS
-    base = costs[gate_type].area
+def gate_area(gate_type: GateType, n_fanins: int) -> float:
+    base = DEFAULT_COSTS[gate_type].area
     extra = max(0, n_fanins - 2) * _EXTRA_FANIN_AREA
     return base + (extra if gate_type.is_combinational else 0.0)
 
 
-def gate_delay(gate_type: GateType, n_fanins: int,
-               costs: Optional[Mapping[GateType, CellCost]] = None) -> float:
-    costs = costs or DEFAULT_COSTS
-    base = costs[gate_type].delay
+def gate_delay(gate_type: GateType, n_fanins: int) -> float:
+    base = DEFAULT_COSTS[gate_type].delay
     extra = max(0, n_fanins - 2) * _EXTRA_FANIN_DELAY
     return base + (extra if gate_type.is_combinational else 0.0)
 
 
-def area(netlist: Netlist,
-         costs: Optional[Mapping[GateType, CellCost]] = None) -> float:
+def area(netlist: Netlist) -> float:
     """Total cell area in NAND2-equivalents."""
     return sum(
-        gate_area(g.gate_type, len(g.fanins), costs)
+        gate_area(g.gate_type, len(g.fanins))
         for g in netlist.gates.values()
     )
 
 
 def arrival_times(netlist: Netlist,
-                  costs: Optional[Mapping[GateType, CellCost]] = None,
                   input_arrivals: Optional[Mapping[str, float]] = None
                   ) -> Dict[str, float]:
     """Per-net worst arrival time (ps).
@@ -108,7 +102,6 @@ def arrival_times(netlist: Netlist,
     overrides them — e.g. random-number-generator outputs that reach the
     logic late, the scenario of the paper's Fig. 2.
     """
-    costs = costs or DEFAULT_COSTS
     input_arrivals = input_arrivals or {}
     at: Dict[str, float] = {}
     for net in netlist.topological_order():
@@ -117,15 +110,13 @@ def arrival_times(netlist: Netlist,
             at[net] = float(input_arrivals.get(net, 0.0))
         else:
             at[net] = (max(at[fi] for fi in g.fanins)
-                       + gate_delay(g.gate_type, len(g.fanins), costs))
+                       + gate_delay(g.gate_type, len(g.fanins)))
     return at
 
 
-def critical_path_delay(netlist: Netlist,
-                        costs: Optional[Mapping[GateType, CellCost]] = None
-                        ) -> float:
+def critical_path_delay(netlist: Netlist) -> float:
     """Worst arrival over primary outputs and DFF D-pins (ps)."""
-    at = arrival_times(netlist, costs)
+    at = arrival_times(netlist)
     endpoints = list(netlist.outputs)
     endpoints.extend(netlist.gates[ff].fanins[0] for ff in netlist.flops)
     if not endpoints:
@@ -133,24 +124,21 @@ def critical_path_delay(netlist: Netlist,
     return max(at[e] for e in endpoints)
 
 
-def leakage_power(netlist: Netlist,
-                  costs: Optional[Mapping[GateType, CellCost]] = None) -> float:
+def leakage_power(netlist: Netlist) -> float:
     """Total static leakage (nW) over all cells."""
-    costs = costs or DEFAULT_COSTS
-    return sum(costs[g.gate_type].leakage for g in netlist.gates.values())
+    return sum(DEFAULT_COSTS[g.gate_type].leakage
+               for g in netlist.gates.values())
 
 
-def ppa_report(netlist: Netlist,
-               costs: Optional[Mapping[GateType, CellCost]] = None
-               ) -> PPAReport:
+def ppa_report(netlist: Netlist) -> PPAReport:
     """Full PPA summary used by the flow and DSE engines."""
-    costs = costs or DEFAULT_COSTS
     return PPAReport(
-        area=area(netlist, costs),
-        delay=critical_path_delay(netlist, costs),
-        leakage_power=leakage_power(netlist, costs),
+        area=area(netlist),
+        delay=critical_path_delay(netlist),
+        leakage_power=leakage_power(netlist),
         switch_energy=sum(
-            costs[g.gate_type].switch_energy for g in netlist.gates.values()
+            DEFAULT_COSTS[g.gate_type].switch_energy
+            for g in netlist.gates.values()
         ),
         cell_count=netlist.num_cells(),
         flop_count=len(netlist.flops),

@@ -386,11 +386,11 @@ class Netlist:
         )
 
 
-def cone_extract(netlist: Netlist, output: str,
-                 name: Optional[str] = None) -> Netlist:
-    """Extract the single-output combinational cone feeding ``output``."""
+def cone_extract(netlist: Netlist, output: str) -> Netlist:
+    """Extract the single-output combinational cone feeding ``output``,
+    named ``<netlist>_cone_<output>``."""
     keep = netlist.transitive_fanin([output])
-    cone = Netlist(name or f"{netlist.name}_cone_{output}")
+    cone = Netlist(f"{netlist.name}_cone_{output}")
     for net in netlist.topological_order():
         if net not in keep:
             continue

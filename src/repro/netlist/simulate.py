@@ -62,21 +62,22 @@ def simulate_reference(netlist: Netlist, inputs: Mapping[str, int],
     return values
 
 
-def output_values(netlist: Netlist, inputs: Mapping[str, int],
-                  width: int = 1) -> Dict[str, int]:
-    """Like :func:`simulate` but returning only primary outputs."""
-    values = simulate(netlist, inputs, width)
+def output_values(netlist: Netlist,
+                  inputs: Mapping[str, int]) -> Dict[str, int]:
+    """Like :func:`simulate` (one pattern) but returning only primary
+    outputs."""
+    values = simulate(netlist, inputs)
     return {o: values[o] for o in netlist.outputs}
 
 
 def step_sequential(netlist: Netlist, inputs: Mapping[str, int],
-                    state: Mapping[str, int],
-                    width: int = 1) -> Tuple[Dict[str, int], Dict[str, int]]:
-    """One clock cycle: returns (all net values, next DFF state)."""
-    values = simulate(netlist, inputs, width, state)
-    mask = (1 << width) - 1
+                    state: Mapping[str, int]
+                    ) -> Tuple[Dict[str, int], Dict[str, int]]:
+    """One clock cycle of one pattern: returns (all net values, next DFF
+    state)."""
+    values = simulate(netlist, inputs, 1, state)
     next_state = {
-        ff: values[netlist.gates[ff].fanins[0]] & mask
+        ff: values[netlist.gates[ff].fanins[0]] & 1
         for ff in netlist.flops
     }
     return values, next_state
@@ -129,12 +130,11 @@ def encode_int(value: int, bit_names: Sequence[str],
     }
 
 
-def decode_int(values: Mapping[str, int], bit_names: Sequence[str],
-               pattern: int = 0) -> int:
-    """Collect named bit nets (LSB first) into an integer for one pattern."""
+def decode_int(values: Mapping[str, int], bit_names: Sequence[str]) -> int:
+    """Collect named bit nets (LSB first) into an integer for pattern 0."""
     out = 0
     for i, name in enumerate(bit_names):
-        out |= ((values[name] >> pattern) & 1) << i
+        out |= (values[name] & 1) << i
     return out
 
 

@@ -49,7 +49,6 @@ from .closure import (
     default_critical_nets,
     insert_fillers,
     insert_shields,
-    measure_attack_surface,
     security_closure,
 )
 
@@ -68,5 +67,5 @@ __all__ = [
     "uncovered_critical_nodes",
     "ClosureMetrics", "ClosureResult", "ClosureThresholds",
     "bury_critical_nets", "default_critical_nets", "insert_fillers",
-    "insert_shields", "measure_attack_surface", "security_closure",
+    "insert_shields", "security_closure",
 ]

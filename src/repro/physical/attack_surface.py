@@ -18,7 +18,7 @@ them cheaply after every ECO.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Sequence, Set, Tuple
+from typing import Iterable, List, Set
 
 import numpy as np
 
@@ -243,18 +243,18 @@ def _components(free: np.ndarray) -> List[List[Point]]:
 def trojan_insertability(layout: RoutedLayout,
                          occupied_sites: Iterable[Point],
                          min_sites: int = DEFAULT_MIN_TROJAN_SITES,
-                         min_free_capacity: float = DEFAULT_MIN_FREE_CAPACITY,
-                         wiring_layers: Sequence[int] = (1, 2),
-                         margin: int = 1) -> TrojanReport:
+                         min_free_capacity: float = DEFAULT_MIN_FREE_CAPACITY
+                         ) -> TrojanReport:
     """Exploitable free placement area, ISPD-contest style.
 
     ``occupied_sites`` are the placed standard-cell sites.  Each free
     4-connected region of at least ``min_sites`` sites is checked for
-    free lateral routing capacity on ``wiring_layers`` inside its
-    bounding box (grown by ``margin`` sites, converted to routing
-    tracks); regions with at least ``min_free_capacity`` free capacity
-    are exploitable.
+    free lateral routing capacity on layers 1 and 2 inside its
+    bounding box (grown by one site, converted to routing tracks);
+    regions with at least ``min_free_capacity`` free capacity are
+    exploitable.
     """
+    wiring_layers = (1, 2)
     free = free_site_map(layout, occupied_sites)
     scale = max(1, layout.scale)
     total = layout.site_width * layout.site_height
@@ -265,10 +265,10 @@ def trojan_insertability(layout: RoutedLayout,
             continue
         xs = [p[0] for p in sites]
         ys = [p[1] for p in sites]
-        x0 = max(0, (min(xs) - margin) * scale)
-        x1 = min(layout.width - 1, (max(xs) + margin) * scale)
-        y0 = max(0, (min(ys) - margin) * scale)
-        y1 = min(layout.height - 1, (max(ys) + margin) * scale)
+        x0 = max(0, (min(xs) - 1) * scale)
+        x1 = min(layout.width - 1, (max(xs) + 1) * scale)
+        y0 = max(0, (min(ys) - 1) * scale)
+        y1 = min(layout.height - 1, (max(ys) + 1) * scale)
         capacity = layout.lateral_edge_total(wiring_layers, x0, y0, x1, y1)
         used = layout.lateral_edges_used(wiring_layers, x0, y0, x1, y1)
         free_capacity = ((capacity - used) / capacity) if capacity else 0.0

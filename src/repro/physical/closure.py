@@ -11,8 +11,9 @@ loop, which applies them as the registered flow passes of
 recorder (:func:`repro.flow.manager.run_pass`), so each iteration lands
 in the :class:`~repro.flow.manager.FlowTrace`.  After each ECO it
 re-checks every property the ECO's declared effects do not preserve,
-with the declared action as the reason; the loop's own metric
-measurement still re-reads the properties an ECO declares preserved.
+with the declared action as the reason, and picks the next ECO from
+the latest value measured for each metric: a metric is measured once
+per ECO that can move it.
 
 The three defenses map one-to-one onto the three metrics of
 :mod:`repro.physical.attack_surface`:
@@ -41,9 +42,6 @@ from .attack_surface import (
     DEFAULT_MIN_FREE_CAPACITY,
     DEFAULT_MIN_TROJAN_SITES,
     DEFAULT_PROBE_LAYERS,
-    DEFAULT_SPOT_RADIUS,
-    fia_exposure,
-    probing_exposure,
     trojan_insertability,
     uncovered_critical_nodes,
 )
@@ -52,8 +50,8 @@ from .routing import Point, RoutedLayout, reroute_nets
 
 __all__ = [
     "ClosureThresholds", "ClosureMetrics", "ClosureResult",
-    "default_critical_nets", "measure_attack_surface", "insert_shields",
-    "insert_fillers", "bury_critical_nets", "security_closure",
+    "default_critical_nets", "insert_shields", "insert_fillers",
+    "bury_critical_nets", "security_closure",
 ]
 
 
@@ -74,21 +72,6 @@ class ClosureMetrics:
     fia: float
     trojan: float
 
-    def violations(self, thresholds: ClosureThresholds) -> List[str]:
-        """Names of the metrics above their thresholds."""
-        out = []
-        if self.probing > thresholds.probing:
-            out.append("probing")
-        if self.fia > thresholds.fia:
-            out.append("fia")
-        if self.trojan > thresholds.trojan:
-            out.append("trojan")
-        return out
-
-    def meets(self, thresholds: ClosureThresholds) -> bool:
-        """True when every metric is at or below its bound."""
-        return not self.violations(thresholds)
-
     def as_dict(self) -> Dict[str, float]:
         """The three metrics as a plain JSON-able mapping."""
         return {"probing": self.probing, "fia": self.fia,
@@ -107,25 +90,6 @@ def default_critical_nets(netlist: Netlist) -> List[str]:
                 seen.add(fanin)
                 critical.append(fanin)
     return critical
-
-
-def measure_attack_surface(layout: RoutedLayout,
-                           occupied_sites: Iterable[Point],
-                           critical_nets: Sequence[str],
-                           probe_layers: int = DEFAULT_PROBE_LAYERS,
-                           spot_radius: int = DEFAULT_SPOT_RADIUS,
-                           min_trojan_sites: int = DEFAULT_MIN_TROJAN_SITES,
-                           min_free_capacity: float =
-                           DEFAULT_MIN_FREE_CAPACITY) -> ClosureMetrics:
-    """All three attack-surface metrics of one layout, jointly."""
-    probing = probing_exposure(layout, critical_nets,
-                               probe_layers=probe_layers)
-    fia = fia_exposure(layout, critical_nets, spot_radius=spot_radius)
-    trojan = trojan_insertability(layout, occupied_sites,
-                                  min_sites=min_trojan_sites,
-                                  min_free_capacity=min_free_capacity)
-    return ClosureMetrics(probing=probing.exposure, fia=fia.exposure,
-                          trojan=trojan.exposure)
 
 
 # ----------------------------------------------------------------------
@@ -254,25 +218,21 @@ class ClosureResult:
 
 
 def security_closure(netlist: Netlist,
-                     placement: Optional[Placement] = None,
-                     critical_nets: Optional[Sequence[str]] = None,
                      thresholds: ClosureThresholds = ClosureThresholds(),
                      num_layers: Optional[int] = None,
                      max_iterations: int = 4,
                      placement_iterations: int = 2000,
-                     probe_layers: int = DEFAULT_PROBE_LAYERS,
-                     spot_radius: int = DEFAULT_SPOT_RADIUS,
-                     min_trojan_sites: int = DEFAULT_MIN_TROJAN_SITES,
-                     min_free_capacity: float = DEFAULT_MIN_FREE_CAPACITY,
                      seed: int = 0) -> ClosureResult:
     """Iterate analyse -> ECO -> re-route until the layout closes.
 
-    Places (if no placement is given) and routes the netlist, then
-    repeatedly applies the registered ECO passes — bury, shield, fill,
-    each only while its metric is violated — re-measuring after every
-    pass.  Per-pass provenance, including which metrics were re-checked
-    and why, is written by the pass manager's own
-    :func:`~repro.flow.manager.run_pass`.
+    Places and routes the netlist, then repeatedly applies the
+    registered ECO passes — bury, shield, fill, each only while its
+    metric is violated.  After each pass the pass manager's own
+    :func:`~repro.flow.manager.run_pass` re-checks every metric the
+    pass does not declare preserved and writes the per-pass
+    provenance; the loop reads the latest of those measurements.  The
+    critical nets are :func:`default_critical_nets`, and the metrics
+    use the :mod:`~repro.physical.attack_surface` defaults.
     """
     # Flow imports are deferred: repro.flow imports repro.physical at
     # module level (library.py, layout_library.py), so importing it
@@ -285,12 +245,9 @@ def security_closure(netlist: Netlist,
 
     golden = netlist.copy(netlist.name + "_golden")
     area_before = ppa_report(netlist).area
-    if placement is None:
-        placement = annealing_placement(
-            netlist, iterations=placement_iterations,
-            seed=seed).placement
-    critical = list(critical_nets if critical_nets is not None
-                    else default_critical_nets(netlist))
+    placement = annealing_placement(
+        netlist, iterations=placement_iterations, seed=seed).placement
+    critical = default_critical_nets(netlist)
 
     ctx = FlowContext(netlist_design(netlist, seed=seed), seed=seed)
     ctx.placement = placement
@@ -298,10 +255,7 @@ def security_closure(netlist: Netlist,
     checkers = layout_checkers(
         probing_threshold=thresholds.probing,
         fia_threshold=thresholds.fia,
-        trojan_threshold=thresholds.trojan,
-        probe_layers=probe_layers, spot_radius=spot_radius,
-        min_trojan_sites=min_trojan_sites,
-        min_free_capacity=min_free_capacity)
+        trojan_threshold=thresholds.trojan)
 
     def equivalence_check(run_ctx: FlowContext) -> PropertyCheck:
         cec = check_equivalence(golden, run_ctx.design.netlist)
@@ -313,56 +267,54 @@ def security_closure(netlist: Netlist,
                f"MISMATCH on {cec.mismatched_output}"))
 
     checkers[P.FUNCTIONAL_EQUIVALENCE] = equivalence_check
-    layout_props = (P.PROBING_EXPOSURE, P.FIA_EXPOSURE,
-                    P.TROJAN_INSERTABILITY)
+    metric_of = {P.PROBING_EXPOSURE.value: "probing",
+                 P.FIA_EXPOSURE.value: "fia",
+                 P.TROJAN_INSERTABILITY.value: "trojan"}
     trace = FlowTrace(netlist.name)
+    latest = {}                    # metric name -> its latest re-check
 
-    def measure() -> ClosureMetrics:
-        return measure_attack_surface(
-            ctx.routing, placement.positions.values(), critical,
-            probe_layers=probe_layers, spot_radius=spot_radius,
-            min_trojan_sites=min_trojan_sites,
-            min_free_capacity=min_free_capacity)
+    def measured(rechecks) -> ClosureMetrics:
+        latest.update((metric_of[r.key], r) for r in rechecks
+                      if r.key in metric_of)
+        return ClosureMetrics(**{m: r.value for m, r in latest.items()})
 
-    def eco(name: str, **params) -> None:
+    def violated(metric: str) -> bool:
+        return not latest[metric].passed
+
+    def eco(name: str) -> Dict[str, object]:
         """Apply one ECO; re-check what its declaration does not
         preserve, with the declared action as the reason."""
-        p = create_pass(name, **params)
-        run_pass(trace, p, ctx, checkers, declared_rechecks(p, checkers))
+        p = create_pass(name)
+        prov = run_pass(trace, p, ctx, checkers,
+                        declared_rechecks(p, checkers))
+        measured(prov.rechecks)
+        return prov.details
 
     # Route (nothing is measured yet, so nothing to re-check), then
     # take the metric baseline.
     run_pass(trace, create_pass("route", num_layers=num_layers), ctx,
              checkers, ())
     trace.baseline.extend(recheck(checkers, prop, ctx, "baseline",
-                                  "baseline") for prop in layout_props)
-    initial = measure()
+                                  "baseline") for prop in
+                          (P.PROBING_EXPOSURE, P.FIA_EXPOSURE,
+                           P.TROJAN_INSERTABILITY))
+    initial = measured(trace.baseline)
 
-    metrics = initial
     shields_added = 0
     filler_sites = 0
     buried: List[str] = []
     iterations = 0
     for _ in range(max_iterations):
-        violated = metrics.violations(thresholds)
-        if not violated:
+        if not any(violated(m) for m in metric_of.values()):
             break
         iterations += 1
-        if "probing" in violated:
-            eco("bury-critical-nets", probe_depth=probe_layers)
+        if violated("probing"):
+            eco("bury-critical-nets")
             buried.extend(ctx.notes.get("buried-nets", []))
-            metrics = measure()
-            violated = metrics.violations(thresholds)
-        if "probing" in violated or "fia" in violated:
-            eco("shield-insertion")
-            shields_added += int(ctx.notes.get("shields-added", 0))
-            metrics = measure()
-            violated = metrics.violations(thresholds)
-        if "trojan" in violated:
-            eco("eco-filler", min_sites=min_trojan_sites,
-                min_free_capacity=min_free_capacity)
-            filler_sites += int(ctx.notes.get("filler-sites", 0))
-            metrics = measure()
+        if violated("probing") or violated("fia"):
+            shields_added += int(eco("shield-insertion")["shields_added"])
+        if violated("trojan"):
+            filler_sites += int(eco("eco-filler")["filler_sites"])
 
     # Final verification: the three metrics plus CEC against the
     # pre-closure netlist (ECOs are layout-only; prove it anyway).
@@ -371,11 +323,12 @@ def security_closure(netlist: Netlist,
                 if area_before else 0.0)
     trace.final.extend(recheck(checkers, prop, ctx, "final", "baseline")
                        for prop in checkers)
+    metrics = measured(trace.final)
     cec = trace.final[-1]          # functional equivalence, added last
 
     return ClosureResult(
         design_name=netlist.name,
-        converged=metrics.meets(thresholds),
+        converged=not any(violated(m) for m in metric_of.values()),
         iterations=iterations,
         initial_metrics=initial,
         metrics=metrics,

@@ -34,10 +34,10 @@ class Wire:
 
 
 def assign_layers(netlist: Netlist, placement: Placement,
-                  thresholds: Iterable[float] = DEFAULT_THRESHOLDS,
                   lifted: Optional[Set[str]] = None,
                   routing: Optional[RoutedLayout] = None) -> List[Wire]:
-    """Assign each driver->sink connection a metal layer.
+    """Assign each driver->sink connection a metal layer
+    (:data:`DEFAULT_THRESHOLDS`).
 
     ``lifted`` names driver nets whose wires are forced to the topmost
     layer regardless of length (the wire-lifting defense).
@@ -48,7 +48,7 @@ def assign_layers(netlist: Netlist, placement: Placement,
     placement units and topmost layer touched — falling back to the
     heuristic for connections the router did not complete.
     """
-    thresholds = list(thresholds)
+    thresholds = list(DEFAULT_THRESHOLDS)
     top_layer = len(thresholds) + 1
     lifted = lifted or set()
     scale = max(1, routing.scale) if routing is not None else 1

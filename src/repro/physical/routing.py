@@ -771,8 +771,7 @@ def route_all(layout: RoutedLayout,
 
 def reroute_nets(layout: RoutedLayout, netlist: Netlist,
                  placement: Placement, nets: Iterable[str],
-                 max_layer: Optional[int] = None,
-                 via_cost: int = DEFAULT_VIA_COST) -> List[str]:
+                 max_layer: Optional[int] = None) -> List[str]:
     """Rip up the named nets and re-route them (optionally capped at
     ``max_layer`` — the burying defense).  Returns the re-routed net
     names; invariants (edge exclusivity, connectivity) hold on return.
@@ -788,7 +787,7 @@ def reroute_nets(layout: RoutedLayout, netlist: Netlist,
                 for name, driver, sinks in _scaled(
                     routing_nets(netlist, placement), layout.scale)}
     queue = [all_nets[name] for name in targets if name in all_nets]
-    route_all(layout, queue, via_cost=via_cost,
+    route_all(layout, queue,
               net_index={name: (driver, sinks)
                          for name, driver, sinks in all_nets.values()})
     return targets

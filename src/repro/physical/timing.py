@@ -10,7 +10,7 @@ side-channel and fingerprinting analyses.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -22,38 +22,34 @@ from .placement import Placement
 WIRE_DELAY_PER_UNIT = 8.0
 
 
-def wire_delay(placement: Placement, driver: str, sink: str,
-               per_unit: float = WIRE_DELAY_PER_UNIT) -> float:
-    """Wire delay (ps) between two placed cells (Manhattan metric)."""
+def wire_delay(placement: Placement, driver: str, sink: str) -> float:
+    """Wire delay (ps) between two placed cells (Manhattan metric,
+    :data:`WIRE_DELAY_PER_UNIT` per site)."""
     if driver not in placement.positions or sink not in placement.positions:
         return 0.0
-    return per_unit * placement.distance(driver, sink)
+    return WIRE_DELAY_PER_UNIT * placement.distance(driver, sink)
 
 
-def arrival_times_placed(netlist: Netlist, placement: Placement,
-                         per_unit: float = WIRE_DELAY_PER_UNIT,
-                         input_arrivals: Optional[Mapping[str, float]] = None,
-                         ) -> Dict[str, float]:
-    """Per-net arrival including gate and wire delay."""
-    input_arrivals = input_arrivals or {}
+def arrival_times_placed(netlist: Netlist,
+                         placement: Placement) -> Dict[str, float]:
+    """Per-net arrival including gate and wire delay; inputs and flop
+    outputs arrive at t=0."""
     at: Dict[str, float] = {}
     for net in netlist.topological_order():
         g = netlist.gates[net]
         if g.gate_type.is_source or g.gate_type is GateType.DFF:
-            at[net] = float(input_arrivals.get(net, 0.0))
+            at[net] = 0.0
             continue
         worst = 0.0
         for fi in g.fanins:
-            worst = max(worst,
-                        at[fi] + wire_delay(placement, fi, net, per_unit))
+            worst = max(worst, at[fi] + wire_delay(placement, fi, net))
         at[net] = worst + gate_delay(g.gate_type, len(g.fanins))
     return at
 
 
-def critical_path_placed(netlist: Netlist, placement: Placement,
-                         per_unit: float = WIRE_DELAY_PER_UNIT) -> float:
+def critical_path_placed(netlist: Netlist, placement: Placement) -> float:
     """Wire-aware critical-path delay over outputs and flop D-pins."""
-    at = arrival_times_placed(netlist, placement, per_unit)
+    at = arrival_times_placed(netlist, placement)
     endpoints = list(netlist.outputs)
     endpoints.extend(netlist.gates[ff].fanins[0] for ff in netlist.flops)
     return max((at[e] for e in endpoints), default=0.0)
@@ -71,18 +67,14 @@ class PathDelayReport:
         return np.array([self.delays[k] for k in keys])
 
 
-def output_path_delays(netlist: Netlist,
-                       placement: Optional[Placement] = None,
-                       delay_noise: float = 0.0,
+def output_path_delays(netlist: Netlist, delay_noise: float = 0.0,
                        seed: int = 0) -> PathDelayReport:
-    """Arrival time of each primary output, optionally with process
-    variation modeled as multiplicative Gaussian noise per gate."""
+    """Arrival time of each primary output (gate delays only),
+    optionally with process variation modeled as multiplicative
+    Gaussian noise per gate."""
     if delay_noise <= 0:
-        if placement is None:
-            from ..netlist.metrics import arrival_times
-            at = arrival_times(netlist)
-        else:
-            at = arrival_times_placed(netlist, placement)
+        from ..netlist.metrics import arrival_times
+        at = arrival_times(netlist)
         return PathDelayReport({o: at[o] for o in netlist.outputs})
     rng = np.random.default_rng(seed)
     at: Dict[str, float] = {}
@@ -95,8 +87,7 @@ def output_path_delays(netlist: Netlist,
         jitter = max(0.1, 1.0 + rng.normal(0.0, delay_noise))
         worst = 0.0
         for fi in g.fanins:
-            wd = (wire_delay(placement, fi, net) if placement else 0.0)
-            worst = max(worst, at[fi] + wd)
+            worst = max(worst, at[fi])
         at[net] = worst + base * jitter
     return PathDelayReport({o: at[o] for o in netlist.outputs})
 

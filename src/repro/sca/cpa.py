@@ -108,22 +108,18 @@ def cpa_attack(traces: np.ndarray, plaintexts: Sequence[int],
 
 
 def traces_to_disclosure(traces: np.ndarray, plaintexts: Sequence[int],
-                         true_key: int,
-                         steps: int = 10,
-                         hypothesis: Optional[
-                             Callable[[np.ndarray, int], np.ndarray]] = None,
-                         ) -> int:
+                         true_key: int) -> int:
     """Measurements-to-disclosure: smallest trace count (on a grid of
-    ``steps`` prefixes) at which CPA ranks the true key first.
+    10 prefixes) at which CPA (AES S-box model) ranks the true key
+    first.
 
     Returns the trace count, or -1 if the key is never rank-0 within the
     provided set.  This is the quantitative security metric the paper
     wants EDA tools to report for SCA resistance.
     """
     n = len(traces)
-    for count in np.linspace(max(8, n // steps), n, steps).astype(int):
-        result = cpa_attack(traces[:count], plaintexts[:count],
-                            hypothesis=hypothesis)
+    for count in np.linspace(max(8, n // 10), n, 10).astype(int):
+        result = cpa_attack(traces[:count], plaintexts[:count])
         if result.best_key == true_key:
             return int(count)
     return -1

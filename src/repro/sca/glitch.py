@@ -14,7 +14,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Tuple
 
 import numpy as np
 
@@ -48,12 +48,12 @@ class GlitchReport:
             extra += max(0, count - needed)
         return extra
 
-    def power_waveform(self, bin_width: float = 10.0,
-                       horizon: Optional[float] = None) -> np.ndarray:
-        """Transitions per time bin (a dynamic power proxy)."""
+    def power_waveform(self, bin_width: float = 10.0) -> np.ndarray:
+        """Transitions per time bin up to the last event (a dynamic
+        power proxy)."""
         if not self.events:
             return np.zeros(1)
-        end = horizon or max(t for t, _, _ in self.events)
+        end = max(t for t, _, _ in self.events)
         n_bins = int(end / bin_width) + 1
         wave = np.zeros(n_bins)
         for t, _, _ in self.events:
@@ -63,13 +63,10 @@ class GlitchReport:
 
 def glitch_simulate(netlist: Netlist,
                     before: Mapping[str, int],
-                    after: Mapping[str, int],
-                    delays: Optional[Mapping[str, float]] = None,
-                    ) -> GlitchReport:
+                    after: Mapping[str, int]) -> GlitchReport:
     """Event-driven simulation of the transition ``before -> after``.
 
-    ``delays`` optionally overrides the per-gate delay (by net name);
-    default is the library delay model.  Inputs switch at t=0.
+    Gates switch after their library delay; inputs switch at t=0.
     """
     initial = simulate(netlist, before)
     fanout = netlist.fanout_map()
@@ -85,8 +82,6 @@ def glitch_simulate(netlist: Netlist,
     transitions: Dict[str, int] = {net: 0 for net in netlist.gates}
 
     def delay_of(net: str) -> float:
-        if delays and net in delays:
-            return float(delays[net])
         g = netlist.gates[net]
         return gate_delay(g.gate_type, len(g.fanins))
 

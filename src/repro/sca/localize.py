@@ -43,21 +43,21 @@ def assessed_nets(netlist: Netlist) -> List[str]:
 
 
 def net_t_statistics(netlist: Netlist, fixed_bits: np.ndarray,
-                     random_bits: np.ndarray, noise_sigma: float = 0.01,
-                     seed: int = 0) -> np.ndarray:
+                     random_bits: np.ndarray, seed: int = 0) -> np.ndarray:
     """Fixed-vs-random t of every :func:`assessed_nets` entry, in order.
 
     ``fixed_bits`` / ``random_bits`` are ``(nets, traces)`` matrices from
     :func:`~repro.sca.power_model.net_bit_matrix`.  A tiny noise floor
-    keeps the t-statistic finite on constant nets; it is drawn from
-    ``default_rng(seed)`` net by net, fixed class then random class, so
-    one vectorized Welch call over all nets equals a per-net loop.
+    (sigma 0.01) keeps the t-statistic finite on constant nets; it is
+    drawn from ``default_rng(seed)`` net by net, fixed class then
+    random class, so one vectorized Welch call over all nets equals a
+    per-net loop.
     """
     index = get_compiled(netlist).index
     rows = [index[net] for net in assessed_nets(netlist)]
     n_fixed = fixed_bits.shape[1]
     rng = np.random.default_rng(seed)
-    noise = rng.normal(0.0, noise_sigma,
+    noise = rng.normal(0.0, 0.01,
                        (len(rows), n_fixed + random_bits.shape[1]))
     a = fixed_bits[rows].astype(float) + noise[:, :n_fixed]
     b = random_bits[rows].astype(float) + noise[:, n_fixed:]
@@ -67,7 +67,6 @@ def net_t_statistics(netlist: Netlist, fixed_bits: np.ndarray,
 def locate_leaking_nets(netlist: Netlist,
                         fixed_stimuli: Sequence[Mapping[str, int]],
                         random_stimuli: Sequence[Mapping[str, int]],
-                        noise_sigma: float = 0.01,
                         seed: int = 0) -> List[NetLeakage]:
     """Per-net fixed-vs-random t-test, most leaky nets first.
 
@@ -81,7 +80,7 @@ def locate_leaking_nets(netlist: Netlist,
                               len(stimuli))
 
     t = net_t_statistics(netlist, bits(fixed_stimuli),
-                         bits(random_stimuli), noise_sigma, seed)
+                         bits(random_stimuli), seed)
     levels = netlist.levels()
     results = [NetLeakage(net=net, t_statistic=float(value),
                           level=levels[net])

@@ -26,7 +26,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Tuple
 
 from ..netlist import GateType, Netlist
 from ..synth.techmap import decompose_variadic
@@ -99,17 +99,15 @@ class MaskedCircuit:
             columns[name] = rng.getrandbits(n)
         return columns
 
-    def decode_outputs(self, values: Mapping[str, int],
-                       pattern: int = 0) -> Dict[str, int]:
-        """Recombine output shares into plain values."""
+    def decode_outputs(self, values: Mapping[str, int]) -> Dict[str, int]:
+        """Recombine output shares into plain values of pattern 0."""
         return {
-            name: ((values[s0] >> pattern) ^ (values[s1] >> pattern)) & 1
+            name: (values[s0] ^ values[s1]) & 1
             for name, (s0, s1) in self.output_shares.items()
         }
 
 
-def mask_netlist(netlist: Netlist, name: Optional[str] = None
-                 ) -> MaskedCircuit:
+def mask_netlist(netlist: Netlist) -> MaskedCircuit:
     """First-order ISW masking of a combinational netlist.
 
     The input is first normalized to 2-input AND/OR/NOT/BUF form; each
@@ -122,7 +120,7 @@ def mask_netlist(netlist: Netlist, name: Optional[str] = None
     """
     normalized = to_and_or_not(netlist)
     decompose_variadic(normalized)
-    masked = Netlist((name or netlist.name) + "_masked")
+    masked = Netlist(netlist.name + "_masked")
     shares: Dict[str, Tuple[str, str]] = {}
     input_shares: Dict[str, Tuple[str, str]] = {}
     random_inputs: List[str] = []

@@ -156,9 +156,9 @@ def isw_and(a_shares: Sequence[int], b_shares: Sequence[int],
 def probing_security_first_order(
     gadget: Callable[[Sequence[int], Sequence[int], Sequence[int]],
                      GadgetTrace],
-    n_shares: int = 3,
 ) -> Tuple[bool, Optional[int]]:
-    """Exhaustively check first-order probing security of an AND gadget.
+    """Exhaustively check first-order probing security of a three-share
+    AND gadget.
 
     For every intermediate position, the distribution of that value
     (over uniformly random shares and randomness) must be identical for
@@ -168,6 +168,7 @@ def probing_security_first_order(
     Also verifies functional correctness (``decode == a & b``) as a side
     effect, raising ``AssertionError`` on miscomputation.
     """
+    n_shares = 3
     n_rand = n_shares * (n_shares - 1) // 2
     free_bits = 2 * (n_shares - 1) + n_rand
     distributions: Dict[Tuple[int, int], List[int]] = {}
@@ -210,7 +211,7 @@ def _complete(secret: int, partial_shares: List[int]) -> int:
 # Netlist builder
 # ----------------------------------------------------------------------
 
-def isw_and_netlist(n_shares: int = 3, name: str = "isw_and") -> Netlist:
+def isw_and_netlist(n_shares: int = 3) -> Netlist:
     """Gate-level ISW AND gadget in the *secure* evaluation order.
 
     Inputs ``a0..``, ``b0..`` (shares) and ``r_i_j`` (randomness);
@@ -220,7 +221,7 @@ def isw_and_netlist(n_shares: int = 3, name: str = "isw_and") -> Netlist:
     real re-association freedom to destroy — which is the Fig. 2
     experiment.
     """
-    n = Netlist(name)
+    n = Netlist("isw_and")
     a = [n.add_input(f"a{i}") for i in range(n_shares)]
     b = [n.add_input(f"b{i}") for i in range(n_shares)]
     r: Dict[Tuple[int, int], str] = {}

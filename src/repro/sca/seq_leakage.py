@@ -20,39 +20,33 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ..netlist import Netlist, get_compiled
+from ..netlist import Netlist, get_compiled, pack_patterns
 from .power_model import PACK_CHUNK, _words_to_bit_matrix
 
 
 def _batched_traces(netlist: Netlist,
                     runs: Sequence[Sequence[Mapping[str, int]]],
                     hd_weight: float, hw_weight: float) -> np.ndarray:
-    """Noise-free trace matrix with all runs packed into one word."""
+    """Noise-free trace matrix with all runs packed into one word.
+
+    Each cycle's stimulus is one :func:`~repro.netlist.pack_patterns`
+    call (the low bit of each value; a missing input reads 0, and a
+    finished run idles at zero inputs).
+    """
     compiled = get_compiled(netlist)
     input_names = compiled.input_names
-    flop_names = compiled.flop_names
-    flop_indices = [compiled.index[ff] for ff in flop_names]
     n_runs = len(runs)
     n_cycles = max(len(run) for run in runs)
     lengths = np.array([len(run) for run in runs])
     matrix = np.zeros((n_runs, n_cycles))
-    state = [0] * len(flop_names)
+    state = [0] * len(compiled.flop_names)
     for cycle in range(n_cycles):
-        packed = dict.fromkeys(input_names, 0)
-        for position, run in enumerate(runs):
-            if cycle >= len(run):
-                continue  # finished runs idle at zero inputs
-            stim = run[cycle]
-            bit = 1 << position
-            for name in input_names:
-                if stim.get(name, 0) & 1:
-                    packed[name] |= bit
-        values = compiled.eval_words(
-            packed, n_runs, dict(zip(flop_names, state)))
-        next_state = [values[compiled.index
-                             [netlist.gates[ff].fanins[0]]]
-                      for ff in flop_names]
-        if flop_names:
+        packed = pack_patterns(
+            [run[cycle] if cycle < len(run) else {} for run in runs],
+            input_names)
+        _, next_state = compiled.step_words(
+            [packed[name] for name in input_names], state, n_runs)
+        if next_state:
             hd_bits = _words_to_bit_matrix(
                 [old ^ new for old, new in zip(state, next_state)], n_runs)
             hw_bits = _words_to_bit_matrix(next_state, n_runs)

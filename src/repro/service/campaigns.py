@@ -302,10 +302,10 @@ def security_closure_campaign(netlists: Sequence[Netlist],
                               workers: int = 0,
                               store: Optional[ArtifactStore] = None,
                               rundb: Optional[RunDatabase] = None,
-                              pool: Optional[WorkerPool] = None,
                               bus: Optional[EventBus] = None,
                               **fields) -> Dict[str, Dict[str, object]]:
-    """Security-close a batch of designs: one ``closure`` job each.
+    """Security-close a batch of designs: one ``closure`` job each, on a
+    scheduler of its own.
 
     Plans with :func:`plan_closure` (``fields``: ``thresholds``,
     ``num_layers``, ``max_iterations``, ``placement_iterations``,
@@ -319,7 +319,7 @@ def security_closure_campaign(netlists: Sequence[Netlist],
     netlists = bench_netlists(netlists)
     store = _campaign_store(store)
     jobs = _run(plan_closure(store, netlists, **fields),
-                "security closure", store, workers, rundb, pool, bus)
+                "security closure", store, workers, rundb, None, bus)
     return {netlist.name: job.result
             for netlist, job in zip(netlists, jobs)}
 
@@ -332,10 +332,10 @@ def composition_matrix_campaign(
         workers: int = 0,
         store: Optional[ArtifactStore] = None,
         rundb: Optional[RunDatabase] = None,
-        pool: Optional[WorkerPool] = None,
         bus: Optional[EventBus] = None,
         **fields) -> Dict[str, Dict[str, object]]:
-    """Cross-effect matrix: one ``composition-stack`` job per stack.
+    """Cross-effect matrix: one ``composition-stack`` job per stack, on
+    a scheduler of its own.
 
     Plans with :func:`plan_compose` (``engine_params`` is its
     ``engine``; ``fields``: ``design``, ``seed``, ``timeout``,
@@ -351,5 +351,5 @@ def composition_matrix_campaign(
     store = _campaign_store(store)
     jobs = _run(plan_compose(store, stacks=stacks, engine=engine_params,
                              **fields),
-                "composition matrix", store, workers, rundb, pool, bus)
+                "composition matrix", store, workers, rundb, None, bus)
     return {label: job.result for label, job in zip(stacks, jobs)}

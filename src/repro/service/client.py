@@ -129,12 +129,10 @@ class GatewayClient:
         return self._request(
             "GET", f"/v1/jobs/{urllib.parse.quote(job_id)}")
 
-    def jobs(self, status: Optional[str] = None,
-             limit: int = 200) -> List[Dict[str, object]]:
-        """``GET /v1/jobs``: this tenant's jobs, newest first."""
-        data = self._request("GET", "/v1/jobs",
-                             query={"status": status,
-                                    "limit": str(limit)})
+    def jobs(self) -> List[Dict[str, object]]:
+        """``GET /v1/jobs``: this tenant's latest 200 jobs, newest
+        first."""
+        data = self._request("GET", "/v1/jobs", query={"limit": "200"})
         return list(data.get("jobs", []))
 
     def cancel(self, job_id: str) -> Dict[str, object]:
@@ -142,13 +140,9 @@ class GatewayClient:
         return self._request(
             "POST", f"/v1/jobs/{urllib.parse.quote(job_id)}/cancel")
 
-    def runs(self, run: Optional[str] = None,
-             status: Optional[str] = None,
-             job_type: Optional[str] = None) -> Dict[str, object]:
+    def runs(self) -> Dict[str, object]:
         """``GET /v1/runs``: the tenant's run-database slice."""
-        return self._request("GET", "/v1/runs",
-                             query={"run": run, "status": status,
-                                    "type": job_type})
+        return self._request("GET", "/v1/runs")
 
     def status(self) -> Dict[str, object]:
         """``GET /v1/status``: quota usage and server footprint."""

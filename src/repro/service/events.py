@@ -34,6 +34,9 @@ from typing import Dict, Iterator, List, Optional, Sequence
 _SEQ = itertools.count(1)
 _SEQ_LOCK = threading.Lock()
 
+#: Events an :class:`EventBus` retains for replay.
+HISTORY = 4096
+
 
 def _next_seq() -> int:
     with _SEQ_LOCK:
@@ -160,17 +163,17 @@ class Subscription:
 class EventBus:
     """Publish/subscribe fan-out of :class:`JobEvent` transitions.
 
-    ``history`` bounds the replay ring: a subscriber created with
-    ``replay=True`` first receives (matching) retained events in
-    publication order, then live ones.  The ring is a memory bound,
-    not a durability promise — the run database is the system of
-    record; the bus is the low-latency push path.
+    A replay ring keeps the last :data:`HISTORY` events: a subscriber
+    created with ``replay=True`` first receives (matching) retained
+    events in publication order, then live ones.  The ring is a memory
+    bound, not a durability promise — the run database is the system
+    of record; the bus is the low-latency push path.
     """
 
-    def __init__(self, history: int = 4096) -> None:
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._subs: List[Subscription] = []
-        self._history: "deque[JobEvent]" = deque(maxlen=max(0, history))
+        self._history: "deque[JobEvent]" = deque(maxlen=HISTORY)
         self._closed = False
 
     def publish(self, event: JobEvent) -> None:

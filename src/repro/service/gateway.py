@@ -47,9 +47,10 @@ Dispatcher-level errors (any route):
     401 unauthenticated     missing or unknown token
     404 not_found           no route matches the path
     405 method_not_allowed  path exists, method does not
-    413 too_large           request body over the size cap
+    413 too_large           request body over the size cap (the body
+                            is left unread, so the connection closes)
     429 rate_limited        token bucket empty (Retry-After set)
-    400 bad_request         body is not valid JSON
+    400 bad_request         body is not valid JSON, or not an object
     500 internal            unhandled handler failure
 """
 
@@ -120,6 +121,9 @@ class Request:
     query: Dict[str, str]
     headers: Dict[str, str]
     body: Dict[str, object]
+    #: Why the body cannot be served (too large, not a JSON object);
+    #: the dispatcher answers it before routing.
+    error: Optional["GatewayError"] = field(default=None, init=False)
 
 
 @dataclass(frozen=True)
@@ -226,8 +230,6 @@ def spec_from_body(body: Dict[str, object]) -> JobSpec:
     job types — every *registered* type is accepted, which
     ``scripts/check_api.py`` proves against the registry.
     """
-    if not isinstance(body, dict):
-        raise GatewayError(400, "bad_request", "body must be an object")
     job_type = body.get("job_type")
     if not isinstance(job_type, str) or not job_type:
         raise GatewayError(400, "bad_request",
@@ -304,7 +306,7 @@ async def handle_submit_campaign(gw: "Gateway", tenant: Tenant,
         503 quota_exceeded  tenant's max_in_flight reached
     """
     del params, query
-    name = body.get("campaign") if isinstance(body, dict) else None
+    name = body.get("campaign")
     plan = CAMPAIGN_PLANS.get(name) if isinstance(name, str) else None
     if plan is None:
         raise GatewayError(
@@ -1053,22 +1055,28 @@ class Gateway:
             length = int(headers.get("content-length", "0"))
         except ValueError:
             length = 0
-        if length > MAX_BODY_BYTES:
-            raise GatewayError(413, "too_large",
-                               f"body over {MAX_BODY_BYTES} bytes")
-        raw = await reader.readexactly(length) if length > 0 else b""
         split = urllib.parse.urlsplit(target)
-        query = {k: v[0] for k, v in
-                 urllib.parse.parse_qs(split.query).items()}
-        body: Dict[str, object] = {}
+        request = Request(
+            method=method.upper(), path=split.path,
+            query={k: v[0] for k, v in
+                   urllib.parse.parse_qs(split.query).items()},
+            headers=headers, body={})
+        if length > MAX_BODY_BYTES:
+            request.error = GatewayError(
+                413, "too_large", f"body over {MAX_BODY_BYTES} bytes")
+            return request
+        raw = await reader.readexactly(length) if length > 0 else b""
         if raw:
             try:
                 body = json.loads(raw)
-            except json.JSONDecodeError:
-                raise GatewayError(400, "bad_request",
-                                   "body is not valid JSON") from None
-        return Request(method=method.upper(), path=split.path,
-                       query=query, headers=headers, body=body)
+            except ValueError:
+                body = None
+            if not isinstance(body, dict):
+                request.error = GatewayError(
+                    400, "bad_request", "body is not a JSON object")
+            else:
+                request.body = body
+        return request
 
     def _authenticate(self, request: Request) -> Tenant:
         token = request.headers.get("x-repro-token")
@@ -1093,6 +1101,8 @@ class Gateway:
     async def _dispatch(self, request: Request,
                         writer: asyncio.StreamWriter) -> bool:
         try:
+            if request.error is not None:
+                raise request.error
             path_routes = [r for r in ROUTES
                            if r.match(request.path) is not None]
             if not path_routes:
@@ -1126,7 +1136,7 @@ class Gateway:
                     1, int(exc.retry_after + 0.999)))
             await self._write_json(writer, exc.status, exc.payload(),
                                    extra)
-            return exc.status < 500
+            return exc.status < 500 and exc.code != "too_large"
         except (ConnectionError, asyncio.IncompleteReadError):
             raise
         except Exception:   # noqa: BLE001 — the 500 of last resort

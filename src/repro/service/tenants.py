@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from .rundb import RunDatabase, RunRecord
 
@@ -101,7 +101,7 @@ class TenantRegistry:
 
 
 class TokenBucket:
-    """Token-bucket rate limiter (monotonic clock, injectable).
+    """Token-bucket rate limiter on :func:`time.monotonic`.
 
     Starts full.  ``try_acquire`` is the whole API: take one token if
     available, else report how long until one will be.  Not
@@ -109,18 +109,16 @@ class TokenBucket:
     state lock.
     """
 
-    def __init__(self, rate: float, burst: int,
-                 clock: Callable[[], float] = time.monotonic) -> None:
+    def __init__(self, rate: float, burst: int) -> None:
         if rate <= 0 or burst < 1:
             raise ValueError("rate must be > 0 and burst >= 1")
         self.rate = float(rate)
         self.burst = int(burst)
-        self._clock = clock
         self._tokens = float(burst)
-        self._last = clock()
+        self._last = time.monotonic()
 
     def _refill(self) -> None:
-        now = self._clock()
+        now = time.monotonic()
         self._tokens = min(self.burst,
                            self._tokens + (now - self._last) * self.rate)
         self._last = now

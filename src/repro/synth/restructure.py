@@ -143,10 +143,9 @@ def _splice(netlist: Netlist, tree: XorTree, new_root: str) -> str:
 
 def reassociate_for_timing(
     netlist: Netlist,
-    base: GateType = GateType.XOR,
     input_arrivals: Optional[Mapping[str, float]] = None,
 ) -> int:
-    """Timing-driven re-association of all maximal trees of ``base``.
+    """Timing-driven re-association of all maximal XOR trees.
 
     Returns the number of trees rebuilt.  ``input_arrivals`` models
     late-arriving primary inputs (e.g. RNG outputs).  This is the
@@ -155,7 +154,7 @@ def reassociate_for_timing(
     arrivals = arrival_times(netlist, input_arrivals=input_arrivals)
     rebuilt = 0
     rename: Dict[str, str] = {}
-    for tree in collect_trees(netlist, base):
+    for tree in collect_trees(netlist, GateType.XOR):
         tree.leaves = [_chase(rename, leaf) for leaf in tree.leaves]
         new_root = _rebuild_greedy(netlist, tree, arrivals)
         rename[tree.root] = _splice(netlist, tree, new_root)
@@ -163,11 +162,12 @@ def reassociate_for_timing(
     return rebuilt
 
 
-def balance_trees(netlist: Netlist, base: GateType = GateType.XOR) -> int:
-    """Depth-balanced re-association (area-neutral delay optimization)."""
+def balance_trees(netlist: Netlist) -> int:
+    """Depth-balanced re-association of all maximal XOR trees
+    (area-neutral delay optimization)."""
     rebuilt = 0
     rename: Dict[str, str] = {}
-    for tree in collect_trees(netlist, base):
+    for tree in collect_trees(netlist, GateType.XOR):
         tree.leaves = [_chase(rename, leaf) for leaf in tree.leaves]
         new_root = _rebuild_balanced(netlist, tree)
         rename[tree.root] = _splice(netlist, tree, new_root)

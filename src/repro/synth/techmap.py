@@ -13,8 +13,9 @@ from ..netlist import Gate, GateType, Netlist
 from .library import CellLibrary, standard_library
 
 
-def decompose_variadic(netlist: Netlist, balanced: bool = True) -> int:
-    """Split gates with more than two fanins into 2-input trees.
+def decompose_variadic(netlist: Netlist) -> int:
+    """Split gates with more than two fanins into balanced 2-input
+    trees.
 
     Inverting types become a base-function tree plus a final inversion
     folded into the root gate (NAND(a,b,c) -> NAND(AND(a,b), c)).
@@ -29,19 +30,14 @@ def decompose_variadic(netlist: Netlist, balanced: bool = True) -> int:
             continue
         base = g.gate_type.base
         operands = list(g.fanins)
-        if balanced:
-            while len(operands) > 2:
-                nxt: List[str] = []
-                for k in range(0, len(operands) - 1, 2):
-                    nxt.append(netlist.add(
-                        base, [operands[k], operands[k + 1]], prefix="dc"))
-                if len(operands) % 2:
-                    nxt.append(operands[-1])
-                operands = nxt
-        else:
-            while len(operands) > 2:
-                first = netlist.add(base, operands[:2], prefix="dc")
-                operands = [first] + operands[2:]
+        while len(operands) > 2:
+            nxt: List[str] = []
+            for k in range(0, len(operands) - 1, 2):
+                nxt.append(netlist.add(
+                    base, [operands[k], operands[k + 1]], prefix="dc"))
+            if len(operands) % 2:
+                nxt.append(operands[-1])
+            operands = nxt
         # The root keeps the original (possibly inverting) type and name.
         g.fanins = operands
         netlist.invalidate()

@@ -17,6 +17,10 @@ import numpy as np
 from ..netlist import Netlist
 from ..physical import output_path_delays
 
+#: Sigma of the per-gate multiplicative process variation of every
+#: simulated chip.
+DELAY_NOISE = 0.04
+
 
 @dataclass
 class DelayFingerprint:
@@ -39,12 +43,11 @@ class DelayFingerprint:
 
 
 def golden_population_delays(netlist: Netlist, n_chips: int = 30,
-                             delay_noise: float = 0.04,
                              seed: int = 0) -> np.ndarray:
     """Simulate a fab lot of golden chips; returns (n_chips, n_outputs)."""
     order = sorted(netlist.outputs)
     rows = [
-        output_path_delays(netlist, delay_noise=delay_noise,
+        output_path_delays(netlist, delay_noise=DELAY_NOISE,
                            seed=seed + i).vector(order)
         for i in range(n_chips)
     ]
@@ -52,49 +55,44 @@ def golden_population_delays(netlist: Netlist, n_chips: int = 30,
 
 
 def build_fingerprint(netlist: Netlist, n_chips: int = 30,
-                      delay_noise: float = 0.04, seed: int = 0,
-                      z_threshold: float = 4.0) -> DelayFingerprint:
+                      seed: int = 0) -> DelayFingerprint:
     """Characterize the golden population envelope."""
     order = sorted(netlist.outputs)
-    population = golden_population_delays(netlist, n_chips, delay_noise,
-                                          seed)
+    population = golden_population_delays(netlist, n_chips, seed)
     return DelayFingerprint(
         output_order=order,
         mean=population.mean(axis=0),
         std=population.std(axis=0) + 1e-9,
-        z_threshold=z_threshold,
     )
 
 
-def measure_chip(netlist: Netlist, delay_noise: float = 0.04,
-                 seed: int = 0,
+def measure_chip(netlist: Netlist, seed: int = 0,
                  fingerprint: Optional[DelayFingerprint] = None
                  ) -> np.ndarray:
     """One chip's delay vector in the fingerprint's output order."""
     order = (fingerprint.output_order if fingerprint
              else sorted(netlist.outputs))
-    return output_path_delays(netlist, delay_noise=delay_noise,
+    return output_path_delays(netlist, delay_noise=DELAY_NOISE,
                               seed=seed).vector(order)
 
 
 def screen_population(fingerprint: DelayFingerprint,
                       golden_netlist: Netlist,
                       suspect_netlist: Netlist,
-                      n_chips: int = 20,
-                      delay_noise: float = 0.04,
-                      seed: int = 1000) -> Tuple[float, float]:
-    """Screen golden and suspect lots; returns (false-positive rate,
-    detection rate) — the fingerprinting ROC point."""
+                      n_chips: int = 20) -> Tuple[float, float]:
+    """Screen golden and suspect lots (chip seeds from 1000); returns
+    (false-positive rate, detection rate) — the fingerprinting ROC
+    point."""
+    seed = 1000
     false_positives = 0
     for i in range(n_chips):
-        delays = measure_chip(golden_netlist, delay_noise, seed + i,
-                              fingerprint)
+        delays = measure_chip(golden_netlist, seed + i, fingerprint)
         if fingerprint.is_outlier(delays):
             false_positives += 1
     detections = 0
     for i in range(n_chips):
-        delays = measure_chip(suspect_netlist, delay_noise,
-                              seed + 5000 + i, fingerprint)
+        delays = measure_chip(suspect_netlist, seed + 5000 + i,
+                              fingerprint)
         if fingerprint.is_outlier(delays):
             detections += 1
     return false_positives / n_chips, detections / n_chips

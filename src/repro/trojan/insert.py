@@ -28,15 +28,14 @@ def signal_probabilities(netlist: Netlist, n_vectors: int = 2048,
 
 
 def rare_nodes(netlist: Netlist, threshold: float = 0.2,
-               n_vectors: int = 2048, seed: int = 0
-               ) -> List[Tuple[str, int, float]]:
+               seed: int = 0) -> List[Tuple[str, int, float]]:
     """Nets with a rare polarity: (net, rare value, rareness prob).
 
-    A net counts as rare if P(net = v) <= threshold for v in {0, 1}.
-    Sorted rarest first.  These are both the attacker's favourite
-    trigger inputs and MERO's coverage targets.
+    A net counts as rare if P(net = v) <= threshold for v in {0, 1}
+    over 2048 random vectors.  Sorted rarest first.  These are both the
+    attacker's favourite trigger inputs and MERO's coverage targets.
     """
-    probs = signal_probabilities(netlist, n_vectors, seed)
+    probs = signal_probabilities(netlist, 2048, seed)
     rare: List[Tuple[str, int, float]] = []
     for net, p_one in probs.items():
         gate = netlist.gates[net]

@@ -24,6 +24,11 @@ from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 from ..netlist import Netlist, get_compiled, pack_patterns, simulate
 from .insert import TrojanInstance, rare_nodes
 
+#: The rare band MERO targets: nets whose rare-value probability lies
+#: in [``MIN_RARENESS``, ``RARE_THRESHOLD``] — reachable but stealthy.
+RARE_THRESHOLD = 0.15
+MIN_RARENESS = 0.005
+
 
 @dataclass
 class MeroTestSet:
@@ -49,19 +54,17 @@ class MeroTestSet:
 def generate_mero_tests(netlist: Netlist,
                         n_detect: int = 10,
                         n_initial: int = 300,
-                        rare_threshold: float = 0.15,
-                        min_rareness: float = 0.005,
                         seed: int = 0) -> MeroTestSet:
     """Generate an N-detect test set for the rare nodes of ``netlist``.
 
     Targets are nets with rare-value probability in
-    [``min_rareness``, ``rare_threshold``] — exactly the band an
+    [:data:`MIN_RARENESS`, :data:`RARE_THRESHOLD`] — exactly the band an
     attacker uses for reachable-but-stealthy triggers.
     """
     rng = random.Random(seed)
     targets = [
-        t for t in rare_nodes(netlist, rare_threshold, seed=seed)
-        if t[2] >= min_rareness
+        t for t in rare_nodes(netlist, RARE_THRESHOLD, seed=seed)
+        if t[2] >= MIN_RARENESS
     ]
     inputs = netlist.inputs
     compiled = get_compiled(netlist)
@@ -187,10 +190,9 @@ def random_test_set(netlist: Netlist, count: int,
 
 def detection_rate(netlist: Netlist, vectors: Sequence[Mapping[str, int]],
                    n_trojans: int = 20, trigger_width: int = 2,
-                   rare_threshold: float = 0.15,
-                   min_rareness: float = 0.005,
                    seed: int = 0) -> float:
-    """Fraction of randomly sampled Trojans a test set exposes."""
+    """Fraction of randomly sampled Trojans, triggered in the rare
+    band, that a test set exposes."""
     from .insert import insert_rare_trigger_trojan
 
     detected = 0
@@ -199,8 +201,8 @@ def detection_rate(netlist: Netlist, vectors: Sequence[Mapping[str, int]],
         try:
             trojan = insert_rare_trigger_trojan(
                 netlist, trigger_width=trigger_width,
-                rare_threshold=rare_threshold,
-                min_rareness=min_rareness, seed=seed + i)
+                rare_threshold=RARE_THRESHOLD,
+                min_rareness=MIN_RARENESS, seed=seed + i)
         except ValueError:
             continue
         built += 1
@@ -211,24 +213,22 @@ def detection_rate(netlist: Netlist, vectors: Sequence[Mapping[str, int]],
 
 def pair_trigger_coverage(netlist: Netlist,
                           vectors: Sequence[Mapping[str, int]],
-                          rare_threshold: float = 0.15,
-                          min_rareness: float = 0.005,
-                          max_pairs: int = 400,
                           seed: int = 0) -> float:
     """Fraction of rare-node *pairs* co-activated by some vector.
 
-    Every width-2 rare conjunction is a potential trigger; this counts
-    how many the test set would fire — the fine-grained MERO quality
-    metric (higher = fewer places for a Trojan to hide).
+    Every width-2 conjunction of rare-band nets is a potential trigger;
+    this counts how many the test set would fire (over at most 400
+    sampled pairs) — the fine-grained MERO quality metric (higher =
+    fewer places for a Trojan to hide).
     """
     rng = random.Random(seed)
     targets = [
-        t for t in rare_nodes(netlist, rare_threshold, seed=seed)
-        if t[2] >= min_rareness
+        t for t in rare_nodes(netlist, RARE_THRESHOLD, seed=seed)
+        if t[2] >= MIN_RARENESS
     ]
     pairs = list(itertools.combinations(range(len(targets)), 2))
-    if len(pairs) > max_pairs:
-        pairs = rng.sample(pairs, max_pairs)
+    if len(pairs) > 400:
+        pairs = rng.sample(pairs, 400)
     if not pairs:
         return 1.0
     # One packed simulation covers the whole vector set; a pair is

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from ..netlist import GateType, Netlist, cone_extract
 from ..physical import Placement
@@ -33,17 +33,15 @@ class MonitoredDesign:
     overhead_cells: int
 
 
-def insert_monitors(netlist: Netlist,
-                    outputs: Optional[Sequence[str]] = None
-                    ) -> MonitoredDesign:
-    """Shadow-and-compare monitors on the given outputs (default: all).
+def insert_monitors(netlist: Netlist) -> MonitoredDesign:
+    """Shadow-and-compare monitors on every output.
 
     The monitor cone is an independent copy of each output's logic; the
     alarm is the OR of all divergences.  Detects any Trojan payload (or
     fault) localized to one copy, at duplication-like cost for the
     monitored cones.
     """
-    targets = list(outputs) if outputs else list(netlist.outputs)
+    targets = list(netlist.outputs)
     host = netlist.copy(netlist.name + "_mon")
     before = host.num_cells()
     divergences: List[str] = []
@@ -113,15 +111,14 @@ def bisa_fill(placement: Placement, fill_fraction: float = 1.0,
 
 
 def insertion_feasibility(placement: Placement, fill: BisaFill,
-                          trojan_sites_needed: int,
-                          window: int = 3,
-                          seed: int = 0) -> bool:
+                          trojan_sites_needed: int) -> bool:
     """Can an attacker find ``trojan_sites_needed`` free sites within any
-    ``window`` x ``window`` region after the fill?
+    3 x 3 region after the fill?
 
     A fabrication-time Trojan needs physically close free sites; full
     BISA fill makes this impossible.
     """
+    window = 3
     occupied = set(placement.positions.values()) | set(
         fill.filler_cells.values())
     for x0 in range(max(1, placement.width - window + 1)):

@@ -20,27 +20,23 @@ from ..physical import Placement
 
 
 def regional_leakage(netlist: Netlist, placement: Placement,
-                     pads: int = 4,
-                     variation: float = 0.05,
                      seed: int = 0) -> np.ndarray:
     """Per-pad quiescent current: leakage of cells nearest each pad.
 
-    Pads sit at the die corners (pads=4) or edge midpoints as well
-    (pads=8); each cell's leakage (with process variation) is drawn to
-    its nearest pad — the multiple-supply-pad IDDQ model of [60].
+    Four pads sit at the die corners; each cell's leakage (with 5%
+    process variation) is drawn to its nearest pad — the
+    multiple-supply-pad IDDQ model of [60].
     """
     rng = np.random.default_rng(seed)
     w, h = placement.width, placement.height
-    corners = [(0, 0), (w - 1, 0), (0, h - 1), (w - 1, h - 1)]
-    edges = [(w // 2, 0), (w // 2, h - 1), (0, h // 2), (w - 1, h // 2)]
-    pad_positions = (corners + edges)[:pads]
-    currents = np.zeros(pads)
+    pad_positions = [(0, 0), (w - 1, 0), (0, h - 1), (w - 1, h - 1)]
+    currents = np.zeros(len(pad_positions))
     for cell, (x, y) in placement.positions.items():
         g = netlist.gates.get(cell)
         if g is None:
             continue
         base = DEFAULT_COSTS[g.gate_type].leakage
-        leak = base * max(0.0, 1.0 + rng.normal(0.0, variation))
+        leak = base * max(0.0, 1.0 + rng.normal(0.0, 0.05))
         distances = [abs(x - px) + abs(y - py) for px, py in pad_positions]
         currents[int(np.argmin(distances))] += leak
     return currents
@@ -61,26 +57,22 @@ class IddqDetector:
 
 
 def calibrate_iddq(netlist: Netlist, placement: Placement,
-                   n_chips: int = 30, pads: int = 4,
-                   variation: float = 0.05, seed: int = 0,
-                   z_threshold: float = 4.0) -> IddqDetector:
-    """Characterize the golden population's per-pad current envelope."""
+                   n_chips: int = 30) -> IddqDetector:
+    """Characterize the golden population's per-pad current envelope
+    (chip seeds from 0)."""
     rows = np.stack([
-        regional_leakage(netlist, placement, pads, variation, seed + i)
+        regional_leakage(netlist, placement, i)
         for i in range(n_chips)
     ])
-    return IddqDetector(rows.mean(axis=0), rows.std(axis=0) + 1e-9,
-                        z_threshold)
+    return IddqDetector(rows.mean(axis=0), rows.std(axis=0) + 1e-9)
 
 
 def screen_iddq(detector: IddqDetector, netlist: Netlist,
-                placement: Placement, n_chips: int = 20, pads: int = 4,
-                variation: float = 0.05, seed: int = 500) -> float:
-    """Fraction of measured chips flagged anomalous."""
+                placement: Placement, n_chips: int = 20) -> float:
+    """Fraction of measured chips (seeds from 500) flagged anomalous."""
     flagged = 0
     for i in range(n_chips):
-        currents = regional_leakage(netlist, placement, pads, variation,
-                                    seed + i)
+        currents = regional_leakage(netlist, placement, 500 + i)
         if detector.is_anomalous(currents):
             flagged += 1
     return flagged / n_chips
@@ -101,13 +93,14 @@ class RoNetwork:
 
     def frequencies(self, netlist: Netlist, placement: Placement,
                     extra_cells: Optional[Sequence[str]] = None,
-                    noise: float = 0.15, seed: int = 0) -> np.ndarray:
+                    seed: int = 0) -> np.ndarray:
         """RO frequencies given the local activity around each RO.
 
         ``extra_cells`` names cells (e.g. Trojan gates) whose load
         counts double — dormant parasitics still draw leakage.  The
-        noise default models frequencies averaged over repeated
-        measurements, the usual practice for RO-based detection.
+        0.15 MHz measurement noise models frequencies averaged over
+        repeated measurements, the usual practice for RO-based
+        detection.
         """
         rng = np.random.default_rng(seed)
         extra = set(extra_cells or ())
@@ -124,14 +117,14 @@ class RoNetwork:
                 local += weight * DEFAULT_COSTS[g.gate_type].leakage
             freqs.append(self.base_frequency
                          - self.droop_coefficient * local * 0.1
-                         + rng.normal(0.0, noise))
+                         + rng.normal(0.0, 0.15))
         return np.array(freqs)
 
 
-def build_ro_network(placement: Placement, grid: int = 3) -> RoNetwork:
-    """Place an evenly spaced grid x grid RO network on the die."""
-    xs = np.linspace(0, placement.width - 1, grid)
-    ys = np.linspace(0, placement.height - 1, grid)
+def build_ro_network(placement: Placement) -> RoNetwork:
+    """Place an evenly spaced 3 x 3 RO network on the die."""
+    xs = np.linspace(0, placement.width - 1, 3)
+    ys = np.linspace(0, placement.height - 1, 3)
     return RoNetwork([(float(x), float(y)) for x in xs for y in ys])
 
 
@@ -140,19 +133,20 @@ def ro_detection(network: RoNetwork, netlist: Netlist,
                  trojan_netlist: Netlist,
                  trojan_placement: Placement,
                  trojan_cells: Sequence[str],
-                 n_golden: int = 20, z_threshold: float = 4.0,
                  seed: int = 0) -> Tuple[bool, float]:
-    """Compare a suspect chip's RO vector to the golden population.
+    """Compare a suspect chip's RO vector to a golden population of 20
+    chips.
 
-    Returns (detected, max |z| over ROs).
+    Returns (detected, max |z| over ROs); detected when any |z|
+    exceeds 4.
     """
     golden = np.stack([
         network.frequencies(netlist, placement, seed=seed + i)
-        for i in range(n_golden)
+        for i in range(20)
     ])
     mean, std = golden.mean(axis=0), golden.std(axis=0) + 1e-9
     suspect = network.frequencies(trojan_netlist, trojan_placement,
                                   extra_cells=trojan_cells,
                                   seed=seed + 999)
     z = np.abs((suspect - mean) / std)
-    return bool(np.any(z > z_threshold)), float(z.max())
+    return bool(np.any(z > 4.0)), float(z.max())

@@ -7,6 +7,8 @@ import sys
 import textwrap
 from pathlib import Path
 
+import pytest
+
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -114,6 +116,78 @@ def fake_tree(root):
         ''')
 
 
+def options_tree(root):
+    """Defaulted parameters: one that no call sets, next to one set by
+    keyword, one by position, one through an inherited constructor,
+    one through ``**kwargs``, one only tests set and one on a
+    ``@register_pass`` class."""
+    write(root, "src/repro/__init__.py", '"""Top."""\n')
+    write(root, "src/repro/opts.py", '''\
+        """Options."""
+
+
+        def register_pass(cls):
+            return cls
+
+
+        def unset(x, flag=False):
+            return x, flag
+
+
+        def by_keyword(x, k=1):
+            return x + k
+
+
+        def by_position(x, p=1):
+            return x + p
+
+
+        def forwarded(x, f=1):
+            return x + f
+
+
+        def forwarder(*args, **kwargs):
+            return forwarded(*args, **kwargs)
+
+
+        def only_tested(x, t=1):
+            return x + t
+
+
+        class Base:
+            def __init__(self, inherited=1):
+                self.inherited = inherited
+
+
+        class Child(Base):
+            """Inherits the constructor."""
+
+
+        @register_pass
+        class Registered:
+            def __init__(self, knob=1):
+                self.knob = knob
+        ''')
+    write(root, "scripts/run.py", '''\
+        from repro.opts import (Child, Registered, by_keyword, by_position,
+                                forwarder, unset)
+
+        unset(1)
+        by_keyword(1, k=2)
+        by_position(1, 2)
+        forwarder(1, f=3)
+        Child(2)
+        Registered()
+        ''')
+    write(root, "tests/test_opts.py", '''\
+        from repro.opts import only_tested
+
+
+        def test_it():
+            assert only_tested(1, t=2) == 3
+        ''')
+
+
 class TestSurfaceAudit:
     def test_tree_is_clean(self):
         assert load_check_surface().audit() == []
@@ -159,3 +233,35 @@ class TestSurfaceAudit:
             "repro.pkg.only_in_prose": ("api-helper", "reads used()"),
         }
         assert check_surface.audit(tmp_path, allowlist) == []
+
+    def test_option_no_call_sets_is_caught(self, tmp_path):
+        check_surface = load_check_surface()
+        options_tree(tmp_path)
+        problems = check_surface.audit(tmp_path, {})
+        # (d) the one defaulted parameter no call site sets; the ones
+        # set by keyword, position, inheritance, **kwargs or tests
+        # alone, and a registered pass's, are not problems.
+        assert len(problems) == 1, problems
+        assert "src/repro/opts.py:8: unset(flag) is set by no call" \
+            in problems[0]
+
+    @pytest.mark.parametrize("path,setting,not_setting,flagged", [
+        ("scripts/run.py", "by_keyword(1, k=2)", "by_keyword(1)",
+         "by_keyword(k)"),
+        ("scripts/run.py", "by_position(1, 2)", "by_position(1)",
+         "by_position(p)"),
+        ("scripts/run.py", "Child(2)", "Child()", "Base(inherited)"),
+        ("src/repro/opts.py", "forwarded(*args, **kwargs)",
+         "forwarded(args[0])", "forwarded(f)"),
+        ("tests/test_opts.py", "only_tested(1, t=2)", "only_tested(1)",
+         "only_tested(t)"),
+    ])
+    def test_each_planted_setter_counts(self, tmp_path, path, setting,
+                                        not_setting, flagged):
+        check_surface = load_check_surface()
+        options_tree(tmp_path)
+        target = tmp_path / path
+        target.write_text(target.read_text().replace(setting, not_setting))
+        problems = check_surface.audit(tmp_path, {})
+        assert any(f"{flagged} is set by no call" in p for p in problems), \
+            problems

@@ -284,16 +284,30 @@ class TestTable2:
         cells = {(d.stage, d.threat) for d in demos}
         assert len(cells) == 24  # full 6x4 grid
 
-    @pytest.mark.parametrize("stage,threat", [
-        (DesignStage.LOGIC_SYNTHESIS, ThreatVector.IP_PIRACY),
-        (DesignStage.TESTING, ThreatVector.SIDE_CHANNEL),
-        (DesignStage.FUNCTIONAL_VALIDATION, ThreatVector.TROJAN),
-        (DesignStage.HIGH_LEVEL_SYNTHESIS, ThreatVector.FAULT_INJECTION),
-    ])
+    #: The metric each selected cell reports.
+    SELECTED = {
+        (DesignStage.LOGIC_SYNTHESIS, ThreatVector.IP_PIRACY):
+            "wrong_key_error_rate",
+        (DesignStage.TESTING, ThreatVector.SIDE_CHANNEL):
+            "readout_blocked_test_preserved",
+        (DesignStage.FUNCTIONAL_VALIDATION, ThreatVector.TROJAN):
+            "trojan_violates_carried_proof",
+        (DesignStage.HIGH_LEVEL_SYNTHESIS, ThreatVector.FAULT_INJECTION):
+            "dfa_blocked",
+    }
+
+    @pytest.mark.parametrize("stage,threat", list(SELECTED))
     def test_selected_cells_run(self, stage, threat):
         result = run_cell(stage, threat)
         assert result.stage is stage and result.threat is threat
-        assert result.value >= 0.0 or True
+        metric = self.SELECTED[stage, threat]
+        assert result.metric == metric
+        if metric == "wrong_key_error_rate":
+            # A wrong key corrupts some outputs, never more than all.
+            assert 0.0 < result.value <= 1.0
+        else:
+            # A pass/fail flag: the countermeasure or proof holds.
+            assert result.value == 1.0
         assert result.detail
 
     def test_render(self):

@@ -23,7 +23,7 @@ from repro.ip import (
     lock_xor,
     verify_recovered_key,
 )
-from repro.netlist import GateType, Netlist, random_circuit
+from repro.netlist import GateType, Netlist, random_circuit, step_sequential
 from repro.sca import sequential_leakage_traces
 
 from key_oracle import key_is_correct
@@ -122,6 +122,54 @@ class TestSequentialLeakage:
         clean = sequential_leakage_traces(n, runs, noise_sigma=0.0)
         assert not np.allclose(traces, clean)
         assert np.allclose(clean[0], clean[1])
+
+    @staticmethod
+    def random_sequential(seed):
+        """Random logic over inputs and four flops whose D pins close
+        the feedback loop."""
+        rng = random.Random(seed)
+        n = random_circuit(5, 30, 4, seed=seed)
+        nets = [g for g in n.gates if g not in n.inputs]
+        flops = [n.add_gate(f"ff{k}", GateType.DFF, [f"d{k}"])
+                 for k in range(4)]
+        for k, ff in enumerate(flops):
+            mixed = n.add_gate(f"mix{k}", GateType.XOR,
+                               [ff, rng.choice(nets)])
+            n.add_gate(f"d{k}", GateType.XNOR, [mixed, rng.choice(nets)])
+            n.add_output(mixed)
+        return n
+
+    @staticmethod
+    def reference_traces(netlist, runs, hd_weight, hw_weight):
+        """One ``step_sequential`` walk per run: low bit of each value,
+        a missing input at 0, samples past the run's length at 0."""
+        flops = netlist.flops
+        out = np.zeros((len(runs), max(len(run) for run in runs)))
+        for r, run in enumerate(runs):
+            state = {ff: 0 for ff in flops}
+            for t, stim in enumerate(run):
+                inputs = {name: stim.get(name, 0) & 1
+                          for name in netlist.inputs}
+                _, nxt = step_sequential(netlist, inputs, state)
+                hd = sum(state[ff] != nxt[ff] for ff in flops)
+                hw = sum(nxt[ff] for ff in flops)
+                out[r, t] = hd_weight * hd + hw_weight * hw
+                state = nxt
+        return out
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_packed_runs_match_per_run_reference(self, seed):
+        netlist = self.random_sequential(seed)
+        rng = random.Random(100 + seed)
+        runs = [[{name: rng.randrange(4) for name in netlist.inputs
+                  if rng.random() < 0.8}
+                 for _ in range(rng.randint(1, 7))]
+                for _ in range(37)]
+        assert len({len(run) for run in runs}) > 1
+        got = sequential_leakage_traces(netlist, runs, noise_sigma=0.0,
+                                        hd_weight=1.0, hw_weight=0.2)
+        want = self.reference_traces(netlist, runs, 1.0, 0.2)
+        assert np.array_equal(got, want)
 
     def test_distinguishes_data(self):
         """HW of loaded data is visible in the first sample."""

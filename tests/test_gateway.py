@@ -20,14 +20,18 @@ transport a remote design team would use.  Covered contracts:
   campaign API is a 100% cache hit when resubmitted over HTTP, and
   default campaigns plan identically from the CLI, the library and
   HTTP;
-* input hygiene: traversal-shaped digests, malformed campaign fields
-  and a job type that would run a tenant-chosen command are 400s, never
-  paths or tracebacks.
+* input hygiene: traversal-shaped digests, malformed campaign fields,
+  bodies that are not JSON objects and a job type that would run a
+  tenant-chosen command are 400s, an oversized body is a 413, never
+  paths, tracebacks or dropped connections.
 """
 
 import http.client
+import json
+import logging
 import os
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -600,5 +604,65 @@ class TestInputHygiene:
             with pytest.raises(GatewayClientError) as err:
                 client.submit_campaign("no-such-campaign")
             assert err.value.status == 400
+        finally:
+            gw.shutdown()
+
+    @staticmethod
+    def _assert_error_json(status, raw, want_status, want_code, caplog):
+        payload = json.loads(raw)
+        assert status == want_status, payload
+        assert payload["error"]["code"] == want_code
+        assert "Traceback" not in payload["error"]["message"]
+        assert not [r for r in caplog.records if r.exc_info], \
+            "the server logged a traceback"
+
+    def test_oversized_body_is_413_and_closes(self, tmp_path, caplog):
+        from repro.service.gateway import MAX_BODY_BYTES
+
+        caplog.set_level(logging.ERROR)
+        gw = _gateway(tmp_path, workers=1)
+        try:
+            with socket.create_connection((gw.host, gw.port),
+                                          timeout=10) as sock:
+                sock.sendall(
+                    b"POST /v1/jobs HTTP/1.1\r\n"
+                    b"X-Repro-Token: tok-a\r\n"
+                    b"Content-Type: application/json\r\n"
+                    + f"Content-Length: {MAX_BODY_BYTES + 1}"
+                    .encode() + b"\r\n\r\n")
+                reply = b""
+                while chunk := sock.recv(65536):   # until the close
+                    reply += chunk
+            head, _, body = reply.partition(b"\r\n\r\n")
+            status = int(head.split(b" ", 2)[1])
+            self._assert_error_json(status, body, 413, "too_large",
+                                    caplog)
+        finally:
+            gw.shutdown()
+
+    @pytest.mark.parametrize("route,body", [
+        ("/v1/jobs", b"{not json"),
+        ("/v1/artifacts/{digest}/pin", b"[1]"),
+    ], ids=["not-json", "not-an-object"])
+    def test_body_that_is_not_a_json_object_is_400(self, tmp_path, caplog,
+                                                    route, body):
+        caplog.set_level(logging.ERROR)
+        gw = _gateway(tmp_path, workers=1)
+        try:
+            client = GatewayClient(gw.host, gw.port, "tok-a")
+            digest = client.publish_netlist(netlist_to_dict(c17()))
+            conn = http.client.HTTPConnection(gw.host, gw.port,
+                                              timeout=10)
+            headers = {"X-Repro-Token": "tok-a",
+                       "Content-Type": "application/json"}
+            conn.request("POST", route.format(digest=digest), body=body,
+                         headers=headers)
+            response = conn.getresponse()
+            self._assert_error_json(response.status, response.read(),
+                                    400, "bad_request", caplog)
+            # The body was read, so the connection stays usable.
+            conn.request("GET", "/v1/status", headers=headers)
+            assert conn.getresponse().status == 200
+            conn.close()
         finally:
             gw.shutdown()
