@@ -176,15 +176,19 @@ def annealing_placement(netlist: Netlist,
         occupant[x * height + y] = k
     # Per-cell net membership for incremental evaluation, split into
     # two-pin nets (always re-priced) and the rest (box-tested).  A
-    # cell that is a pin of one net twice (a gate reading a net twice)
-    # lists that net twice, so a move to an empty site counts the net's
-    # change twice and a swap counts it once, as the placer always has.
+    # gate that reads a net on two fanins is one pin of it: each cell
+    # lists each of its nets once, so every move counts a net's change
+    # once.  A flop that only reads its own output is a net of one
+    # cell, which no move can lengthen: it is not priced.
     pair_nets: List[List[int]] = [[] for _ in cells]
     multi_nets: List[List[int]] = [[] for _ in cells]
     gathers = []
     boxes = []
-    for i, net in enumerate(nets):
-        pins = [index[c] for c in net]
+    for net in nets:
+        pins = list(dict.fromkeys(index[c] for c in net))
+        if len(pins) < 2:
+            continue
+        i = len(gathers)
         get = itemgetter(*pins)
         gathers.append(get)
         xs, ys = get(cell_x), get(cell_y)

@@ -19,8 +19,9 @@ into a job-serving layer:
 * :mod:`~repro.service.campaigns` — existing workloads (locking
   sweep, composition matrix, security closure) planned once and
   routed through the service with serial result parity;
-* :mod:`~repro.service.events` — the job event bus behind both CLI
-  ``--watch`` output and gateway SSE streams;
+* :mod:`~repro.service.events` — the job event record that the
+  scheduler's ``on_event`` hook hands to CLI ``--watch`` output and to
+  gateway SSE streams;
 * :mod:`~repro.service.tenants` — tenant identity, rate limits, and
   namespaced run-database / pin views for the gateway;
 * :mod:`~repro.service.gateway` / :mod:`~repro.service.client` — the
@@ -68,7 +69,7 @@ from .campaigns import (
     locking_sweep_campaign,
     security_closure_campaign,
 )
-from .events import EventBus, JobEvent, Subscription, format_event
+from .events import JobEvent, format_event
 from .tenants import (
     NamespacedRunDatabase,
     Tenant,
@@ -91,7 +92,7 @@ __all__ = [
     "BENCH_CIRCUITS", "DEFAULT_STACKS", "CampaignError",
     "composition_matrix_campaign", "locking_sweep_campaign",
     "security_closure_campaign",
-    "EventBus", "JobEvent", "Subscription", "format_event",
+    "JobEvent", "format_event",
     "Tenant", "TenantRegistry", "TokenBucket",
     "NamespacedRunDatabase", "namespace_run_id", "split_run_id",
     "tenant_pin_ref",

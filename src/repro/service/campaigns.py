@@ -26,7 +26,7 @@ from typing import (Callable, Dict, List, Mapping, Optional, Sequence,
 
 from ..core.dse import LockingSweepPoint
 from ..netlist import Netlist, c17, ripple_carry_adder
-from .events import EventBus
+from .events import JobEvent
 from .jobs import JobSpec
 from .rundb import RunDatabase
 from .scheduler import SUCCEEDED, Job, Scheduler, WorkerPool
@@ -236,7 +236,7 @@ def _campaign_store(store: Optional[ArtifactStore]) -> ArtifactStore:
 
 def _run(plan: Plan, what: str, store: ArtifactStore, workers: int,
          rundb: Optional[RunDatabase], pool: Optional[WorkerPool],
-         bus: Optional[EventBus]) -> List[Job]:
+         on_event: Optional[Callable[[JobEvent], None]]) -> List[Job]:
     """Run a plan; its jobs, in spec order.
 
     Input netlists are published before any job runs and may sit idle
@@ -246,7 +246,7 @@ def _run(plan: Plan, what: str, store: ArtifactStore, workers: int,
     """
     specs, input_digests = plan
     scheduler = Scheduler(workers=workers, store=store, rundb=rundb,
-                          pool=pool, bus=bus)
+                          pool=pool, on_event=on_event)
     job_ids = [scheduler.submit(spec) for spec in specs]
     for digest in input_digests:
         store.pin(digest, ref=scheduler.run_id)
@@ -274,7 +274,8 @@ def locking_sweep_campaign(netlist: Netlist,
                            store: Optional[ArtifactStore] = None,
                            rundb: Optional[RunDatabase] = None,
                            pool: Optional[WorkerPool] = None,
-                           bus: Optional[EventBus] = None,
+                           on_event: Optional[
+                               Callable[[JobEvent], None]] = None,
                            **fields) -> List[LockingSweepPoint]:
     """:func:`repro.core.dse.sweep_locking` as a service campaign.
 
@@ -287,7 +288,7 @@ def locking_sweep_campaign(netlist: Netlist,
     """
     store = _campaign_store(store)
     jobs = _run(plan_sweep(store, netlist, key_widths, **fields),
-                "locking sweep", store, workers, rundb, pool, bus)
+                "locking sweep", store, workers, rundb, pool, on_event)
     return [LockingSweepPoint(
         key_bits=int(job.result["key_bits"]),
         area=float(job.result["area"]),
@@ -302,7 +303,8 @@ def security_closure_campaign(netlists: Sequence[Netlist],
                               workers: int = 0,
                               store: Optional[ArtifactStore] = None,
                               rundb: Optional[RunDatabase] = None,
-                              bus: Optional[EventBus] = None,
+                              on_event: Optional[
+                                  Callable[[JobEvent], None]] = None,
                               **fields) -> Dict[str, Dict[str, object]]:
     """Security-close a batch of designs: one ``closure`` job each, on a
     scheduler of its own.
@@ -319,7 +321,8 @@ def security_closure_campaign(netlists: Sequence[Netlist],
     netlists = bench_netlists(netlists)
     store = _campaign_store(store)
     jobs = _run(plan_closure(store, netlists, **fields),
-                "security closure", store, workers, rundb, None, bus)
+                "security closure", store, workers, rundb, None,
+                on_event)
     return {netlist.name: job.result
             for netlist, job in zip(netlists, jobs)}
 
@@ -332,7 +335,7 @@ def composition_matrix_campaign(
         workers: int = 0,
         store: Optional[ArtifactStore] = None,
         rundb: Optional[RunDatabase] = None,
-        bus: Optional[EventBus] = None,
+        on_event: Optional[Callable[[JobEvent], None]] = None,
         **fields) -> Dict[str, Dict[str, object]]:
     """Cross-effect matrix: one ``composition-stack`` job per stack, on
     a scheduler of its own.
@@ -351,5 +354,6 @@ def composition_matrix_campaign(
     store = _campaign_store(store)
     jobs = _run(plan_compose(store, stacks=stacks, engine=engine_params,
                              **fields),
-                "composition matrix", store, workers, rundb, None, bus)
+                "composition matrix", store, workers, rundb, None,
+                on_event)
     return {label: job.result for label, job in zip(stacks, jobs)}

@@ -17,9 +17,10 @@ Subcommands::
 
 Campaign commands accept ``--workers N`` (0 = in-process), a
 ``--store`` directory for the persistent artifact cache, and a
-``--db`` path for the SQLite run database; ``--watch`` streams job
-state transitions as the scheduler makes them — over the same
-:mod:`~repro.service.events` bus the gateway's SSE streams use.  Their
+``--db`` path for the SQLite run database; ``--watch`` prints each
+job state transition as the scheduler makes it — the same
+:class:`~repro.service.events.JobEvent` the gateway's SSE streams
+carry, rendered by :func:`~repro.service.events.format_event`.  Their
 flag defaults are the defaults of the campaign's plan
 (:mod:`~repro.service.campaigns`), the same ones an HTTP submission
 gets.
@@ -28,13 +29,12 @@ gets.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import inspect
 import json
 import signal
 import sys
 import threading
-from typing import Callable, Dict, Iterator, Optional
+from typing import Callable, Dict, Optional
 
 from .campaigns import (
     BENCH_CIRCUITS,
@@ -48,37 +48,16 @@ from .campaigns import (
     security_closure_campaign,
     stack_table,
 )
-from .events import EventBus, format_event
+from .events import JobEvent, format_event
 from .rundb import RunDatabase, migrate_jsonl, render_records
 from .store import ArtifactStore
 
 
-@contextlib.contextmanager
-def _watching(enabled: bool) -> Iterator[Optional[EventBus]]:
-    """An event bus printing watch lines, or None when not watching.
-
-    One subscriber thread renders every published event with
-    :func:`~repro.service.events.format_event` — the same event
-    stream (and the same line format) a gateway SSE client sees.
-    """
-    if not enabled:
-        yield None
-        return
-    bus = EventBus()
-    sub = bus.subscribe()
-
-    def printer() -> None:
-        for event in sub:
-            print(format_event(event), flush=True)
-
-    thread = threading.Thread(target=printer, name="cli-watch",
-                              daemon=True)
-    thread.start()
-    try:
-        yield bus
-    finally:
-        bus.close()
-        thread.join(timeout=5.0)
+def _watch(args) -> Optional[Callable[[JobEvent], None]]:
+    """The ``on_event`` printer of ``--watch``, or None."""
+    if not args.watch:
+        return None
+    return lambda event: print(format_event(event), flush=True)
 
 
 def _open_db(args) -> Optional[RunDatabase]:
@@ -96,12 +75,11 @@ def cmd_sweep(args) -> int:
         print(exc)
         return 2
     widths = [int(w) for w in args.widths.split(",") if w != ""]
-    with _watching(args.watch) as bus:
-        points = locking_sweep_campaign(
-            netlist, widths, seed=args.seed,
-            max_iterations=args.max_iterations, workers=args.workers,
-            store=_open_store(args), rundb=_open_db(args),
-            timeout=args.timeout, bus=bus)
+    points = locking_sweep_campaign(
+        netlist, widths, seed=args.seed,
+        max_iterations=args.max_iterations, workers=args.workers,
+        store=_open_store(args), rundb=_open_db(args),
+        timeout=args.timeout, on_event=_watch(args))
     print(f"\n=== locking sweep: {args.bench} "
           f"(seed {args.seed}, workers {args.workers}) ===")
     print(f"{'key bits':>8} {'area':>8} {'DIP iters':>10} "
@@ -120,14 +98,13 @@ def cmd_compose(args) -> int:
     except ValueError as exc:
         print(exc)
         return 2
-    with _watching(args.watch) as bus:
-        matrix = composition_matrix_campaign(
-            design=args.design, stacks=stacks,
-            engine_params={"n_traces": args.traces,
-                           "noise_sigma": args.noise},
-            seed=args.seed, workers=args.workers,
-            store=_open_store(args), rundb=_open_db(args),
-            timeout=args.timeout, bus=bus)
+    matrix = composition_matrix_campaign(
+        design=args.design, stacks=stacks,
+        engine_params={"n_traces": args.traces,
+                       "noise_sigma": args.noise},
+        seed=args.seed, workers=args.workers,
+        store=_open_store(args), rundb=_open_db(args),
+        timeout=args.timeout, on_event=_watch(args))
     print(f"\n=== composition matrix: {args.design} "
           f"(workers {args.workers}) ===")
     print(f"{'stack':<16} {'TVLA |t| in':>12} {'out':>8} "
@@ -151,15 +128,14 @@ def cmd_closure(args) -> int:
     except ValueError as exc:
         print(exc)
         return 2
-    with _watching(args.watch) as bus:
-        results = security_closure_campaign(
-            netlists,
-            thresholds={"probing": args.probing, "fia": args.fia,
-                        "trojan": args.trojan},
-            num_layers=args.layers, max_iterations=args.max_iterations,
-            seed=args.seed, workers=args.workers,
-            store=_open_store(args), rundb=_open_db(args),
-            timeout=args.timeout, bus=bus)
+    results = security_closure_campaign(
+        netlists,
+        thresholds={"probing": args.probing, "fia": args.fia,
+                    "trojan": args.trojan},
+        num_layers=args.layers, max_iterations=args.max_iterations,
+        seed=args.seed, workers=args.workers,
+        store=_open_store(args), rundb=_open_db(args),
+        timeout=args.timeout, on_event=_watch(args))
     print(f"\n=== security closure (seed {args.seed}, "
           f"workers {args.workers}) ===")
     print(f"{'design':<16} {'closed':>6} {'iters':>5} "

@@ -21,6 +21,9 @@ import time
 import urllib.parse
 from typing import Dict, Iterator, List, Optional, Sequence
 
+#: Job statuses after which a job's event stream ends.
+_TERMINAL = ("succeeded", "failed", "timeout", "cancelled", "skipped")
+
 
 class GatewayClientError(Exception):
     """An error response from the gateway (or a transport failure)."""
@@ -187,8 +190,13 @@ class GatewayClient:
         a dict; returns after the terminal event (or when the server
         ends the stream, whichever comes first).
         """
-        terminal = ("succeeded", "failed", "timeout", "cancelled",
-                    "skipped")
+        for event in self._stream(job_id):
+            if event is not None:
+                yield event
+
+    def _stream(self, job_id: str
+                ) -> Iterator[Optional[Dict[str, object]]]:
+        """:meth:`events`, with ``None`` for each keep-alive comment."""
         conn = http.client.HTTPConnection(self.host, self.port,
                                           timeout=self.timeout)
         try:
@@ -212,10 +220,12 @@ class GatewayClient:
                 if not line:
                     return
                 text = line.decode("utf-8", "replace").rstrip("\r\n")
-                if text.startswith("data:"):
+                if text.startswith(":"):
+                    yield None
+                elif text.startswith("data:"):
                     event = json.loads(text[5:].strip())
                     yield event
-                    if event.get("status") in terminal:
+                    if event.get("status") in _TERMINAL:
                         return
         finally:
             conn.close()
@@ -224,30 +234,23 @@ class GatewayClient:
              timeout: Optional[float] = None) -> Dict[str, object]:
         """Follow a job's event stream until terminal; return its state.
 
-        Uses the SSE stream (push, not polling), then fetches the
-        final job view so the caller gets the result payload.
+        Uses the SSE stream (push, not polling), then reads the job
+        view once for the result payload: the gateway updates the
+        view before it writes the event, so the view is terminal by
+        then.  Raises 504 ``timeout`` when no terminal event arrived
+        within ``timeout`` seconds; the stream's keep-alive comments
+        bound how late that is noticed.
         """
-        terminal = ("succeeded", "failed", "timeout", "cancelled",
-                    "skipped")
         deadline = None if timeout is None \
             else time.monotonic() + timeout
-        for event in self.events(job_id):
+        for event in self._stream(job_id):
+            if event is not None and event.get("status") in _TERMINAL:
+                break
             if deadline is not None and time.monotonic() > deadline:
                 raise GatewayClientError(
                     504, "timeout",
                     f"job {job_id} not terminal within {timeout}s")
-            if event.get("status") in terminal:
-                break
-        # The event stream is push-fed straight from the bus and can
-        # outrun the gateway's job-table update by a few milliseconds;
-        # settle on the queryable view.
-        settle = time.monotonic() + 5.0
-        while True:
-            state = self.job(job_id)
-            if state.get("status") in terminal \
-                    or time.monotonic() > settle:
-                return state
-            time.sleep(0.02)
+        return self.job(job_id)
 
     def wait_all(self, job_ids: Sequence[str],
                  timeout: Optional[float] = None

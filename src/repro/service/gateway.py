@@ -9,25 +9,26 @@ the paper's "security evaluation as a service" stance made literal:
 composition checks, locking sweeps, and closure runs submitted by
 independent design teams against one warm evaluation backend.
 
-Architecture — one scheduler, one executor thread, an event bus:
+Architecture — one thread, one event loop:
 
-* All HTTP handlers run on one asyncio loop (its own thread).  They
-  never touch the scheduler directly: submissions and cancellations
-  are *commands* on a thread-safe queue.
-* One **executor thread** owns the long-lived
-  :class:`~repro.service.scheduler.Scheduler` and its pool, alternating
-  between command processing and
-  :meth:`~repro.service.scheduler.Scheduler.service_step`.  A wake
-  pipe is part of the scheduler's wait set, so a new submission
-  interrupts the step's sleep instead of riding out its quantum.
-  Two threads stepping one pool would race its pipes; one thread,
-  by construction, cannot.
-* The scheduler publishes every state transition to an
-  :class:`~repro.service.events.EventBus`.  A small apply thread
-  folds events into the gateway's job table (tenant ownership,
-  latest state, results), releases quota, grants artifact
-  visibility, and prunes fully-terminal submissions from the
-  scheduler; SSE handlers subscribe to the same bus.
+* One ``asyncio`` loop, on its own thread, owns everything: the HTTP
+  handlers, the long-lived
+  :class:`~repro.service.scheduler.Scheduler` and its pool, the job
+  table and every SSE stream.  Handlers call the scheduler's
+  ``submit`` and ``cancel`` directly and then step it; nothing off the
+  loop thread reads gateway state, so no lock guards it.
+* A scheduler step never waits
+  (:meth:`~repro.service.scheduler.Scheduler.service_step`): it
+  returns the worker pipes and sentinels and the next deadline, and
+  the loop watches the handles with readers and the deadline with one
+  re-armed timer.  Every reader runs the same step, which reads every
+  worker, so it does not matter which handle woke it.
+* The scheduler's ``on_event`` hook receives each transition on the
+  loop thread.  It folds the event into the job table; on a terminal
+  event it releases quota, grants artifact visibility and, once a
+  submission is finished, unpins its inputs and queues it to be
+  forgotten after the step; last, it puts the event on the queue of
+  every SSE stream open on the job.
 
 Tenancy: every request carries a token (``Authorization: Bearer`` or
 ``X-Repro-Token``) resolved through a
@@ -60,8 +61,6 @@ import asyncio
 import itertools
 import json
 import multiprocessing.util
-import os
-import queue
 import re
 import threading
 import time
@@ -72,7 +71,7 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from ..netlist import netlist_from_dict
 from .campaigns import CAMPAIGN_PLANS
-from .events import EventBus, JobEvent
+from .events import JobEvent
 from .jobs import JobSpec, registered_job_types
 from .rundb import RunDatabase
 from .scheduler import Scheduler
@@ -88,6 +87,10 @@ from .tenants import (
 
 #: Request bodies over this are refused (413) before buffering more.
 MAX_BODY_BYTES = 32 * 1024 * 1024
+
+#: Seconds an SSE stream waits for an event before it writes a
+#: keep-alive comment.
+KEEPALIVE_S = 0.5
 
 #: User-supplied pin reference names (the tenant namespace prefix is
 #: added by the gateway, so a ref can never address another tenant's).
@@ -132,8 +135,8 @@ class Route:
 
     ``pattern`` segments of the form ``{name}`` capture one path
     segment.  ``kind`` is ``"json"`` (handler returns
-    ``(status, payload)``) or ``"sse"`` (handler returns a stream
-    descriptor the dispatcher serves as Server-Sent Events).
+    ``(status, payload)``) or ``"sse"`` (handler returns the job view
+    whose transitions the dispatcher serves as Server-Sent Events).
     """
 
     method: str
@@ -173,7 +176,6 @@ class _JobView:
     tenant: str
     submission_id: str
     event: JobEvent
-    terminal: bool = False
 
     def to_dict(self, with_result: bool = True) -> Dict[str, object]:
         e = self.event
@@ -201,7 +203,6 @@ class _Submission:
 
     submission_id: str
     tenant: str
-    kind: str                   # "job" | campaign name
     job_ids: List[str]
     pinned: List[str]           # input digests pinned under this ref
     remaining: int = 0
@@ -209,7 +210,7 @@ class _Submission:
 
 @dataclass
 class _TenantState:
-    """Mutable per-tenant accounting (guarded by the gateway lock)."""
+    """Mutable per-tenant accounting (owned by the loop thread)."""
 
     tenant: Tenant
     bucket: TokenBucket
@@ -284,7 +285,7 @@ async def handle_submit_job(gw: "Gateway", tenant: Tenant,
     del params, query
     spec = spec_from_body(body)
     gw._require_param_digests(tenant, spec)
-    return 202, await gw._submit(tenant, [spec], pins=[], kind="job")
+    return 202, gw._submit(tenant, [spec], pins=[], kind="job")
 
 
 async def handle_submit_campaign(gw: "Gateway", tenant: Tenant,
@@ -319,8 +320,7 @@ async def handle_submit_campaign(gw: "Gateway", tenant: Tenant,
     except (TypeError, ValueError) as exc:
         raise GatewayError(400, "bad_request",
                            f"invalid {name} campaign: {exc}") from None
-    return 202, await gw._submit(tenant, specs, pins=input_digests,
-                                 kind=name)
+    return 202, gw._submit(tenant, specs, pins=input_digests, kind=name)
 
 
 async def handle_list_jobs(gw: "Gateway", tenant: Tenant,
@@ -339,8 +339,7 @@ async def handle_list_jobs(gw: "Gateway", tenant: Tenant,
         raise GatewayError(400, "bad_request",
                            "'limit' must be an integer") from None
     status = query.get("status")
-    with gw._lock:
-        views = [v for v in gw._jobs.values() if v.tenant == tenant.name]
+    views = [v for v in gw._jobs.values() if v.tenant == tenant.name]
     views.reverse()
     if status:
         views = [v for v in views if v.event.status == status]
@@ -377,12 +376,7 @@ async def handle_job_events(gw: "Gateway", tenant: Tenant,
         404 not_found       unknown job id, or another tenant's job
     """
     del body, query
-    view = gw._view_for(tenant, params["job_id"])
-    with gw._lock:
-        snapshot = view.event
-    sub = gw.bus.subscribe(job_ids=[view.job_id], replay=True,
-                           after_seq=snapshot.seq)
-    return "sse", snapshot, sub
+    return gw._view_for(tenant, params["job_id"])
 
 
 async def handle_cancel_job(gw: "Gateway", tenant: Tenant,
@@ -397,16 +391,11 @@ async def handle_cancel_job(gw: "Gateway", tenant: Tenant,
     """
     del body, query
     view = gw._view_for(tenant, params["job_id"])
-    with gw._lock:
-        if view.terminal:
-            raise GatewayError(409, "conflict",
-                               f"job {view.job_id} is already "
-                               f"{view.event.status}")
-    status, payload = await gw._command_reply(("cancel", view.job_id))
-    if status == "error":
+    if view.event.terminal:
         raise GatewayError(409, "conflict",
-                           f"job {view.job_id} can no longer be "
-                           f"cancelled: {payload}")
+                           f"job {view.job_id} is already "
+                           f"{view.event.status}")
+    gw._cancel(view.job_id)
     return 202, {"job_id": view.job_id, "cancelling": True}
 
 
@@ -490,8 +479,7 @@ async def handle_publish_netlist(gw: "Gateway", tenant: Tenant,
             from None
     digest = gw.store.put_netlist(netlist)
     gw.store.pin(digest, ref=tenant_pin_ref(tenant.name, "published"))
-    with gw._lock:
-        gw._tenant_state[tenant.name].digests.add(digest)
+    gw._tenant_state[tenant.name].digests.add(digest)
     return 201, {"digest": digest, "name": netlist.name}
 
 
@@ -549,23 +537,22 @@ async def handle_status(gw: "Gateway", tenant: Tenant,
         (dispatcher-level only)
     """
     del params, body, query
-    with gw._lock:
-        state = gw._tenant_state[tenant.name]
-        own = [v for v in gw._jobs.values() if v.tenant == tenant.name]
-        by_status: Dict[str, int] = {}
-        for v in own:
+    state = gw._tenant_state[tenant.name]
+    by_status: Dict[str, int] = {}
+    for v in gw._jobs.values():
+        if v.tenant == tenant.name:
             by_status[v.event.status] = by_status.get(
                 v.event.status, 0) + 1
-        return 200, {
-            "tenant": tenant.name,
-            "in_flight": state.in_flight,
-            "max_in_flight": tenant.max_in_flight,
-            "rate": tenant.rate,
-            "burst": tenant.burst,
-            "jobs": by_status,
-            "artifacts_visible": len(state.digests),
-            "workers": gw.workers,
-        }
+    return 200, {
+        "tenant": tenant.name,
+        "in_flight": state.in_flight,
+        "max_in_flight": tenant.max_in_flight,
+        "rate": tenant.rate,
+        "burst": tenant.burst,
+        "jobs": by_status,
+        "artifacts_visible": len(state.digests),
+        "workers": gw.workers,
+    }
 
 
 #: The gateway's complete API surface.  ``scripts/check_api.py``
@@ -591,13 +578,14 @@ ROUTES: List[Route] = [
 class Gateway:
     """The multi-tenant evaluation server.  See the module docstring.
 
-    ``start()`` brings up the executor thread, the event-apply
-    thread, and the asyncio HTTP server (on its own thread) and
-    returns ``(host, port)`` — with ``port=0`` an ephemeral port is
-    chosen, which is what tests and the load benchmark use.
-    ``shutdown()`` drains: stops accepting, cancels live jobs, shuts
-    the worker pool down (no orphan processes), and closes the bus so
-    every SSE stream ends.
+    ``start()`` forks the worker pool, brings the asyncio loop up on
+    its own thread with the HTTP server on it, and returns ``(host,
+    port)`` — with ``port=0`` an ephemeral port is chosen, which is
+    what tests and the load benchmark use.  ``shutdown()`` drains:
+    stops accepting, cancels live jobs (every SSE stream ends with its
+    job's terminal event), shuts the worker pool down (no orphan
+    processes) and closes idle connections, so every connection
+    handler ends by itself.
     """
 
     def __init__(self, store: ArtifactStore,
@@ -613,40 +601,40 @@ class Gateway:
         self.workers = workers
         self.host = host
         self.port = port
-        self.bus = EventBus()
         self.scheduler = Scheduler(
             workers=workers, store=store, rundb=rundb,
-            run_id="gateway", bus=self.bus)
-        self._lock = threading.RLock()
+            run_id="gateway", on_event=self._on_event)
         self._jobs: Dict[str, _JobView] = {}
         self._submissions: Dict[str, _Submission] = {}
         self._tenant_state: Dict[str, _TenantState] = {
             t.name: _TenantState(t, TokenBucket(t.rate, t.burst))
             for t in registry.tenants()}
         self._counter = itertools.count(1)
-        self._commands: "queue.SimpleQueue" = queue.SimpleQueue()
-        self._wake_r, self._wake_w = os.pipe()
-        os.set_blocking(self._wake_r, False)
-        self._stop = threading.Event()
+        #: The queues of the SSE streams open on each live job.
+        self._streams: Dict[str, List[asyncio.Queue]] = {}
+        #: Job ids of finished submissions, forgotten after the step.
+        self._finished: List[str] = []
+        #: What the loop waits on for the next step: the worker
+        #: handles it has readers on, and the deadline's timer.
+        self._watched: List[object] = []
+        self._timer: Optional[asyncio.TimerHandle] = None
         self._started = False
+        self._draining = False
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._server: Optional[asyncio.AbstractServer] = None
-        self._executor = threading.Thread(
-            target=self._executor_main, name="gw-executor", daemon=True)
-        self._applier = threading.Thread(
-            target=self._apply_events, name="gw-events", daemon=True)
+        #: Open connections -> whether the handler waits for a request.
+        self._conns: Dict[asyncio.StreamWriter, bool] = {}
         # Pool respawns fork while client connections are open; the
         # child would inherit duplicate connection fds and keep them
         # open past the server's close (no EOF ever reaches the
         # client).  This hook runs in every forked child and drops
         # the inherited copies.
-        self._client_socks: Set[object] = set()
         multiprocessing.util.register_after_fork(
             self, Gateway._close_inherited_sockets)
 
     def _close_inherited_sockets(self) -> None:
         server = self._server
-        socks = list(self._client_socks) + list(
+        socks = [w.get_extra_info("socket") for w in self._conns] + list(
             server.sockets if server is not None else [])
         for sock in socks:
             # asyncio hands out TransportSocket views, which have no
@@ -655,7 +643,7 @@ class Gateway:
             # object beneath owns the descriptor.
             try:
                 getattr(sock, "_sock", sock).close()
-            except OSError:
+            except (AttributeError, OSError):
                 pass
 
     # -- lifecycle -----------------------------------------------------
@@ -668,23 +656,12 @@ class Gateway:
         # Fork the initial workers before the server accepts anything,
         # so no connection is open for them to inherit.
         self.scheduler.service_open()
-        self._applier.start()
-        self._executor.start()
         self._loop = asyncio.new_event_loop()
-        loop_ready = threading.Event()
-
-        def run_loop() -> None:
-            asyncio.set_event_loop(self._loop)
-            loop_ready.set()
-            self._loop.run_forever()
-
         self._loop_thread = threading.Thread(
-            target=run_loop, name="gw-http", daemon=True)
+            target=self._loop.run_forever, name="gw-loop", daemon=True)
         self._loop_thread.start()
-        loop_ready.wait()
-        fut = asyncio.run_coroutine_threadsafe(
-            self._start_server(), self._loop)
-        fut.result(timeout=10.0)
+        asyncio.run_coroutine_threadsafe(
+            self._start_server(), self._loop).result(timeout=10.0)
         self._started = True
         return self.host, self.port
 
@@ -698,54 +675,37 @@ class Gateway:
         if not self._started:
             return
         self._started = False
-        # 1. Stop accepting connections.
-        fut = asyncio.run_coroutine_threadsafe(
-            self._close_server(), self._loop)
+        fut = asyncio.run_coroutine_threadsafe(self._drain(), self._loop)
         try:
-            fut.result(timeout=5.0)
-        except Exception:   # noqa: BLE001 — best-effort teardown
-            pass
-        # 2. Stop the executor: it cancels live jobs (emitting their
-        #    terminal events) and shuts the pool down.
-        self._stop.set()
-        self._wake()
-        self._executor.join(timeout=30.0)
-        # 3. Close the bus: every SSE stream and the applier end.
-        self.bus.close()
-        self._applier.join(timeout=10.0)
-        # 4. Cancel lingering connection handlers (idle keep-alive
-        #    clients), then stop the HTTP loop.
-        fut = asyncio.run_coroutine_threadsafe(
-            self._cancel_handlers(), self._loop)
-        try:
-            fut.result(timeout=5.0)
+            fut.result(timeout=60.0)
         except Exception:   # noqa: BLE001 — best-effort teardown
             pass
         self._loop.call_soon_threadsafe(self._loop.stop)
         self._loop_thread.join(timeout=5.0)
         if not self._loop_thread.is_alive():
             self._loop.close()
-        for fd in (self._wake_r, self._wake_w):
-            try:
-                os.close(fd)
-            except OSError:
-                pass
 
-    async def _cancel_handlers(self) -> None:
-        tasks = [t for t in asyncio.all_tasks()
-                 if t is not asyncio.current_task()]
-        for task in tasks:
-            task.cancel()
-        await asyncio.gather(*tasks, return_exceptions=True)
-
-    async def _close_server(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            try:
-                await asyncio.wait_for(self._server.wait_closed(),
-                                       timeout=2.0)
-            except asyncio.TimeoutError:
-                pass
+    async def _drain(self) -> None:
+        self._draining = True
+        # 1. Stop accepting connections.
+        self._server.close()
+        # 2. Withdraw every live job (each cancel emits its terminal
+        #    event, which ends the job's SSE streams), then shut the
+        #    pool down: no worker process of ours is left running.
+        self._unwatch()
+        for job in list(self.scheduler.jobs.values()):
+            if not job.done:
+                self.scheduler.cancel(job.job_id)
+        self.scheduler.service_close()
+        # 3. Close idle keep-alive connections under their handlers:
+        #    each reads EOF and ends, as does every busy handler once
+        #    its request is answered.
+        for writer, idle in self._conns.items():
+            if idle:
+                writer.close()
+        handlers = asyncio.all_tasks() - {asyncio.current_task()}
+        if handlers:
+            await asyncio.wait(handlers, timeout=5.0)
 
     def __enter__(self) -> "Gateway":
         self.start()
@@ -754,137 +714,74 @@ class Gateway:
     def __exit__(self, *exc) -> None:
         self.shutdown()
 
-    # -- executor thread -----------------------------------------------
+    # -- scheduling ----------------------------------------------------
 
-    def _wake(self) -> None:
-        try:
-            os.write(self._wake_w, b"x")
-        except OSError:
-            pass
+    def _step(self) -> None:
+        """Step the scheduler, then wait for what its step waits on."""
+        self._unwatch()
+        wait = self.scheduler.service_step()
+        for job_id in self._finished:
+            self.scheduler.forget(job_id)
+        self._finished.clear()
+        if wait is None:
+            return
+        handles, deadline = wait
+        for handle in handles:
+            self._loop.add_reader(handle, self._step)
+        self._watched = handles
+        if deadline is not None:
+            self._timer = self._loop.call_later(
+                max(0.0, deadline - time.perf_counter()), self._step)
 
-    def _drain_wake(self) -> None:
-        try:
-            while os.read(self._wake_r, 4096):
-                pass
-        except (BlockingIOError, OSError):
-            pass
+    def _unwatch(self) -> None:
+        """Drop the readers and the timer of the last step.
 
-    def _command_sync(self, cmd: Tuple) -> None:
-        self._commands.put(cmd)
-        self._wake()
+        Called before anything that may respawn a worker: a reader must
+        go while its descriptor is still open, or the selector keeps a
+        registration that a later descriptor with the same number
+        cannot replace.
+        """
+        for handle in self._watched:
+            self._loop.remove_reader(handle)
+        self._watched = []
+        if self._timer is not None:
+            self._timer.cancel()
+            self._timer = None
 
-    async def _command_reply(self, cmd: Tuple) -> Tuple[str, object]:
-        """Send a command and await the executor's reply off-loop."""
-        reply: "queue.SimpleQueue" = queue.SimpleQueue()
-        self._command_sync(cmd + (reply,))
-        loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(None, reply.get)
+    def _cancel(self, job_id: str) -> None:
+        self._unwatch()
+        self.scheduler.cancel(job_id)
+        self._step()
 
-    def _executor_main(self) -> None:
-        try:
-            while not self._stop.is_set():
-                self._drain_wake()
-                while True:
-                    try:
-                        cmd = self._commands.get_nowait()
-                    except queue.Empty:
-                        break
-                    self._handle_command(cmd)
-                idle = self.scheduler.service_step(
-                    max_wait=0.5, extra=(self._wake_r,))
-                if idle and not self._stop.is_set():
-                    # Nothing live: block on the command queue instead
-                    # of spinning through empty scheduling quanta.
-                    try:
-                        cmd = self._commands.get(timeout=0.25)
-                    except queue.Empty:
-                        continue
-                    self._handle_command(cmd)
-        finally:
-            # Drain: withdraw everything still live (each cancel emits
-            # its terminal event), then shut the pool down — after
-            # this, no worker process of ours is left running.
-            for job in list(self.scheduler.jobs.values()):
-                if not job.done:
-                    try:
-                        self.scheduler.cancel(job.job_id)
-                    except Exception:   # noqa: BLE001
-                        pass
-            self.scheduler.service_close()
-
-    def _handle_command(self, cmd: Tuple) -> None:
-        kind = cmd[0]
-        if kind == "submit":
-            _, entries, reply = cmd
-            try:
-                for spec, job_id, run_id in entries:
-                    self.scheduler.submit(spec, job_id=job_id,
-                                          run_id=run_id)
-                reply.put(("ok", [e[1] for e in entries]))
-            except Exception as exc:   # noqa: BLE001
-                reply.put(("error", f"{exc}"))
-        elif kind == "cancel":
-            _, job_id, reply = cmd
-            try:
-                self.scheduler.cancel(job_id)
-                reply.put(("ok", job_id))
-            except Exception as exc:   # noqa: BLE001
-                reply.put(("error", f"{exc}"))
-        elif kind == "forget":
-            for job_id in cmd[1]:
-                try:
-                    self.scheduler.forget(job_id)
-                except Exception:   # noqa: BLE001
-                    pass
-
-    # -- event application ---------------------------------------------
-
-    def _apply_events(self) -> None:
-        sub = self.bus.subscribe()
-        for event in sub:
-            grants: Set[str] = set()
-            forget: Optional[List[str]] = None
-            unpin: List[Tuple[str, str]] = []
-            with self._lock:
-                view = self._jobs.get(event.job_id)
-                if view is None or event.seq <= view.event.seq:
-                    continue
-                view.event = event
-                if not event.terminal or view.terminal:
-                    continue
-                view.terminal = True
-                state = self._tenant_state.get(view.tenant)
-                if state is not None:
-                    state.in_flight = max(0, state.in_flight - 1)
-                submission = self._submissions.get(view.submission_id)
-                if submission is not None:
-                    submission.remaining -= 1
-                    if submission.remaining <= 0:
-                        forget = list(submission.job_ids)
-                        unpin = [(d, tenant_pin_ref(
-                            submission.tenant,
-                            submission.submission_id))
-                            for d in submission.pinned]
-                if event.status == "succeeded" and event.spec_hash:
-                    grants.add(event.spec_hash)
-            if grants:
+    def _on_event(self, event: JobEvent) -> None:
+        """Apply one scheduler transition (on the loop thread)."""
+        view = self._jobs[event.job_id]
+        view.event = event
+        if event.terminal:
+            state = self._tenant_state[view.tenant]
+            state.in_flight -= 1
+            if event.status == "succeeded":
                 # One-hop references (e.g. a closure job's published
-                # layout) become visible with the result.  Store I/O
-                # happens outside the lock.
-                refs: Set[str] = set()
-                for digest in grants:
-                    refs |= self.store.referenced_digests(digest)
-                with self._lock:
-                    state = self._tenant_state.get(view.tenant)
-                    if state is not None:
-                        state.digests |= grants | refs
-            for digest, ref in unpin:
-                try:
-                    self.store.unpin(digest, ref=ref)
-                except (OSError, ValueError):
-                    pass
-            if forget:
-                self._command_sync(("forget", forget))
+                # layout) become visible with the result.
+                state.digests.add(event.spec_hash)
+                state.digests |= self.store.referenced_digests(
+                    event.spec_hash)
+            submission = self._submissions[view.submission_id]
+            submission.remaining -= 1
+            if submission.remaining == 0:
+                del self._submissions[view.submission_id]
+                ref = tenant_pin_ref(submission.tenant,
+                                     submission.submission_id)
+                for digest in submission.pinned:
+                    try:
+                        self.store.unpin(digest, ref=ref)
+                    except (OSError, ValueError):
+                        pass
+                self._finished.extend(submission.job_ids)
+        streams = (self._streams.pop(event.job_id, []) if event.terminal
+                   else self._streams.get(event.job_id, []))
+        for events in streams:
+            events.put_nowait(event)
 
     def _restore_grants(self) -> None:
         """Rebuild tenant artifact visibility from the run database.
@@ -898,84 +795,66 @@ class Gateway:
             return
         for tenant in self.registry.tenants():
             view = NamespacedRunDatabase(self.rundb, tenant.name)
-            granted: Set[str] = set()
+            granted = self._tenant_state[tenant.name].digests
             for rec in view.query(status="succeeded"):
-                if not rec.spec_hash:
-                    continue
-                granted.add(rec.spec_hash)
-                granted |= self.store.referenced_digests(rec.spec_hash)
-            if granted:
-                with self._lock:
-                    self._tenant_state[tenant.name].digests |= granted
+                if rec.spec_hash:
+                    granted.add(rec.spec_hash)
+                    granted |= self.store.referenced_digests(
+                        rec.spec_hash)
 
     # -- submission ----------------------------------------------------
 
-    async def _submit(self, tenant: Tenant, specs: List[JobSpec],
-                      pins: List[str], kind: str) -> Dict[str, object]:
-        with self._lock:
-            state = self._tenant_state[tenant.name]
-            if state.in_flight + len(specs) > tenant.max_in_flight:
-                raise GatewayError(
-                    503, "quota_exceeded",
-                    f"tenant {tenant.name!r} has {state.in_flight} "
-                    f"jobs in flight; submitting {len(specs)} more "
-                    f"would exceed max_in_flight="
-                    f"{tenant.max_in_flight}")
-            submission_id = f"s{next(self._counter):06d}"
-            run_id = namespace_run_id(tenant.name, submission_id)
-            entries = []
-            for spec in specs:
-                job_id = (f"g{next(self._counter):06d}"
-                          f"-{spec.job_type}")
-                entries.append((spec, job_id, run_id))
-                self._jobs[job_id] = _JobView(
-                    job_id=job_id, tenant=tenant.name,
-                    submission_id=submission_id,
-                    event=JobEvent(
-                        job_id=job_id, status="pending",
-                        job_type=spec.job_type,
-                        spec_hash=spec.spec_hash, run_id=run_id))
-            self._submissions[submission_id] = _Submission(
-                submission_id=submission_id, tenant=tenant.name,
-                kind=kind, job_ids=[e[1] for e in entries],
-                pinned=list(pins), remaining=len(entries))
-            state.in_flight += len(specs)
-            state.digests |= {spec.spec_hash for spec in specs}
-            state.digests |= set(pins)
+    def _submit(self, tenant: Tenant, specs: List[JobSpec],
+                pins: List[str], kind: str) -> Dict[str, object]:
+        state = self._tenant_state[tenant.name]
+        if state.in_flight + len(specs) > tenant.max_in_flight:
+            raise GatewayError(
+                503, "quota_exceeded",
+                f"tenant {tenant.name!r} has {state.in_flight} "
+                f"jobs in flight; submitting {len(specs)} more "
+                f"would exceed max_in_flight={tenant.max_in_flight}")
+        submission_id = f"s{next(self._counter):06d}"
+        run_id = namespace_run_id(tenant.name, submission_id)
+        job_ids = []
+        for spec in specs:
+            job_id = f"g{next(self._counter):06d}-{spec.job_type}"
+            self.scheduler.submit(spec, job_id=job_id, run_id=run_id)
+            self._jobs[job_id] = _JobView(
+                job_id=job_id, tenant=tenant.name,
+                submission_id=submission_id,
+                event=JobEvent(
+                    job_id=job_id, status="pending",
+                    job_type=spec.job_type,
+                    spec_hash=spec.spec_hash, run_id=run_id))
+            job_ids.append(job_id)
+        self._submissions[submission_id] = _Submission(
+            submission_id=submission_id, tenant=tenant.name,
+            job_ids=job_ids, pinned=list(pins),
+            remaining=len(job_ids))
+        state.in_flight += len(specs)
+        state.digests |= {spec.spec_hash for spec in specs}
+        state.digests |= set(pins)
         for digest in pins:
             self.store.pin(digest, ref=tenant_pin_ref(
                 tenant.name, submission_id))
-        status, payload = await self._command_reply(
-            ("submit", entries))
-        if status == "error":
-            with self._lock:
-                for _, job_id, _ in entries:
-                    self._jobs.pop(job_id, None)
-                self._submissions.pop(submission_id, None)
-                state = self._tenant_state[tenant.name]
-                state.in_flight = max(0,
-                                      state.in_flight - len(entries))
-            raise GatewayError(500, "internal",
-                               f"submission failed: {payload}")
+        self._step()
         return {
             "submission_id": submission_id,
             "run_id": submission_id,
             "kind": kind,
-            "job_ids": [e[1] for e in entries],
-            "spec_hashes": [e[0].spec_hash for e in entries],
+            "job_ids": job_ids,
+            "spec_hashes": [spec.spec_hash for spec in specs],
         }
 
     # -- per-request helpers -------------------------------------------
 
     def _view_for(self, tenant: Tenant, job_id: str) -> _JobView:
-        with self._lock:
-            view = self._jobs.get(job_id)
-            if view is None or view.tenant != tenant.name:
-                # Another tenant's job is indistinguishable from an
-                # absent one — no existence oracle across tenants.
-                raise GatewayError(404, "not_found",
-                                   f"no job {job_id!r}")
-            return view
+        view = self._jobs.get(job_id)
+        if view is None or view.tenant != tenant.name:
+            # Another tenant's job is indistinguishable from an
+            # absent one — no existence oracle across tenants.
+            raise GatewayError(404, "not_found", f"no job {job_id!r}")
+        return view
 
     @staticmethod
     def _checked_digest(digest: str) -> str:
@@ -994,10 +873,9 @@ class Gateway:
         return ref
 
     def _require_visible(self, tenant: Tenant, digest: str) -> None:
-        with self._lock:
-            if digest not in self._tenant_state[tenant.name].digests:
-                raise GatewayError(404, "not_found",
-                                   f"artifact {digest} not found")
+        if digest not in self._tenant_state[tenant.name].digests:
+            raise GatewayError(404, "not_found",
+                               f"artifact {digest} not found")
 
     def _require_param_digests(self, tenant: Tenant,
                                spec: JobSpec) -> None:
@@ -1011,22 +889,21 @@ class Gateway:
 
     async def _serve_conn(self, reader: asyncio.StreamReader,
                           writer: asyncio.StreamWriter) -> None:
-        sock = writer.get_extra_info("socket")
-        if sock is not None:
-            self._client_socks.add(sock)
+        self._conns[writer] = True
         try:
-            while True:
+            while not self._draining:
                 request = await self._read_request(reader)
                 if request is None:
                     break
-                keep = await self._dispatch(request, writer)
-                if not keep:
+                self._conns[writer] = False
+                if not await self._dispatch(request, writer):
                     break
+                self._conns[writer] = True
         except (ConnectionError, asyncio.IncompleteReadError,
                 asyncio.TimeoutError):
             pass
         finally:
-            self._client_socks.discard(sock)
+            del self._conns[writer]
             try:
                 writer.close()
                 await writer.wait_closed()
@@ -1088,9 +965,8 @@ class Gateway:
         if tenant is None:
             raise GatewayError(401, "unauthenticated",
                                "missing or unknown tenant token")
-        with self._lock:
-            granted, retry_after = \
-                self._tenant_state[tenant.name].bucket.try_acquire()
+        granted, retry_after = \
+            self._tenant_state[tenant.name].bucket.try_acquire()
         if not granted:
             raise GatewayError(
                 429, "rate_limited",
@@ -1122,8 +998,7 @@ class Gateway:
             result = await route.handler(self, tenant, params,
                                          request.body, request.query)
             if route.kind == "sse":
-                _, snapshot, sub = result
-                await self._stream_sse(writer, snapshot, sub)
+                await self._stream_sse(writer, result)
                 return False
             status, payload = result
             await self._write_json(writer, status, payload)
@@ -1166,37 +1041,42 @@ class Gateway:
         await writer.drain()
 
     async def _stream_sse(self, writer: asyncio.StreamWriter,
-                          snapshot: JobEvent, sub) -> None:
+                          view: _JobView) -> None:
         """Serve one job's event stream until its terminal transition.
 
-        The snapshot is sent first; the subscription (replaying
-        history after the snapshot's sequence number) supplies every
-        later transition exactly once.  A waiting read times out
-        twice a second to emit a keep-alive comment — which is also
-        how a vanished client is detected promptly.
+        The snapshot is taken and the stream's queue registered in one
+        loop step, so the queue receives exactly the transitions after
+        the snapshot: none is missed and none needs replaying.  While
+        it waits, the stream writes a keep-alive comment every
+        :data:`KEEPALIVE_S` seconds — which is also how a vanished
+        client is detected promptly.
         """
-        loop = asyncio.get_running_loop()
+        event: Optional[JobEvent] = view.event
+        # Transitions, and None when a keep-alive is due.
+        events: "asyncio.Queue[Optional[JobEvent]]" = asyncio.Queue()
+        if not event.terminal:
+            self._streams.setdefault(view.job_id, []).append(events)
         try:
             writer.write(b"HTTP/1.1 200 OK\r\n"
                          b"Content-Type: text/event-stream\r\n"
                          b"Cache-Control: no-store\r\n"
                          b"Connection: close\r\n\r\n")
-            event: Optional[JobEvent] = snapshot
             while True:
-                if event is not None:
+                if event is None:
+                    writer.write(b": keep-alive\n\n")
+                else:
                     data = json.dumps(event.to_dict(),
                                       separators=(",", ":"))
                     writer.write(b"event: job\ndata: "
                                  + data.encode() + b"\n\n")
-                    await writer.drain()
-                    if event.terminal:
-                        break
-                event = await loop.run_in_executor(
-                    None, sub.get, 0.5)
-                if event is None:
-                    if sub.closed:
-                        break
-                    writer.write(b": keep-alive\n\n")
-                    await writer.drain()
+                await writer.drain()
+                if event is not None and event.terminal:
+                    return
+                tick = self._loop.call_later(KEEPALIVE_S,
+                                             events.put_nowait, None)
+                event = await events.get()
+                tick.cancel()
         finally:
-            sub.close()
+            streams = self._streams.get(view.job_id, [])
+            if events in streams:
+                streams.remove(events)

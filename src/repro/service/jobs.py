@@ -275,7 +275,7 @@ def _netlist_ppa_job(params: Dict[str, object], ctx: JobContext):
     "netlist": "0" * 64, "num_layers": None,
     "placement_iterations": 2000}, sample_result={
     "layout": "0" * 64, "nets": 5, "wirelength": 42, "vias": 3,
-    "failed_nets": []})
+    "failed_nets": []}, version=1)
 def _route_job(params: Dict[str, object], ctx: JobContext):
     """Place and maze-route a stored netlist; publish the layout.
 
@@ -284,7 +284,9 @@ def _route_job(params: Dict[str, object], ctx: JobContext):
     therefore the returned wirelength/via/failure figures — is
     bit-identical wherever the job runs.  The full
     :class:`~repro.physical.routing.RoutedLayout` dict is published to
-    the store under its content digest for downstream jobs.
+    the store under its content digest for downstream jobs.  Version 1:
+    the annealer counts a net once for a gate that reads it on two
+    fanins, so placements of netlists with such gates changed.
     """
     from ..physical import annealing_placement, maze_route
 
@@ -317,7 +319,7 @@ def _route_job(params: Dict[str, object], ctx: JobContext):
     "num_layers": None, "max_iterations": 4,
     "placement_iterations": 2000}, sample_result={
     "closed": True, "iterations": 2, "layout": "0" * 64,
-    "metrics": {"probing": 0.01}})
+    "metrics": {"probing": 0.01}}, version=1)
 def _closure_job(params: Dict[str, object], ctx: JobContext):
     """Run iterative security closure on a stored netlist.
 
@@ -327,6 +329,8 @@ def _closure_job(params: Dict[str, object], ctx: JobContext):
     non-deterministic part — so the result is a pure function of
     ``(params, seed)`` and the artifact cache stays sound.  The closed
     layout is published to the store under ``result['layout']``.
+    Version 1: the annealer counts a net once for a gate that reads it
+    on two fanins, so closures of netlists with such gates changed.
     """
     from ..flow import strip_wall_times
     from ..physical import ClosureThresholds, security_closure
@@ -469,7 +473,7 @@ def _variant_batch_job(params: Dict[str, object], ctx: JobContext):
     "netlist": "0" * 64,
     "passes": [["synthesis", {}]]}, sample_result={
     "trace": {"passes": []}, "result_netlist": "0" * 64},
-    version=5)
+    version=6)
 def _pass_pipeline_job(params: Dict[str, object], ctx: JobContext):
     """Run a named pass pipeline over a stored netlist.
 
@@ -496,7 +500,10 @@ def _pass_pipeline_job(params: Dict[str, object], ctx: JobContext):
     ``atpg`` answers changed for netlists whose input is also an
     output: such a netlist no longer raises ``KeyError``, the stuck
     input is seen only through its readers, and when none exposes it
-    the fault is counted neither detected nor redundant.
+    the fault is counted neither detected nor redundant.  Version 6:
+    the ``placement`` pass's annealer counts a net once for a gate
+    that reads it on two fanins, so its placements of netlists with
+    such gates changed.
     """
     from ..flow import (PassManager, create_pass, netlist_design,
                         strip_wall_times)

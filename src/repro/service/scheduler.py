@@ -24,7 +24,15 @@ dependencies forming a DAG.  :meth:`Scheduler.run` drains it:
   kills its worker if already running); its dependents are skipped;
 * **degradation** — ``workers=0`` runs everything in-process, in
   deterministic submission-DAG order: no pickling, no forks, no
-  timeout enforcement — the debugging mode.
+  timeout enforcement — the debugging mode;
+* **events** — every state transition leaves the scheduler one way: a
+  :class:`~repro.service.events.JobEvent` handed to ``on_event``,
+  synchronously, once the transition is stored and recorded;
+* **stepping** — a pooled step (:meth:`Scheduler.service_step`) never
+  waits: it returns the handles and the deadline it would wait on, so
+  :meth:`Scheduler.run` waits on them with
+  :func:`multiprocessing.connection.wait` and the gateway on its event
+  loop, on one thread.
 
 Serial, inline, and pooled execution are bit-identical on the
 result-bearing fields: warm caches are keyed by content (transport
@@ -47,9 +55,10 @@ import time
 import traceback
 import uuid
 from dataclasses import dataclass
+from multiprocessing.connection import wait as _conn_wait
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .events import EventBus, JobEvent
+from .events import JobEvent
 from .jobs import JobContext, JobSpec, run_job
 from .rundb import RunDatabase, RunRecord
 from .store import ArtifactStore
@@ -326,10 +335,12 @@ class Scheduler:
     ``workers`` bounds concurrent worker processes (0 = in-process).
     ``store`` (optional) enables the content-addressed result cache;
     ``rundb`` (optional) records every outcome.  ``on_event`` is
-    called as ``on_event(job)`` at each status transition.  ``bus``
-    (optional) publishes each transition as a
-    :class:`~repro.service.events.JobEvent`; the CLI's watch mode and
-    the gateway's event streams subscribe to it.
+    called as ``on_event(event)`` with a
+    :class:`~repro.service.events.JobEvent` at each status transition,
+    synchronously, after the transition is stored and recorded; it is
+    the only way a transition leaves the scheduler (the CLI's watch
+    printer and the gateway's job table and event streams read it),
+    and it may call :meth:`cancel` itself.
 
     With ``workers >= 1`` jobs execute on a :class:`WorkerPool` of
     long-lived workers; pass an existing ``pool`` to share warm
@@ -340,9 +351,8 @@ class Scheduler:
                  store: Optional[ArtifactStore] = None,
                  rundb: Optional[RunDatabase] = None,
                  run_id: Optional[str] = None,
-                 on_event: Optional[Callable[[Job], None]] = None,
-                 pool: Optional[WorkerPool] = None,
-                 bus: Optional[EventBus] = None) -> None:
+                 on_event: Optional[Callable[[JobEvent], None]] = None,
+                 pool: Optional[WorkerPool] = None) -> None:
         if workers < 0:
             raise SchedulerError(f"workers must be >= 0, got {workers}")
         self.workers = pool.size if pool is not None else workers
@@ -351,7 +361,6 @@ class Scheduler:
         self.run_id = run_id or (
             f"run-{os.getpid()}-{uuid.uuid4().hex[:8]}")
         self.on_event = on_event
-        self.bus = bus
         self.jobs: Dict[str, Job] = {}
         self._order: List[str] = []     # submission order
         self._shared_pool = pool
@@ -432,9 +441,7 @@ class Scheduler:
 
     def _emit(self, job: Job) -> None:
         if self.on_event is not None:
-            self.on_event(job)
-        if self.bus is not None:
-            self.bus.publish(JobEvent.from_job(
+            self.on_event(JobEvent.from_job(
                 job, run_id=job.run_id or self.run_id,
                 with_result=(job.status == SUCCEEDED)))
 
@@ -452,7 +459,6 @@ class Scheduler:
         job.wall_s = wall_s
         job.worker = worker
         job.cache_hit = cache_hit
-        self._emit(job)
         if (status == SUCCEEDED and not cache_hit
                 and self.store is not None and job.spec.cacheable):
             self.store.put(job.spec.spec_hash,
@@ -467,6 +473,7 @@ class Scheduler:
                 attempts=job.attempts, wall_s=wall_s,
                 cache_hit=cache_hit, worker=worker, error=error,
                 seed=job.spec.seed))
+        self._emit(job)
 
     def _dep_state(self, job: Job) -> str:
         """"ready" | "waiting" | "blocked" from dependency statuses."""
@@ -636,10 +643,9 @@ class Scheduler:
                 f"worker crashed with exit code {exitcode} "
                 "before reporting", wall, worker.label)
 
-    def _pool_deadlines(self) -> Optional[float]:
-        """Kill over-budget / wedged workers; next deadline or None."""
+    def _pool_deadlines(self) -> None:
+        """Kill over-budget / wedged workers."""
         now = time.perf_counter()
-        next_deadline: Optional[float] = None
         for worker, task in list(self._busy.items()):
             job = task.job
             timeout = job.spec.timeout
@@ -656,9 +662,8 @@ class Scheduler:
                     self._finish(job, TIMEOUT, error=error,
                                  wall_s=wall, worker=worker.label)
                 continue
-            hb_deadline = (worker.last_beat
-                           + self._pool.heartbeat_timeout)
-            if worker.process.is_alive() and now > hb_deadline:
+            if (worker.process.is_alive() and now > worker.last_beat
+                    + self._pool.heartbeat_timeout):
                 del self._busy[worker]
                 self._pool.respawn(worker)
                 wall = now - task.started
@@ -667,17 +672,9 @@ class Scheduler:
                     "worker wedged: no heartbeat for "
                     f"{now - worker.last_beat:.3f}s", wall,
                     worker.label)
-                continue
-            if timeout is not None:
-                deadline = task.started + timeout
-                if next_deadline is None or deadline < next_deadline:
-                    next_deadline = deadline
-            if next_deadline is None or hb_deadline < next_deadline:
-                next_deadline = hb_deadline
-        return next_deadline
 
     def service_open(self) -> None:
-        """Prepare for stepped pool execution (gateway mode).
+        """Prepare for stepped pool execution.
 
         Starts the pool (creating an owned one if none was shared) and
         resets in-flight bookkeeping.  Pair with :meth:`service_close`.
@@ -688,74 +685,32 @@ class Scheduler:
         self._pool.start()
         self._busy = {}
 
-    def service_step(self, max_wait: float = 0.5,
-                     extra: Sequence = ()) -> bool:
-        """One scheduling quantum; returns True when no job is live.
+    def service_step(self) -> Optional[Tuple[List[object],
+                                             Optional[float]]]:
+        """One scheduling quantum; never waits.
 
-        Dispatches ready jobs onto idle workers, then sleeps (at most
-        ``max_wait`` seconds) until a worker message, a worker death, a
-        deadline, a backoff gate — or readiness of any of the caller's
-        ``extra`` wait handles (e.g. the gateway's wake pipe, so a new
-        submission interrupts the wait instead of riding it out).
-        Extra handles are never read here; the caller drains them.
+        Reads every worker message and death that is already there,
+        enforces timeouts and heartbeats, and dispatches ready jobs
+        onto idle workers.  Returns ``None`` when no job is live, else
+        ``(handles, deadline)``: the worker pipes and process sentinels
+        to wait on, and the ``time.perf_counter()`` instant of the next
+        job timeout, heartbeat or backoff gate (``None`` if there is
+        none).  Any handle becoming ready, or the deadline passing,
+        calls for the next step.  Each step reads every handle, so it
+        does not matter which one woke the caller.
 
-        :meth:`run` loops over it until the DAG drains; a long-running
-        server calls it itself to interleave scheduling with its own
-        command processing on a single thread.
+        :meth:`run` waits with :func:`multiprocessing.connection.wait`;
+        the gateway waits on its event loop.
         """
-        from multiprocessing.connection import wait as _conn_wait
-
         pool = self._pool
-        self._skip_blocked()
-        # Launch ready jobs onto idle workers (submission order; a
-        # job in backoff yields its slot to later ready jobs).
-        now = time.perf_counter()
-        idle = [w for w in pool.workers() if w not in self._busy]
-        for job_id in self._order:
-            if not idle:
-                break
-            job = self.jobs[job_id]
-            if (job.done or job.status == RUNNING
-                    or self._dep_state(job) != "ready"
-                    or job.not_before > now):
-                continue
-            if self._serve_from_cache(job):
-                continue
-            self._dispatch(job, idle.pop(0))
-        self._skip_blocked()
-        if all(job.done for job in self.jobs.values()):
-            return True
-        # Sleep until something can happen: a worker message, a
-        # worker death (sentinel), a job/heartbeat deadline, or a
-        # backoff gate opening.  Event-driven — no fixed-rate
-        # polling while jobs run.
-        deadline = self._pool_deadlines()
-        now = time.perf_counter()
-        gates = [job.not_before for job in self.jobs.values()
-                 if not job.done and job.status != RUNNING
-                 and job.not_before > now]
-        if gates:
-            gate = min(gates)
-            if deadline is None or gate < deadline:
-                deadline = gate
-        wait_s = max_wait if deadline is None \
-            else max(0.0, min(deadline - now, max_wait))
-        handles = {}
-        for worker in pool.workers():
-            handles[worker.conn] = worker
-            handles[worker.process.sentinel] = worker
-        ready = _conn_wait(list(handles) + list(extra),
-                           timeout=wait_s)
+        handles = self._handles()
         dead = []
-        for handle in ready:
-            worker = handles.get(handle)
-            if worker is None:
-                continue    # caller's extra handle; not ours to read
+        for handle in _conn_wait(list(handles), timeout=0):
+            worker = handles[handle]
             if handle is worker.conn:
                 try:
                     while worker.conn.poll():
-                        self._pool_message(worker,
-                                           worker.conn.recv())
+                        self._pool_message(worker, worker.conn.recv())
                 except (EOFError, OSError):
                     dead.append(worker)
             elif not worker.process.is_alive():
@@ -770,7 +725,51 @@ class Scheduler:
             if worker in pool.workers():
                 self._pool_worker_died(worker)
         self._pool_deadlines()
-        return all(job.done for job in self.jobs.values())
+        self._skip_blocked()
+        # Launch ready jobs onto idle workers (submission order; a
+        # job in backoff yields its slot to later ready jobs).  A
+        # dispatch that leaves its worker idle (the job was cancelled
+        # from its RUNNING event, or never reached the worker) hands
+        # the worker to the next ready job.
+        now = time.perf_counter()
+        idle = [w for w in pool.workers() if w not in self._busy]
+        for job_id in self._order:
+            if not idle:
+                break
+            job = self.jobs[job_id]
+            if (job.done or job.status == RUNNING
+                    or self._dep_state(job) != "ready"
+                    or job.not_before > now):
+                continue
+            if self._serve_from_cache(job):
+                continue
+            self._dispatch(job, idle[0])
+            idle = [w for w in pool.workers() if w not in self._busy]
+        self._skip_blocked()
+        if all(job.done for job in self.jobs.values()):
+            return None
+        # What can happen next: a worker message, a worker death
+        # (sentinel), or the earliest job timeout, heartbeat or backoff
+        # gate.  Event-driven — no fixed-rate polling while jobs run.
+        # An instant that passes before the caller waits makes it step
+        # again at once, and that step enforces it.
+        now = time.perf_counter()
+        instants = [job.not_before for job in self.jobs.values()
+                    if not job.done and job.status != RUNNING
+                    and job.not_before > now]
+        for worker, task in self._busy.items():
+            instants.append(worker.last_beat + pool.heartbeat_timeout)
+            if task.job.spec.timeout is not None:
+                instants.append(task.started + task.job.spec.timeout)
+        return list(self._handles()), min(instants, default=None)
+
+    def _handles(self) -> Dict[object, _PoolWorker]:
+        """Each worker's pipe and process sentinel -> the worker."""
+        handles: Dict[object, _PoolWorker] = {}
+        for worker in self._pool.workers():
+            handles[worker.conn] = worker
+            handles[worker.process.sentinel] = worker
+        return handles
 
     def service_close(self) -> None:
         """Tear down stepped execution (shuts down an owned pool)."""
@@ -789,8 +788,11 @@ class Scheduler:
         else:
             self.service_open()
             try:
-                while not self.service_step():
-                    pass
+                while (wait := self.service_step()) is not None:
+                    handles, deadline = wait
+                    _conn_wait(handles, timeout=None if deadline is None
+                               else max(0.0, deadline
+                                        - time.perf_counter()))
             finally:
                 self.service_close()
         return dict(self.jobs)

@@ -204,9 +204,11 @@ class TestJobResultVersion:
         problems = check_jobs.audit()
         assert problems == [
             f"{name}: version {version} does not change the spec hash"
-            for name, version in (("composition-stack", 3),
+            for name, version in (("closure", 1),
+                                  ("composition-stack", 3),
                                   ("locking-point", 1),
-                                  ("pass-pipeline", 5))]
+                                  ("pass-pipeline", 6),
+                                  ("route", 1))]
 
     def test_composition_sample_result_has_a_real_rows_shape(self):
         from repro.service import (

@@ -1,18 +1,17 @@
-"""Event bus: publish/subscribe semantics and watch-output parity.
+"""Job events: the scheduler's ``on_event`` hook and watch-output parity.
 
-The bus replaced the CLI's private ``on_event`` watch closure; the
-regression contract is that ``--watch`` output is *byte for byte*
-what the legacy closure printed, while the same event stream now
-also feeds gateway SSE.
+Every transition leaves the scheduler as one :class:`JobEvent` handed
+to ``on_event``; the CLI's ``--watch`` printer and the gateway's SSE
+streams both render it.  The regression contract is that ``--watch``
+output is *byte for byte* what the legacy watch closure printed.
 """
 
 import re
-import threading
 
 import pytest
 
 from repro.service import Scheduler
-from repro.service.events import EventBus, JobEvent, format_event
+from repro.service.events import JobEvent, format_event
 from repro.service.jobs import JobSpec
 
 import test_service_scheduler  # noqa: F401  registers the t-* job types
@@ -78,15 +77,12 @@ class TestWatchFormatRegression:
         assert any("succeeded" in l for l in lines)
 
 
-class TestBusSemantics:
-    def test_scheduler_publishes_lifecycle_to_bus(self):
-        bus = EventBus()
-        sub = bus.subscribe()
-        s = Scheduler(workers=0, bus=bus)
+class TestOnEvent:
+    def test_scheduler_reports_lifecycle_to_on_event(self):
+        events = []
+        s = Scheduler(workers=0, on_event=events.append)
         jid = s.submit(JobSpec("t-echo", params={"value": 5}))
         s.run()
-        bus.close()
-        events = list(sub)
         assert [e.job_id for e in events] == [jid] * len(events)
         statuses = [e.status for e in events]
         assert statuses[0] in ("pending", "running")
@@ -97,55 +93,34 @@ class TestBusSemantics:
         assert events[-1].result["value"] == 5
         assert events[-1].terminal
 
-    def test_job_id_filter_and_replay_after_seq(self):
-        bus = EventBus()
-        s = Scheduler(workers=0, bus=bus)
-        a = s.submit(JobSpec("t-echo", params={"value": 1}))
-        b = s.submit(JobSpec("t-echo", params={"value": 2}))
-        s.run()
-        # Late subscriber with replay sees only job b's history.
-        history = bus.history(b)
-        assert history
-        sub = bus.subscribe(job_ids=[b], replay=True)
-        bus.close()
-        events = list(sub)
-        assert events and all(e.job_id == b for e in events)
-        assert [e.seq for e in events] == [e.seq for e in history]
-        # after_seq resumes mid-stream: exactly-once delivery.
-        sub2 = bus.subscribe(job_ids=[b], replay=True,
-                             after_seq=history[0].seq)
-        events2 = [e for e in iter(lambda: sub2.get(0.1), None)]
-        assert [e.seq for e in events2] == \
-            [e.seq for e in history[1:]]
-        assert a != b
-
-    def test_close_unblocks_waiting_reader(self):
-        bus = EventBus()
-        sub = bus.subscribe()
-        got = []
-
-        def reader():
-            got.append(sub.get(timeout=10.0))
-
-        thread = threading.Thread(target=reader)
-        thread.start()
-        bus.close()
-        thread.join(timeout=5.0)
-        assert not thread.is_alive()
-        assert got == [None]
-        assert sub.closed
-        # Publishing after close is a silent no-op.
-        bus.publish(JobEvent(job_id="x", status="pending"))
-        assert bus.history() == []
-
     def test_per_job_run_id_overrides_scheduler_run_id(self):
-        bus = EventBus()
-        sub = bus.subscribe()
-        s = Scheduler(workers=0, bus=bus, run_id="shared")
+        events = []
+        s = Scheduler(workers=0, on_event=events.append, run_id="shared")
         s.submit(JobSpec("t-echo", params={"value": 1}),
                  run_id="t/alice/s1")
         s.submit(JobSpec("t-echo", params={"value": 2}))
         s.run()
-        bus.close()
-        run_ids = {e.job_id: e.run_id for e in sub}
+        run_ids = {e.job_id: e.run_id for e in events}
         assert set(run_ids.values()) == {"t/alice/s1", "shared"}
+
+    def test_worker_freed_at_running_event_takes_the_next_job(self):
+        # A pooled step never waits, so nothing wakes the caller for an
+        # idle worker: one left idle by a job cancelled at its RUNNING
+        # event must take the next ready job in the same step.
+        s = Scheduler(workers=1)
+        first = s.submit(JobSpec("t-sleep", params={"seconds": 30.0}))
+        second = s.submit(JobSpec("t-echo", params={"value": 2}))
+
+        def on_event(event):
+            if event.job_id == first and event.status == "running":
+                s.cancel(first)
+
+        s.on_event = on_event
+        s.service_open()
+        try:
+            handles, deadline = s.service_step()
+            assert s.jobs[first].status == "cancelled"
+            assert s.jobs[second].status == "running"
+            assert handles and deadline is not None
+        finally:
+            s.service_close()

@@ -10,12 +10,18 @@ transport a remote design team would use.  Covered contracts:
 * quotas: token-bucket rate limiting (429 + Retry-After, recovering
   after the bucket refills) and live-job quotas (503, releasing as
   jobs finish);
-* SSE: cancelling a job mid-stream delivers its terminal event and
-  closes the stream cleanly;
+* SSE: a stream delivers each transition after its snapshot exactly
+  once, both attempts of a retried job included; cancelling a job
+  mid-stream delivers its terminal event and closes the stream
+  cleanly; the job view is terminal by the time the terminal event
+  arrives; ``wait`` honours its timeout;
+* one thread: open event streams, however many, do not slow a
+  submission;
 * drain: shutting the server down — in process, or ``serve`` on
-  SIGTERM — cancels live jobs and leaves no orphan worker processes
-  (reusing the scheduler suite's kill-injection jobs), and a worker
-  forked mid-service holds no client connection open;
+  SIGTERM — cancels live jobs, ends open streams with their
+  ``cancelled`` event, logs nothing and leaves no orphan worker
+  processes (reusing the scheduler suite's kill-injection jobs), and a
+  worker forked mid-service holds no client connection open;
 * transport parity: a campaign computed through the in-process
   campaign API is a 100% cache hit when resubmitted over HTTP, and
   default campaigns plan identically from the CLI, the library and
@@ -47,7 +53,12 @@ from repro.service.campaigns import (
     security_closure_campaign,
 )
 from repro.service.client import GatewayClient, GatewayClientError
-from repro.service.gateway import Gateway, GatewayError, spec_from_body
+from repro.service.gateway import (
+    KEEPALIVE_S,
+    Gateway,
+    GatewayError,
+    spec_from_body,
+)
 from repro.service.jobs import JobSpec
 from repro.service.rundb import RunDatabase
 from repro.service.scheduler import Scheduler
@@ -236,8 +247,139 @@ class TestEventStreams:
         finally:
             gw.shutdown()
 
+    def test_stream_of_queued_job_sees_each_transition_once(
+            self, tmp_path):
+        gw = _gateway(tmp_path, workers=1)
+        try:
+            client = GatewayClient(gw.host, gw.port, "tok-a")
+            client.submit_job("t-sleep", {"seconds": 1.0},
+                              cacheable=False)
+            queued = client.submit_job("t-echo", {"value": 41},
+                                       cacheable=False)["job_ids"][0]
+            events = list(client.events(queued))
+            assert [e["status"] for e in events] == \
+                ["pending", "running", "succeeded"]
+            seqs = [e["seq"] for e in events]
+            assert all(a < b for a, b in zip(seqs, seqs[1:])), seqs
+            assert events[-1]["result"] == {"value": 41, "seed": 0}
+        finally:
+            gw.shutdown()
+
+    def test_stream_sees_both_attempts_of_a_retried_job(self, tmp_path):
+        gw = _gateway(tmp_path, workers=1)
+        try:
+            client = GatewayClient(gw.host, gw.port, "tok-a")
+            pidfile = tmp_path / "w.pid"
+            job_id = client.submit_job(
+                "t-pid-sleep", {"pidfile": str(pidfile)}, retries=1,
+                retry_backoff=0.01, cacheable=False)["job_ids"][0]
+            stream = client.events(job_id)
+            events = [next(stream)]
+            killer = _kill_when_pid_appears(pidfile, signal.SIGKILL)
+            events.extend(stream)
+            killer.join()
+            running = [e["attempts"] for e in events
+                       if e["status"] == "running"]
+            assert running == [1, 2], events
+            assert any(e["status"] == "pending"
+                       and "crashed" in e["error"] for e in events)
+            assert events[-1]["status"] == "succeeded"
+            assert events[-1]["result"] == {"survived": True}
+            seqs = [e["seq"] for e in events]
+            assert all(a < b for a, b in zip(seqs, seqs[1:])), seqs
+        finally:
+            gw.shutdown()
+
+    def test_job_view_is_terminal_at_the_terminal_event(self, tmp_path):
+        gw = _gateway(tmp_path)
+        try:
+            client = GatewayClient(gw.host, gw.port, "tok-a")
+            for value in range(20):
+                job_id = client.submit_job(
+                    "t-echo", {"value": value})["job_ids"][0]
+                last = list(client.events(job_id))[-1]
+                assert last["status"] == "succeeded"
+                view = client.job(job_id)
+                assert view["status"] == "succeeded", (value, view)
+                assert view["result"] == {"value": value, "seed": 0}
+        finally:
+            gw.shutdown()
+
+    def test_wait_honours_its_timeout(self, tmp_path):
+        gw = _gateway(tmp_path, workers=1)
+        try:
+            client = GatewayClient(gw.host, gw.port, "tok-a")
+            slow = client.submit_job("t-sleep", {"seconds": 3.0},
+                                     cacheable=False)["job_ids"][0]
+            started = time.monotonic()
+            with pytest.raises(GatewayClientError) as err:
+                client.wait(slow, timeout=1.0)
+            waited = time.monotonic() - started
+            assert err.value.status == 504
+            assert waited < 1.0 + KEEPALIVE_S + 0.5, waited
+            # A terminal event is the answer, never a timeout: the
+            # snapshot of a finished job arrives after a zero budget.
+            assert client.wait(slow, timeout=60)["status"] == "succeeded"
+            assert client.wait(slow, timeout=0.0)["status"] == \
+                "succeeded"
+        finally:
+            gw.shutdown()
+
+
+class TestOneThread:
+    def test_open_streams_do_not_slow_submission(self, tmp_path):
+        # A waiting stream holds no thread, only a queue on the loop:
+        # more open streams than a default thread pool has threads
+        # must not delay a submission.
+        gw = _gateway(tmp_path, workers=1)
+        streams = []
+        try:
+            client = GatewayClient(gw.host, gw.port, "tok-a")
+            live = client.submit_job("t-sleep", {"seconds": 30.0},
+                                     cacheable=False)["job_ids"][0]
+            for _ in range(min(32, (os.cpu_count() or 1) + 4) + 2):
+                stream = GatewayClient(gw.host, gw.port,
+                                       "tok-a").events(live)
+                assert next(stream)["status"] == "running"
+                streams.append(stream)
+            for value in range(5):
+                started = time.monotonic()
+                client.submit_job("t-echo", {"value": value})
+                assert time.monotonic() - started < 0.25
+        finally:
+            gw.shutdown()
+            for stream in streams:
+                stream.close()
+
 
 class TestDrain:
+    def test_shutdown_logs_nothing_and_ends_streams(self, tmp_path,
+                                                    caplog):
+        # Idle keep-alive connections end on their closed connection,
+        # not by cancellation (which asyncio logs with a traceback),
+        # and an open stream ends with its job's cancelled event.
+        caplog.set_level(logging.ERROR)
+        gw = _gateway(tmp_path, workers=1)
+        conn = http.client.HTTPConnection(gw.host, gw.port, timeout=10)
+        try:
+            conn.request("GET", "/v1/status",
+                         headers={"X-Repro-Token": "tok-a"})
+            assert conn.getresponse().read()
+            client = GatewayClient(gw.host, gw.port, "tok-a")
+            job_id = client.submit_job("t-sleep", {"seconds": 30.0},
+                                       cacheable=False)["job_ids"][0]
+            stream = client.events(job_id)
+            events = [next(stream)]
+            gw.shutdown()
+            events.extend(stream)
+            assert events[-1]["status"] == "cancelled", events
+            assert conn.sock.recv(1) == b""     # closed, not hung
+        finally:
+            conn.close()
+            gw.shutdown()
+        assert not caplog.records, [r.getMessage()
+                                    for r in caplog.records]
+
     def test_shutdown_leaves_no_orphan_workers(self, tmp_path):
         gw = _gateway(tmp_path, workers=2)
         client = GatewayClient(gw.host, gw.port, "tok-a")

@@ -1,5 +1,5 @@
-"""Golden job results: every registered job type's sample params, run
-inline, give the result committed in ``job_goldens.json``.
+"""Golden job results: every registered job type's sample params give
+the result committed in ``job_goldens.json``, over every transport.
 
 A job result is a pure function of ``(params, seed)`` at a registered
 version, and the artifact store serves it by spec hash.  So a change
@@ -7,6 +7,13 @@ that moves a result must move the job's ``version`` too.  Each golden
 is keyed by ``<job type>@v<version>`` and holds the spec hash and the
 SHA-256 of the result's canonical JSON.  A moved result under an
 unmoved version fails here with the job's name.
+
+The samples run three ways: inline (:func:`run_job`), on a one-worker
+pool (``Scheduler(workers=1)``), and through a gateway on an ephemeral
+port (the netlist published with ``POST /v1/netlists``, each spec
+submitted with ``POST /v1/jobs``, the result read from the job view).
+Every leg must give the inline leg's spec hash and result digest, and
+the golden.
 
 The sample params name netlists by a placeholder digest; they run on a
 stored ``ripple_carry_adder(4)`` instead, and a variant's flipped net
@@ -28,9 +35,12 @@ from pathlib import Path
 
 import pytest
 
-from repro.netlist import ripple_carry_adder
-from repro.service import (ArtifactStore, JobContext, JobSpec,
-                           registered_job_types, run_job)
+from repro.netlist import netlist_to_dict, ripple_carry_adder
+from repro.service import (ArtifactStore, JobContext, JobSpec, Scheduler,
+                           Tenant, TenantRegistry, registered_job_types,
+                           run_job)
+from repro.service.client import GatewayClient
+from repro.service.gateway import Gateway
 
 GOLDENS = Path(__file__).with_name("job_goldens.json")
 PLACEHOLDER = "0" * 64
@@ -120,6 +130,66 @@ def test_sample_result_matches_golden(name, tmp_path):
     store = ArtifactStore(tmp_path / "store")
     assert run_sample(name, job_type, store) == golden, (
         f"{name}: the result moved at version {job_type.version}")
+
+
+@pytest.fixture(scope="module")
+def inline_results(tmp_path_factory):
+    store = ArtifactStore(tmp_path_factory.mktemp("inline") / "store")
+    return {name: run_sample(name, job_type, store)
+            for name, job_type in JOB_TYPES.items()}
+
+
+@pytest.fixture(scope="module")
+def pool_results(tmp_path_factory):
+    store = ArtifactStore(tmp_path_factory.mktemp("pool") / "store")
+    netlist_digest = store.put_netlist(ripple_carry_adder(4))
+    scheduler = Scheduler(workers=1, store=store)
+    job_ids = {name: scheduler.submit(JobSpec(
+        name, seed=SEED, params=sample_params(
+            dict(job_type.sample_params), netlist_digest)))
+        for name, job_type in JOB_TYPES.items()}
+    jobs = scheduler.run()
+    out = {}
+    for name, job_id in job_ids.items():
+        job = jobs[job_id]
+        assert job.status == "succeeded", (name, job.error)
+        out[name] = {"spec_hash": job.spec.spec_hash,
+                     "result": digest(job.result)}
+    return out
+
+
+@pytest.fixture(scope="module")
+def gateway_results(tmp_path_factory):
+    store = ArtifactStore(tmp_path_factory.mktemp("gateway") / "store")
+    gateway = Gateway(store, TenantRegistry([Tenant("golden", "tok")]),
+                      workers=1)
+    gateway.start()
+    try:
+        client = GatewayClient(gateway.host, gateway.port, "tok")
+        netlist_digest = client.publish_netlist(
+            netlist_to_dict(ripple_carry_adder(4)))
+        out = {}
+        for name, job_type in JOB_TYPES.items():
+            receipt = client.submit_job(name, sample_params(
+                dict(job_type.sample_params), netlist_digest), seed=SEED)
+            final = client.wait(receipt["job_ids"][0], timeout=120)
+            assert final["status"] == "succeeded", (name, final["error"])
+            out[name] = {"spec_hash": receipt["spec_hashes"][0],
+                         "result": digest(final["result"])}
+        client.close()
+        return out
+    finally:
+        gateway.shutdown()
+
+
+@pytest.mark.parametrize("leg", ["pool", "gateway"])
+@pytest.mark.parametrize("name", sorted(JOB_TYPES))
+def test_transport_matches_inline_and_golden(name, leg, inline_results,
+                                             request):
+    golden = json.loads(GOLDENS.read_text()).get(key(name, JOB_TYPES[name]))
+    results = request.getfixturevalue(f"{leg}_results")
+    assert results[name] == inline_results[name] == golden, (
+        f"{name}: the {leg} result differs from the inline one")
 
 
 if __name__ == "__main__":
