@@ -232,7 +232,9 @@ def security_closure(netlist: Netlist,
     pass does not declare preserved and writes the per-pass
     provenance; the loop reads the latest of those measurements.  The
     critical nets are :func:`default_critical_nets`, and the metrics
-    use the :mod:`~repro.physical.attack_surface` defaults.
+    use the :mod:`~repro.physical.attack_surface` defaults.  The
+    result is ``converged`` when every metric is under its threshold
+    and no net is left unrouted (``failed_nets`` is empty).
     """
     # Flow imports are deferred: repro.flow imports repro.physical at
     # module level (library.py, layout_library.py), so importing it
@@ -326,9 +328,13 @@ def security_closure(netlist: Netlist,
     metrics = measured(trace.final)
     cec = trace.final[-1]          # functional equivalence, added last
 
+    # The metrics only see wires that exist, so a layout with an
+    # unrouted net is not closed (and no ECO can route it).
+    failed = list(ctx.routing.failed)
     return ClosureResult(
         design_name=netlist.name,
-        converged=not any(violated(m) for m in metric_of.values()),
+        converged=(not failed
+                   and not any(violated(m) for m in metric_of.values())),
         iterations=iterations,
         initial_metrics=initial,
         metrics=metrics,
@@ -338,7 +344,7 @@ def security_closure(netlist: Netlist,
         shields_added=shields_added,
         filler_sites=filler_sites,
         buried_nets=buried,
-        failed_nets=list(ctx.routing.failed),
+        failed_nets=failed,
         critical_nets=critical,
         trace=trace,
         layout=ctx.routing,

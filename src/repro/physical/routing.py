@@ -26,7 +26,9 @@ and every sink is attached by an A* search from the current tree
 deterministic order (bounding-box size, then name); a net that cannot
 be routed around existing wires runs a second, permissive search that
 may cross foreign edges at a penalty, and the owners of the crossed
-edges are ripped up and re-queued.  Routing is therefore a pure
+edges are ripped up and re-queued.  The permissive search runs in a
+window around the net's pins that doubles its margin until a path is
+found or the window covers the grid.  Routing is therefore a pure
 function of ``(netlist order, placement, parameters)``.
 """
 
@@ -192,8 +194,12 @@ class RoutedLayout:
     ``edge_owner`` is the exclusivity ledger (one net per edge);
     ``shields`` are geometry-only anti-probing cells occupying whole
     nodes; ``fillers`` are ECO filler sites on the placement grid;
-    ``failed`` lists nets the router gave up on (pathological pin
-    congestion — empty for every benchmark design in the repo).
+    ``failed`` lists nets the router gave up on: no path reached a
+    sink, or the net was ripped up after :func:`route_all` spent its
+    rip-up budget.  Dense designs hit the budget at some placements
+    (the PRESENT S-box at placement seeds 3 and 9), and
+    :func:`~repro.physical.closure.security_closure` does not call a
+    layout with a failed net converged.
     """
 
     width: int
@@ -448,7 +454,7 @@ class _GridSearch:
         rip-up wars converge to detours).  Shield nodes are always
         walls.  ``window`` restricts the search to an ``(x0, y0, x1,
         y1)`` region — the standard routing-window speedup; callers
-        fall back to an unwindowed search when the windowed one fails.
+        widen the window when the windowed search fails.
         Returns the node path source -> target, or ``None``.
 
         The heuristic is inflated by ``_H_WEIGHT`` (weighted A*): the
@@ -586,6 +592,10 @@ class _GridSearch:
 
 _WINDOW_MARGIN = 8
 
+#: Margin of the first permissive (rip-up) search window; the margin
+#: doubles until a search succeeds or the window covers the grid.
+_PERMISSIVE_MARGIN = 1
+
 
 def _net_window(layout: RoutedLayout, driver: Point, sinks: List[Point],
                 margin: int = _WINDOW_MARGIN) -> Tuple[int, int, int, int]:
@@ -610,8 +620,13 @@ def _route_one(search: _GridSearch, layout: RoutedLayout, name: str,
     rip-up — new branches extend it.  Sinks are attached
     nearest-first.  Each branch tries the strict search inside the
     net's pin window (the usual global-router speedup), then the
-    permissive full-grid search, whose escalating foreign-edge
-    penalty still prefers any conflict-free detour over a rip-up.
+    permissive search, whose escalating foreign-edge penalty still
+    prefers any conflict-free detour over a rip-up.  The permissive
+    search starts in the pin bounding box grown by
+    :data:`_PERMISSIVE_MARGIN` and doubles the margin after each
+    failure; its last try covers the grid.  A small window keeps the
+    search from flooding the whole grid before it pays the penalty
+    into a pin that other nets' wires enclose.
     Victims lose only the branches the stolen edges carried
     (:meth:`RoutedLayout.rip_edges`), never their whole tree — which
     is what keeps the negotiation from cascading.
@@ -629,6 +644,7 @@ def _route_one(search: _GridSearch, layout: RoutedLayout, name: str,
     ripped: Dict[str, List[Point]] = {}
     new_edges: List[Edge] = []
     window = _net_window(layout, driver, sinks)
+    grid = (0, 0, layout.width - 1, layout.height - 1)
     order = sorted(sinks, key=lambda s: (abs(s[0] - driver[0])
                                          + abs(s[1] - driver[1]), s))
     for sink in order:
@@ -640,14 +656,20 @@ def _route_one(search: _GridSearch, layout: RoutedLayout, name: str,
             continue
         path = search.search(name, tree, target, limit,
                              permissive=False, window=window)
-        if path is None:
+        margin = _PERMISSIVE_MARGIN
+        while path is None:
+            wide = _net_window(layout, driver, sinks, margin)
             path = search.search(name, tree, target, limit,
-                                 permissive=True, penalty=penalty)
-            if path is None:
-                for e in new_edges:
-                    if layout.edge_owner.get(e) == name:
-                        del layout.edge_owner[e]
-                return None, ripped
+                                 permissive=True, penalty=penalty,
+                                 window=wide)
+            if wide == grid:
+                break
+            margin *= 2
+        if path is None:
+            for e in new_edges:
+                if layout.edge_owner.get(e) == name:
+                    del layout.edge_owner[e]
+            return None, ripped
         stolen: Dict[str, Set[Edge]] = {}
         for a, b in zip(path, path[1:]):
             e = _edge(a, b)

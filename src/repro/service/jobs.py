@@ -275,7 +275,7 @@ def _netlist_ppa_job(params: Dict[str, object], ctx: JobContext):
     "netlist": "0" * 64, "num_layers": None,
     "placement_iterations": 2000}, sample_result={
     "layout": "0" * 64, "nets": 5, "wirelength": 42, "vias": 3,
-    "failed_nets": []}, version=1)
+    "failed_nets": []}, version=2)
 def _route_job(params: Dict[str, object], ctx: JobContext):
     """Place and maze-route a stored netlist; publish the layout.
 
@@ -287,6 +287,9 @@ def _route_job(params: Dict[str, object], ctx: JobContext):
     the store under its content digest for downstream jobs.  Version 1:
     the annealer counts a net once for a gate that reads it on two
     fanins, so placements of netlists with such gates changed.
+    Version 2: the router's permissive (rip-up) search runs in a window
+    that doubles until it finds a path, so some congested layouts
+    changed.
     """
     from ..physical import annealing_placement, maze_route
 
@@ -319,7 +322,7 @@ def _route_job(params: Dict[str, object], ctx: JobContext):
     "num_layers": None, "max_iterations": 4,
     "placement_iterations": 2000}, sample_result={
     "closed": True, "iterations": 2, "layout": "0" * 64,
-    "metrics": {"probing": 0.01}}, version=1)
+    "metrics": {"probing": 0.01}}, version=2)
 def _closure_job(params: Dict[str, object], ctx: JobContext):
     """Run iterative security closure on a stored netlist.
 
@@ -331,6 +334,9 @@ def _closure_job(params: Dict[str, object], ctx: JobContext):
     layout is published to the store under ``result['layout']``.
     Version 1: the annealer counts a net once for a gate that reads it
     on two fanins, so closures of netlists with such gates changed.
+    Version 2: the router's permissive search runs in a doubling
+    window, so some closed layouts changed, and a closure that leaves
+    a net unrouted is no longer ``converged``.
     """
     from ..flow import strip_wall_times
     from ..physical import ClosureThresholds, security_closure
@@ -473,7 +479,7 @@ def _variant_batch_job(params: Dict[str, object], ctx: JobContext):
     "netlist": "0" * 64,
     "passes": [["synthesis", {}]]}, sample_result={
     "trace": {"passes": []}, "result_netlist": "0" * 64},
-    version=6)
+    version=7)
 def _pass_pipeline_job(params: Dict[str, object], ctx: JobContext):
     """Run a named pass pipeline over a stored netlist.
 
@@ -503,7 +509,10 @@ def _pass_pipeline_job(params: Dict[str, object], ctx: JobContext):
     the fault is counted neither detected nor redundant.  Version 6:
     the ``placement`` pass's annealer counts a net once for a gate
     that reads it on two fanins, so its placements of netlists with
-    such gates changed.
+    such gates changed.  Version 7: the ``route`` pass's permissive
+    search runs in a doubling window, so some routed layouts changed,
+    and ``reassoc-timing`` sweeps dangling gates once per run instead
+    of once per rebuilt tree, so its trace epoch reads lower.
     """
     from ..flow import (PassManager, create_pass, netlist_design,
                         strip_wall_times)

@@ -124,6 +124,8 @@ def _splice(netlist: Netlist, tree: XorTree, new_root: str) -> str:
 
     Returns the net that now carries the tree's function — the old root
     name if it was a primary output (kept as a buffer), else the new one.
+    The old tree is left dangling; callers sweep once after the last
+    splice (a sweep per splice rescans the whole netlist per tree).
     """
     if tree.inverted:
         new_root = netlist.add(GateType.NOT, [new_root], prefix="ra_inv")
@@ -137,7 +139,6 @@ def _splice(netlist: Netlist, tree: XorTree, new_root: str) -> str:
     else:
         netlist.rewire_consumers(tree.root, new_root)
         result = new_root
-    netlist.sweep_dangling()
     return result
 
 
@@ -159,6 +160,8 @@ def reassociate_for_timing(
         new_root = _rebuild_greedy(netlist, tree, arrivals)
         rename[tree.root] = _splice(netlist, tree, new_root)
         rebuilt += 1
+    if rebuilt:
+        netlist.sweep_dangling()
     return rebuilt
 
 
@@ -172,6 +175,8 @@ def balance_trees(netlist: Netlist) -> int:
         new_root = _rebuild_balanced(netlist, tree)
         rename[tree.root] = _splice(netlist, tree, new_root)
         rebuilt += 1
+    if rebuilt:
+        netlist.sweep_dangling()
     return rebuilt
 
 

@@ -204,11 +204,11 @@ class TestJobResultVersion:
         problems = check_jobs.audit()
         assert problems == [
             f"{name}: version {version} does not change the spec hash"
-            for name, version in (("closure", 1),
+            for name, version in (("closure", 2),
                                   ("composition-stack", 3),
                                   ("locking-point", 1),
-                                  ("pass-pipeline", 6),
-                                  ("route", 1))]
+                                  ("pass-pipeline", 7),
+                                  ("route", 2))]
 
     def test_composition_sample_result_has_a_real_rows_shape(self):
         from repro.service import (

@@ -9,7 +9,8 @@ from repro.flow import (
     registered_passes,
     strip_wall_times,
 )
-from repro.netlist import c17, ripple_carry_adder
+from repro.crypto import present_sbox_netlist
+from repro.netlist import array_multiplier, c17, ripple_carry_adder
 from repro.physical import (
     ClosureThresholds,
     RoutedLayout,
@@ -224,3 +225,42 @@ class TestSecurityClosure:
                                   max_iterations=2, seed=0)
         assert not result.converged
         assert result.iterations == 2
+
+    def test_unrouted_net_is_not_converged(self):
+        # The initial route spends its rip-up budget and drops a net;
+        # the metrics only see wires that exist, so they all pass.
+        result = security_closure(present_sbox_netlist(), seed=3)
+        assert result.failed_nets == ["x0"]
+        assert all(r.passed for r in result.trace.final)
+        assert result.equivalent
+        assert not result.converged
+
+
+#: The closure verdict sweep: placement seeds and, per design, the
+#: seeds whose layout keeps an unrouted net (the router's rip-up
+#: budget runs out).  A change may route more nets, never fewer.
+VERDICT_SEEDS = range(20)
+VERDICT_DESIGNS = {
+    "present-sbox": (present_sbox_netlist, {3, 9}),
+    "rca8": (lambda: ripple_carry_adder(8), set()),
+    "mult4": (lambda: array_multiplier(4), set()),
+}
+
+
+@pytest.mark.parametrize("design", sorted(VERDICT_DESIGNS))
+def test_closure_verdicts_over_seeds(design):
+    make, allowed_unrouted = VERDICT_DESIGNS[design]
+    unrouted = set()
+    for seed in VERDICT_SEEDS:
+        result = security_closure(make(), seed=seed)
+        assert result.equivalent, seed
+        if result.failed_nets:
+            unrouted.add(seed)
+            assert not result.converged, seed
+            continue
+        thresholds = result.thresholds
+        assert result.converged, seed
+        assert result.metrics.probing <= thresholds.probing, seed
+        assert result.metrics.fia <= thresholds.fia, seed
+        assert result.metrics.trojan <= thresholds.trojan, seed
+    assert unrouted <= allowed_unrouted

@@ -13,6 +13,7 @@ from repro.physical import (
     reroute_nets,
     routing_nets,
 )
+from repro.physical import routing
 from repro.physical.routing import is_via_edge
 
 
@@ -135,6 +136,67 @@ class TestPartialRipUp:
         lost = layout.rip_edges("a", {((0, 0, 1), (1, 0, 1))})
         assert lost == [(2, 0), (2, 2)]
         assert "a" not in layout.nets
+        assert layout.edge_owner == {}
+
+
+def _enclose(layout, target, owner="other"):
+    """Give ``owner`` every layer-1 edge into ``target``, so no strict
+    search can enter it."""
+    x, y, _l = target
+    for nxt in ((x + 1, y, 1), (x - 1, y, 1), (x, y + 1, 1),
+                (x, y - 1, 1)):
+        if 0 <= nxt[0] < layout.width and 0 <= nxt[1] < layout.height:
+            layout.edge_owner[routing._edge(target, nxt)] = owner
+
+
+@pytest.fixture
+def searches(monkeypatch):
+    """Every ``_GridSearch.search`` call as ``(permissive, window)``."""
+    calls = []
+    search = routing._GridSearch.search
+
+    def spy(self, net, sources, target, limit, permissive,
+            penalty=routing._FOREIGN_PENALTY, window=None):
+        calls.append((permissive, window))
+        return search(self, net, sources, target, limit, permissive,
+                      penalty, window)
+    monkeypatch.setattr(routing._GridSearch, "search", spy)
+    return calls
+
+
+class TestPermissiveWindow:
+    """The permissive search starts in the pin box grown by
+    ``_PERMISSIVE_MARGIN`` and doubles the margin until it succeeds or
+    its window covers the grid."""
+
+    def test_walled_window_doubles_until_the_sink_attaches(self,
+                                                           searches):
+        assert routing._PERMISSIVE_MARGIN == 1
+        layout = RoutedLayout(width=13, height=11, num_layers=1)
+        target = (8, 5, 1)
+        _enclose(layout, target)
+        # Shields cut the margin-1 window (rows 4-6) between the pins.
+        layout.shields.update((6, y, 1) for y in (4, 5, 6))
+        search = routing._GridSearch(layout, via_cost=2)
+        routed, ripped = routing._route_one(search, layout, "mine",
+                                            (4, 5), [(8, 5)], limit=1)
+        assert searches == [(False, (0, 0, 12, 10)),
+                            (True, (3, 4, 9, 6)),
+                            (True, (2, 3, 10, 7))]
+        path = routed.branches[(8, 5)]
+        assert path[0] == (4, 5, 1) and path[-1] == target
+        assert not set(path) & layout.shields
+        assert ripped == {"other": []}
+
+    def test_grid_sized_window_searches_once(self, searches):
+        layout = RoutedLayout(width=3, height=3, num_layers=1)
+        # Shields wall the sink (2, 2) in: no search can enter it.
+        layout.shields.update({(1, 2, 1), (2, 1, 1)})
+        search = routing._GridSearch(layout, via_cost=2)
+        routed, ripped = routing._route_one(search, layout, "mine",
+                                            (0, 0), [(2, 2)], limit=1)
+        assert routed is None and ripped == {}
+        assert searches == [(False, (0, 0, 2, 2)), (True, (0, 0, 2, 2))]
         assert layout.edge_owner == {}
 
 

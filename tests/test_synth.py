@@ -223,6 +223,40 @@ class TestReassociation:
         n.validate()
         assert truth_of(n) == golden
 
+    @pytest.mark.parametrize("rebuild", [reassociate_for_timing,
+                                         balance_trees])
+    def test_dangling_trees(self, rebuild):
+        # Two XOR trees that drive nothing: the first rebuild must not
+        # sweep the second tree's leaves away before it is rebuilt.
+        n = Netlist()
+        for i in range(4):
+            n.add_input(f"x{i}")
+        n.add_gate("y", GateType.AND, ["x0", "x1"])
+        n.add_output("y")
+        n.add_gate("s", GateType.OR, ["x2", "x3"])
+        n.add_gate("t0", GateType.XOR, ["x0", "x1"])
+        n.add_gate("t1", GateType.XOR, ["t0", "s"])
+        n.add_gate("u0", GateType.XOR, ["s", "x2"])
+        n.add_gate("u1", GateType.XOR, ["u0", "x3"])
+        assert rebuild(n) == 2
+        n.validate()
+        assert sorted(n.gates) == ["x0", "x1", "x2", "x3", "y"]
+
+    @pytest.mark.parametrize("rebuild", [reassociate_for_timing,
+                                         balance_trees])
+    def test_no_tree_leaves_netlist_untouched(self, rebuild):
+        # Dangling logic outside any rebuilt tree is not swept.
+        n = Netlist()
+        n.add_input("a")
+        n.add_input("b")
+        n.add_gate("y", GateType.AND, ["a", "b"])
+        n.add_output("y")
+        n.add_gate("dead", GateType.OR, ["a", "b"])
+        epoch = n.mutation_epoch
+        assert rebuild(n) == 0
+        assert sorted(n.gates) == ["a", "b", "dead", "y"]
+        assert n.mutation_epoch == epoch
+
 
 class TestTechmap:
     def test_decompose_variadic(self):
